@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SchemaError, TensorCapError
-from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits, _plain_entropy
+from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits
 from .networks import (
     Cut,
     DeterministicNetwork,
@@ -64,6 +64,8 @@ class Channel:
             raise ValueError("channel needs at least one output variable")
         shape = tuple(s for _, s in given) + tuple(s for _, s in out)
         arr = np.asarray(probs, dtype=float).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("channel probabilities must be finite")
         if np.any(arr < 0):
             raise ValueError("channel probabilities must be nonnegative")
         in_cells = math.prod(s for _, s in given) if given else 1
@@ -212,29 +214,23 @@ class DmInstance:
 
 
 class _EntropyCache:
-    """Memoized joint entropies, keyed by variable subset.
+    """Conditional entropies and mutual informations given time sharing Q.
 
-    Conditional quantities are differences of cached values, so repeated
-    subsets (Q, X^n, ...) are paid for once, and identical subsets yield
+    Conditional quantities are differences of the joint entropies that the
+    pmf memoizes per variable subset, so repeated subsets (Q, X^n, ...) are
+    paid for once per joint, across evaluators, and identical subsets yield
     bit-identical floats, which the exactness guarantees below rely on.
     """
 
     def __init__(self, pmf: JointPmf, q_vars: Iterable[str] = ()):
         self.pmf = pmf
         self.q = frozenset(q_vars)
-        self._cache: dict[frozenset, float] = {}
-
-    def h(self, names: frozenset) -> float:
-        val = self._cache.get(names)
-        if val is None:
-            val = _plain_entropy(self.pmf.marginal(names))
-            self._cache[names] = val
-        return val
 
     def hc(self, a: frozenset, given: frozenset) -> float:
         if not a:
             return 0.0
-        val = self.h(a | given) - self.h(given) if given else self.h(a)
+        h = self.pmf.joint_entropy
+        val = h(a | given) - h(given) if given else h(a)
         return val if val > 0.0 else 0.0
 
     def mi(self, a: frozenset, b: frozenset, given: frozenset = frozenset()) -> float:
@@ -518,22 +514,17 @@ def simplex_grid(cells: int, resolution: int) -> np.ndarray:
     count = math.comb(resolution + cells - 1, cells - 1)
     if count > 2_000_000:
         raise ValueError(f"{count} grid points is too many; lower the resolution")
-    if cells == 1:
-        return np.ones((1, 1))
-    # Stars and bars: bar positions in 0..resolution+cells-2 determine counts.
-    bars = np.array(
-        list(itertools.combinations(range(resolution + cells - 1), cells - 1)),
-        dtype=np.int64,
-    )
-    ext = np.hstack(
-        [
-            np.full((count, 1), -1, dtype=np.int64),
-            bars,
-            np.full((count, 1), resolution + cells - 1, dtype=np.int64),
-        ]
-    )
-    counts = np.diff(ext, axis=1) - 1
-    return counts / resolution
+    # Lexicographic order, built one column at a time: each row is repeated
+    # once per value its next count can take, from 0 up to its remaining mass.
+    counts = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([resolution], dtype=np.int64)
+    for _ in range(cells - 1):
+        reps = left + 1
+        starts = np.cumsum(reps) - reps
+        nxt = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
+        counts = np.column_stack([np.repeat(counts, reps, axis=0), nxt])
+        left = np.repeat(left, reps) - nxt
+    return np.column_stack([counts, left]) / resolution
 
 
 def _h_rows(p: np.ndarray) -> np.ndarray:

@@ -1,9 +1,19 @@
 """Exact information measures on dense joint pmfs, plus Gaussian rate kernels.
 
 All rates and entropies are in bits.  Probabilities below ``ZERO_EPS`` are
-treated as exact zeros (the 0 log 0 = 0 convention).  Entropies are accumulated
-over the flattened tensor in index-ascending order, so results are reproducible
-bit for bit and can be checked against a naive summation oracle.
+treated as exact zeros (the 0 log 0 = 0 convention).
+
+Exactness contract: every marginal and every entropy is bit-identical to the
+naive oracle that adds the joint's cells into each marginal cell in ascending
+flat-index order and then sums ``-p * math.log2(p)`` over the marginal in flat
+order.  Identical subsets therefore give identical floats, which exact
+comparisons downstream (a repaired cut's functional being exactly 0.0) rely
+on.  Three numpy shortcuts break the contract and are avoided:
+
+* reducing a strided (non-contiguous) view, where numpy may reorder the
+  additions;
+* reducing to a single kept cell, where numpy switches to pairwise summation;
+* ``np.log2``, which differs from ``math.log2`` in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -63,6 +73,9 @@ class JointPmf:
 
     ``variables`` is an ordered sequence of (name, alphabet_size) pairs and
     ``probs`` has one axis per variable, in that order (row-major layout).
+    The pmf is immutable (``probs`` is a read-only copy), so it memoizes the
+    entropy of each variable subset it is asked for; the memo lives and dies
+    with the pmf.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -89,6 +102,8 @@ class JointPmf:
                 "reduce alphabet sizes"
             )
         arr = np.asarray(probs, dtype=float).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("probabilities must be finite")
         if np.any(arr < 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(np.sum(arr))
@@ -98,6 +113,7 @@ class JointPmf:
         arr.flags.writeable = False
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "_entropies", {})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -115,24 +131,40 @@ class JointPmf:
     def marginal(self, names: Iterable[str]) -> np.ndarray:
         """Marginal tensor over ``names``, axes in this pmf's variable order.
 
-        Each output cell is accumulated over the dropped cells in ascending
-        flat-index order, matching a naive single-pass summation.
+        Each output cell is bit-identical to adding the dropped cells in
+        ascending flat-index order.  The joint is transposed into a
+        C-contiguous (dropped, kept) matrix so that one ``np.add.reduce`` over
+        axis 0 adds whole rows in that order; a strided view could be reduced
+        in another order.  A single kept cell is summed with ``np.cumsum``,
+        because numpy reduces a contiguous vector pairwise.  Entropies of the
+        result are then summed in flat order with ``math.log2``, not
+        ``np.log2``, which differs in the last bit on some inputs.
         """
         keep = sorted(self.axis_of(n) for n in set(names))
         drop = [i for i in range(len(self.variables)) if i not in keep]
         if not drop:
             return self.probs
         kept_shape = tuple(self.probs.shape[i] for i in keep)
-        q = np.transpose(self.probs, drop + keep).reshape(-1, math.prod(kept_shape))
-        out = np.zeros(q.shape[1])
-        for row in q:
-            out += row
-        return out.reshape(kept_shape)
+        q = np.ascontiguousarray(np.transpose(self.probs, drop + keep))
+        q = q.reshape(-1, math.prod(kept_shape))
+        if q.shape[1] == 1:
+            return np.cumsum(q[:, 0])[-1:].reshape(kept_shape)
+        return np.add.reduce(q, axis=0).reshape(kept_shape)
+
+    def joint_entropy(self, names: Iterable[str]) -> RateBits:
+        """H(names) in bits, memoized per variable subset on this pmf."""
+        key = frozenset(names)
+        val = self._entropies.get(key)
+        if val is None:
+            val = _plain_entropy(self.marginal(key))
+            self._entropies[key] = val
+        return val
 
 
 def _plain_entropy(marg: np.ndarray) -> float:
+    """Entropy of a marginal tensor, summed in flat order with ``math.log2``."""
     acc = 0.0
-    for p in marg.reshape(-1):
+    for p in marg.ravel().tolist():
         if p >= ZERO_EPS:
             acc -= p * math.log2(p)
     return acc
@@ -145,9 +177,9 @@ def entropy(pmf: JointPmf, names: Iterable[str], given: Iterable[str] = ()) -> R
     """
     names = set(names)
     given = set(given)
-    h = _plain_entropy(pmf.marginal(names | given))
+    h = pmf.joint_entropy(names | given)
     if given:
-        h -= _plain_entropy(pmf.marginal(given))
+        h -= pmf.joint_entropy(given)
     return h if h > 0.0 else 0.0
 
 

@@ -578,6 +578,14 @@ def test_eval_dm_usage_errors(tmp_path):
         ["eval-dm", "--pmf", bad, "--channel", chan, "--mode", "unicast", "--dest", "2"]
     )
     assert code == 2
+    doc = json.loads((tmp_path / "pmf.json").read_text())
+    doc["probs"][0] = math.nan
+    nan_pmf = write_json(tmp_path / "nan_pmf.json", doc)
+    assert "NaN" in (tmp_path / "nan_pmf.json").read_text()
+    code, _ = run(
+        ["eval-dm", "--pmf", nan_pmf, "--channel", chan, "--mode", "unicast", "--dest", "2"]
+    )
+    assert code == 2
 
 
 def test_eval_dm_resource_cap(tmp_path):

@@ -1,5 +1,6 @@
 """Discrete-memoryless bounds: independent re-evaluation and exactness checks."""
 
+import itertools
 import json
 import math
 
@@ -94,6 +95,8 @@ def test_channel_validation():
         Channel([("x1", 2)], [], np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="nonnegative"):
         Channel([("x1", 2)], [("y2", 2)], np.array([[1.5, -0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="finite"):
+        Channel([("x1", 2)], [("y2", 2)], np.array([[math.nan, 1.0], [0.5, 0.5]]))
     assert not Channel([("x1", 2)], [("y2", 2)], np.eye(2)).probs.flags.writeable
 
 
@@ -150,6 +153,22 @@ def test_cut_terms_match_naive_evaluator():
         jvals = constraint_values_j(inst)
         for cut_s, j in jvals.items():
             assert abs(j - naive_cut_value(inst, cut_s, None)) < 1e-12
+
+
+def test_evaluators_sharing_a_joint_match_fresh_instances_bitwise():
+    rng = np.random.default_rng(41)
+    for trial in range(4):
+        n = int(rng.integers(3, 5))
+        inst = random_instance(rng, n, [n], with_q=bool(trial % 2))
+        fresh = DmInstance(
+            JointPmf(inst.joint.variables, inst.joint.probs), n, [n], inst.q_vars
+        )
+        ddf_unicast_dm(inst, n)
+        shared = constraint_values_j(inst)
+        alone = constraint_values_j(fresh)
+        assert list(shared) == list(alone)
+        for cut_s, j in shared.items():
+            assert j.hex() == alone[cut_s].hex()
 
 
 def test_cascade_of_perfect_bit_pipes():
@@ -478,6 +497,27 @@ def test_simplex_grid_shape_and_order():
         simplex_grid(4, 300)
 
 
+def combinations_simplex_grid(cells, resolution):
+    """Stars and bars: each choice of bar positions gives one row of counts."""
+    bars = np.array(
+        list(itertools.combinations(range(resolution + cells - 1), cells - 1)),
+        dtype=np.int64,
+    ).reshape(math.comb(resolution + cells - 1, cells - 1), cells - 1)
+    ends = np.full((bars.shape[0], 1), resolution + cells - 1, dtype=np.int64)
+    counts = np.diff(np.hstack([np.full_like(ends, -1), bars, ends]), axis=1) - 1
+    return counts / resolution
+
+
+def test_simplex_grid_matches_combinations_oracle():
+    for cells in (1, 2, 3, 4):
+        for resolution in (1, 2, 7, 60):
+            got = simplex_grid(cells, resolution)
+            want = combinations_simplex_grid(cells, resolution)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert simplex_grid(3, 996).tobytes() == combinations_simplex_grid(3, 996).tobytes()
+
+
 def test_blackwell_region_landmarks():
     reg = blackwell_region(0.0, 0.0, grid_res=96)
     assert abs(reg.max_sum - math.log2(3.0)) < 1e-12
@@ -569,6 +609,11 @@ def test_pmf_file_schema_errors(tmp_path):
     )
     with pytest.raises(SchemaError, match="sum to"):
         load_pmf(path)
+    path.write_text(
+        json.dumps({"vars": [{"name": "x1", "size": 2}], "probs": [math.nan, 1.0]})
+    )
+    with pytest.raises(SchemaError, match="finite"):
+        load_pmf(path)
     # a tiny file cannot demand a huge tensor
     path.write_text(
         json.dumps(
@@ -614,4 +659,9 @@ def test_channel_file_round_trip_and_errors(tmp_path):
     doc["probs"] = [0.9, 0.3, 0.2, 0.8]
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="sum to 1"):
+        load_channel(path)
+
+    doc["probs"] = [math.nan, 0.1, 0.2, 0.8]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="finite"):
         load_channel(path)
