@@ -81,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--gain-dist", choices=("uniform", "lognormal"), default="uniform")
+    p.add_argument("--power", type=float, default=1.0, help="transmit power per node")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser(
@@ -169,6 +170,8 @@ def cmd_gap_verify(args) -> int:
         raise ValueError(f"n must be in 2..10, got {args.n}")
     if args.trials < 0:
         raise ValueError("trials must be nonnegative")
+    if not (np.isfinite(args.power) and args.power > 0):
+        raise ValueError(f"power must be finite and positive, got {args.power}")
     rng = np.random.default_rng(args.seed)
     expected = args.n / 2.0
     cases = []
@@ -176,7 +179,7 @@ def cmd_gap_verify(args) -> int:
     max_tighter = -float("inf")
     for trial in range(args.trials):
         gains = _draw_gains(rng, args.n, args.gain_dist)
-        net = GaussianNetwork(args.n, gains, 1.0, range(2, args.n + 1))
+        net = GaussianNetwork(args.n, gains, args.power, range(2, args.n + 1))
         cert = gap_certificate(net)
         for row in cert.rows:
             if row.gap != expected or row.tighter_gap > expected + 1e-9:
@@ -201,7 +204,7 @@ def cmd_gap_verify(args) -> int:
         "n": args.n,
         "trials": args.trials,
         "gain_dist": args.gain_dist,
-        "power": 1.0,
+        "power": args.power,
         "expected_gap": expected,
         "max_tighter_gap": max_tighter if cases else None,
         "pass": not violations,

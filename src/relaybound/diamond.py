@@ -18,7 +18,6 @@ import numpy as np
 from .info import RateBits, gauss_c
 from .networks import GaussianNetwork
 from .optimize import Box, golden_max, grid_then_refine
-from .parallel import map_ordered
 
 
 @dataclass(frozen=True)
@@ -32,6 +31,8 @@ class DiamondConfig:
 
     def __post_init__(self):
         for name in ("s21", "s31", "s42", "s43"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -41,16 +42,16 @@ class DiamondConfig:
         with path-loss exponent 3 (gain = distance^(-3/2)) and power p."""
         if not 0.0 < d < 1.0:
             raise ValueError(f"relay position d must lie in (0, 1), got {d}")
-        if p <= 0:
-            raise ValueError(f"power must be positive, got {p}")
+        if not math.isfinite(p) or p <= 0:
+            raise ValueError(f"power must be finite and positive, got {p}")
         near = p / d**3
         far = p / (1.0 - d) ** 3
         return cls(s21=near, s31=far, s42=far, s43=near)
 
     def to_network(self, power: float) -> GaussianNetwork:
         """The same diamond as a GaussianNetwork carrying unit-variance noise."""
-        if power <= 0:
-            raise ValueError(f"power must be positive, got {power}")
+        if not math.isfinite(power) or power <= 0:
+            raise ValueError(f"power must be finite and positive, got {power}")
         g = np.zeros((4, 4))
         g[1, 0] = math.sqrt(self.s21 / power)
         g[2, 0] = math.sqrt(self.s31 / power)
@@ -293,12 +294,10 @@ def diamond_sweep(
 ) -> SweepTable:
     """Evaluate every bound on a grid of relay positions.
 
-    Rows are independent, so they may be computed on worker threads; the
-    output order always follows d_grid and is deterministic for a fixed
-    budget and seed.
+    Rows follow d_grid and are deterministic for a fixed budget and seed.
     """
-    if p <= 0:
-        raise ValueError(f"power must be positive, got {p}")
+    if not math.isfinite(p) or p <= 0:
+        raise ValueError(f"power must be finite and positive, got {p}")
 
     def one(d: float) -> SweepRow:
         cfg = DiamondConfig.from_distance(d, p)
@@ -319,5 +318,4 @@ def diamond_sweep(
             ddf_active=_lowest_argmin(ddf_diamond_terms(cfg, ddf_p)),
         )
 
-    rows = map_ordered(one, [float(d) for d in d_grid])
-    return SweepTable(power=float(p), rows=tuple(rows))
+    return SweepTable(power=float(p), rows=tuple(one(float(d)) for d in d_grid))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +44,67 @@ def _check_cut(net: GaussianNetwork, cut: Cut) -> tuple[int, ...]:
     return far
 
 
-def _power_diag(net: GaussianNetwork, nodes: tuple[int, ...]) -> np.ndarray:
-    return np.diag([net.power[k - 1] for k in nodes])
+#: Matrices per kernel call.  Full-power evaluators score at most this many
+#: cuts per call and the covariance search at most this many (candidate, cut)
+#: pairs, which bounds the memory of one stack.
+_STACK = 4096
+
+
+def _cut_plan(
+    net: GaussianNetwork, cuts: Sequence[Cut], dest: int | None = None
+) -> np.ndarray:
+    """The stack A, shape (len(cuts), n, n), of the gains G masked to each
+    cut's far-side rows and source-side columns.
+
+    The other rows are zero, so det(I + A K A^T) equals the determinant over
+    the far block, |I + G(S) K(S) G(S)^T|.  With ``dest`` the destination's
+    row is appended once more (n + 1 rows): the unicast cut's doubled
+    observation.
+    """
+    masks = np.array([sum(1 << (k - 1) for k in cut.s) for cut in cuts], dtype=np.int64)
+    near = (masks[:, None] >> np.arange(net.n)) & 1 == 1
+    plan = np.where(~near[:, :, None] & near[:, None, :], net.gains, 0.0)
+    if dest is not None:
+        plan = np.concatenate([plan, plan[:, dest - 1 : dest]], axis=1)
+    return plan
+
+
+def _plan_rates(plan: np.ndarray, k_cov: np.ndarray) -> np.ndarray:
+    """(1/2) log2 |I + A K A^T| for every cut of the plan, in one kernel call:
+    shape (ncuts,) for one covariance, (m, ncuts) for a stack of m."""
+    return log_det_rate(plan @ k_cov[..., None, :, :] @ plan.swapaxes(-1, -2))
+
+
+def _full_power_rates(
+    net: GaussianNetwork, cuts: Sequence[Cut], dest: int | None = None
+) -> list[RateBits]:
+    """The rate term of every cut at K = diag(P), one kernel call per
+    ``_STACK`` cuts."""
+    power = np.diag(net.power)
+    rates: list[RateBits] = []
+    for i in range(0, len(cuts), _STACK):
+        rates += _plan_rates(_cut_plan(net, cuts[i : i + _STACK], dest), power).tolist()
+    return rates
+
+
+def _penalty_sums(net: GaussianNetwork, cuts: Sequence[Cut]) -> list[RateBits]:
+    """The far-side penalties of each cut, summed in far-side order."""
+    pen = {k: node_penalty(net, k) for k in range(2, net.n + 1)}
+    return [sum(pen[k] for k in cut.complement) for cut in cuts]
+
+
+def _ddf_rows(
+    net: GaussianNetwork, cuts: Sequence[Cut]
+) -> tuple[list[RateBits], list[RateBits]]:
+    """(rate terms, inner-bound values) of every cut."""
+    terms = _full_power_rates(net, cuts)
+    return terms, [t - p for t, p in zip(terms, _penalty_sums(net, cuts))]
 
 
 def cut_rate_term(net: GaussianNetwork, cut: Cut) -> RateBits:
     """(1/2) log2 |I + G(S) diag(P(S)) G(S)^T| at full per-node power."""
     _check_cut(net, cut)
-    g = cut_submatrix(net, cut)
-    return log_det_rate(g @ _power_diag(net, cut.s) @ g.T)
+    return _full_power_rates(net, [cut])[0]
 
 
 def ddf_cut_rate(net: GaussianNetwork, cut: Cut) -> RateBits:
@@ -59,8 +112,8 @@ def ddf_cut_rate(net: GaussianNetwork, cut: Cut) -> RateBits:
 
     May be negative; region constructors clamp at zero.
     """
-    far = _check_cut(net, cut)
-    return cut_rate_term(net, cut) - sum(node_penalty(net, k) for k in far)
+    _check_cut(net, cut)
+    return _ddf_rows(net, [cut])[1][0]
 
 
 def relaxed_inner_cut(net: GaussianNetwork, cut: Cut) -> RateBits:
@@ -76,17 +129,22 @@ def cutset_relaxed_cut(net: GaussianNetwork, cut: Cut) -> RateBits:
 
 
 def _validate_cov(net: GaussianNetwork, k_cov: np.ndarray) -> np.ndarray:
+    """Check K against the network; tolerances are 1e-9 of max(1, max|K|),
+    and 1e-9 of max(1, P_j) on the diagonal."""
     k = np.asarray(k_cov, dtype=float)
     if k.shape != (net.n, net.n):
         raise ValueError(f"covariance must be {net.n}x{net.n}, got {k.shape}")
-    if np.max(np.abs(k - k.T)) > 1e-9:
-        raise ValueError("covariance is not symmetric within 1e-9")
+    if not np.all(np.isfinite(k)):
+        raise ValueError("covariance must be finite")
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(k))))
+    if np.max(np.abs(k - k.T)) > tol:
+        raise ValueError(f"covariance is not symmetric within {tol:.3e}")
     k = 0.5 * (k + k.T)
     eig = np.linalg.eigvalsh(k)
-    if eig[0] < -1e-9:
-        raise ValueError(f"covariance has eigenvalue {eig[0]:.3e} < -1e-9")
+    if eig[0] < -tol:
+        raise ValueError(f"covariance has eigenvalue {eig[0]:.3e} < {-tol:.3e}")
     for j in range(net.n):
-        if k[j, j] > net.power[j] + 1e-9:
+        if k[j, j] > net.power[j] + 1e-9 * max(1.0, net.power[j]):
             raise ValueError(
                 f"covariance diagonal {k[j, j]} at node {j + 1} exceeds the "
                 f"power limit {net.power[j]}"
@@ -98,13 +156,7 @@ def cutset_cut_rate(net: GaussianNetwork, cut: Cut, k_cov: np.ndarray) -> RateBi
     """(1/2) log2 |I + G(S) K(S) G(S)^T| for a feasible input covariance K."""
     _check_cut(net, cut)
     k = _validate_cov(net, k_cov)
-    return _cutset_cut_fast(net, cut, k)
-
-
-def _cutset_cut_fast(net: GaussianNetwork, cut: Cut, k: np.ndarray) -> RateBits:
-    g = cut_submatrix(net, cut)
-    idx = [j - 1 for j in cut.s]
-    return log_det_rate(g @ k[np.ix_(idx, idx)] @ g.T)
+    return float(_plan_rates(_cut_plan(net, [cut]), k)[0])
 
 
 def _half_log2_det_pd(a: np.ndarray, what: str) -> float:
@@ -176,10 +228,7 @@ def ddf_unicast_cut_rate(net: GaussianNetwork, cut: Cut, dest: int) -> RateBits:
     far = _check_cut(net, cut)
     if dest not in far:
         raise ValueError(f"destination {dest} must lie on the far side of {cut.s}")
-    g = cut_submatrix(net, cut)
-    g_hat = np.vstack([g, g[far.index(dest)]])
-    first = log_det_rate(g_hat @ _power_diag(net, cut.s) @ g_hat.T)
-    return first - sum(node_penalty(net, k) for k in far)
+    return _full_power_rates(net, [cut], dest)[0] - _penalty_sums(net, [cut])[0]
 
 
 def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
@@ -187,19 +236,19 @@ def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
     if dest < 2 or dest > net.n:
         raise ValueError(f"destination {dest} must lie in 2..{net.n}")
     cuts = enumerate_cuts(net.n, {dest}, "unicast")
-    return min(ddf_unicast_cut_rate(net, cut, dest) for cut in cuts)
+    terms = _full_power_rates(net, cuts, dest)
+    return min(t - p for t, p in zip(terms, _penalty_sums(net, cuts)))
 
 
 def ddf_region(net: GaussianNetwork) -> RateRegion:
     """Broadcast inner bound: one halfspace per cut, clamped at zero."""
     dims = net.destinations
+    cuts = enumerate_cuts(net.n, dims, "broadcast")
     constraints = []
-    for cut in enumerate_cuts(net.n, dims, "broadcast"):
+    for cut, value in zip(cuts, _ddf_rows(net, cuts)[1]):
         far = set(cut.complement)
         coeff = tuple(1 if d in far else 0 for d in dims)
-        constraints.append(
-            RegionConstraint(coeff, max(ddf_cut_rate(net, cut), 0.0), cut)
-        )
+        constraints.append(RegionConstraint(coeff, max(value, 0.0), cut))
     return RateRegion(dims, constraints)
 
 
@@ -224,8 +273,9 @@ class CutsetEstimate:
 
 
 def _corr_to_cov(corr: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Scale a correlation matrix (or a stack, with one power row each)."""
     d = np.sqrt(powers)
-    return corr * np.outer(d, d)
+    return corr * (d[..., :, None] * d[..., None, :])
 
 
 def _structured_corr(n: int, rho: float, family: str) -> np.ndarray:
@@ -243,17 +293,31 @@ def _structured_corr(n: int, rho: float, family: str) -> np.ndarray:
     return corr
 
 
-def _search_cov(net, cuts, budget: int, seed: int):
-    """Shared search loop: returns (best value, best K, evaluations used)."""
+def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
+    """Shared search loop over the cuts of ``plan``: returns (best value,
+    best K, evaluations used).
+
+    The rho-grid and random phases score stacks of candidates, the golden
+    and hill-climb phases one candidate per kernel call.  Every phase keeps
+    the first candidate strictly better than the incumbent.
+    """
     n = net.n
     powers = net.power.copy()
+    chunk = max(1, _STACK // len(plan))
 
     evals = 0
 
-    def value_of(k: np.ndarray) -> float:
+    def values_of(ks: np.ndarray) -> list[float]:
         nonlocal evals
-        evals += 1
-        return min(_cutset_cut_fast(net, cut, k) for cut in cuts)
+        evals += len(ks)
+        return [
+            v
+            for i in range(0, len(ks), chunk)
+            for v in _plan_rates(plan, ks[i : i + chunk]).min(axis=-1).tolist()
+        ]
+
+    def value_of(k: np.ndarray) -> float:
+        return values_of(k[None])[0]
 
     best_k = np.diag(powers)
     best_v = value_of(best_k)
@@ -261,16 +325,14 @@ def _search_cov(net, cuts, budget: int, seed: int):
     families = ("relays", "all")
     rho_grid = np.linspace(0.0, 0.992, 17)
     for family in families:
+        rhos = rho_grid[: max(0, budget - evals)]
+        ks = np.array([_corr_to_cov(_structured_corr(n, rho, family), powers) for rho in rhos])
         fam_best_rho, fam_best_v = 0.0, -math.inf
-        for rho in rho_grid:
-            if evals >= budget:
-                break
-            v = value_of(_corr_to_cov(_structured_corr(n, rho, family), powers))
+        for rho, k, v in zip(rhos, ks, values_of(ks)):
             if v > fam_best_v:
                 fam_best_rho, fam_best_v = rho, v
             if v > best_v:
-                best_v = v
-                best_k = _corr_to_cov(_structured_corr(n, rho, family), powers)
+                best_v, best_k = v, k
         if evals + 40 <= budget:
             # local refine of the correlation level around the grid winner
             lo = max(0.0, fam_best_rho - 0.07)
@@ -284,19 +346,23 @@ def _search_cov(net, cuts, budget: int, seed: int):
                 best_v = v
                 best_k = _corr_to_cov(_structured_corr(n, rho, family), powers)
 
+    # random correlation factors, drawn trial by trial in the RNG's order
     rng = np.random.default_rng(seed)
     random_budget = max(0, budget - evals - budget // 5)
-    for trial in range(random_budget):
-        factors = rng.standard_normal((n, n + 1))
-        c = factors @ factors.T
-        d = np.sqrt(np.diag(c))
-        corr = c / np.outer(d, d)
-        p = powers if trial % 2 == 0 else powers * rng.uniform(0.0, 1.0, n)
-        p = np.maximum(p, powers * 1e-6)
-        k = _corr_to_cov(corr, p)
-        v = value_of(k)
-        if v > best_v:
-            best_v, best_k = v, k
+    for start in range(0, random_budget, chunk):
+        trials = range(start, min(start + chunk, random_budget))
+        factors = np.empty((len(trials), n, n + 1))
+        p = np.empty((len(trials), n))
+        for i, trial in enumerate(trials):
+            factors[i] = rng.standard_normal((n, n + 1))
+            p[i] = powers if trial % 2 == 0 else powers * rng.uniform(0.0, 1.0, n)
+        c = factors @ factors.swapaxes(-1, -2)
+        d = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
+        corr = c / (d[:, :, None] * d[:, None, :])
+        ks = _corr_to_cov(corr, np.maximum(p, powers * 1e-6))
+        for k, v in zip(ks, values_of(ks)):
+            if v > best_v:
+                best_v, best_k = v, k
 
     # hill-climb around the incumbent with shrinking perturbations
     scale = 0.3
@@ -306,6 +372,7 @@ def _search_cov(net, cuts, budget: int, seed: int):
         cand = best_k + delta
         eig, vec = np.linalg.eigh(0.5 * (cand + cand.T))
         cand = (vec * np.maximum(eig, 0.0)) @ vec.T
+        cand = 0.5 * (cand + cand.T)  # exactly symmetric, whatever the scale
         diag = np.diag(cand)
         shrink = np.sqrt(np.minimum(1.0, powers / np.maximum(diag, 1e-12)))
         cand = cand * np.outer(shrink, shrink)
@@ -349,8 +416,10 @@ def cutset_estimate(
     if budget < 1:
         raise ValueError("budget must be positive")
     cuts = enumerate_cuts(net.n, {dest}, "unicast")
-    best_v, best_k, evals = _search_cov(net, cuts, budget, seed)
-    relaxed = min(cutset_relaxed_cut(net, cut) for cut in cuts)
+    plan = _cut_plan(net, cuts)
+    best_v, best_k, evals = _search_cov(net, plan, budget, seed)
+    terms = _plan_rates(plan, np.diag(net.power)).tolist()
+    relaxed = min(t + len(cut.s) / 2.0 for t, cut in zip(terms, cuts))
     return CutsetEstimate(best_v, relaxed, best_k, evals)
 
 
@@ -367,13 +436,16 @@ def cutset_estimate_region(
         raise ValueError("budget must be positive")
     dims = net.destinations
     cuts = enumerate_cuts(net.n, dims, "broadcast")
-    _, best_k, _ = _search_cov(net, cuts, budget, seed)
+    plan = _cut_plan(net, cuts)
+    _, best_k, _ = _search_cov(net, plan, budget, seed)
+    at_best = _plan_rates(plan, best_k).tolist()
+    terms = _plan_rates(plan, np.diag(net.power)).tolist()
     est, rel = [], []
-    for cut in cuts:
+    for cut, value, term in zip(cuts, at_best, terms):
         far = set(cut.complement)
         coeff = tuple(1 if d in far else 0 for d in dims)
-        est.append(RegionConstraint(coeff, _cutset_cut_fast(net, cut, best_k), cut))
-        rel.append(RegionConstraint(coeff, cutset_relaxed_cut(net, cut), cut))
+        est.append(RegionConstraint(coeff, value, cut))
+        rel.append(RegionConstraint(coeff, term + len(cut.s) / 2.0, cut))
     return RateRegion(dims, est), RateRegion(dims, rel)
 
 
@@ -425,16 +497,15 @@ class GapCertificate:
 
 
 def gap_certificate(net: GaussianNetwork) -> GapCertificate:
-    rows = []
     half_n = net.n / 2.0
-    for cut in enumerate_cuts(net.n, net.destinations, "broadcast"):
-        term = cut_rate_term(net, cut)
+    cuts = enumerate_cuts(net.n, net.destinations, "broadcast")
+    if not cuts:
+        raise ValueError("network has no broadcast cuts")
+    rows = []
+    for cut, term, ddf in zip(cuts, *_ddf_rows(net, cuts)):
         upper = term + len(cut.s) / 2.0
         inner = term - len(cut.complement) / 2.0
-        ddf = ddf_cut_rate(net, cut)
         rows.append(GapRow(cut, upper, inner, half_n, ddf, upper - ddf))
-    if not rows:
-        raise ValueError("network has no broadcast cuts")
     return GapCertificate(
         net.n,
         tuple(rows),

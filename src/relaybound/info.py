@@ -67,7 +67,7 @@ def binary_entropy(p: float) -> RateBits:
     return ternary_entropy(p, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPmf:
     """A joint pmf over named finite variables, stored as a dense tensor.
 
@@ -75,7 +75,7 @@ class JointPmf:
     ``probs`` has one axis per variable, in that order (row-major layout).
     The pmf is immutable (``probs`` is a read-only copy), so it memoizes the
     entropy of each variable subset it is asked for; the memo lives and dies
-    with the pmf.
+    with the pmf.  Equality and hashing are by identity, like the memo.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -202,29 +202,52 @@ def mutual_info(
     return value if value > 0.0 else 0.0
 
 
-def log_det_rate(m: np.ndarray) -> RateBits:
-    """(1/2) log2 det(I + m) for a symmetric positive semidefinite matrix.
+def log_det_rate(m: np.ndarray) -> RateBits | np.ndarray:
+    """(1/2) log2 det(I + m) for a symmetric positive semidefinite matrix, or
+    for every matrix of a stack ``(..., k, k)``.
 
-    Uses a Cholesky factorization of I + m; falls back to an eigenvalue
-    decomposition with a -1e-9 clamp when the factorization stalls near the
-    semidefinite boundary.  Asymmetry beyond 1e-9 raises ValueError.
+    One matrix gives a float, a stack an array of its leading shape.  One
+    batched Cholesky factorization of I + m does the work; only a slice where
+    it stalls near the semidefinite boundary falls back to an eigenvalue
+    decomposition.  Tolerances are relative to each slice's scale
+    ``max(1, max|m|)``: asymmetry beyond 1e-9 of it raises ValueError, and so
+    does an eigenvalue below -1e-9 of it in the fallback.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        return 0.0
-    if np.max(np.abs(m - m.T)) > 1e-9:
-        raise ValueError("matrix is not symmetric within 1e-9")
-    sym = 0.5 * (m + m.T)
-    a = np.eye(sym.shape[0]) + sym
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    size = m.shape[-1]
+    if m.size == 0:
+        rates = np.zeros(m.shape[:-2])
+    else:
+        mt = m.swapaxes(-1, -2)
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-9 * scale).any():
+            raise ValueError("matrix is not symmetric within 1e-9 of its scale")
+        sym = 0.5 * (m + mt)
+        a = np.eye(size) + sym
+        try:
+            rates = _half_log2_diag(np.linalg.cholesky(a))
+        except np.linalg.LinAlgError:
+            flat = zip(a.reshape(-1, size, size), sym.reshape(-1, size, size),
+                       np.ravel(scale))
+            rates = np.array([_fallback_rate(*args) for args in flat]).reshape(m.shape[:-2])
+    return float(rates) if m.ndim == 2 else rates
+
+
+def _half_log2_diag(chol: np.ndarray) -> np.ndarray:
+    """(1/2) log2 det of the product L L^T, from its Cholesky factors L."""
+    return np.log2(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _fallback_rate(a: np.ndarray, sym: np.ndarray, scale: float) -> RateBits:
+    """One slice of ``log_det_rate`` after the batched factorization failed."""
     try:
-        chol = np.linalg.cholesky(a)
-        return float(np.sum(np.log2(np.diag(chol))))
+        return float(_half_log2_diag(np.linalg.cholesky(a)))
     except np.linalg.LinAlgError:
         eig = np.linalg.eigvalsh(sym)
-        if eig[0] < -1e-9:
+        if eig[0] < -1e-9 * scale:
             raise ValueError(
-                f"matrix has eigenvalue {eig[0]:.3e} below the -1e-9 clamp"
+                f"matrix has eigenvalue {eig[0]:.3e} below the clamp -1e-9 x {scale:.3e}"
             ) from None
         return float(sum(0.5 * math.log2(1.0 + max(w, 0.0)) for w in eig))

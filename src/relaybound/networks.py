@@ -69,6 +69,8 @@ class GaussianNetwork:
         g = np.asarray(gains, dtype=float)
         if g.shape != (n, n):
             raise ValueError(f"gains must be {n}x{n}, got {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gains must be finite")
         if np.any(np.diag(g) != 0.0):
             raise ValueError("gains diagonal must be zero (no self-link)")
         p = np.asarray(power, dtype=float)
@@ -76,6 +78,8 @@ class GaussianNetwork:
             p = np.full(n, float(p))
         if p.shape != (n,):
             raise ValueError(f"power must be a scalar or length-{n} vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"power must be finite, got {p.tolist()}")
         if np.any(p <= 0):
             raise ValueError(f"power must be positive, got {p.tolist()}")
         dests = tuple(sorted(set(int(d) for d in destinations)))

@@ -174,6 +174,28 @@ def test_gap_verify(tmp_path):
     assert code == 2
 
 
+def test_gap_verify_at_high_snr(tmp_path):
+    out = tmp_path / "gap.json"
+    code, _ = run(["gap-verify", "--n", "4", "--trials", "5", "--power", "1e6",
+                   "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["power"] == 1e6
+    assert doc["pass"] is True
+    assert doc["violations"] == []
+    assert doc["max_tighter_gap"] <= 2.0 + 1e-9
+    for bad in ("0", "-1", "nan", "inf"):
+        assert run(["gap-verify", "--power", bad])[0] == 2
+
+
+def test_region_rejects_non_finite_network_file(tmp_path):
+    path = tmp_path / "nan_net.json"
+    path.write_text('{"model": "gaussian", "n": 2, "power": 1.0, '
+                    '"gains": [[0, 0], [NaN, 0]], "destinations": [2]}')
+    code, _ = run(["region", "--net", str(path), "--query", "symmetric"])
+    assert code == 2
+
+
 def two_node_net_file(tmp_path):
     net = GaussianNetwork(2, [[0.0, 0.0], [math.sqrt(3.0), 0.0]], 1.0, [2])
     path = tmp_path / "net.json"

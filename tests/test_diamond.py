@@ -161,6 +161,13 @@ def test_config_validation():
         DiamondConfig.from_distance(0.5, 0.0)
     with pytest.raises(ValueError, match="power"):
         DiamondConfig.from_distance(0.5, 10.0).to_network(0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DiamondConfig(1.0, 1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            DiamondConfig.from_distance(0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            DiamondConfig(1.0, 1.0, 1.0, 1.0).to_network(bad)
     with pytest.raises(ValueError, match="rho"):
         DdfParams(1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="variances"):

@@ -22,7 +22,8 @@ from relaybound import (
     relaxed_inner_cut,
     received_snr,
 )
-from relaybound.gaussian import cutset_cut_rate, ddf_cut_rate_general
+from relaybound.gaussian import _cut_plan, _plan_rates, cutset_cut_rate, ddf_cut_rate_general
+from relaybound.networks import enumerate_cuts
 
 
 def random_net(rng, n, lognormal=False, vector_power=False):
@@ -138,6 +139,8 @@ def test_cutset_cut_rate_validation_and_hadamard():
         cutset_cut_rate(net, cut, k)
     with pytest.raises(ValueError, match="exceeds the power"):
         cutset_cut_rate(net, cut, np.diag(net.power * 2.0))
+    with pytest.raises(ValueError, match="finite"):
+        cutset_cut_rate(net, cut, np.diag([math.nan, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError, match="eigenvalue"):
         k = np.diag(net.power).copy()
         k[0, 1] = k[1, 0] = net.power[0] * 5.0
@@ -254,3 +257,111 @@ def test_ddf_region_clamps_and_labels():
         assert c.bound == max(raw, 0.0)
         far = set(c.cut.complement)
         assert c.coeff == tuple(1 if d in far else 0 for d in (2, 3))
+
+
+def explicit_rate(net, cut, k_cov, rows=None):
+    """slogdet of I + G_S K_S G_S^T built from explicit index lists."""
+    rows = list(cut.complement) if rows is None else rows
+    g = net.gains[np.ix_([r - 1 for r in rows], [j - 1 for j in cut.s])]
+    k_s = k_cov[np.ix_([j - 1 for j in cut.s], [j - 1 for j in cut.s])]
+    sign, logdet = np.linalg.slogdet(np.eye(len(rows)) + g @ k_s @ g.T)
+    assert sign > 0
+    return 0.5 * logdet / math.log(2.0)
+
+
+def test_stacked_kernel_matches_slogdet_on_explicit_submatrices():
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        net = random_net(rng, n, lognormal=bool(rng.integers(0, 2)),
+                         vector_power=bool(rng.integers(0, 2)))
+        cuts = enumerate_cuts(n, range(2, n + 1), "broadcast")  # every far size
+        ks = np.array([random_feasible_cov(rng, net) for _ in range(3)])
+        got = _plan_rates(_cut_plan(net, cuts), ks)
+        assert got.shape == (3, len(cuts))
+        for k_cov, row in zip(ks, got):
+            for cut, value in zip(cuts, row):
+                want = explicit_rate(net, cut, k_cov)
+                assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        dest = n
+        uni = [c for c in cuts if dest in c.complement]
+        got = _plan_rates(_cut_plan(net, uni, dest), np.diag(net.power))
+        for cut, value in zip(uni, got):
+            want = explicit_rate(net, cut, np.diag(net.power), list(cut.complement) + [dest])
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_single_cut_apis_equal_batched_rows():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4, 5, 6):
+        net = random_net(rng, n, lognormal=True, vector_power=True)
+        net = GaussianNetwork(n, net.gains, net.power, range(2, n + 1))
+        cert = gap_certificate(net)
+        for row in cert.rows:
+            assert row.upper == cutset_relaxed_cut(net, row.cut)
+            assert row.inner == relaxed_inner_cut(net, row.cut)
+            assert row.ddf == ddf_cut_rate(net, row.cut)
+            assert row.upper == cut_rate_term(net, row.cut) + len(row.cut.s) / 2.0
+        for c, row in zip(ddf_region(net).constraints, cert.rows):
+            assert c.bound == max(row.ddf, 0.0)
+        cuts = enumerate_cuts(n, {n}, "unicast")
+        assert ddf_unicast_rate(net, n) == min(ddf_unicast_cut_rate(net, c, n) for c in cuts)
+        est = cutset_estimate(net, n, budget=120, seed=1)
+        assert np.array_equal(est.k_best, est.k_best.T)
+        assert est.estimate == min(cutset_cut_rate(net, c, est.k_best) for c in cuts)
+        assert est.relaxed_upper == min(cutset_relaxed_cut(net, c) for c in cuts)
+
+
+def test_cutset_estimate_keeps_its_candidate_schedule():
+    # evaluations and estimates of the one-candidate-per-call search loop
+    # this stacked search replaced, on one lognormal network
+    g = np.random.default_rng(4).lognormal(0.0, 1.0, (5, 5))
+    np.fill_diagonal(g, 0.0)
+    net = GaussianNetwork(5, g, 10.0, [5])
+    want = {
+        1: 2.579214940660187,
+        50: 3.4235674162304566,
+        200: 3.427070052048134,
+        300: 3.427070052048134,
+    }
+    for budget, value in want.items():
+        est = cutset_estimate(net, 5, budget=budget, seed=0)
+        assert est.evaluations == budget
+        assert abs(est.estimate - value) < 1e-12
+
+
+def check_any_snr_invariants(net, dest):
+    est = cutset_estimate(net, dest, budget=200, seed=0)
+    rate = ddf_unicast_rate(net, dest)
+    cert = gap_certificate(net)
+    values = [est.estimate, est.relaxed_upper, rate, cert.max_tighter_gap]
+    values += [v for r in cert.rows for v in (r.upper, r.inner, r.ddf, r.tighter_gap)]
+    assert all(math.isfinite(v) for v in values)
+    assert est.estimate <= est.relaxed_upper + 1e-9
+    assert rate <= est.estimate + 1e-9
+    assert cert.max_gap == net.n / 2.0
+    assert cert.max_tighter_gap <= net.n / 2.0 + 1e-9
+    for k in range(2, net.n + 1):
+        assert 0.0 <= node_penalty(net, k) <= 0.5
+    # the winning covariance passes validation at any power
+    for cut in enumerate_cuts(net.n, {dest}, "unicast"):
+        assert cutset_cut_rate(net, cut, est.k_best) >= est.estimate
+
+
+@pytest.mark.parametrize("power", [1e6, 1e9, 1e12])
+def test_high_snr_network_that_once_raised(power):
+    # the asymmetry of g diag(P) g^T once failed an absolute 1e-9 test here
+    g = np.random.default_rng(0).uniform(0.1, 2.0, size=(4, 4))
+    np.fill_diagonal(g, 0.0)
+    check_any_snr_invariants(GaussianNetwork(4, g, power, [2, 3, 4]), 4)
+
+
+def test_invariants_over_powers_and_gain_spreads():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        n = int(rng.integers(3, 7))
+        g = rng.lognormal(0.0, 2.0, size=(n, n))
+        np.fill_diagonal(g, 0.0)
+        power = float(10.0 ** rng.uniform(-3.0, 12.0))
+        net = GaussianNetwork(n, g, power, range(2, n + 1))
+        check_any_snr_invariants(net, int(rng.integers(2, n + 1)))

@@ -272,3 +272,47 @@ def test_plain_entropy_uses_math_log2_in_flat_order():
         marg = rng.random(int(rng.integers(2, 4)))
         marg /= marg.sum()
         assert _plain_entropy(marg) == naive_entropy(marg)
+
+
+def test_log_det_rate_on_stacks():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(2, 3, 4, 4))
+    m = a @ a.swapaxes(-1, -2)
+    got = log_det_rate(m)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert got[idx] == log_det_rate(m[idx])  # the stack repeats one slice's arithmetic
+    assert isinstance(log_det_rate(m[0, 0]), float)
+    assert log_det_rate(np.zeros((5, 0, 0))).shape == (5,)
+    assert log_det_rate(np.zeros((0, 3, 3))).shape == (0,)
+    with pytest.raises(ValueError, match="symmetric"):
+        bad = m.copy()
+        bad[1, 2, 0, 1] += 1e-3
+        log_det_rate(bad)
+
+
+def test_log_det_rate_falls_back_per_slice_with_relative_tolerances():
+    # I + m is indefinite in the second slice, by less than 1e-9 of its scale
+    ok = np.array([[2.0, 1.0], [1.0, 2.0]])
+    edge = np.diag([-1.5, 2e9])
+    got = log_det_rate(np.stack([ok, edge]))
+    assert got[0] == log_det_rate(ok)
+    assert got[1] == 0.5 * math.log2(1.0 + 2e9)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        log_det_rate(np.stack([ok, np.diag([-3.0, 2e9])]))
+    # asymmetry is measured against the matrix's own scale
+    big = 1e12 * ok
+    big[0, 1] += 1e-4
+    assert abs(log_det_rate(big) - log_det_rate(1e12 * ok)) < 1e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        big[0, 1] += 1e4
+        log_det_rate(big)
+
+
+def test_joint_pmf_equality_and_hash_are_by_identity():
+    a = JointPmf([("x", 2)], np.array([0.5, 0.5]))
+    b = JointPmf([("x", 2)], np.array([0.5, 0.5]))
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    memo = {a: "a", b: "b"}
+    assert memo[a] == "a" and memo[b] == "b"

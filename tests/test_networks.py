@@ -254,6 +254,26 @@ def test_schema_errors(tmp_path):
         load_network(path)
 
 
+def test_gaussian_network_rejects_non_finite_inputs(tmp_path):
+    g = np.array([[0.0, 1.0], [2.0, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        gains = g.copy()
+        gains[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GaussianNetwork(2, gains, 1.0, [2])
+        with pytest.raises(ValueError, match="finite"):
+            GaussianNetwork(2, g, bad, [2])
+        with pytest.raises(ValueError, match="finite"):
+            GaussianNetwork(2, g, [1.0, bad], [2])
+    # Python's json reads NaN and Infinity literals; the loader rejects them
+    path = tmp_path / "net.json"
+    for text in ('"gains": [[0, 1], [NaN, 0]], "power": 1',
+                 '"gains": [[0, 1], [1, 0]], "power": Infinity'):
+        path.write_text('{"model": "gaussian", "n": 2, "destinations": [2], ' + text + "}")
+        with pytest.raises(SchemaError, match="finite"):
+            load_network(path)
+
+
 def test_network_to_dict_rejects_other_types():
     with pytest.raises(TypeError):
         network_to_dict(object())
