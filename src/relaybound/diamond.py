@@ -9,6 +9,7 @@ generic covariance machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,20 +76,25 @@ class DdfParams:
             raise ValueError("description-noise variances must be positive")
 
 
-def _relay_info(s: float, sigma_sq: float) -> float:
+def _min_terms(terms):
+    """Elementwise minimum of bound terms (scalars or broadcastable arrays)."""
+    return functools.reduce(np.minimum, terms)
+
+
+def _relay_info(s: float, sigma_sq):
     """I between a relay's description and its observation, in bits."""
-    return 0.5 * math.log2(
+    return 0.5 * np.log2(
         (1.0 + s) * (sigma_sq + s) / (sigma_sq + (1.0 + sigma_sq) * s)
     )
 
 
-def ddf_diamond_terms(cfg: DiamondConfig, params: DdfParams) -> tuple[float, ...]:
-    rho, s2, s3 = params.rho, params.sigma2_sq, params.sigma3_sq
+def _ddf_terms(cfg: DiamondConfig, rho, s2, s3) -> tuple:
+    """The four DDF cut terms, elementwise in (rho, s2, s3)."""
     i2 = _relay_info(cfg.s21, s2)
     i3 = _relay_info(cfg.s31, s3)
     cross = 2.0 * rho * math.sqrt(cfg.s42 * cfg.s43)
     shrink = 1.0 - rho * rho
-    joint_cost = 0.5 * math.log2(
+    joint_cost = 0.5 * np.log2(
         (s2 + cfg.s21)
         * (s3 + cfg.s31)
         / ((s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21) * shrink)
@@ -101,6 +107,11 @@ def ddf_diamond_terms(cfg: DiamondConfig, params: DdfParams) -> tuple[float, ...
     )
 
 
+def ddf_diamond_terms(cfg: DiamondConfig, params: DdfParams) -> tuple[float, ...]:
+    terms = _ddf_terms(cfg, params.rho, params.sigma2_sq, params.sigma3_sq)
+    return tuple(float(t) for t in terms)
+
+
 def ddf_diamond(cfg: DiamondConfig, params: DdfParams) -> RateBits:
     """Partial-decode-and-bin achievable rate at fixed parameters."""
     return min(ddf_diamond_terms(cfg, params))
@@ -109,6 +120,8 @@ def ddf_diamond(cfg: DiamondConfig, params: DdfParams) -> RateBits:
 def ddf_diamond_opt(
     cfg: DiamondConfig, budget: int = 6000, seed: int = 0
 ) -> tuple[RateBits, DdfParams]:
+    """DDF rate maximized over DdfParams; the search is deterministic, so
+    ``seed`` has no effect."""
     grid = 16 if budget >= 16**3 else max(2, round(budget ** (1 / 3)))
     box = Box(
         [
@@ -118,21 +131,16 @@ def ddf_diamond_opt(
         ]
     )
     arg, value = grid_then_refine(
-        lambda rho, s2, s3: ddf_diamond(cfg, DdfParams(rho, s2, s3)),
+        lambda rho, s2, s3: _min_terms(_ddf_terms(cfg, rho, s2, s3)),
         box,
         grid_per_dim=grid,
         refine_budget=max(budget - grid**3, 0),
-        seed=seed,
     )
     return value, DdfParams(*arg)
 
 
-def nnc_diamond_terms(
-    cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float
-) -> tuple[float, ...]:
-    if sigma2_sq <= 0 or sigma3_sq <= 0:
-        raise ValueError("compression-noise variances must be positive")
-    s2, s3 = sigma2_sq, sigma3_sq
+def _nnc_terms(cfg: DiamondConfig, s2, s3) -> tuple:
+    """The four NNC cut terms, elementwise in (s2, s3)."""
     return (
         gauss_c(
             (cfg.s21 * (1.0 + s3) + cfg.s31 * (1.0 + s2))
@@ -142,6 +150,14 @@ def nnc_diamond_terms(
         gauss_c(cfg.s43) + gauss_c(cfg.s21 / (1.0 + s2)) - gauss_c(1.0 / s3),
         gauss_c(cfg.s42 + cfg.s43) - gauss_c(1.0 / s2) - gauss_c(1.0 / s3),
     )
+
+
+def nnc_diamond_terms(
+    cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float
+) -> tuple[float, ...]:
+    if sigma2_sq <= 0 or sigma3_sq <= 0:
+        raise ValueError("compression-noise variances must be positive")
+    return tuple(float(t) for t in _nnc_terms(cfg, sigma2_sq, sigma3_sq))
 
 
 def nnc_diamond(cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float) -> RateBits:
@@ -155,6 +171,8 @@ def nnc_diamond(cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float) -> RateB
 def nnc_diamond_opt(
     cfg: DiamondConfig, budget: int = 2000, seed: int = 0
 ) -> tuple[RateBits, tuple[float, float]]:
+    """NNC rate maximized over the two quantizer variances; the search is
+    deterministic, so ``seed`` has no effect."""
     grid = 24 if budget >= 24**2 else max(2, round(math.sqrt(budget)))
     box = Box(
         [
@@ -163,11 +181,10 @@ def nnc_diamond_opt(
         ]
     )
     arg, value = grid_then_refine(
-        lambda s2, s3: nnc_diamond(cfg, s2, s3),
+        lambda s2, s3: _min_terms(_nnc_terms(cfg, s2, s3)),
         box,
         grid_per_dim=grid,
         refine_budget=max(budget - grid**2, 0),
-        seed=seed,
     )
     return value, arg
 
@@ -281,14 +298,6 @@ class SweepTable:
         }
 
 
-def _lowest_argmin(terms: Sequence[float]) -> int:
-    best = min(terms)
-    for i, t in enumerate(terms):
-        if t == best:
-            return i
-    raise AssertionError("min not among terms")
-
-
 def diamond_sweep(
     d_grid: Sequence[float], p: float, budget: int = 6000, seed: int = 0
 ) -> SweepTable:
@@ -314,8 +323,8 @@ def diamond_sweep(
             cutset_rho=cut_rho,
             nnc_sigma_sq=nnc_s,
             ddf_params=ddf_p,
-            nnc_active=_lowest_argmin(nnc_diamond_terms(cfg, *nnc_s)),
-            ddf_active=_lowest_argmin(ddf_diamond_terms(cfg, ddf_p)),
+            nnc_active=int(np.argmin(nnc_diamond_terms(cfg, *nnc_s))),
+            ddf_active=int(np.argmin(ddf_diamond_terms(cfg, ddf_p))),
         )
 
     return SweepTable(power=float(p), rows=tuple(one(float(d)) for d in d_grid))

@@ -565,6 +565,30 @@ class ConferencingRegion:
         return bool(np.any(ok))
 
 
+def _pareto_frontier(
+    corner_r2: np.ndarray, corner_r3: np.ndarray
+) -> tuple[tuple[float, float], ...]:
+    """The corners that are not dominated, by increasing r2.
+
+    Scanning by decreasing r2 (ties: decreasing r3), a corner is kept when
+    its r3 exceeds the last kept one by more than 1e-12.
+    """
+    order = np.lexsort((-corner_r3, -corner_r2))
+    r2s, r3s = corner_r2[order], corner_r3[order]
+    # A kept corner's r3 beats every r3 before it, so the loop below needs
+    # only the corners above the running maximum.
+    prev_max = np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))
+    rising = r3s > prev_max
+    frontier: list[tuple[float, float]] = []
+    best_r3 = -1.0
+    for r2v, r3v in zip(r2s[rising].tolist(), r3s[rising].tolist()):
+        if r3v > best_r3 + 1e-12:
+            frontier.append((r2v, r3v))
+            best_r3 = r3v
+    frontier.reverse()
+    return tuple(frontier)
+
+
 def conferencing_dbc_region(
     y2_map: Sequence[int],
     y3_map: Sequence[int],
@@ -578,7 +602,7 @@ def conferencing_dbc_region(
     R3 <= H(Y3) + C23, R2 + R3 <= H(Y2, Y3); the region is the union over
     input pmfs, swept on a simplex grid.
     """
-    if c23 < 0 or c32 < 0:
+    if not (c23 >= 0 and c32 >= 0):  # also rejects NaN
         raise ValueError("conferencing capacities must be nonnegative")
     y2_map = [int(v) for v in y2_map]
     y3_map = [int(v) for v in y3_map]
@@ -610,15 +634,6 @@ def conferencing_dbc_region(
     corner_r3 = np.concatenate(
         [np.minimum(r3_caps, h23 - np.minimum(r2_caps, h23)), np.minimum(r3_caps, h23)]
     )
-    order = np.lexsort((-corner_r3, -corner_r2))
-    frontier: list[tuple[float, float]] = []
-    best_r3 = -1.0
-    for idx in order:
-        r3v = float(corner_r3[idx])
-        if r3v > best_r3 + 1e-12:
-            frontier.append((float(corner_r2[idx]), r3v))
-            best_r3 = r3v
-    frontier.reverse()
 
     region = RateRegion(
         (2, 3),
@@ -637,7 +652,7 @@ def conferencing_dbc_region(
         max_r3=max_r3,
         sum_argmax=tuple(float(v) for v in pmfs[i_sum]),
         region_at_sum_opt=region,
-        boundary=tuple(frontier),
+        boundary=_pareto_frontier(corner_r2, corner_r3),
         _r2_caps=r2_caps,
         _r3_caps=r3_caps,
         _sum_caps=h23,

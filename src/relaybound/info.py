@@ -39,14 +39,24 @@ CELL_CAP = 10_000_000
 RateBits = float
 
 
-def gauss_c(snr: float) -> RateBits:
-    """Gaussian point-to-point capacity C(x) = (1/2) log2(1 + x).
+def gauss_c(snr):
+    """Gaussian point-to-point capacity C(x) = (1/2) log2(1 + x), elementwise.
 
-    Raises ValueError for negative snr.
+    A scalar gives a float, an array an array of the same shape.  Raises
+    ValueError if any snr is negative.  It uses ``np.log2`` and so is outside
+    the exactness contract above, which covers marginals and entropies only.
     """
-    if snr < 0:
+    x = np.asarray(snr, dtype=float)
+    if x.ndim == 0:
+        # As a float: numpy's per-call cost on a 0-d array is several times
+        # larger, and optimizers probe one point at a time.
+        x = float(x)
+        if x < 0:
+            raise ValueError(f"snr must be nonnegative, got {snr}")
+        return float(0.5 * np.log2(1.0 + x))
+    if (x < 0).any():
         raise ValueError(f"snr must be nonnegative, got {snr}")
-    return 0.5 * math.log2(1.0 + snr)
+    return 0.5 * np.log2(1.0 + x)
 
 
 def ternary_entropy(alpha: float, beta: float) -> RateBits:

@@ -10,6 +10,7 @@ column).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -135,10 +136,14 @@ class DeterministicNetwork:
             k = int(k)
             if k < 2 or k > n:
                 raise ValueError(f"output map for node {k} outside 2..{n}")
-            arr = np.asarray(table, dtype=int).reshape(shape)
-            if np.any(arr < 0):
+            vals = np.asarray(table, dtype=float).reshape(shape)
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"map y{k} symbols must be finite")
+            if np.any(vals != np.floor(vals)):
+                raise ValueError(f"map y{k} has non-integral symbols")
+            if np.any(vals < 0):
                 raise ValueError(f"map y{k} has negative symbols")
-            arr = arr.copy()
+            arr = vals.astype(int)
             arr.flags.writeable = False
             fixed[k] = arr
         for k in range(2, n + 1):
@@ -178,6 +183,8 @@ class GraphicalNetwork:
                 raise ValueError(f"self-loop at node {u}")
             if u < 1 or v < 1:
                 raise ValueError(f"edge ({u}, {v}) has nodes below 1")
+            if not math.isfinite(cap):
+                raise ValueError(f"edge ({u}, {v}) capacity must be finite, got {cap}")
             if cap < 0:
                 raise ValueError(f"edge ({u}, {v}) has negative capacity {cap}")
             norm.append((u, v, cap))
@@ -337,7 +344,9 @@ def network_from_dict(doc: dict):
         for key, table in maps_doc.items():
             if not key.startswith("y") or not key[1:].isdigit():
                 raise SchemaError(f"maps.{key}: keys must look like 'y2'")
-            if not isinstance(table, list):
+            if not isinstance(table, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in table
+            ):
                 raise SchemaError(f"maps.{key}: expected a flat list of symbols")
             maps[int(key[1:])] = table
         try:

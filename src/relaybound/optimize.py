@@ -7,7 +7,6 @@ feasibility bisection, and a dense-tableau simplex for rate-region LPs.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -62,17 +61,20 @@ def grid_then_refine(
     box: Box,
     grid_per_dim: int = 8,
     refine_budget: int = 400,
-    seed: int = 0,
 ) -> tuple[tuple[float, ...], float]:
     """Maximize f over a box: full grid scan, then Nelder-Mead from the best cell.
 
-    The grid is uniform in internal (possibly log) coordinates and includes the
+    ``f`` must work elementwise: the grid is scanned in one call on arrays of
+    shape ``(grid_per_dim,) * ndim`` (``np.meshgrid(..., indexing="ij")`` of
+    the axes), whose result may be any array broadcastable to that shape, and
+    Nelder-Mead then probes it one point at a time on Python floats.  The grid
+    is uniform in internal (possibly log) coordinates and includes the
     endpoints.  Ties prefer the lexicographically smallest probe, so a constant
-    objective returns the box's lower corner.  Non-finite probes are discarded.
+    objective returns the box's lower corner.  Non-finite probes are discarded;
+    if every grid probe is non-finite the search starts at the lower corner.
     The returned value is never below the best grid value.  The procedure is
-    fully deterministic; ``seed`` is accepted for interface stability.
+    fully deterministic.
     """
-    del seed
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be >= 1")
     dims = box.dims
@@ -82,7 +84,7 @@ def grid_then_refine(
     def probe(t: Sequence[float]) -> float:
         x = tuple(d.to_external(min(max(ti, lo), hi))
                   for d, ti, lo, hi in zip(dims, t, los, his))
-        v = f(*x)
+        v = float(f(*x))
         if not math.isfinite(v):
             log.debug("discarding non-finite probe f(%s) = %s", x, v)
             return -math.inf
@@ -92,13 +94,20 @@ def grid_then_refine(
         np.linspace(lo, hi, grid_per_dim) if grid_per_dim > 1 else np.array([lo])
         for lo, hi in zip(los, his)
     ]
-    best_t, best_v = None, -math.inf
-    for t in itertools.product(*axes):
-        v = probe(t)
-        if v > best_v:
-            best_t, best_v = list(t), v
-    if best_t is None:
-        best_t = list(los)
+    # External coordinates per axis through the scalar map, so grid probes see
+    # exactly the arguments the scalar probe would pass.
+    ext_axes = [np.array([d.to_external(float(t)) for t in ax])
+                for d, ax in zip(dims, axes)]
+    mesh = np.meshgrid(*ext_axes, indexing="ij")
+    vals = np.broadcast_to(np.asarray(f(*mesh), dtype=float), mesh[0].shape)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        log.debug("discarding %d non-finite grid probes", int(vals.size - finite.sum()))
+        vals = np.where(finite, vals, -math.inf)
+    # C order is itertools.product order, and argmax takes the first maximum.
+    cell = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best_t = [float(ax[i]) for ax, i in zip(axes, cell)]
+    best_v = float(vals[cell])
 
     # Nelder-Mead (reflect 1, expand 2, contract 0.5, shrink 0.5) in internal
     # coordinates, clipped to the box.

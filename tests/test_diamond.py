@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaybound import (
     DdfParams,
@@ -332,3 +334,22 @@ def test_sweep_position_symmetry():
 def test_sweep_validation():
     with pytest.raises(ValueError, match="power"):
         diamond_sweep([0.5], 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    log10_p=st.floats(-2.0, 8.0),
+)
+def test_inner_bounds_finite_and_below_cutset_at_any_snr(d, log10_p):
+    cfg = DiamondConfig.from_distance(d, 10.0**log10_p)
+    cut_v, _ = cutset_diamond_opt(cfg)
+    inner = {
+        "df": df_diamond(cfg),
+        "af": af_diamond(cfg),
+        "nnc": nnc_diamond_opt(cfg)[0],
+        "ddf": ddf_diamond_opt(cfg)[0],
+    }
+    for name, v in inner.items():
+        assert math.isfinite(v), name
+        assert v <= cut_v + 1e-6, name

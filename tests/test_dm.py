@@ -36,7 +36,7 @@ from relaybound import (
     save_pmf,
     simplex_grid,
 )
-from relaybound.dm import pmf_to_dict
+from relaybound.dm import _pareto_frontier, pmf_to_dict
 
 
 def naive_mi(pmf, a, b, given):
@@ -555,9 +555,46 @@ def test_blackwell_boundary_is_a_frontier():
         assert reg.contains(r2, r3, slack=1e-9)
 
 
+def loop_frontier(corner_r2, corner_r3):
+    """The frontier scan as a plain loop over every sorted corner."""
+    frontier, best_r3 = [], -1.0
+    for idx in np.lexsort((-corner_r3, -corner_r2)):
+        r3v = float(corner_r3[idx])
+        if r3v > best_r3 + 1e-12:
+            frontier.append((float(corner_r2[idx]), r3v))
+            best_r3 = r3v
+    return tuple(reversed(frontier))
+
+
+def test_pareto_frontier_matches_loop_oracle():
+    rng = np.random.default_rng(59)
+    # Few distinct levels nudged by multiples of 3e-13: exact ties and
+    # near-ties inside the 1e-12 acceptance margin.
+    for _ in range(30):
+        m = int(rng.integers(1, 60))
+        r2 = rng.integers(0, 5, m) * 0.25 + rng.integers(-4, 5, m) * 3e-13
+        r3 = rng.integers(0, 5, m) * 0.25 + rng.integers(-4, 5, m) * 3e-13
+        assert _pareto_frontier(r2, r3) == loop_frontier(r2, r3)
+    # corners of real conferencing instances
+    for _ in range(30):
+        m = int(rng.integers(2, 5))
+        y2 = rng.integers(0, 3, m).tolist()
+        y3 = rng.integers(0, 3, m).tolist()
+        c23, c32 = (float(c) for c in rng.choice([0.0, 0.1, 0.5], 2))
+        reg = conferencing_dbc_region(y2, y3, c23, c32, grid_res=40)
+        r2c, r3c, h23 = reg._r2_caps, reg._r3_caps, reg._sum_caps
+        corner_r2 = np.concatenate(
+            [np.minimum(r2c, h23), np.minimum(r2c, h23 - np.minimum(r3c, h23))])
+        corner_r3 = np.concatenate(
+            [np.minimum(r3c, h23 - np.minimum(r2c, h23)), np.minimum(r3c, h23)])
+        assert reg.boundary == loop_frontier(corner_r2, corner_r3)
+
+
 def test_conferencing_region_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         conferencing_dbc_region([0, 1], [0, 1], -0.1, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        conferencing_dbc_region([0, 1], [0, 1], 0.0, math.nan)
     with pytest.raises(ValueError, match="equally long"):
         conferencing_dbc_region([0, 1], [0, 1, 1], 0.0, 0.0)
     with pytest.raises(ValueError, match="equally long"):

@@ -113,6 +113,15 @@ def test_closed_form_kernels():
     assert abs(gauss_c(15.0) - 2.0) < 1e-15
     with pytest.raises(ValueError):
         gauss_c(-0.1)
+    # elementwise on arrays, bit-identical to the scalar calls
+    snr = np.exp(np.random.default_rng(3).uniform(-30.0, 30.0, size=(40, 50)))
+    snr[0, 0] = 0.0
+    got = gauss_c(snr)
+    assert got.shape == snr.shape
+    assert got.tolist() == [[gauss_c(float(x)) for x in row] for row in snr]
+    snr[3, 4] = -1e-300
+    with pytest.raises(ValueError):
+        gauss_c(snr)
 
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

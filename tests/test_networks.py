@@ -274,6 +274,26 @@ def test_gaussian_network_rejects_non_finite_inputs(tmp_path):
             load_network(path)
 
 
+def test_deterministic_and_graphical_networks_reject_bad_inputs(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DeterministicNetwork([2, 2], {2: [0, bad, 1, 1]})
+        with pytest.raises(ValueError, match="finite"):
+            GraphicalNetwork([(1, 2, bad), (2, 3, 1.0)], [3])
+    with pytest.raises(ValueError, match="integral"):
+        DeterministicNetwork([2, 2], {2: [0, 0.5, 1, 1]})
+    assert DeterministicNetwork([2, 2], {2: [0.0, 1.0, 1.0, 0.0]}).maps[2].tolist() == [
+        [0, 1], [1, 0]]
+    path = tmp_path / "net.json"
+    det = '"model": "deterministic", "alphabets": [2, 2], "maps": {"y2": [0, %s, 1, 1]}'
+    for text in (det % "Infinity", det % "0.5", det % "{}",
+                 '"model": "graphical", "destinations": [3], "edges": '
+                 '[{"from": 1, "to": 2, "cap": NaN}, {"from": 2, "to": 3, "cap": 1}]'):
+        path.write_text("{" + text + "}")
+        with pytest.raises(SchemaError):
+            load_network(path)
+
+
 def test_network_to_dict_rejects_other_types():
     with pytest.raises(TypeError):
         network_to_dict(object())

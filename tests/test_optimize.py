@@ -74,7 +74,7 @@ def test_grid_then_refine_quadratic():
 
 def test_grid_then_refine_log_dimension():
     box = Box([BoxDim(1e-3, 1e3, "log")])
-    arg, val = grid_then_refine(lambda s: -(math.log(s) - math.log(7.0)) ** 2, box)
+    arg, val = grid_then_refine(lambda s: -(np.log(s) - math.log(7.0)) ** 2, box)
     assert abs(arg[0] - 7.0) / 7.0 < 1e-3
     assert val > -1e-6
 
@@ -92,11 +92,7 @@ def test_grid_then_refine_handles_non_finite():
     box = Box([(0.0, 2.0)])
 
     def f(x):
-        if x < 0.5:
-            return math.nan
-        if x < 1.0:
-            return -math.inf
-        return -((x - 1.5) ** 2)
+        return np.where(x < 0.5, math.nan, np.where(x < 1.0, -math.inf, -((x - 1.5) ** 2)))
 
     arg, val = grid_then_refine(f, box, grid_per_dim=17, refine_budget=200)
     assert abs(arg[0] - 1.5) < 1e-3
@@ -108,11 +104,56 @@ def test_grid_then_refine_never_below_grid():
     box = Box([(0.0, 1.0)])
 
     def f(x):
-        return 1.0 if abs(x - 2.0 / 7.0) < 1e-3 else math.sin(40.0 * x)
+        return np.where(abs(x - 2.0 / 7.0) < 1e-3, 1.0, np.sin(40.0 * x))
 
     grid_vals = [f(t) for t in np.linspace(0.0, 1.0, 8)]
     _, val = grid_then_refine(f, box, grid_per_dim=8, refine_budget=100)
     assert val >= max(grid_vals)
+
+
+def scalar_grid_scan(f, box, grid_per_dim):
+    """The grid phase as a scalar loop: probes in itertools.product order, the
+    first strictly greater finite value wins, and the lower corner is the
+    start when no probe is finite."""
+    axes = [np.linspace(d.to_internal(d.lo), d.to_internal(d.hi), grid_per_dim)
+            for d in box.dims]
+    best_t, best_v = None, -math.inf
+    for t in itertools.product(*axes):
+        v = float(f(*(d.to_external(float(ti)) for d, ti in zip(box.dims, t))))
+        if math.isfinite(v) and v > best_v:
+            best_t, best_v = t, v
+    if best_t is None:
+        best_t = [ax[0] for ax in axes]
+    return tuple(d.to_external(float(ti)) for d, ti in zip(box.dims, best_t)), best_v
+
+
+def test_grid_scan_matches_scalar_oracle():
+    # A 5x5x5 table of values looked up elementwise; few distinct values, so
+    # exact ties are common, and NaN and +-inf cells must be skipped.
+    box = Box([(0.0, 4.0), BoxDim(1.0, 16.0, "log"), (0.0, 1.0)])
+    rng = np.random.default_rng(7)
+    pool = np.array([math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0])
+    tables = [pool[rng.integers(0, pool.size, size=(5, 5, 5))] for _ in range(40)]
+    tables.append(np.full((5, 5, 5), math.nan))
+    tables[-1][1, 2, 3] = math.inf
+    for table in tables:
+        def f(x, y, z):
+            return table[np.rint(x).astype(int), np.rint(np.log2(y)).astype(int),
+                         np.rint(4.0 * z).astype(int)]
+
+        start, best = scalar_grid_scan(f, box, 5)
+        scalar_probes = []
+
+        def recorded(*x):
+            if np.ndim(x[0]) == 0:
+                scalar_probes.append(x)
+            return f(*x)
+
+        _, val = grid_then_refine(recorded, box, grid_per_dim=5, refine_budget=0)
+        # Nelder-Mead's first vertex is the grid's best cell.
+        assert scalar_probes[0] == start
+        assert val >= best
+    assert start == (0.0, 1.0, 0.0) and best == -math.inf
 
 
 def test_grid_then_refine_validation():
