@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=float, default=0.95)
     p.add_argument("--steps", type=int, default=19, help="number of d values")
     p.add_argument("--budget", type=int, default=6000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored (the sweep is deterministic); kept for old scripts")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
 
@@ -148,7 +149,7 @@ def cmd_diamond_sweep(args) -> int:
     else:
         step = (args.d_max - args.d_min) / (args.steps - 1)
         grid = [args.d_min + i * step for i in range(args.steps)]
-    table = diamond_sweep(grid, args.p, budget=args.budget, seed=args.seed)
+    table = diamond_sweep(grid, args.p, budget=args.budget)
     if args.format == "csv":
         _write(table.to_csv(), args.out)
     else:
@@ -277,24 +278,18 @@ def cmd_eval_dm(args) -> int:
         dests = dests or list(net.destinations)
         if not dests:
             raise ValueError("no destinations given (use --dest)")
-        mode = "unicast" if len(dests) == 1 else "broadcast"
-        value = dm.deterministic_inner(net, pmf, dests, mode)
-        doc = {"mode": args.mode, "destinations": dests}
-        if mode == "unicast":
-            doc["value"] = value
-        else:
-            doc["region"] = _region_doc(value)
-        _write(_json(doc), args.out)
-        return 0
+        bound = lambda mode: dm.deterministic_inner(net, pmf, dests, mode)
+    else:
+        pmf, q_vars = dm.load_pmf(args.pmf)
+        channel = dm.load_channel(args.channel)
+        if args.mode == "cutset":
+            if not dests:
+                raise ValueError("cutset mode needs --dest")
+            bound = lambda mode: dm.cutset_dm(pmf, channel, dests, mode, q_vars or None)
 
-    pmf, q_vars = dm.load_pmf(args.pmf)
-    channel = dm.load_channel(args.channel)
-
-    if args.mode == "cutset":
-        if not dests:
-            raise ValueError("cutset mode needs --dest")
+    if args.mode in ("deterministic", "cutset"):
         mode = "unicast" if len(dests) == 1 else "broadcast"
-        value = dm.cutset_dm(pmf, channel, dests, mode, q_vars or None)
+        value = bound(mode)
         doc = {"mode": args.mode, "destinations": dests}
         if mode == "unicast":
             doc["value"] = value
@@ -347,15 +342,11 @@ def cmd_eval_dm(args) -> int:
                 raise ValueError(f"--cut {args.cut}: not a cut of this instance")
         else:
             cut = min(values, key=lambda s: (values[s], s))
-        far = [k for k in range(1, inst.n + 1) if k not in cut]
-        drop = {f"u{k}" for k in far}
+        drop = {f"u{k}" for k in range(1, inst.n + 1) if k not in cut}
         keep = [(n2, s) for n2, s in pmf.variables if n2 not in drop]
         new_pmf = dm.JointPmf(keep, pmf.marginal([n2 for n2, _ in keep]))
-        base = list(q_vars) if q_vars else (["q"] if "q" in pmf.names else [])
-        new_q = tuple(
-            dict.fromkeys(base + [f"x{k}" for k in far if f"x{k}" in pmf.names])
-        )
         repaired = dm.constraint_repair(inst, cut)
+        new_q = tuple(v for v in repaired.q_vars if v in pmf.names)
         after = dm.constraint_values_j(repaired)
         dm.save_pmf(new_pmf, args.out, new_q)
         doc = {

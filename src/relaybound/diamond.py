@@ -118,10 +118,9 @@ def ddf_diamond(cfg: DiamondConfig, params: DdfParams) -> RateBits:
 
 
 def ddf_diamond_opt(
-    cfg: DiamondConfig, budget: int = 6000, seed: int = 0
+    cfg: DiamondConfig, budget: int = 6000
 ) -> tuple[RateBits, DdfParams]:
-    """DDF rate maximized over DdfParams; the search is deterministic, so
-    ``seed`` has no effect."""
+    """DDF rate maximized over DdfParams by a deterministic search."""
     grid = 16 if budget >= 16**3 else max(2, round(budget ** (1 / 3)))
     box = Box(
         [
@@ -169,10 +168,10 @@ def nnc_diamond(cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float) -> RateB
 
 
 def nnc_diamond_opt(
-    cfg: DiamondConfig, budget: int = 2000, seed: int = 0
+    cfg: DiamondConfig, budget: int = 2000
 ) -> tuple[RateBits, tuple[float, float]]:
-    """NNC rate maximized over the two quantizer variances; the search is
-    deterministic, so ``seed`` has no effect."""
+    """NNC rate maximized over the two quantizer variances by a deterministic
+    search."""
     grid = 24 if budget >= 24**2 else max(2, round(math.sqrt(budget)))
     box = Box(
         [
@@ -299,11 +298,11 @@ class SweepTable:
 
 
 def diamond_sweep(
-    d_grid: Sequence[float], p: float, budget: int = 6000, seed: int = 0
+    d_grid: Sequence[float], p: float, budget: int = 6000
 ) -> SweepTable:
     """Evaluate every bound on a grid of relay positions.
 
-    Rows follow d_grid and are deterministic for a fixed budget and seed.
+    Rows follow d_grid and are deterministic for a fixed budget.
     """
     if not math.isfinite(p) or p <= 0:
         raise ValueError(f"power must be finite and positive, got {p}")
@@ -311,8 +310,8 @@ def diamond_sweep(
     def one(d: float) -> SweepRow:
         cfg = DiamondConfig.from_distance(d, p)
         cut_v, cut_rho = cutset_diamond_opt(cfg)
-        nnc_v, nnc_s = nnc_diamond_opt(cfg, budget=budget // 3, seed=seed)
-        ddf_v, ddf_p = ddf_diamond_opt(cfg, budget=budget, seed=seed)
+        nnc_v, nnc_s = nnc_diamond_opt(cfg, budget=budget // 3)
+        ddf_v, ddf_p = ddf_diamond_opt(cfg, budget=budget)
         return SweepRow(
             d=d,
             cutset=cut_v,

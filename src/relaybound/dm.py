@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SchemaError, TensorCapError
-from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits
+from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits, entropy, mutual_info
 from .networks import (
     Cut,
     DeterministicNetwork,
@@ -32,7 +32,7 @@ from .networks import (
     MAX_ENUM_NODES,
     enumerate_cuts,
 )
-from .regions import RateRegion, RegionConstraint
+from .regions import RateRegion, RegionConstraint, region_from_cuts
 
 #: Fixed-point scale for the max-flow oracle (capacities in 1/2^20 units).
 FLOW_SCALE = 1 << 20
@@ -212,37 +212,16 @@ class DmInstance:
     def y_set(self, nodes: Iterable[int]) -> frozenset[str]:
         return frozenset(f"y{k}" for k in nodes)
 
-
-class _EntropyCache:
-    """Conditional entropies and mutual informations given time sharing Q.
-
-    Conditional quantities are differences of the joint entropies that the
-    pmf memoizes per variable subset, so repeated subsets (Q, X^n, ...) are
-    paid for once per joint, across evaluators, and identical subsets yield
-    bit-identical floats, which the exactness guarantees below rely on.
-    """
-
-    def __init__(self, pmf: JointPmf, q_vars: Iterable[str] = ()):
-        self.pmf = pmf
-        self.q = frozenset(q_vars)
-
-    def hc(self, a: frozenset, given: frozenset) -> float:
-        if not a:
-            return 0.0
-        h = self.pmf.joint_entropy
-        val = h(a | given) - h(given) if given else h(a)
-        return val if val > 0.0 else 0.0
-
-    def mi(self, a: frozenset, b: frozenset, given: frozenset = frozenset()) -> float:
+    def mi(self, a: frozenset, b: frozenset, given: frozenset = frozenset()) -> RateBits:
         """I(a ; b | given, Q) with variables already inside the conditioning
-        dropped from a and b (an exact identity, not an approximation)."""
-        given = given | self.q
-        a = a - given
-        b = b - given
-        if not a or not b:
-            return 0.0
-        val = self.hc(a, given) - self.hc(a, b | given)
-        return val if val > 0.0 else 0.0
+        dropped from a and b (an exact identity, not an approximation).
+
+        The joint memoizes its subset entropies, so identical subsets give
+        bit-identical floats, which the exactness guarantees below rely on.
+        """
+        given = given | frozenset(self.q_vars)
+        a, b = a - given, b - given
+        return mutual_info(self.joint, a, b, given) if a and b else 0.0
 
 
 @dataclass(frozen=True)
@@ -260,25 +239,23 @@ def _earlier(far: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(j for j in far if j < k)
 
 
-def _cut_terms(
-    inst: DmInstance, cache: _EntropyCache, cut: Cut, dest: int | None
-) -> CutTerms:
+def _cut_terms(inst: DmInstance, cut: Cut, dest: int | None) -> CutTerms:
     far = cut.complement
     all_x = inst.x_set(range(1, inst.n + 1))
     b = inst.u_set(far)
     if dest is not None:
         b = b | inst.y_set({dest})
-    first = cache.mi(inst.x_set(cut.s), b, inst.x_set(far))
+    first = inst.mi(inst.x_set(cut.s), b, inst.x_set(far))
     pen_u: dict[int, RateBits] = {}
     pen_x: dict[int, RateBits] = {}
     for k in far:
         earlier = _earlier(far, k)
-        pen_u[k] = cache.mi(
+        pen_u[k] = inst.mi(
             inst.u_set({k}),
             inst.u_set(earlier) | all_x,
             inst.x_set({k}) | inst.y_set({k}),
         )
-        pen_x[k] = cache.mi(inst.x_set({k}), inst.x_set(earlier))
+        pen_x[k] = inst.mi(inst.x_set({k}), inst.x_set(earlier))
     total = first - sum(pen_u.values()) - sum(pen_x.values())
     return CutTerms(cut, first, pen_u, pen_x, total)
 
@@ -287,9 +264,8 @@ def ddf_unicast_dm(inst: DmInstance, dest: int) -> tuple[RateBits, list[CutTerms
     """Achievable rate to one destination plus the per-cut breakdown."""
     if dest < 2 or dest > inst.n:
         raise ValueError(f"destination {dest} must lie in 2..{inst.n}")
-    cache = _EntropyCache(inst.joint, inst.q_vars)
     terms = [
-        _cut_terms(inst, cache, cut, dest)
+        _cut_terms(inst, cut, dest)
         for cut in enumerate_cuts(inst.n, {dest}, "unicast")
     ]
     return min(t.total for t in terms), terms
@@ -310,10 +286,9 @@ def constraint_values_j(inst: DmInstance) -> dict[tuple[int, ...], RateBits]:
     a negative value marks a constraint that would make the region empty and
     is what constraint_repair removes.
     """
-    cache = _EntropyCache(inst.joint, inst.q_vars)
     out: dict[tuple[int, ...], RateBits] = {}
     for cut in enumerate_cuts(inst.n, range(2, inst.n + 1), "broadcast"):
-        out[cut.s] = _cut_terms(inst, cache, cut, None).total
+        out[cut.s] = _cut_terms(inst, cut, None).total
     return out
 
 
@@ -322,14 +297,9 @@ def ddf_broadcast_region_dm(inst: DmInstance) -> RateRegion:
     dims = inst.destinations
     if not dims:
         raise ValueError("instance has no destinations")
-    cache = _EntropyCache(inst.joint, inst.q_vars)
-    constraints = []
-    for cut in enumerate_cuts(inst.n, dims, "broadcast"):
-        far = set(cut.complement)
-        coeff = tuple(1 if d in far else 0 for d in dims)
-        value = _cut_terms(inst, cache, cut, None).total
-        constraints.append(RegionConstraint(coeff, max(value, 0.0), cut))
-    return RateRegion(dims, constraints)
+    cuts = enumerate_cuts(inst.n, dims, "broadcast")
+    values = [_cut_terms(inst, cut, None).total for cut in cuts]
+    return region_from_cuts(dims, cuts, [max(v, 0.0) for v in values])
 
 
 def cutset_dm(
@@ -342,11 +312,10 @@ def cutset_dm(
     """Cutset outer bound at a fixed input pmf: I(X(S); Y(S^c) | X(S^c), Q)."""
     dests = sorted(set(int(d) for d in dests))
     inst = DmInstance.from_parts(input_pmf, channel, dests, q_vars)
-    cache = _EntropyCache(inst.joint, inst.q_vars)
 
     def cut_value(cut: Cut) -> float:
         far = cut.complement
-        return cache.mi(inst.x_set(cut.s), inst.y_set(far), inst.x_set(far))
+        return inst.mi(inst.x_set(cut.s), inst.y_set(far), inst.x_set(far))
 
     if mode == "unicast":
         if len(dests) != 1:
@@ -354,12 +323,8 @@ def cutset_dm(
         cuts = enumerate_cuts(inst.n, dests, "unicast")
         return min(cut_value(c) for c in cuts)
     if mode == "broadcast":
-        constraints = []
-        for cut in enumerate_cuts(inst.n, dests, "broadcast"):
-            far = set(cut.complement)
-            coeff = tuple(1 if d in far else 0 for d in dests)
-            constraints.append(RegionConstraint(coeff, cut_value(cut), cut))
-        return RateRegion(dests, constraints)
+        cuts = enumerate_cuts(inst.n, dests, "broadcast")
+        return region_from_cuts(dests, cuts, [cut_value(c) for c in cuts])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -367,8 +332,15 @@ def cutset_dm(
 # Deterministic networks.
 
 
-def _det_joint(net: DeterministicNetwork, input_pmf: JointPmf) -> JointPmf:
-    """Joint over (x1..xn, y2..yn) induced by the output maps."""
+def _det_scatter(
+    net: DeterministicNetwork, input_pmf: JointPmf, *values
+) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+    """Check that ``input_pmf`` is over x1..xn with the network's alphabets,
+    and place each of ``values`` (one entry per input tuple, or a scalar) at
+    the cells (x, y2(x), .., yn(x)) of a tensor over inputs and outputs.
+
+    Returns the (node, size) pairs of the outputs y2..yn and the tensors.
+    """
     expected = tuple(f"x{k}" for k in range(1, net.n + 1))
     if tuple(input_pmf.names) != expected:
         raise ValueError(f"input pmf must be over {expected}, got {input_pmf.names}")
@@ -377,15 +349,15 @@ def _det_joint(net: DeterministicNetwork, input_pmf: JointPmf) -> JointPmf:
             raise ValueError(
                 f"{name} alphabet {size} != network alphabet {net.alphabets[k]}"
             )
-    out_sizes = [net.out_size(k) for k in range(2, net.n + 1)]
-    grids = np.indices(net.alphabets)
-    y_idx = tuple(net.maps[k][tuple(grids)] for k in range(2, net.n + 1))
-    probs = np.zeros(tuple(net.alphabets) + tuple(out_sizes))
-    probs[tuple(grids) + y_idx] = input_pmf.probs
-    variables = list(zip(expected, net.alphabets)) + [
-        (f"y{k}", s) for k, s in zip(range(2, net.n + 1), out_sizes)
-    ]
-    return JointPmf(variables, probs)
+    outs = [(k, net.out_size(k)) for k in range(2, net.n + 1)]
+    grids = tuple(np.indices(net.alphabets))
+    idx = grids + tuple(net.maps[k][grids] for k, _ in outs)
+    tensors = []
+    for v in values:
+        t = np.zeros(tuple(net.alphabets) + tuple(s for _, s in outs))
+        t[idx] = v
+        tensors.append(t)
+    return outs, tensors
 
 
 def deterministic_inner(
@@ -402,17 +374,17 @@ def deterministic_inner(
     description to be its own observation.
     """
     dests = sorted(set(int(d) for d in dests))
-    joint = _det_joint(net, input_pmf)
-    cache = _EntropyCache(joint)
+    outs, (probs,) = _det_scatter(net, input_pmf, input_pmf.probs)
+    joint = JointPmf(list(input_pmf.variables) + [(f"y{k}", s) for k, s in outs], probs)
 
     def x_set(nodes):
         return frozenset(f"x{k}" for k in nodes)
 
     def cut_value(cut: Cut) -> float:
         far = cut.complement
-        value = cache.hc(frozenset(f"y{k}" for k in far), x_set(far))
+        value = entropy(joint, {f"y{k}" for k in far}, x_set(far))
         for k in far:
-            value -= cache.mi(x_set({k}), x_set(_earlier(far, k)))
+            value -= mutual_info(joint, x_set({k}), x_set(_earlier(far, k)))
         return value
 
     if mode == "unicast":
@@ -420,14 +392,8 @@ def deterministic_inner(
             raise ValueError("unicast mode needs exactly one destination")
         return min(cut_value(c) for c in enumerate_cuts(net.n, dests, "unicast"))
     if mode == "broadcast":
-        constraints = []
-        for cut in enumerate_cuts(net.n, dests, "broadcast"):
-            far = set(cut.complement)
-            coeff = tuple(1 if d in far else 0 for d in dests)
-            constraints.append(
-                RegionConstraint(coeff, max(cut_value(cut), 0.0), cut)
-            )
-        return RateRegion(dests, constraints)
+        cuts = enumerate_cuts(net.n, dests, "broadcast")
+        return region_from_cuts(dests, cuts, [max(cut_value(c), 0.0) for c in cuts])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -435,27 +401,11 @@ def det_dm_instance(
     net: DeterministicNetwork, input_pmf: JointPmf, dests: Iterable[int]
 ) -> DmInstance:
     """The same network as a DmInstance with u_k hard-wired to y_k."""
-    expected = tuple(f"x{k}" for k in range(1, net.n + 1))
-    if tuple(input_pmf.names) != expected:
-        raise ValueError(f"input pmf must be over {expected}, got {input_pmf.names}")
-    out_sizes = [net.out_size(k) for k in range(2, net.n + 1)]
-    grids = np.indices(net.alphabets)
-    maps_idx = tuple(net.maps[k][tuple(grids)] for k in range(2, net.n + 1))
-
-    in_probs = np.zeros(tuple(net.alphabets) + tuple(out_sizes))
-    in_probs[tuple(grids) + maps_idx] = input_pmf.probs
-    in_vars = list(zip(expected, net.alphabets)) + [
-        (f"u{k}", s) for k, s in zip(range(2, net.n + 1), out_sizes)
-    ]
-
-    ch_probs = np.zeros(tuple(net.alphabets) + tuple(out_sizes))
-    ch_probs[tuple(grids) + maps_idx] = 1.0
-    channel = Channel(
-        list(zip(expected, net.alphabets)),
-        [(f"y{k}", s) for k, s in zip(range(2, net.n + 1), out_sizes)],
-        ch_probs,
-    )
-    return DmInstance.from_parts(JointPmf(in_vars, in_probs), channel, dests)
+    outs, (in_probs, ch_probs) = _det_scatter(net, input_pmf, input_pmf.probs, 1.0)
+    xs = list(input_pmf.variables)
+    in_pmf = JointPmf(xs + [(f"u{k}", s) for k, s in outs], in_probs)
+    channel = Channel(xs, [(f"y{k}", s) for k, s in outs], ch_probs)
+    return DmInstance.from_parts(in_pmf, channel, dests)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +427,9 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
             )
     if inst.joint.size_of("y1") != 1:
         raise ValueError("not a single-hop broadcast instance: node 1 receives")
-    cache = _EntropyCache(inst.joint, inst.q_vars)
     all_u = inst.u_set(range(2, inst.n + 1))
     for k in range(2, inst.n + 1):
-        leak = cache.mi(all_u, inst.y_set({k}), inst.x_set({1}))
+        leak = inst.mi(all_u, inst.y_set({k}), inst.x_set({1}))
         if leak > 1e-9:
             raise ValueError(
                 "not a single-hop broadcast instance: descriptions leak into "
@@ -489,11 +438,11 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
     worst: tuple[RateBits, RateBits, float] | None = None
     for cut in enumerate_cuts(inst.n, range(2, inst.n + 1), "broadcast"):
         far = cut.complement
-        lhs = _cut_terms(inst, cache, cut, None).total
+        lhs = _cut_terms(inst, cut, None).total
         rhs = 0.0
         for k in far:
-            rhs += cache.mi(inst.u_set({k}), inst.y_set({k}))
-            rhs -= cache.mi(inst.u_set({k}), inst.u_set(_earlier(far, k)))
+            rhs += inst.mi(inst.u_set({k}), inst.y_set({k}))
+            rhs -= inst.mi(inst.u_set({k}), inst.u_set(_earlier(far, k)))
         delta = lhs - rhs
         if worst is None or abs(delta) > abs(worst[2]):
             worst = (lhs, rhs, delta)

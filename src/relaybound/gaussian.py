@@ -21,7 +21,7 @@ import numpy as np
 
 from .info import RateBits, log_det_rate
 from .networks import Cut, GaussianNetwork, cut_submatrix, enumerate_cuts, received_snr
-from .regions import RateRegion, RegionConstraint
+from .regions import RateRegion, region_from_cuts
 
 
 def penalty_rate(snr: float) -> RateBits:
@@ -242,14 +242,9 @@ def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
 
 def ddf_region(net: GaussianNetwork) -> RateRegion:
     """Broadcast inner bound: one halfspace per cut, clamped at zero."""
-    dims = net.destinations
-    cuts = enumerate_cuts(net.n, dims, "broadcast")
-    constraints = []
-    for cut, value in zip(cuts, _ddf_rows(net, cuts)[1]):
-        far = set(cut.complement)
-        coeff = tuple(1 if d in far else 0 for d in dims)
-        constraints.append(RegionConstraint(coeff, max(value, 0.0), cut))
-    return RateRegion(dims, constraints)
+    cuts = enumerate_cuts(net.n, net.destinations, "broadcast")
+    values = _ddf_rows(net, cuts)[1]
+    return region_from_cuts(net.destinations, cuts, [max(v, 0.0) for v in values])
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +435,8 @@ def cutset_estimate_region(
     _, best_k, _ = _search_cov(net, plan, budget, seed)
     at_best = _plan_rates(plan, best_k).tolist()
     terms = _plan_rates(plan, np.diag(net.power)).tolist()
-    est, rel = [], []
-    for cut, value, term in zip(cuts, at_best, terms):
-        far = set(cut.complement)
-        coeff = tuple(1 if d in far else 0 for d in dims)
-        est.append(RegionConstraint(coeff, value, cut))
-        rel.append(RegionConstraint(coeff, term + len(cut.s) / 2.0, cut))
-    return RateRegion(dims, est), RateRegion(dims, rel)
+    relaxed = [t + len(cut.s) / 2.0 for t, cut in zip(terms, cuts)]
+    return region_from_cuts(dims, cuts, at_best), region_from_cuts(dims, cuts, relaxed)
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,22 @@ def received_snr(net: GaussianNetwork, k: int) -> float:
 # validation errors name the offending field path.
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; a bool, a non-number or a non-integral number
+    raises SchemaError naming ``what``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SchemaError(f"{what}: expected an integer, got {value!r}")
+
+
 def _require(obj: dict, key: str, kind, path: str):
     if key not in obj:
         raise SchemaError(f"{path}{key}: missing required field")
     val = obj[key]
+    if kind is int:
+        return _as_int(val, f"{path}{key}")
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"{path}{key}: expected a number, got {type(val).__name__}")
@@ -276,6 +288,10 @@ def _require(obj: dict, key: str, kind, path: str):
     if not isinstance(val, kind):
         raise SchemaError(f"{path}{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _int_list(obj: dict, key: str) -> list[int]:
+    return [_as_int(v, f"{key}[{i}]") for i, v in enumerate(_require(obj, key, list, ""))]
 
 
 def network_to_dict(net) -> dict:
@@ -332,13 +348,13 @@ def network_from_dict(doc: dict):
                 raise SchemaError(f"power: expected a number or {n} numbers")
         else:
             power = _require(doc, "power", float, "")
-        dests = _require(doc, "destinations", list, "")
+        dests = _int_list(doc, "destinations")
         try:
             return GaussianNetwork(n, np.array(gains, float), power, dests)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
     if model == "deterministic":
-        alphabets = _require(doc, "alphabets", list, "")
+        alphabets = _int_list(doc, "alphabets")
         maps_doc = _require(doc, "maps", dict, "")
         maps = {}
         for key, table in maps_doc.items():
@@ -350,7 +366,8 @@ def network_from_dict(doc: dict):
                 raise SchemaError(f"maps.{key}: expected a flat list of symbols")
             maps[int(key[1:])] = table
         try:
-            return DeterministicNetwork(alphabets, maps, doc.get("destinations", ()))
+            dests = _int_list(doc, "destinations") if "destinations" in doc else ()
+            return DeterministicNetwork(alphabets, maps, dests)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
     if model == "graphical":
@@ -363,9 +380,10 @@ def network_from_dict(doc: dict):
             v = _require(e, "to", int, f"edges[{i}].")
             cap = _require(e, "cap", float, f"edges[{i}].")
             edges.append((u, v, cap))
-        dests = _require(doc, "destinations", list, "")
+        dests = _int_list(doc, "destinations")
+        n = _require(doc, "n", int, "") if "n" in doc else None
         try:
-            return GraphicalNetwork(edges, dests, n=doc.get("n"))
+            return GraphicalNetwork(edges, dests, n=n)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
     raise SchemaError(f"model: unknown model {model!r}")

@@ -3,6 +3,8 @@
 Everything here is dependency-free numerics: a coarse-grid + Nelder-Mead
 maximizer for box-constrained objectives, golden-section line search, a
 feasibility bisection, and a dense-tableau simplex for rate-region LPs.
+``bisect_feasible`` is kept as a public helper; no region query needs it,
+since the symmetric rate has a closed form.
 """
 
 from __future__ import annotations
@@ -231,7 +233,6 @@ def bisect_feasible(
 def simplex_lp_max(
     c: Sequence[float],
     constraints: Sequence[tuple[Sequence[float], float]],
-    nonneg: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Maximize c.x subject to a.x <= b rows and x >= 0, by dense-tableau simplex.
 
@@ -242,8 +243,6 @@ def simplex_lp_max(
     rate regions such a row is genuinely infeasible).  An objective direction
     with no binding row raises UnboundedError.
     """
-    if not nonneg:
-        raise ValueError("only the x >= 0 orthant form is supported")
     c = np.asarray(c, dtype=float)
     n = c.size
     rows = []

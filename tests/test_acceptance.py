@@ -196,7 +196,7 @@ def _oracle_ddf_spot(cfg):
 
 def test_criterion_4_diamond_orderings_and_spot_values():
     grid = [0.05 * k for k in range(1, 20)]
-    table = diamond_sweep(grid, 10.0, budget=4000, seed=0)
+    table = diamond_sweep(grid, 10.0, budget=4000)
     margin = max(
         max(row.df, row.af, row.nnc, row.ddf) - row.cutset for row in table.rows
     )

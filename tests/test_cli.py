@@ -289,6 +289,12 @@ def test_region_usage_errors(tmp_path):
     )
     code, _ = run(["region", "--net", det, "--query", "symmetric"])
     assert code == 2
+    # a malformed integer field is a usage error, not a traceback
+    graph = write_json(tmp_path / "graph.json", {
+        "model": "graphical", "n": [3], "destinations": [2],
+        "edges": [{"from": 1, "to": 2, "cap": 1.0}]})
+    code, _ = run(["region", "--net", graph, "--query", "symmetric"])
+    assert code == 2
 
 
 def test_eval_dm_unicast_and_cutset(tmp_path):
@@ -540,6 +546,14 @@ def test_eval_dm_deterministic(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["destinations"] == [2]
     assert abs(doc["value"] - 1.0) < 1e-12
+
+    # a non-integral alphabet size is not truncated to 2
+    frac = write_json(tmp_path / "frac_net.json", {
+        "model": "deterministic", "alphabets": [2.9, 2],
+        "maps": {"y2": [0, 0, 1, 1]}, "destinations": [2]})
+    code, _ = run(["eval-dm", "--pmf", pmf_path, "--channel", frac,
+                   "--mode", "deterministic"])
+    assert code == 2
 
     # a channel file is not a network file
     _, chan = xor_instance_files(tmp_path)

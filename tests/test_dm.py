@@ -415,6 +415,15 @@ def test_deterministic_inner_broadcast_matches_region():
         deterministic_inner(net, pin, [2, 3], mode="unicast")
     with pytest.raises(ValueError, match="must be over"):
         deterministic_inner(net, JointPmf([("x1", 2)], np.array([0.5, 0.5])), [2])
+    # Both builders check the input alphabets with the same message.
+    sizes = [a + 1 if k == 0 else a for k, a in enumerate(net.alphabets)]
+    wide = JointPmf([(f"x{k}", a) for k, a in enumerate(sizes, 1)],
+                    np.full(sizes, 1.0 / np.prod(sizes)))
+    msg = f"x1 alphabet {sizes[0]} != network alphabet {net.alphabets[0]}"
+    for build in (lambda: deterministic_inner(net, wide, [2]),
+                  lambda: det_dm_instance(net, wide, [2])):
+        with pytest.raises(ValueError, match=msg):
+            build()
 
 
 def test_graphical_mincut_hand_example():

@@ -258,6 +258,18 @@ def test_ddf_region_clamps_and_labels():
         far = set(c.cut.complement)
         assert c.coeff == tuple(1 if d in far else 0 for d in (2, 3))
 
+    # One constraint per broadcast cut, in enumeration order, with its cut as
+    # provenance; the first bound is clamped at zero.
+    g = [[0, 0, 0, 0], [1.5, 0, 0.2, 0], [0.8, 0.3, 0, 0.1], [0.05, 1.2, 0.9, 0]]
+    docs = ddf_region(GaussianNetwork(4, g, 1.0, [3, 4])).to_dicts()
+    assert [(d["cut"], d["coeff"]) for d in docs] == [
+        ([1], [1, 1]), ([1, 2], [1, 1]), ([1, 3], [0, 1]),
+        ([1, 2, 3], [0, 1]), ([1, 4], [1, 0]), ([1, 2, 4], [1, 0])]
+    want = [0.0, 0.3764976724061454, 0.5194396190009337, 0.47117777504824854,
+            0.3491715472806398, 0.14391724576792847]
+    assert docs[0]["bound"] == 0.0
+    assert [d["bound"] for d in docs] == pytest.approx(want, rel=0, abs=1e-12)
+
 
 def explicit_rate(net, cut, k_cov, rows=None):
     """slogdet of I + G_S K_S G_S^T built from explicit index lists."""

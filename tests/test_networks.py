@@ -246,6 +246,29 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match=r"edges\[0\].cap"):
         load_network(path)
 
+    # integer fields: bools, non-numbers and non-integral numbers are refused
+    graph = {"model": "graphical", "n": 3, "destinations": [3],
+             "edges": [{"from": 1, "to": 2, "cap": 1.0}, {"from": 2, "to": 3, "cap": 1.0}]}
+    det = {"model": "deterministic", "alphabets": [2, 2], "maps": {"y2": [0, 1, 0, 1]}}
+    gauss = {"model": "gaussian", "n": 2, "power": 1.0,
+             "gains": [[0, 1], [1, 0]], "destinations": [2]}
+    for base, key, bad, where in (
+        (graph, "n", 2.7, "n"), (graph, "n", [3], "n"), (graph, "n", True, "n"),
+        (graph, "destinations", [2.9], r"destinations\[0\]"),
+        (gauss, "n", 2.5, "n"), (gauss, "destinations", [2.5], r"destinations\[0\]"),
+        (det, "alphabets", [2.9, 2], r"alphabets\[0\]"),
+        (det, "destinations", ["2"], r"destinations\[0\]"),
+    ):
+        path.write_text(json.dumps({**base, key: bad}))
+        with pytest.raises(SchemaError, match=where + ": expected an integer"):
+            load_network(path)
+    path.write_text(json.dumps({**graph, "edges": [{"from": True, "to": 3, "cap": 1.0}]}))
+    with pytest.raises(SchemaError, match=r"edges\[0\].from: expected an integer"):
+        load_network(path)
+    # an integral float is the integer it spells
+    path.write_text(json.dumps({**gauss, "n": 2.0, "destinations": [2.0]}))
+    assert load_network(path).destinations == (2,)
+
     # constructor errors surface as schema errors with the original message
     doc = {"model": "gaussian", "n": 2, "power": -1.0,
            "gains": [[0, 1], [1, 0]], "destinations": [2]}

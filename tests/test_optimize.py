@@ -218,8 +218,6 @@ def test_simplex_edge_cases():
         simplex_lp_max([1.0, 1.0], [([1.0, 0.0], 1.0)])
     with pytest.raises(ValueError, match="arity"):
         simplex_lp_max([1.0, 1.0], [([1.0], 1.0)])
-    with pytest.raises(ValueError, match="orthant"):
-        simplex_lp_max([1.0], [([1.0], 1.0)], nonneg=False)
     # no finite constraints at all: unbounded unless c <= 0
     with pytest.raises(UnboundedError):
         simplex_lp_max([1.0], [])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from perfbench import checks
 from relaybound import (
     Cut,
     RateRegion,
@@ -14,6 +15,8 @@ from relaybound import (
     region_max_weighted,
     region_membership,
 )
+from relaybound.networks import enumerate_cuts
+from relaybound.regions import region_from_cuts
 
 
 def two_dest_region():
@@ -101,6 +104,14 @@ def test_max_symmetric():
     # a zero-coefficient constraint alone cannot bound the diagonal
     region5 = RateRegion([2], [RegionConstraint((0,), 1.0)])
     assert region_max_symmetric(region5) == math.inf
+    # a bound below zero by less than the membership slack reads as zero...
+    region6 = RateRegion([2, 3], [RegionConstraint((1, 0), -5e-10), region.constraints[1]])
+    assert region_max_symmetric(region6) == 0.0
+    # ...and one below the slack leaves no feasible point at all
+    for coeff in ((1, 0), (0, 0)):
+        bad = RateRegion([2, 3], [RegionConstraint(coeff, -2e-9), region.constraints[1]])
+        with pytest.raises(ValueError, match="region is empty"):
+            region_max_symmetric(bad)
 
 
 def test_max_symmetric_matches_lp_on_random_regions():
@@ -113,7 +124,19 @@ def test_max_symmetric_matches_lp_on_random_regions():
             if not any(coeff):
                 coeff = tuple(1 for _ in range(ndim))
             cons.append(RegionConstraint(coeff, float(rng.uniform(0.2, 3.0))))
+        if rng.random() < 0.3:  # inside the slack below zero
+            cons.append(RegionConstraint(cons[0].coeff, -float(rng.uniform(0.0, 1e-9))))
         region = RateRegion(range(2, 2 + ndim), cons)
         t = region_max_symmetric(region)
-        want = min(c.bound / sum(c.coeff) for c in cons)
-        assert abs(t - want) < 1e-7
+        want = min(max(c.bound, 0.0) / sum(c.coeff) for c in cons)
+        assert t == want
+    # Regions built from cuts equal the benchmark's reference formula exactly.
+    for _ in range(20):
+        n = int(rng.integers(3, 7))
+        dests = sorted(int(d) for d in rng.choice(np.arange(2, n + 1), 2, replace=False))
+        cuts = enumerate_cuts(n, dests, "broadcast")
+        bounds = [float(b) for b in rng.uniform(-1e-9, 3.0, len(cuts))]
+        region = region_from_cuts(dests, cuts, bounds)
+        assert [c.cut for c in region.constraints] == cuts
+        ref = checks.symmetric_max({c.s: b for c, b in zip(cuts, bounds)}, dests)
+        assert region_max_symmetric(region) == ref
