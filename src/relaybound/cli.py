@@ -69,8 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=float, default=0.95)
     p.add_argument("--steps", type=int, default=19, help="number of d values")
     p.add_argument("--budget", type=int, default=6000)
-    p.add_argument("--seed", type=int, default=0,
-                   help="ignored (the sweep is deterministic); kept for old scripts")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
 
@@ -264,6 +262,17 @@ def _region_doc(region) -> dict:
     return {"dims": list(region.dims), "constraints": region.to_dicts()}
 
 
+def _write_bound(args, dests, mode, value) -> int:
+    """Write the unicast value or broadcast region of an ``eval-dm`` bound."""
+    doc = {"mode": args.mode, "destinations": dests}
+    if mode == "unicast":
+        doc["value"] = value
+    else:
+        doc["region"] = _region_doc(value)
+    _write(_json(doc), args.out)
+    return 0
+
+
 def cmd_eval_dm(args) -> int:
     dests = _ints(args.dest, "--dest") if args.dest else []
 
@@ -278,25 +287,19 @@ def cmd_eval_dm(args) -> int:
         dests = dests or list(net.destinations)
         if not dests:
             raise ValueError("no destinations given (use --dest)")
-        bound = lambda mode: dm.deterministic_inner(net, pmf, dests, mode)
-    else:
-        pmf, q_vars = dm.load_pmf(args.pmf)
-        channel = dm.load_channel(args.channel)
-        if args.mode == "cutset":
-            if not dests:
-                raise ValueError("cutset mode needs --dest")
-            bound = lambda mode: dm.cutset_dm(pmf, channel, dests, mode, q_vars or None)
-
-    if args.mode in ("deterministic", "cutset"):
         mode = "unicast" if len(dests) == 1 else "broadcast"
-        value = bound(mode)
-        doc = {"mode": args.mode, "destinations": dests}
-        if mode == "unicast":
-            doc["value"] = value
-        else:
-            doc["region"] = _region_doc(value)
-        _write(_json(doc), args.out)
-        return 0
+        value = dm.deterministic_inner(net, pmf, dests, mode)
+        return _write_bound(args, dests, mode, value)
+
+    pmf, q_vars = dm.load_pmf(args.pmf)
+    channel = dm.load_channel(args.channel)
+
+    if args.mode == "cutset":
+        if not dests:
+            raise ValueError("cutset mode needs --dest")
+        mode = "unicast" if len(dests) == 1 else "broadcast"
+        value = dm.cutset_dm(pmf, channel, dests, mode, q_vars or None)
+        return _write_bound(args, dests, mode, value)
 
     inst = dm.DmInstance.from_parts(pmf, channel, dests, q_vars or None)
 

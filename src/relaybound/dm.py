@@ -317,15 +317,11 @@ def cutset_dm(
         far = cut.complement
         return inst.mi(inst.x_set(cut.s), inst.y_set(far), inst.x_set(far))
 
+    cuts = enumerate_cuts(inst.n, dests, mode)
+    values = [cut_value(c) for c in cuts]
     if mode == "unicast":
-        if len(dests) != 1:
-            raise ValueError("unicast mode needs exactly one destination")
-        cuts = enumerate_cuts(inst.n, dests, "unicast")
-        return min(cut_value(c) for c in cuts)
-    if mode == "broadcast":
-        cuts = enumerate_cuts(inst.n, dests, "broadcast")
-        return region_from_cuts(dests, cuts, [cut_value(c) for c in cuts])
-    raise ValueError(f"unknown mode {mode!r}")
+        return min(values)
+    return region_from_cuts(dests, cuts, values)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +383,11 @@ def deterministic_inner(
             value -= mutual_info(joint, x_set({k}), x_set(_earlier(far, k)))
         return value
 
+    cuts = enumerate_cuts(net.n, dests, mode)
+    values = [cut_value(c) for c in cuts]
     if mode == "unicast":
-        if len(dests) != 1:
-            raise ValueError("unicast mode needs exactly one destination")
-        return min(cut_value(c) for c in enumerate_cuts(net.n, dests, "unicast"))
-    if mode == "broadcast":
-        cuts = enumerate_cuts(net.n, dests, "broadcast")
-        return region_from_cuts(dests, cuts, [max(cut_value(c), 0.0) for c in cuts])
-    raise ValueError(f"unknown mode {mode!r}")
+        return min(values)
+    return region_from_cuts(dests, cuts, [max(v, 0.0) for v in values])
 
 
 def det_dm_instance(

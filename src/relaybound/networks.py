@@ -381,7 +381,8 @@ def network_from_dict(doc: dict):
             cap = _require(e, "cap", float, f"edges[{i}].")
             edges.append((u, v, cap))
         dests = _int_list(doc, "destinations")
-        n = _require(doc, "n", int, "") if "n" in doc else None
+        n = doc.get("n")
+        n = None if n is None else _as_int(n, "n")
         try:
             return GraphicalNetwork(edges, dests, n=n)
         except ValueError as exc:

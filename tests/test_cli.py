@@ -129,6 +129,9 @@ def test_diamond_sweep_bad_range():
     assert code == 2
     code, _ = run(["diamond-sweep", "--steps", "0"])
     assert code == 2
+    # the sweep is deterministic and takes no seed
+    code, _ = run(["diamond-sweep", "--steps", "1", "--seed", "0"])
+    assert code == 2
 
 
 def test_gap_verify(tmp_path):

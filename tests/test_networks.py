@@ -265,6 +265,9 @@ def test_schema_errors(tmp_path):
     path.write_text(json.dumps({**graph, "edges": [{"from": True, "to": 3, "cap": 1.0}]}))
     with pytest.raises(SchemaError, match=r"edges\[0\].from: expected an integer"):
         load_network(path)
+    # a null n, like a missing one, means "infer n from the edges"
+    path.write_text(json.dumps({**graph, "n": None}))
+    assert load_network(path).n == 3
     # an integral float is the integer it spells
     path.write_text(json.dumps({**gauss, "n": 2.0, "destinations": [2.0]}))
     assert load_network(path).destinations == (2,)
