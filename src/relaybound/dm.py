@@ -23,13 +23,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, TensorCapError
+from .errors import SchemaError, TensorCapError, as_int
 from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits, entropy, mutual_info
 from .networks import (
     Cut,
     DeterministicNetwork,
     GraphicalNetwork,
     MAX_ENUM_NODES,
+    _int_set,
     enumerate_cuts,
 )
 from .regions import RateRegion, RegionConstraint, region_from_cuts
@@ -55,8 +56,8 @@ class Channel:
     probs: np.ndarray
 
     def __init__(self, given, out, probs):
-        given = tuple((str(n), int(s)) for n, s in given)
-        out = tuple((str(n), int(s)) for n, s in out)
+        given = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in given)
+        out = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in out)
         names = [n for n, _ in given] + [n for n, _ in out]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in channel: {names}")
@@ -122,13 +123,13 @@ class DmInstance:
     q_vars: tuple[str, ...]
 
     def __init__(self, joint: JointPmf, n: int, destinations, q_vars=("q",)):
-        n = int(n)
+        n = as_int(n, "n")
         expected = [name for name, _ in _canonical_vars(n, {})]
         if list(joint.names) != expected:
             raise ValueError(
                 f"joint must use the canonical variable list for n = {n}"
             )
-        dests = tuple(sorted(set(int(d) for d in destinations)))
+        dests = _int_set(destinations, "destinations")
         if any(d < 2 or d > n for d in dests):
             raise ValueError(f"destinations {dests} must lie in 2..{n}")
         q_vars = tuple(q_vars)
@@ -216,8 +217,9 @@ class DmInstance:
         """I(a ; b | given, Q) with variables already inside the conditioning
         dropped from a and b (an exact identity, not an approximation).
 
-        The joint memoizes its subset entropies, so identical subsets give
-        bit-identical floats, which the exactness guarantees below rely on.
+        The joint memoizes its subset entropies by subset less its size-1
+        variables, so subsets that differ only by those give bit-identical
+        floats, which the exactness guarantees below rely on.
         """
         given = given | frozenset(self.q_vars)
         a, b = a - given, b - given

@@ -1,10 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-field check."""
 
 from __future__ import annotations
 
+import operator
+
 
 class SchemaError(ValueError):
-    """A model file or serialized object violates its schema.
+    """A model file, a serialized object or a constructor argument violates
+    its schema.
 
     The message names the offending field path, e.g. ``gains[1][1]``.
     """
@@ -20,3 +23,16 @@ class UnboundedError(RuntimeError):
 
 class InfeasibleError(RuntimeError):
     """The linear program has an empty feasible region."""
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int.  An integer (numpy's too) or an integral float is
+    accepted; a bool, a non-number or a non-integral number raises
+    SchemaError naming ``what``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+    raise SchemaError(f"{what}: expected an integer, got {value!r}")

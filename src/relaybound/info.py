@@ -3,17 +3,17 @@
 All rates and entropies are in bits.  Probabilities below ``ZERO_EPS`` are
 treated as exact zeros (the 0 log 0 = 0 convention).
 
-Exactness contract: every marginal and every entropy is bit-identical to the
-naive oracle that adds the joint's cells into each marginal cell in ascending
-flat-index order and then sums ``-p * math.log2(p)`` over the marginal in flat
-order.  Identical subsets therefore give identical floats, which exact
-comparisons downstream (a repaired cut's functional being exactly 0.0) rely
-on.  Three numpy shortcuts break the contract and are avoided:
+Exactness contract:
 
-* reducing a strided (non-contiguous) view, where numpy may reorder the
-  additions;
-* reducing to a single kept cell, where numpy switches to pairwise summation;
-* ``np.log2``, which differs from ``math.log2`` in the last bit on some inputs.
+* ``JointPmf.marginal`` is bit-identical to the naive oracle that adds the
+  pmf's cells into each marginal cell in ascending flat-index order.
+* An entropy is an exact float where the identity is structural: a size-1
+  variable adds nothing, so H(A + size-1 variables) is the same float as
+  H(A), and a difference of two such entropies is exactly 0.0 (a repaired
+  cut's functional relies on this).  Otherwise an entropy is within 1e-12 of
+  the oracle that sums ``-p * math.log2(p)`` over the naive marginal.  Its
+  last bits depend on which cached marginal it was reduced from, so the same
+  sequence of calls on a fresh pmf gives the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TensorCapError
+from .errors import TensorCapError, as_int
 
 #: Probabilities strictly below this are treated as exact zeros.
 ZERO_EPS = 1e-15
@@ -43,8 +43,8 @@ def gauss_c(snr):
     """Gaussian point-to-point capacity C(x) = (1/2) log2(1 + x), elementwise.
 
     A scalar gives a float, an array an array of the same shape.  Raises
-    ValueError if any snr is negative.  It uses ``np.log2`` and so is outside
-    the exactness contract above, which covers marginals and entropies only.
+    ValueError if any snr is negative.  The exactness contract above covers
+    marginals and entropies only.
     """
     x = np.asarray(snr, dtype=float)
     if x.ndim == 0:
@@ -84,8 +84,9 @@ class JointPmf:
     ``variables`` is an ordered sequence of (name, alphabet_size) pairs and
     ``probs`` has one axis per variable, in that order (row-major layout).
     The pmf is immutable (``probs`` is a read-only copy), so it memoizes the
-    entropy of each variable subset it is asked for; the memo lives and dies
-    with the pmf.  Equality and hashing are by identity, like the memo.
+    entropy of each variable subset it is asked for, and the marginal behind
+    it; the memo lives and dies with the pmf.  Equality and hashing are by
+    identity, like the memo.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -97,7 +98,7 @@ class JointPmf:
         probs: np.ndarray,
         cell_cap: int = CELL_CAP,
     ):
-        variables = tuple((str(n), int(s)) for n, s in variables)
+        variables = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in variables)
         names = [n for n, _ in variables]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names in {names}")
@@ -121,9 +122,23 @@ class JointPmf:
             raise ValueError(f"probabilities sum to {total}, expected 1 +/- {SUM_TOL}")
         arr = arr.copy()
         arr.flags.writeable = False
+        self._set(variables, arr)
+
+    def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> None:
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_axes", {n: i for i, (n, _) in enumerate(variables)})
+        object.__setattr__(self, "_unit", frozenset(n for n, s in variables if s == 1))
         object.__setattr__(self, "_entropies", {})
+        object.__setattr__(self, "_marginals", {})
+
+    @classmethod
+    def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf:
+        """A pmf over parts that are valid already (a marginal of a valid
+        pmf), built without re-validation."""
+        pmf = object.__new__(cls)
+        pmf._set(variables, probs)
+        return pmf
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -133,10 +148,10 @@ class JointPmf:
         return self.variables[self.axis_of(name)][1]
 
     def axis_of(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.variables):
-            if n == name:
-                return i
-        raise ValueError(f"unknown variable {name!r}; have {list(self.names)}")
+        try:
+            return self._axes[name]
+        except KeyError:
+            raise ValueError(f"unknown variable {name!r}; have {list(self.names)}") from None
 
     def marginal(self, names: Iterable[str]) -> np.ndarray:
         """Marginal tensor over ``names``, axes in this pmf's variable order.
@@ -146,9 +161,7 @@ class JointPmf:
         C-contiguous (dropped, kept) matrix so that one ``np.add.reduce`` over
         axis 0 adds whole rows in that order; a strided view could be reduced
         in another order.  A single kept cell is summed with ``np.cumsum``,
-        because numpy reduces a contiguous vector pairwise.  Entropies of the
-        result are then summed in flat order with ``math.log2``, not
-        ``np.log2``, which differs in the last bit on some inputs.
+        because numpy reduces a contiguous vector pairwise.
         """
         keep = sorted(self.axis_of(n) for n in set(names))
         drop = [i for i in range(len(self.variables)) if i not in keep]
@@ -162,22 +175,38 @@ class JointPmf:
         return np.add.reduce(q, axis=0).reshape(kept_shape)
 
     def joint_entropy(self, names: Iterable[str]) -> RateBits:
-        """H(names) in bits, memoized per variable subset on this pmf."""
-        key = frozenset(names)
+        """H(names) in bits, memoized per variable subset on this pmf.
+
+        The memo key leaves out size-1 variables, which add nothing to an
+        entropy, so every subset that differs from another only by them reads
+        the same entry.  A subset's marginal is reduced, through ``marginal``,
+        from the smallest marginal cached so far that covers it (the full
+        joint at first), and is cached in turn as a sub-pmf.
+        """
+        key = frozenset(names) - self._unit
         val = self._entropies.get(key)
         if val is None:
-            val = _plain_entropy(self.marginal(key))
-            self._entropies[key] = val
+            for name in key:
+                self.axis_of(name)  # raises on an unknown name
+            lattice = self._marginals
+            if not lattice:
+                full = tuple(v for v in self.variables if v[1] > 1)
+                shape = tuple(s for _, s in full)
+                lattice[frozenset(n for n, _ in full)] = JointPmf._trusted(
+                    full, self.probs.reshape(shape))
+            src = min((m for k, m in lattice.items() if key <= k),
+                      key=lambda m: m.probs.size)
+            marg = src.marginal(key)
+            lattice[key] = JointPmf._trusted(
+                tuple(v for v in src.variables if v[0] in key), marg)
+            val = self._entropies[key] = _plain_entropy(marg)
         return val
 
 
 def _plain_entropy(marg: np.ndarray) -> float:
-    """Entropy of a marginal tensor, summed in flat order with ``math.log2``."""
-    acc = 0.0
-    for p in marg.ravel().tolist():
-        if p >= ZERO_EPS:
-            acc -= p * math.log2(p)
-    return acc
+    """Entropy in bits of a marginal tensor, cells below ``ZERO_EPS`` left out."""
+    p = marg[marg >= ZERO_EPS]
+    return 0.0 - float((p * np.log2(p)).sum())  # +0.0, never -0.0, for a point mass
 
 
 def entropy(pmf: JointPmf, names: Iterable[str], given: Iterable[str] = ()) -> RateBits:

@@ -17,11 +17,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, as_int
 
 #: Cut enumeration is exhaustive; beyond this many nodes callers must supply
 #: explicit cut lists.
 MAX_ENUM_NODES = 24
+
+
+def _int_set(values: Iterable, what: str) -> tuple[int, ...]:
+    """Sorted distinct ints of ``values``, each checked by ``as_int``."""
+    return tuple(sorted({as_int(v, f"{what}[{i}]") for i, v in enumerate(values)}))
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class GaussianNetwork:
         power: float | Sequence[float],
         destinations: Iterable[int],
     ):
-        n = int(n)
+        n = as_int(n, "n")
         if n < 2:
             raise ValueError(f"need n >= 2 nodes, got {n}")
         g = np.asarray(gains, dtype=float)
@@ -83,7 +88,7 @@ class GaussianNetwork:
             raise ValueError(f"power must be finite, got {p.tolist()}")
         if np.any(p <= 0):
             raise ValueError(f"power must be positive, got {p.tolist()}")
-        dests = tuple(sorted(set(int(d) for d in destinations)))
+        dests = _int_set(destinations, "destinations")
         if not dests:
             raise ValueError("destinations must be nonempty")
         if any(d < 2 or d > n for d in dests):
@@ -124,7 +129,7 @@ class DeterministicNetwork:
         maps: dict[int, np.ndarray | Sequence[int]],
         destinations: Iterable[int] = (),
     ):
-        alphabets = tuple(int(a) for a in alphabets)
+        alphabets = tuple(as_int(a, f"alphabets[{i}]") for i, a in enumerate(alphabets))
         n = len(alphabets)
         if n < 2:
             raise ValueError(f"need n >= 2 nodes, got {n}")
@@ -133,7 +138,7 @@ class DeterministicNetwork:
         shape = alphabets
         fixed: dict[int, np.ndarray] = {}
         for k, table in maps.items():
-            k = int(k)
+            k = as_int(k, f"maps[{k!r}] node")
             if k < 2 or k > n:
                 raise ValueError(f"output map for node {k} outside 2..{n}")
             vals = np.asarray(table, dtype=float).reshape(shape)
@@ -149,7 +154,7 @@ class DeterministicNetwork:
         for k in range(2, n + 1):
             if k not in fixed:
                 raise ValueError(f"missing output map for node {k}")
-        dests = tuple(sorted(set(int(d) for d in destinations)))
+        dests = _int_set(destinations, "destinations")
         if any(d < 2 or d > n for d in dests):
             raise ValueError(f"destinations {dests} must lie in 2..{n}")
         object.__setattr__(self, "n", n)
@@ -177,8 +182,9 @@ class GraphicalNetwork:
     ):
         norm = []
         hi = 1
-        for u, v, cap in edges:
-            u, v, cap = int(u), int(v), float(cap)
+        for i, (u, v, cap) in enumerate(edges):
+            u, v = as_int(u, f"edges[{i}].from"), as_int(v, f"edges[{i}].to")
+            cap = float(cap)
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if u < 1 or v < 1:
@@ -189,11 +195,11 @@ class GraphicalNetwork:
                 raise ValueError(f"edge ({u}, {v}) has negative capacity {cap}")
             norm.append((u, v, cap))
             hi = max(hi, u, v)
-        dests = tuple(sorted(set(int(d) for d in destinations)))
+        dests = _int_set(destinations, "destinations")
         if not dests:
             raise ValueError("destinations must be nonempty")
         hi = max(hi, max(dests))
-        n = int(n) if n is not None else hi
+        n = as_int(n, "n") if n is not None else hi
         if n < hi:
             raise ValueError(f"n = {n} smaller than the largest node id {hi}")
         if any(d < 2 for d in dests):
@@ -265,22 +271,12 @@ def received_snr(net: GaussianNetwork, k: int) -> float:
 # validation errors name the offending field path.
 
 
-def _as_int(value, what: str) -> int:
-    """``value`` as an int; a bool, a non-number or a non-integral number
-    raises SchemaError naming ``what``."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise SchemaError(f"{what}: expected an integer, got {value!r}")
-
-
 def _require(obj: dict, key: str, kind, path: str):
     if key not in obj:
         raise SchemaError(f"{path}{key}: missing required field")
     val = obj[key]
     if kind is int:
-        return _as_int(val, f"{path}{key}")
+        return as_int(val, f"{path}{key}")
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"{path}{key}: expected a number, got {type(val).__name__}")
@@ -288,10 +284,6 @@ def _require(obj: dict, key: str, kind, path: str):
     if not isinstance(val, kind):
         raise SchemaError(f"{path}{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
-
-
-def _int_list(obj: dict, key: str) -> list[int]:
-    return [_as_int(v, f"{key}[{i}]") for i, v in enumerate(_require(obj, key, list, ""))]
 
 
 def network_to_dict(net) -> dict:
@@ -348,13 +340,13 @@ def network_from_dict(doc: dict):
                 raise SchemaError(f"power: expected a number or {n} numbers")
         else:
             power = _require(doc, "power", float, "")
-        dests = _int_list(doc, "destinations")
+        dests = _require(doc, "destinations", list, "")
         try:
             return GaussianNetwork(n, np.array(gains, float), power, dests)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
     if model == "deterministic":
-        alphabets = _int_list(doc, "alphabets")
+        alphabets = _require(doc, "alphabets", list, "")
         maps_doc = _require(doc, "maps", dict, "")
         maps = {}
         for key, table in maps_doc.items():
@@ -366,7 +358,7 @@ def network_from_dict(doc: dict):
                 raise SchemaError(f"maps.{key}: expected a flat list of symbols")
             maps[int(key[1:])] = table
         try:
-            dests = _int_list(doc, "destinations") if "destinations" in doc else ()
+            dests = _require(doc, "destinations", list, "") if "destinations" in doc else ()
             return DeterministicNetwork(alphabets, maps, dests)
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
@@ -380,11 +372,9 @@ def network_from_dict(doc: dict):
             v = _require(e, "to", int, f"edges[{i}].")
             cap = _require(e, "cap", float, f"edges[{i}].")
             edges.append((u, v, cap))
-        dests = _int_list(doc, "destinations")
-        n = doc.get("n")
-        n = None if n is None else _as_int(n, "n")
+        dests = _require(doc, "destinations", list, "")
         try:
-            return GraphicalNetwork(edges, dests, n=n)
+            return GraphicalNetwork(edges, dests, n=doc.get("n"))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
     raise SchemaError(f"model: unknown model {model!r}")

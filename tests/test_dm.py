@@ -155,20 +155,31 @@ def test_cut_terms_match_naive_evaluator():
             assert abs(j - naive_cut_value(inst, cut_s, None)) < 1e-12
 
 
-def test_evaluators_sharing_a_joint_match_fresh_instances_bitwise():
+def test_evaluators_sharing_a_joint_match_fresh_instances():
+    # A shared joint reduces later marginals from what earlier evaluators
+    # cached, so its last bits may differ from a fresh joint's; the same
+    # call sequence on a fresh copy gives the same bits.
     rng = np.random.default_rng(41)
     for trial in range(4):
         n = int(rng.integers(3, 5))
         inst = random_instance(rng, n, [n], with_q=bool(trial % 2))
-        fresh = DmInstance(
-            JointPmf(inst.joint.variables, inst.joint.probs), n, [n], inst.q_vars
-        )
+
+        def fresh():
+            return DmInstance(
+                JointPmf(inst.joint.variables, inst.joint.probs), n, [n], inst.q_vars
+            )
+
         ddf_unicast_dm(inst, n)
         shared = constraint_values_j(inst)
-        alone = constraint_values_j(fresh)
+        alone = constraint_values_j(fresh())
         assert list(shared) == list(alone)
         for cut_s, j in shared.items():
-            assert j.hex() == alone[cut_s].hex()
+            assert abs(j - alone[cut_s]) <= 1e-12
+        again = fresh()
+        ddf_unicast_dm(again, n)
+        assert [j.hex() for j in constraint_values_j(again).values()] == [
+            j.hex() for j in shared.values()
+        ]
 
 
 def test_cascade_of_perfect_bit_pipes():
@@ -361,6 +372,73 @@ def test_constraint_repair_zeroes_the_cut():
     # repairing again is a no-op for that cut
     again = constraint_repair(repaired, worst)
     assert constraint_values_j(again)[worst] == 0.0
+
+
+def small_instance(rng, n, unit):
+    """Binary inputs; q, each u_k and each y_k of size 1 or 2, and size 1
+    for the variable named ``unit``."""
+    size = lambda name: 1 if name == unit else int(rng.integers(1, 3))
+    in_vars = [("q", size("q"))] + [(f"x{k}", 2) for k in range(1, n + 1)]
+    in_vars += [(f"u{k}", size(f"u{k}")) for k in range(2, n + 1)]
+    p = rng.random(tuple(s for _, s in in_vars))
+    pin = JointPmf(in_vars, p / p.sum())
+    y_vars = [(f"y{k}", size(f"y{k}")) for k in range(1, n + 1)]
+    c = rng.random((2,) * n + tuple(s for _, s in y_vars))
+    c /= c.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+    chan = Channel([(f"x{k}", 2) for k in range(1, n + 1)], y_vars, c)
+    return DmInstance.from_parts(pin, chan, [n])
+
+
+def test_constraint_repair_zero_is_structural():
+    # Every repaired cut reads exactly 0.0, whatever the summation order: its
+    # terms are differences of entropies whose subsets differ only by size-1
+    # variables, and those share one memo entry.
+    rng = np.random.default_rng(49)
+    for n in (3, 4, 5):
+        for unit in ["q", "y1"] + [f"u{k}" for k in range(2, n + 1)]:
+            inst = small_instance(rng, n, unit)
+            assert inst.joint.size_of(unit) == 1
+            for cut_s in constraint_values_j(inst):
+                repaired = constraint_repair(inst, cut_s)
+                j_after = constraint_values_j(repaired)
+                assert j_after[cut_s] == 0.0, (n, unit, cut_s)
+
+
+def test_entropy_memo_key_drops_size_one_variables():
+    rng = np.random.default_rng(50)
+    for trial in range(20):
+        inst = small_instance(rng, 4, ["q", "y1", "u2", "u3", "u4"][trial % 5])
+        pmf = inst.joint
+        units = [nm for nm, s in pmf.variables if s == 1]
+        wide = [nm for nm, s in pmf.variables if s > 1]
+        a = [nm for nm in wide if rng.random() < 0.4]
+        extra = [nm for nm in units if rng.random() < 0.7] or units[:1]
+        order = [a, a + extra] if trial % 2 else [a + extra, a]
+        first = pmf.joint_entropy(order[0])
+        entries = len(pmf._entropies)
+        assert pmf.joint_entropy(order[1]) == first
+        assert len(pmf._entropies) == entries
+        for nm in extra:
+            assert pmf.joint_entropy(a + [nm]) == first
+        assert len(pmf._entropies) == entries
+
+
+def test_channel_and_instance_reject_non_integral_ints():
+    with pytest.raises(ValueError, match=r"variable 'x1' size: expected an integer"):
+        Channel([("x1", 2.5)], [("y2", 2)], np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match=r"variable 'y2' size: expected an integer"):
+        Channel([("x1", 2)], [("y2", True)], np.full((2, 1), 1.0))
+    chan = Channel([("x1", 2.0)], [("y2", np.int64(2))], np.eye(2))
+    assert chan.given == (("x1", 2),) and chan.out == (("y2", 2),)
+    joint = JointPmf(
+        [("q", 1), ("x1", 2), ("x2", 1), ("u2", 1), ("y1", 1), ("y2", 2)],
+        np.eye(2).reshape(1, 2, 1, 1, 1, 2) / 2,
+    )
+    with pytest.raises(ValueError, match="n: expected an integer, got 2.5"):
+        DmInstance(joint, 2.5, [2])
+    with pytest.raises(ValueError, match=r"destinations\[0\]: expected an integer"):
+        DmInstance(joint, 2, [2.5])
+    assert DmInstance(joint, 2.0, [np.int64(2)]).destinations == (2,)
 
 
 def test_constraint_repair_guards():

@@ -143,6 +143,44 @@ def test_graphical_network_validation():
         GraphicalNetwork([(1, 2, 1.0)], [])
 
 
+def test_gaussian_network_rejects_non_integral_ints():
+    g = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="n: expected an integer, got 2.7"):
+        GaussianNetwork(2.7, g, 1.0, [2])
+    with pytest.raises(ValueError, match=r"destinations\[0\]: expected an integer, got 2.9"):
+        GaussianNetwork(2, g, 1.0, [2.9])
+    with pytest.raises(ValueError, match="n: expected an integer, got True"):
+        GaussianNetwork(True, g, 1.0, [2])
+    net = GaussianNetwork(np.int64(2), g, 1.0, [2.0])
+    assert net.n == 2 and net.destinations == (2,)
+    assert type(net.n) is int and type(net.destinations[0]) is int
+
+
+def test_deterministic_network_rejects_non_integral_ints():
+    table = np.zeros((2, 2), int)
+    with pytest.raises(ValueError, match=r"alphabets\[0\]: expected an integer, got 2.9"):
+        DeterministicNetwork([2.9, 2], {2: table}, [2])
+    with pytest.raises(ValueError, match=r"maps\[2.5\] node: expected an integer"):
+        DeterministicNetwork([2, 2], {2.5: table}, [2])
+    with pytest.raises(ValueError, match=r"destinations\[0\]: expected an integer"):
+        DeterministicNetwork([2, 2], {2: table}, ["2"])
+    net = DeterministicNetwork([2.0, np.int64(2)], {2.0: table}, [2])
+    assert net.alphabets == (2, 2) and list(net.maps) == [2]
+
+
+def test_graphical_network_rejects_non_integral_ints():
+    with pytest.raises(ValueError, match=r"edges\[0\].to: expected an integer, got 2.5"):
+        GraphicalNetwork([(1, 2.5, 1.0)], [2])
+    with pytest.raises(ValueError, match=r"edges\[1\].from: expected an integer"):
+        GraphicalNetwork([(1, 2, 1.0), (None, 3, 1.0)], [3])
+    with pytest.raises(ValueError, match=r"destinations\[0\]: expected an integer, got 2.5"):
+        GraphicalNetwork([(1, 2, 1.0)], [2.5])
+    with pytest.raises(ValueError, match="n: expected an integer, got 3.5"):
+        GraphicalNetwork([(1, 2, 1.0)], [2], n=3.5)
+    net = GraphicalNetwork([(1.0, np.int64(2), 1.0)], [2], n=3.0)
+    assert net.edges == ((1, 2, 1.0),) and net.n == 3
+
+
 def test_gaussian_round_trip(tmp_path):
     g = diamond_gains(2.0, 1.0, 0.5, 3.0, 2.0)
     net = GaussianNetwork(4, g, 2.0, [4])

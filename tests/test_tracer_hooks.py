@@ -2,6 +2,8 @@
 at the module attributes and class attributes their callers use.  Renaming or
 inlining one of them breaks the traced benchmark runs; this catches it here."""
 
+import numpy as np
+
 import relaybound
 import relaybound.cli
 from perfbench.tracer import Tracer
@@ -36,3 +38,30 @@ def test_tracer_installs_counts_and_restores(tmp_path):
         assert now.keys() == attrs.keys(), owner
         for name, value in attrs.items():
             assert now[name] is value, (owner, name)
+
+
+def test_tracer_sees_lattice_reductions_through_marginal():
+    # The entropy lattice reduces cached sub-pmfs through JointPmf.marginal,
+    # so the benchmark's marginal counts see every reduction, and most of
+    # them are over fewer cells than the full joint.
+    rng = np.random.default_rng(3)
+    n = 4
+    p = rng.random((2,) * (2 * n - 1))
+    pin = relaybound.JointPmf([(f"x{k}", 2) for k in range(1, n + 1)]
+                              + [(f"u{k}", 2) for k in range(2, n + 1)], p / p.sum())
+    c = rng.random((2,) * (2 * n))
+    c /= c.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+    chan = relaybound.Channel([(f"x{k}", 2) for k in range(1, n + 1)],
+                              [(f"y{k}", 2) for k in range(1, n + 1)], c)
+    inst = relaybound.DmInstance.from_parts(pin, chan, [n])
+    tracer = Tracer()
+    tracer.install(relaybound)
+    try:
+        relaybound.ddf_unicast_dm(inst, n)
+        tracer.end_job(1.0)
+    finally:
+        tracer.restore()
+    metrics = tracer.metrics()
+    calls = metrics["info.marginal_calls"]
+    assert calls > 0
+    assert metrics["info.marginal_cells"] < calls * inst.joint.probs.size
