@@ -258,7 +258,8 @@ class CutsetEstimate:
     ``estimate`` is the best min-over-cuts value found inside the searched
     covariance family, so it never exceeds the true cutset optimum;
     ``relaxed_upper`` is the always-valid min over cuts of the relaxed outer
-    bound.
+    bound.  ``evaluations`` counts the candidate covariances scored, however
+    many of them share one stacked kernel call.
     """
 
     estimate: RateBits
@@ -267,133 +268,101 @@ class CutsetEstimate:
     evaluations: int
 
 
+#: The rho refine: zoom levels, and points per level and profile.
+_LEVELS, _POINTS = 4, 8
+#: Perturbations of the incumbent per hill-climb round.
+_ROUND = 8
+
+
 def _corr_to_cov(corr: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Scale a correlation matrix (or a stack, with one power row each)."""
     d = np.sqrt(powers)
     return corr * (d[..., :, None] * d[..., None, :])
 
 
-def _structured_corr(n: int, rho: float, family: str) -> np.ndarray:
-    corr = np.eye(n)
-    if family == "all":
-        corr[:] = rho
-        np.fill_diagonal(corr, 1.0)
-    elif family == "relays":
-        if n > 2:
-            block = slice(1, n)
-            corr[block, block] = rho
-            np.fill_diagonal(corr, 1.0)
-    else:
-        raise ValueError(f"unknown correlation family {family!r}")
-    return corr
+def _rho_profiles(n: int, rhos: np.ndarray) -> np.ndarray:
+    """Correlation stacks of the two one-parameter profiles, shape
+    (2, m, n, n) for ``rhos`` of shape (2, m): rho between every pair of
+    relays 2..n, then rho between every pair of nodes."""
+    off = np.ones((2, n, n)) - np.eye(n)
+    off[0, 0, :] = off[0, :, 0] = 0.0
+    return np.eye(n) + off[:, None] * rhos[:, :, None, None]
 
 
 def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
-    """Shared search loop over the cuts of ``plan``: returns (best value,
-    best K, evaluations used).
+    """Shared search over the cuts of ``plan``: returns (best value, best K,
+    per-cut rates at K = diag(P), evaluations used).
 
-    The rho-grid and random phases score stacks of candidates, the golden
-    and hill-climb phases one candidate per kernel call.  Every phase keeps
-    the first candidate strictly better than the incumbent.
+    Each phase builds its candidates as one stack and scores it in one kernel
+    call per ``_STACK`` (candidate, cut) pairs: diag(P), the two rho-profile
+    grids, a bracket zoom on each profile's rho, random correlation factors,
+    and rounds of perturbations of the incumbent.  A stack is cut to the
+    budget left; the best candidate of a stack (first among ties) replaces
+    the incumbent when it is strictly better.
     """
     n = net.n
     powers = net.power.copy()
     chunk = max(1, _STACK // len(plan))
-
-    evals = 0
-
-    def values_of(ks: np.ndarray) -> list[float]:
-        nonlocal evals
-        evals += len(ks)
-        return [
-            v
-            for i in range(0, len(ks), chunk)
-            for v in _plan_rates(plan, ks[i : i + chunk]).min(axis=-1).tolist()
-        ]
-
-    def value_of(k: np.ndarray) -> float:
-        return values_of(k[None])[0]
-
     best_k = np.diag(powers)
-    best_v = value_of(best_k)
+    diag_terms = _plan_rates(plan, best_k[None])[0]
+    evals, best_v = 1, float(diag_terms.min())
 
-    families = ("relays", "all")
-    rho_grid = np.linspace(0.0, 0.992, 17)
-    for family in families:
-        rhos = rho_grid[: max(0, budget - evals)]
-        ks = np.array([_corr_to_cov(_structured_corr(n, rho, family), powers) for rho in rhos])
-        fam_best_rho, fam_best_v = 0.0, -math.inf
-        for rho, k, v in zip(rhos, ks, values_of(ks)):
-            if v > fam_best_v:
-                fam_best_rho, fam_best_v = rho, v
-            if v > best_v:
-                best_v, best_k = v, k
-        if evals + 40 <= budget:
-            # local refine of the correlation level around the grid winner
-            lo = max(0.0, fam_best_rho - 0.07)
-            hi = min(0.999, fam_best_rho + 0.07)
-            rho, v = _golden_rho(
-                lambda r: value_of(_corr_to_cov(_structured_corr(n, r, family), powers)),
-                lo,
-                hi,
-            )
-            if v > best_v:
-                best_v = v
-                best_k = _corr_to_cov(_structured_corr(n, rho, family), powers)
+    def score(ks: np.ndarray) -> np.ndarray:
+        nonlocal evals, best_v, best_k
+        ks = ks[: budget - evals]
+        if not len(ks):
+            return np.empty(0)
+        evals += len(ks)
+        values = np.concatenate(
+            [_plan_rates(plan, ks[i : i + chunk]).min(axis=-1) for i in range(0, len(ks), chunk)]
+        )
+        i = int(np.argmax(values))
+        if values[i] > best_v:
+            best_v, best_k = float(values[i]), ks[i]
+        return values
 
-    # random correlation factors, drawn trial by trial in the RNG's order
+    def profiles(rhos: np.ndarray) -> np.ndarray:
+        return score(_corr_to_cov(_rho_profiles(n, rhos), powers).reshape(-1, n, n))
+
+    grid = np.linspace(0.0, 0.992, 17)
+    values = profiles(np.stack([grid, grid]))
+    if evals + 2 * _LEVELS * _POINTS + 16 <= budget:
+        # zoom on each profile's rho around its grid winner, one call a level;
+        # only when it leaves 8 candidates per profile to the later phases
+        rho = grid[np.argmax(values.reshape(2, -1), axis=1)]
+        lo, hi = np.maximum(rho - 0.07, 0.0), np.minimum(rho + 0.07, 0.999)
+        for _ in range(_LEVELS):
+            rhos = np.linspace(lo, hi, _POINTS, axis=1)
+            step = (hi - lo) / (_POINTS - 1)
+            rho = rhos[[0, 1], np.argmax(profiles(rhos).reshape(2, -1), axis=1)]
+            lo, hi = np.maximum(rho - step, 0.0), np.minimum(rho + step, 0.999)
+
+    # random correlation factors, every second one at random power scalings
     rng = np.random.default_rng(seed)
-    random_budget = max(0, budget - evals - budget // 5)
-    for start in range(0, random_budget, chunk):
-        trials = range(start, min(start + chunk, random_budget))
-        factors = np.empty((len(trials), n, n + 1))
-        p = np.empty((len(trials), n))
-        for i, trial in enumerate(trials):
-            factors[i] = rng.standard_normal((n, n + 1))
-            p[i] = powers if trial % 2 == 0 else powers * rng.uniform(0.0, 1.0, n)
-        c = factors @ factors.swapaxes(-1, -2)
-        d = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
-        corr = c / (d[:, :, None] * d[:, None, :])
-        ks = _corr_to_cov(corr, np.maximum(p, powers * 1e-6))
-        for k, v in zip(ks, values_of(ks)):
-            if v > best_v:
-                best_v, best_k = v, k
+    m = max(0, budget - evals - budget // 5)
+    factors = rng.standard_normal((m, n, n + 1))
+    scaling = np.where(np.arange(m)[:, None] % 2 == 0, 1.0, rng.uniform(0.0, 1.0, (m, n)))
+    c = factors @ factors.swapaxes(-1, -2)
+    d = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
+    corr = c / (d[:, :, None] * d[:, None, :])
+    score(_corr_to_cov(corr, np.maximum(powers * scaling, powers * 1e-6)))
 
-    # hill-climb around the incumbent with shrinking perturbations
+    # hill-climb: rounds of perturbations of the incumbent, projected back
+    # onto the PSD cone and the power limits; shrink after a round that fails
     scale = 0.3
     while evals < budget:
-        jitter = rng.standard_normal((n, n))
-        delta = (jitter + jitter.T) * (scale * float(np.mean(powers)) / 2.0)
-        cand = best_k + delta
-        eig, vec = np.linalg.eigh(0.5 * (cand + cand.T))
-        cand = (vec * np.maximum(eig, 0.0)) @ vec.T
-        cand = 0.5 * (cand + cand.T)  # exactly symmetric, whatever the scale
-        diag = np.diag(cand)
+        jitter = rng.standard_normal((_ROUND, n, n))
+        cand = best_k + (jitter + jitter.swapaxes(-1, -2)) * (scale * float(np.mean(powers)) / 2.0)
+        eig, vec = np.linalg.eigh(0.5 * (cand + cand.swapaxes(-1, -2)))
+        cand = (vec * np.maximum(eig, 0.0)[:, None, :]) @ vec.swapaxes(-1, -2)
+        cand = 0.5 * (cand + cand.swapaxes(-1, -2))  # exactly symmetric, whatever the scale
+        diag = np.diagonal(cand, axis1=-2, axis2=-1)
         shrink = np.sqrt(np.minimum(1.0, powers / np.maximum(diag, 1e-12)))
-        cand = cand * np.outer(shrink, shrink)
-        v = value_of(cand)
-        if v > best_v:
-            best_v, best_k = v, cand
-        else:
-            scale = max(scale * 0.97, 0.01)
-    return best_v, best_k, evals
-
-
-def _golden_rho(f, lo: float, hi: float) -> tuple[float, float]:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(30):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        incumbent = best_v
+        score(cand * (shrink[:, :, None] * shrink[:, None, :]))
+        if best_v == incumbent:
+            scale = max(scale * 0.97**_ROUND, 0.01)
+    return best_v, best_k, diag_terms, evals
 
 
 def cutset_estimate(
@@ -404,17 +373,17 @@ def cutset_estimate(
     The searched family (full-power diagonal, one-parameter correlation
     profiles, random correlation factors, local hill-climbing) always contains
     K = diag(P), so the estimate is at least the easy diagonal value, and it
-    is always a lower bound on the true cutset optimum.
+    is always a lower bound on the true cutset optimum.  ``budget`` caps the
+    candidate covariances scored, which the search scores in stacks; the
+    result reports their count as ``evaluations``.
     """
     if dest < 2 or dest > net.n:
         raise ValueError(f"destination {dest} must lie in 2..{net.n}")
     if budget < 1:
         raise ValueError("budget must be positive")
     cuts = enumerate_cuts(net.n, {dest}, "unicast")
-    plan = _cut_plan(net, cuts)
-    best_v, best_k, evals = _search_cov(net, plan, budget, seed)
-    terms = _plan_rates(plan, np.diag(net.power)).tolist()
-    relaxed = min(t + len(cut.s) / 2.0 for t, cut in zip(terms, cuts))
+    best_v, best_k, terms, evals = _search_cov(net, _cut_plan(net, cuts), budget, seed)
+    relaxed = min(t + len(cut.s) / 2.0 for t, cut in zip(terms.tolist(), cuts))
     return CutsetEstimate(best_v, relaxed, best_k, evals)
 
 
@@ -432,10 +401,9 @@ def cutset_estimate_region(
     dims = net.destinations
     cuts = enumerate_cuts(net.n, dims, "broadcast")
     plan = _cut_plan(net, cuts)
-    _, best_k, _ = _search_cov(net, plan, budget, seed)
+    _, best_k, terms, _ = _search_cov(net, plan, budget, seed)
     at_best = _plan_rates(plan, best_k).tolist()
-    terms = _plan_rates(plan, np.diag(net.power)).tolist()
-    relaxed = [t + len(cut.s) / 2.0 for t, cut in zip(terms, cuts)]
+    relaxed = [t + len(cut.s) / 2.0 for t, cut in zip(terms.tolist(), cuts)]
     return region_from_cuts(dims, cuts, at_best), region_from_cuts(dims, cuts, relaxed)
 
 

@@ -25,8 +25,10 @@ MAX_ENUM_NODES = 24
 
 
 def _int_set(values: Iterable, what: str) -> tuple[int, ...]:
-    """Sorted distinct ints of ``values``, each checked by ``as_int``."""
-    return tuple(sorted({as_int(v, f"{what}[{i}]") for i, v in enumerate(values)}))
+    """Sorted distinct ints of ``values``; each one that is not a plain int
+    is checked by ``as_int``."""
+    return tuple(sorted({v if type(v) is int else as_int(v, f"{what}[{i}]")
+                         for i, v in enumerate(values)}))
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,7 @@ class Cut:
     n: int
 
     def __init__(self, s: Iterable[int], n: int):
-        s = tuple(sorted(set(int(k) for k in s)))
+        s, n = _int_set(s, "s"), as_int(n, "n")
         if n < 2:
             raise ValueError(f"need n >= 2 nodes, got {n}")
         if 1 not in s:
@@ -45,7 +47,7 @@ class Cut:
         if s and (s[0] < 1 or s[-1] > n):
             raise ValueError(f"cut {s} has nodes outside 1..{n}")
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
 
     @property
     def complement(self) -> tuple[int, ...]:

@@ -40,6 +40,22 @@ def test_cut_validation():
         Cut([1], 1)
 
 
+@pytest.mark.parametrize("s, n, field", [
+    ([1, 2.5], 3, r"s\[1\]: expected an integer, got 2.5"),
+    ([1, 2], 3.7, "n: expected an integer, got 3.7"),
+    ([1, True], 3, r"s\[1\]: expected an integer, got True"),
+])
+def test_cut_rejects_non_integral_ints(s, n, field):
+    with pytest.raises(SchemaError, match=field):
+        Cut(s, n)
+
+
+def test_cut_accepts_integral_numbers():
+    c = Cut([1.0, np.int64(3)], 3.0)
+    assert c.s == (1, 3) and c.n == 3
+    assert type(c.n) is int and all(type(k) is int for k in c.s)
+
+
 def test_enumerate_cuts_unicast():
     cuts = enumerate_cuts(3, [3], "unicast")
     assert [c.s for c in cuts] == [(1,), (1, 2)]

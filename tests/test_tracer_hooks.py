@@ -65,3 +65,22 @@ def test_tracer_sees_lattice_reductions_through_marginal():
     calls = metrics["info.marginal_calls"]
     assert calls > 0
     assert metrics["info.marginal_cells"] < calls * inst.joint.probs.size
+
+
+def test_tracer_sees_one_kernel_call_per_candidate_stack():
+    # The covariance search scores each phase's candidates as stacks through
+    # gaussian.log_det_rate: 200 candidates over 8 unicast cuts take a dozen
+    # kernel calls, not one per candidate.
+    g = np.random.default_rng(4).lognormal(0.0, 1.0, (5, 5))
+    np.fill_diagonal(g, 0.0)
+    net = relaybound.GaussianNetwork(5, g, 10.0, [5])
+    tracer = Tracer()
+    tracer.install(relaybound)
+    try:
+        relaybound.gaussian.cutset_estimate(net, 5, budget=200)
+        tracer.end_job(1.0)
+    finally:
+        tracer.restore()
+    metrics = tracer.metrics()
+    assert metrics["gaussian.search_evals"] == 200
+    assert metrics["info.log_det_calls"] <= 16
