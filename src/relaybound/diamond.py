@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import as_int
 from .info import RateBits, gauss_c
 from .networks import GaussianNetwork
 from .optimize import Box, golden_max, grid_then_refine
@@ -121,6 +122,7 @@ def ddf_diamond_opt(
     cfg: DiamondConfig, budget: int = 6000
 ) -> tuple[RateBits, DdfParams]:
     """DDF rate maximized over DdfParams by a deterministic search."""
+    budget = as_int(budget, "budget")
     grid = 16 if budget >= 16**3 else max(2, round(budget ** (1 / 3)))
     box = Box(
         [
@@ -172,6 +174,7 @@ def nnc_diamond_opt(
 ) -> tuple[RateBits, tuple[float, float]]:
     """NNC rate maximized over the two quantizer variances by a deterministic
     search."""
+    budget = as_int(budget, "budget")
     grid = 24 if budget >= 24**2 else max(2, round(math.sqrt(budget)))
     box = Box(
         [

@@ -23,17 +23,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, TensorCapError, as_int
-from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits, entropy, mutual_info
-from .networks import (
-    Cut,
-    DeterministicNetwork,
-    GraphicalNetwork,
-    MAX_ENUM_NODES,
-    _int_set,
-    enumerate_cuts,
-)
-from .regions import RateRegion, RegionConstraint, region_from_cuts
+from .errors import (
+    SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, load_json_object)
+from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits, checked_tensor, entropy, mutual_info
+from .networks import Cut, DeterministicNetwork, GraphicalNetwork, MAX_ENUM_NODES, enumerate_cuts
+from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from_cuts
 
 #: Fixed-point scale for the max-flow oracle (capacities in 1/2^20 units).
 FLOW_SCALE = 1 << 20
@@ -56,28 +50,17 @@ class Channel:
     probs: np.ndarray
 
     def __init__(self, given, out, probs):
-        given = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in given)
-        out = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in out)
-        names = [n for n, _ in given] + [n for n, _ in out]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in channel: {names}")
+        given, out = tuple(given), tuple(out)
         if not out:
             raise ValueError("channel needs at least one output variable")
-        shape = tuple(s for _, s in given) + tuple(s for _, s in out)
-        arr = np.asarray(probs, dtype=float).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("channel probabilities must be finite")
-        if np.any(arr < 0):
-            raise ValueError("channel probabilities must be nonnegative")
-        in_cells = math.prod(s for _, s in given) if given else 1
-        rows = arr.reshape(in_cells, -1).sum(axis=1)
+        variables, arr = checked_tensor(given + out, probs)
+        given, out = variables[: len(given)], variables[len(given) :]
+        rows = arr.reshape(math.prod(s for _, s in given), -1).sum(axis=1)
         worst = float(np.max(np.abs(rows - 1.0)))
         if worst > 1e-9:
             raise ValueError(
                 f"channel rows must sum to 1 (worst deviation {worst:.2e})"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "out", out)
         object.__setattr__(self, "probs", arr)
@@ -129,9 +112,7 @@ class DmInstance:
             raise ValueError(
                 f"joint must use the canonical variable list for n = {n}"
             )
-        dests = _int_set(destinations, "destinations")
-        if any(d < 2 or d > n for d in dests):
-            raise ValueError(f"destinations {dests} must lie in 2..{n}")
+        dests = as_nodes(destinations, n, "destinations", first=2)
         q_vars = tuple(q_vars)
         for name in q_vars:
             joint.axis_of(name)
@@ -199,7 +180,7 @@ class DmInstance:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"joint mass is {total}, expected 1")
-        joint = JointPmf(canonical, probs / total)
+        joint = JointPmf._trusted(tuple(canonical), probs / total)
         if q_vars is None:
             q_vars = ("q",)
         return cls(joint, n, destinations, q_vars)
@@ -264,8 +245,7 @@ def _cut_terms(inst: DmInstance, cut: Cut, dest: int | None) -> CutTerms:
 
 def ddf_unicast_dm(inst: DmInstance, dest: int) -> tuple[RateBits, list[CutTerms]]:
     """Achievable rate to one destination plus the per-cut breakdown."""
-    if dest < 2 or dest > inst.n:
-        raise ValueError(f"destination {dest} must lie in 2..{inst.n}")
+    dest = as_node(dest, inst.n, "dest", first=2)
     terms = [
         _cut_terms(inst, cut, dest)
         for cut in enumerate_cuts(inst.n, {dest}, "unicast")
@@ -275,7 +255,7 @@ def ddf_unicast_dm(inst: DmInstance, dest: int) -> tuple[RateBits, list[CutTerms
 
 def ddf_multicast_dm(inst: DmInstance, dests: Iterable[int]) -> RateBits:
     """Common-message rate: the worst destination's unicast bound."""
-    dests = sorted(set(int(d) for d in dests))
+    dests = as_nodes(dests, inst.n, "dests", first=2)
     if not dests:
         raise ValueError("need at least one destination")
     return min(ddf_unicast_dm(inst, d)[0] for d in dests)
@@ -312,8 +292,8 @@ def cutset_dm(
     q_vars: Sequence[str] | None = None,
 ) -> RateBits | RateRegion:
     """Cutset outer bound at a fixed input pmf: I(X(S); Y(S^c) | X(S^c), Q)."""
-    dests = sorted(set(int(d) for d in dests))
     inst = DmInstance.from_parts(input_pmf, channel, dests, q_vars)
+    dests = inst.destinations
 
     def cut_value(cut: Cut) -> float:
         far = cut.complement
@@ -371,7 +351,7 @@ def deterministic_inner(
     per cut, which the general machinery reproduces by choosing each node's
     description to be its own observation.
     """
-    dests = sorted(set(int(d) for d in dests))
+    dests = as_nodes(dests, net.n, "dests", first=2)
     outs, (probs,) = _det_scatter(net, input_pmf, input_pmf.probs)
     joint = JointPmf(list(input_pmf.variables) + [(f"y{k}", s) for k, s in outs], probs)
 
@@ -451,6 +431,7 @@ def simplex_grid(cells: int, resolution: int) -> np.ndarray:
     Rows are in lexicographic order.  Intended for sweeping at most a few
     free variables; larger alphabets are refused.
     """
+    cells, resolution = as_int(cells, "cells"), as_int(resolution, "resolution")
     if cells < 1 or cells > 4:
         raise ValueError("simplex_grid supports 1..4 cells")
     if resolution < 1:
@@ -498,13 +479,13 @@ class ConferencingRegion:
     _r3_caps: np.ndarray
     _sum_caps: np.ndarray
 
-    def contains(self, r2: float, r3: float, slack: float = 1e-9) -> bool:
+    def contains(self, r2: float, r3: float) -> bool:
         if r2 < 0 or r3 < 0:
             raise ValueError("rates must be nonnegative")
         ok = (
-            (r2 <= self._r2_caps + slack)
-            & (r3 <= self._r3_caps + slack)
-            & (r2 + r3 <= self._sum_caps + slack)
+            (r2 <= self._r2_caps + MEMBERSHIP_SLACK)
+            & (r3 <= self._r3_caps + MEMBERSHIP_SLACK)
+            & (r2 + r3 <= self._sum_caps + MEMBERSHIP_SLACK)
         )
         return bool(np.any(ok))
 
@@ -548,8 +529,12 @@ def conferencing_dbc_region(
     """
     if not (c23 >= 0 and c32 >= 0):  # also rejects NaN
         raise ValueError("conferencing capacities must be nonnegative")
-    y2_map = [int(v) for v in y2_map]
-    y3_map = [int(v) for v in y3_map]
+    y2_map = [as_int(v, f"y2_map[{i}]") for i, v in enumerate(y2_map)]
+    y3_map = [as_int(v, f"y3_map[{i}]") for i, v in enumerate(y3_map)]
+    for what, table in (("y2_map", y2_map), ("y3_map", y3_map)):
+        if min(table, default=0) < 0:
+            raise SchemaError(f"{what}: output symbols must be nonnegative, got {table}")
+    grid_res = as_int(grid_res, "grid_res")
     if len(y2_map) != len(y3_map) or not y2_map:
         raise ValueError("output maps must be nonempty and equally long")
     m = len(y2_map)
@@ -614,8 +599,7 @@ def blackwell_region(c23: float, c32: float, grid_res: int = 996) -> Conferencin
 
 def graphical_mincut(net: GraphicalNetwork, dest: int) -> float:
     """Minimum over cuts of the total capacity leaving the source side."""
-    if dest < 2 or dest > net.n:
-        raise ValueError(f"destination {dest} must lie in 2..{net.n}")
+    dest = as_node(dest, net.n, "dest", first=2)
     if net.n > MAX_ENUM_NODES:
         raise ValueError(f"refusing to enumerate cuts for n = {net.n}")
     others = [k for k in range(2, net.n + 1) if k != dest]
@@ -631,8 +615,7 @@ def graphical_mincut(net: GraphicalNetwork, dest: int) -> float:
 def maxflow_oracle(net: GraphicalNetwork, dest: int) -> float:
     """Max flow from node 1 to dest by augmenting paths on a scaled-integer
     copy of the capacities (so the arithmetic is exact)."""
-    if dest < 2 or dest > net.n:
-        raise ValueError(f"destination {dest} must lie in 2..{net.n}")
+    dest = as_node(dest, net.n, "dest", first=2)
     n = net.n
     residual = [[0] * (n + 1) for _ in range(n + 1)]
     for u, v, c in net.edges:
@@ -726,11 +709,9 @@ def constraint_repair(inst: DmInstance, a_set: Iterable[int]) -> DmInstance:
     contains.  All marginals of the retained variables are unchanged, and no
     cut's functional decreases below its old minimum.
     """
-    a = sorted(set(int(k) for k in a_set))
+    a = as_nodes(a_set, inst.n, "a_set")
     if 1 not in a:
         raise ValueError("the repaired cut must contain the source node 1")
-    if any(k < 1 or k > inst.n for k in a):
-        raise ValueError(f"nodes {a} outside 1..{inst.n}")
     far = [k for k in range(1, inst.n + 1) if k not in a]
     if not far:
         raise ValueError("the repaired cut must have a nonempty far side")
@@ -741,10 +722,10 @@ def constraint_repair(inst: DmInstance, a_set: Iterable[int]) -> DmInstance:
     shape = tuple(
         1 if name in drop else size for name, size in inst.joint.variables
     )
-    variables = [
+    variables = tuple(
         (name, 1 if name in drop else size) for name, size in inst.joint.variables
-    ]
-    joint = JointPmf(variables, marg.reshape(shape))
+    )
+    joint = JointPmf._trusted(variables, marg.reshape(shape))
     q_vars = tuple(dict.fromkeys(list(inst.q_vars) + [f"x{k}" for k in far]))
     return DmInstance(joint, inst.n, inst.destinations, q_vars)
 
@@ -763,56 +744,48 @@ def pmf_to_dict(pmf: JointPmf, q_vars: Sequence[str] = ()) -> dict:
     return doc
 
 
-def _vars_from_doc(doc: dict, path: str) -> list[tuple[str, int]]:
+def _vars_from_doc(doc: dict) -> list[tuple[str, int]]:
     vars_doc = doc.get("vars")
     if not isinstance(vars_doc, list) or not vars_doc:
-        raise SchemaError(f"{path}vars: expected a nonempty list")
+        raise SchemaError("vars: expected a nonempty list")
     out = []
     for i, v in enumerate(vars_doc):
         if not isinstance(v, dict):
-            raise SchemaError(f"{path}vars[{i}]: expected an object")
+            raise SchemaError(f"vars[{i}]: expected an object")
         name = v.get("name")
-        size = v.get("size")
         if not isinstance(name, str):
-            raise SchemaError(f"{path}vars[{i}].name: expected a string")
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise SchemaError(f"{path}vars[{i}].size: expected a positive integer")
+            raise SchemaError(f"vars[{i}].name: expected a string")
+        size = as_int(v.get("size"), f"vars[{i}].size")
+        if size < 1:
+            raise SchemaError(f"vars[{i}].size: expected a positive integer")
         out.append((name, size))
     return out
 
 
-def _probs_from_doc(doc: dict, cells: int, path: str) -> list[float]:
+def _probs_from_doc(doc: dict, cells: int) -> list[float]:
     probs = doc.get("probs")
     if not isinstance(probs, list):
-        raise SchemaError(f"{path}probs: expected a flat list")
+        raise SchemaError("probs: expected a flat list")
     if len(probs) != cells:
-        raise SchemaError(f"{path}probs: expected {cells} entries, got {len(probs)}")
-    for i, p in enumerate(probs):
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise SchemaError(f"{path}probs[{i}]: expected a number")
-    return [float(p) for p in probs]
+        raise SchemaError(f"probs: expected {cells} entries, got {len(probs)}")
+    return [as_number(p, f"probs[{i}]") for i, p in enumerate(probs)]
 
 
 def load_pmf(path: str | Path) -> tuple[JointPmf, tuple[str, ...]]:
     """Read a pmf file; returns the pmf and its declared time-sharing names."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    variables = _vars_from_doc(doc, "")
+    return load_json_object(path, _pmf_from_doc)
+
+
+def _pmf_from_doc(doc: dict) -> tuple[JointPmf, tuple[str, ...]]:
+    variables = _vars_from_doc(doc)
     cells = math.prod(s for _, s in variables)
     if cells > CELL_CAP:
         raise TensorCapError(f"pmf needs {cells} cells, above the cap {CELL_CAP}")
-    probs = _probs_from_doc(doc, cells, "")
+    probs = _probs_from_doc(doc, cells)
     q_vars = doc.get("q_vars", [])
     if not isinstance(q_vars, list) or not all(isinstance(q, str) for q in q_vars):
         raise SchemaError("q_vars: expected a list of variable names")
-    try:
-        pmf = JointPmf(variables, np.array(probs))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    pmf = JointPmf(variables, np.array(probs))
     names = set(pmf.names)
     for q in q_vars:
         if q not in names:
@@ -827,13 +800,11 @@ def save_pmf(pmf: JointPmf, path: str | Path, q_vars: Sequence[str] = ()) -> Non
 
 
 def load_channel(path: str | Path) -> Channel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    variables = _vars_from_doc(doc, "")
+    return load_json_object(path, _channel_from_doc)
+
+
+def _channel_from_doc(doc: dict) -> Channel:
+    variables = _vars_from_doc(doc)
     given_names = doc.get("given")
     if not isinstance(given_names, list) or not all(
         isinstance(g, str) for g in given_names
@@ -849,8 +820,4 @@ def load_channel(path: str | Path) -> Channel:
     if [n for n, _ in ordered] != names:
         raise SchemaError("vars: conditioning variables must precede outputs")
     cells = math.prod(s for _, s in variables)
-    probs = _probs_from_doc(doc, cells, "")
-    try:
-        return Channel(given, out, np.array(probs))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return Channel(given, out, np.array(_probs_from_doc(doc, cells)))

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import as_int, as_node
 from .info import RateBits, log_det_rate
 from .networks import Cut, GaussianNetwork, cut_submatrix, enumerate_cuts, received_snr
 from .regions import RateRegion, region_from_cuts
@@ -226,6 +227,7 @@ def ddf_unicast_cut_rate(net: GaussianNetwork, cut: Cut, dest: int) -> RateBits:
     compressed description and its own channel output), then the usual
     far-side penalties are charged."""
     far = _check_cut(net, cut)
+    dest = as_node(dest, net.n, "dest", first=2)
     if dest not in far:
         raise ValueError(f"destination {dest} must lie on the far side of {cut.s}")
     return _full_power_rates(net, [cut], dest)[0] - _penalty_sums(net, [cut])[0]
@@ -233,8 +235,7 @@ def ddf_unicast_cut_rate(net: GaussianNetwork, cut: Cut, dest: int) -> RateBits:
 
 def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
     """Achievable rate to a single destination: minimum over unicast cuts."""
-    if dest < 2 or dest > net.n:
-        raise ValueError(f"destination {dest} must lie in 2..{net.n}")
+    dest = as_node(dest, net.n, "dest", first=2)
     cuts = enumerate_cuts(net.n, {dest}, "unicast")
     terms = _full_power_rates(net, cuts, dest)
     return min(t - p for t, p in zip(terms, _penalty_sums(net, cuts)))
@@ -300,6 +301,9 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     budget left; the best candidate of a stack (first among ties) replaces
     the incumbent when it is strictly better.
     """
+    budget = as_int(budget, "budget")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     n = net.n
     powers = net.power.copy()
     chunk = max(1, _STACK // len(plan))
@@ -377,10 +381,7 @@ def cutset_estimate(
     candidate covariances scored, which the search scores in stacks; the
     result reports their count as ``evaluations``.
     """
-    if dest < 2 or dest > net.n:
-        raise ValueError(f"destination {dest} must lie in 2..{net.n}")
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    dest = as_node(dest, net.n, "dest", first=2)
     cuts = enumerate_cuts(net.n, {dest}, "unicast")
     best_v, best_k, terms, evals = _search_cov(net, _cut_plan(net, cuts), budget, seed)
     relaxed = min(t + len(cut.s) / 2.0 for t, cut in zip(terms.tolist(), cuts))
@@ -396,8 +397,6 @@ def cutset_estimate_region(
     covariance maximizes the worst cut); the second is certified valid for
     every admissible covariance.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
     dims = net.destinations
     cuts = enumerate_cuts(net.n, dims, "broadcast")
     plan = _cut_plan(net, cuts)

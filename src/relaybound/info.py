@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TensorCapError, as_int
+from .errors import SchemaError, TensorCapError, as_int
 
 #: Probabilities strictly below this are treated as exact zeros.
 ZERO_EPS = 1e-15
@@ -32,7 +32,7 @@ ZERO_EPS = 1e-15
 #: Tolerance on |sum(probs) - 1| at construction time.
 SUM_TOL = 1e-12
 
-#: Default cap on joint tensor size, in cells.
+#: Cap on a pmf or channel tensor's size, in cells.
 CELL_CAP = 10_000_000
 
 #: Rates are plain floats measured in bits per channel use.
@@ -77,6 +77,34 @@ def binary_entropy(p: float) -> RateBits:
     return ternary_entropy(p, 0.0)
 
 
+def checked_tensor(variables: Sequence[tuple[str, int]], probs) -> tuple[tuple, np.ndarray]:
+    """``variables`` as (name, size) pairs, sizes integers >= 1 and names
+    distinct, and ``probs`` as a finite, nonnegative, read-only float copy
+    with one axis each; the cell cap is checked before ``probs`` is read."""
+    variables = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in variables)
+    names = [n for n, _ in variables]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate variable names in {names}")
+    for name, size in variables:
+        if size < 1:
+            raise SchemaError(f"variable {name!r} has alphabet size {size} < 1")
+    shape = tuple(s for _, s in variables)
+    cells = math.prod(shape)
+    if cells > CELL_CAP:
+        raise TensorCapError(
+            f"joint tensor would need {cells} cells, cap is {CELL_CAP}; "
+            "reduce alphabet sizes"
+        )
+    arr = np.asarray(probs, dtype=float).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("probabilities must be finite")
+    if np.any(arr < 0):
+        raise ValueError("probabilities must be nonnegative")
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return variables, arr
+
+
 @dataclass(frozen=True, eq=False)
 class JointPmf:
     """A joint pmf over named finite variables, stored as a dense tensor.
@@ -92,36 +120,11 @@ class JointPmf:
     variables: tuple[tuple[str, int], ...]
     probs: np.ndarray = field(repr=False)
 
-    def __init__(
-        self,
-        variables: Sequence[tuple[str, int]],
-        probs: np.ndarray,
-        cell_cap: int = CELL_CAP,
-    ):
-        variables = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in variables)
-        names = [n for n, _ in variables]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
-        for name, size in variables:
-            if size < 1:
-                raise ValueError(f"variable {name!r} has alphabet size {size} < 1")
-        shape = tuple(s for _, s in variables)
-        cells = math.prod(shape) if shape else 1
-        if cells > cell_cap:
-            raise TensorCapError(
-                f"joint tensor would need {cells} cells, cap is {cell_cap}; "
-                "reduce alphabet sizes"
-            )
-        arr = np.asarray(probs, dtype=float).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probabilities must be finite")
-        if np.any(arr < 0):
-            raise ValueError("probabilities must be nonnegative")
+    def __init__(self, variables: Sequence[tuple[str, int]], probs: np.ndarray):
+        variables, arr = checked_tensor(variables, probs)
         total = float(np.sum(arr))
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1 +/- {SUM_TOL}")
-        arr = arr.copy()
-        arr.flags.writeable = False
         self._set(variables, arr)
 
     def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> None:
@@ -134,8 +137,10 @@ class JointPmf:
 
     @classmethod
     def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf:
-        """A pmf over parts that are valid already (a marginal of a valid
-        pmf), built without re-validation."""
+        """A pmf over parts that are valid already, built without
+        re-validation: ``probs`` is made from checked pmfs (a marginal, or a
+        product whose sum the caller checked) and is set read-only here."""
+        probs.flags.writeable = False
         pmf = object.__new__(cls)
         pmf._set(variables, probs)
         return pmf

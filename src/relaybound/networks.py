@@ -17,18 +17,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, as_int
+from .errors import (
+    SchemaError, as_int, as_int_set, as_node, as_nodes, as_number, load_json_object)
 
 #: Cut enumeration is exhaustive; beyond this many nodes callers must supply
 #: explicit cut lists.
 MAX_ENUM_NODES = 24
-
-
-def _int_set(values: Iterable, what: str) -> tuple[int, ...]:
-    """Sorted distinct ints of ``values``; each one that is not a plain int
-    is checked by ``as_int``."""
-    return tuple(sorted({v if type(v) is int else as_int(v, f"{what}[{i}]")
-                         for i, v in enumerate(values)}))
 
 
 @dataclass(frozen=True)
@@ -39,13 +33,12 @@ class Cut:
     n: int
 
     def __init__(self, s: Iterable[int], n: int):
-        s, n = _int_set(s, "s"), as_int(n, "n")
+        n = as_int(n, "n")
         if n < 2:
             raise ValueError(f"need n >= 2 nodes, got {n}")
+        s = as_nodes(s, n, "s")
         if 1 not in s:
             raise ValueError(f"cut {s} must contain the source node 1")
-        if s and (s[0] < 1 or s[-1] > n):
-            raise ValueError(f"cut {s} has nodes outside 1..{n}")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "n", n)
 
@@ -90,11 +83,9 @@ class GaussianNetwork:
             raise ValueError(f"power must be finite, got {p.tolist()}")
         if np.any(p <= 0):
             raise ValueError(f"power must be positive, got {p.tolist()}")
-        dests = _int_set(destinations, "destinations")
+        dests = as_nodes(destinations, n, "destinations", first=2)
         if not dests:
             raise ValueError("destinations must be nonempty")
-        if any(d < 2 or d > n for d in dests):
-            raise ValueError(f"destinations {dests} must lie in 2..{n}")
         g = g.copy()
         g.flags.writeable = False
         p = p.copy()
@@ -140,9 +131,7 @@ class DeterministicNetwork:
         shape = alphabets
         fixed: dict[int, np.ndarray] = {}
         for k, table in maps.items():
-            k = as_int(k, f"maps[{k!r}] node")
-            if k < 2 or k > n:
-                raise ValueError(f"output map for node {k} outside 2..{n}")
+            k = as_node(k, n, f"maps[{k!r}] node", first=2)
             vals = np.asarray(table, dtype=float).reshape(shape)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"map y{k} symbols must be finite")
@@ -156,9 +145,7 @@ class DeterministicNetwork:
         for k in range(2, n + 1):
             if k not in fixed:
                 raise ValueError(f"missing output map for node {k}")
-        dests = _int_set(destinations, "destinations")
-        if any(d < 2 or d > n for d in dests):
-            raise ValueError(f"destinations {dests} must lie in 2..{n}")
+        dests = as_nodes(destinations, n, "destinations", first=2)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "alphabets", alphabets)
         object.__setattr__(self, "maps", fixed)
@@ -197,7 +184,7 @@ class GraphicalNetwork:
                 raise ValueError(f"edge ({u}, {v}) has negative capacity {cap}")
             norm.append((u, v, cap))
             hi = max(hi, u, v)
-        dests = _int_set(destinations, "destinations")
+        dests = as_int_set(destinations, "destinations")
         if not dests:
             raise ValueError("destinations must be nonempty")
         hi = max(hi, max(dests))
@@ -217,14 +204,13 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
     unicast: the single destination must lie on the far side of every cut.
     broadcast: at least one destination on the far side.
     """
+    n = as_int(n, "n")
     if n > MAX_ENUM_NODES:
         raise ValueError(
             f"refusing to enumerate 2^{n - 1} cuts for n = {n} > {MAX_ENUM_NODES}; "
             "pass explicit cut lists instead"
         )
-    dests = sorted(set(int(d) for d in destinations))
-    if any(d < 2 or d > n for d in dests):
-        raise ValueError(f"destinations {dests} must lie in 2..{n}")
+    dests = as_nodes(destinations, n, "destinations", first=2)
     if mode == "unicast":
         if len(dests) != 1:
             raise ValueError(f"unicast mode needs exactly one destination, got {dests}")
@@ -248,8 +234,8 @@ def gain_submatrix(
     net: GaussianNetwork, rx_nodes: Sequence[int], tx_nodes: Sequence[int]
 ) -> np.ndarray:
     """Gain block g[k][j] for receivers k in rx_nodes, transmitters j in tx_nodes."""
-    rx = [int(k) - 1 for k in rx_nodes]
-    tx = [int(j) - 1 for j in tx_nodes]
+    rx = [as_node(k, net.n, f"rx_nodes[{i}]") - 1 for i, k in enumerate(rx_nodes)]
+    tx = [as_node(j, net.n, f"tx_nodes[{i}]") - 1 for i, j in enumerate(tx_nodes)]
     return net.gains[np.ix_(rx, tx)]
 
 
@@ -257,14 +243,12 @@ def cut_submatrix(net: GaussianNetwork, cut: Cut) -> np.ndarray:
     """The |S^c| x |S| block mapping X(S) into the far-side observations."""
     if cut.n != net.n:
         raise ValueError(f"cut is over {cut.n} nodes, network has {net.n}")
-    return gain_submatrix(net, cut.complement, cut.s)
+    return net.gains[np.ix_([k - 1 for k in cut.complement], [j - 1 for j in cut.s])]
 
 
 def received_snr(net: GaussianNetwork, k: int) -> float:
     """S_k = sum_{j != k} g_kj^2 P_j, the full-power received SNR at node k."""
-    if k < 1 or k > net.n:
-        raise ValueError(f"node {k} outside 1..{net.n}")
-    row = net.gains[k - 1]
+    row = net.gains[as_node(k, net.n, "k") - 1]
     return float(np.dot(row * row, net.power))
 
 
@@ -280,9 +264,7 @@ def _require(obj: dict, key: str, kind, path: str):
     if kind is int:
         return as_int(val, f"{path}{key}")
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise SchemaError(f"{path}{key}: expected a number, got {type(val).__name__}")
-        return float(val)
+        return as_number(val, f"{path}{key}")
     if not isinstance(val, kind):
         raise SchemaError(f"{path}{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
@@ -320,6 +302,8 @@ def network_to_dict(net) -> dict:
 
 
 def network_from_dict(doc: dict):
+    """The network a model document describes.  A malformed field raises
+    SchemaError naming its path; a constructor's own check, ValueError."""
     model = _require(doc, "model", str, "")
     if model == "gaussian":
         n = _require(doc, "n", int, "")
@@ -330,23 +314,17 @@ def network_from_dict(doc: dict):
             if not isinstance(row, list) or len(row) != n:
                 raise SchemaError(f"gains[{i}]: expected a row of {n} numbers")
             for j, v in enumerate(row):
-                if not isinstance(v, (int, float)) or isinstance(v, bool):
-                    raise SchemaError(f"gains[{i}][{j}]: expected a number")
-                if i == j and v != 0:
+                if as_number(v, f"gains[{i}][{j}]") != 0 and i == j:
                     raise SchemaError(f"gains[{i}][{j}]: diagonal entries must be 0")
         power = doc.get("power")
         if isinstance(power, list):
-            if len(power) != n or not all(
-                isinstance(p, (int, float)) and not isinstance(p, bool) for p in power
-            ):
+            if len(power) != n:
                 raise SchemaError(f"power: expected a number or {n} numbers")
+            power = [as_number(p, f"power[{i}]") for i, p in enumerate(power)]
         else:
             power = _require(doc, "power", float, "")
         dests = _require(doc, "destinations", list, "")
-        try:
-            return GaussianNetwork(n, np.array(gains, float), power, dests)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        return GaussianNetwork(n, np.array(gains, float), power, dests)
     if model == "deterministic":
         alphabets = _require(doc, "alphabets", list, "")
         maps_doc = _require(doc, "maps", dict, "")
@@ -354,16 +332,11 @@ def network_from_dict(doc: dict):
         for key, table in maps_doc.items():
             if not key.startswith("y") or not key[1:].isdigit():
                 raise SchemaError(f"maps.{key}: keys must look like 'y2'")
-            if not isinstance(table, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in table
-            ):
+            if not isinstance(table, list):
                 raise SchemaError(f"maps.{key}: expected a flat list of symbols")
-            maps[int(key[1:])] = table
-        try:
-            dests = _require(doc, "destinations", list, "") if "destinations" in doc else ()
-            return DeterministicNetwork(alphabets, maps, dests)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+            maps[int(key[1:])] = [as_number(v, f"maps.{key}[{i}]") for i, v in enumerate(table)]
+        dests = _require(doc, "destinations", list, "") if "destinations" in doc else ()
+        return DeterministicNetwork(alphabets, maps, dests)
     if model == "graphical":
         edges_doc = _require(doc, "edges", list, "")
         edges = []
@@ -375,10 +348,7 @@ def network_from_dict(doc: dict):
             cap = _require(e, "cap", float, f"edges[{i}].")
             edges.append((u, v, cap))
         dests = _require(doc, "destinations", list, "")
-        try:
-            return GraphicalNetwork(edges, dests, n=doc.get("n"))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        return GraphicalNetwork(edges, dests, n=doc.get("n"))
     raise SchemaError(f"model: unknown model {model!r}")
 
 
@@ -387,10 +357,5 @@ def save_network(net, path: str | Path) -> None:
 
 
 def load_network(path: str | Path):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object at top level")
-    return network_from_dict(doc)
+    """The network in a model file; every error in it is a SchemaError."""
+    return load_json_object(path, network_from_dict)

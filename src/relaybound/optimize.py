@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, UnboundedError
+from .errors import InfeasibleError, UnboundedError, as_int
 
 log = logging.getLogger(__name__)
 
@@ -77,6 +77,8 @@ def grid_then_refine(
     The returned value is never below the best grid value.  The procedure is
     fully deterministic.
     """
+    grid_per_dim = as_int(grid_per_dim, "grid_per_dim")
+    refine_budget = as_int(refine_budget, "refine_budget")
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be >= 1")
     dims = box.dims

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import as_int
 from .networks import Cut
 # bisect_feasible is unused here; the benchmark's tracer wraps it by this name.
 from .optimize import bisect_feasible, simplex_lp_max  # noqa: F401
@@ -36,7 +37,7 @@ class RateRegion:
     constraints: tuple[RegionConstraint, ...]
 
     def __init__(self, dims: Sequence[int], constraints: Sequence[RegionConstraint]):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(as_int(d, f"dims[{i}]") for i, d in enumerate(dims))
         if not dims:
             raise ValueError("a region needs at least one rate dimension")
         for c in constraints:

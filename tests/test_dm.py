@@ -639,7 +639,7 @@ def test_blackwell_boundary_is_a_frontier():
     assert all(x < y for x, y in zip(r2s, r2s[1:]))
     assert all(x > y for x, y in zip(r3s, r3s[1:]))
     for r2, r3 in b[:: max(1, len(b) // 20)]:
-        assert reg.contains(r2, r3, slack=1e-9)
+        assert reg.contains(r2, r3)
 
 
 def loop_frontier(corner_r2, corner_r3):

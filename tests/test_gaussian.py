@@ -365,7 +365,9 @@ def check_any_snr_invariants(net, dest):
     values += [v for r in cert.rows for v in (r.upper, r.inner, r.ddf, r.tighter_gap)]
     assert all(math.isfinite(v) for v in values)
     assert est.estimate <= est.relaxed_upper + 1e-9
-    assert rate <= est.estimate + 1e-9
+    # the budget-limited estimate is only a lower estimate; the relaxation
+    # bounds the cutset optimum, and so the DDF rate, at any power
+    assert rate <= est.relaxed_upper + 1e-9 * max(1.0, abs(est.relaxed_upper))
     assert cert.max_gap == net.n / 2.0
     assert cert.max_tighter_gap <= net.n / 2.0 + 1e-9
     for k in range(2, net.n + 1):
@@ -381,6 +383,26 @@ def test_high_snr_network_that_once_raised(power):
     g = np.random.default_rng(0).uniform(0.1, 2.0, size=(4, 4))
     np.fill_diagonal(g, 0.0)
     check_any_snr_invariants(GaussianNetwork(4, g, power, [2, 3, 4]), 4)
+
+
+@pytest.mark.xfail(strict=True, reason="the covariance search misses the cutset "
+                   "optimum by 0.82 bits on this high-SNR network")
+def test_search_estimate_reaches_ddf_rate_at_high_snr():
+    # The last of 290 draws of a sweep: n = 6, gains spread over six
+    # decades, P = 4.05e11, destination 2.  The DDF rate is 30.4727 and the
+    # budget-200 estimate 29.6479, so a lower estimate of the cutset optimum
+    # sits below an inner bound: the search missed.
+    rng = np.random.default_rng(123)
+    for _ in range(290):
+        n = int(rng.integers(3, 7))
+        g = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        power = float(10.0 ** rng.uniform(-3.0, 12.0))
+        dest = int(rng.integers(2, n + 1))
+    assert (n, power, dest) == (6, 405353763245.0412, 2)
+    np.fill_diagonal(g, 0.0)
+    net = GaussianNetwork(n, g, power, [dest])
+    estimate = cutset_estimate(net, dest, budget=200).estimate
+    assert ddf_unicast_rate(net, dest) <= estimate + 1e-9
 
 
 def test_invariants_over_powers_and_gain_spreads():
