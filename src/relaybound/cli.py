@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 property violation, 2 usage error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import dm
 from .diamond import diamond_sweep
-from .errors import SchemaError, TensorCapError
+from .errors import SchemaError, TensorCapError, as_power
 from .gaussian import ddf_region, gap_certificate
 from .networks import DeterministicNetwork, GaussianNetwork, load_network
 from .regions import (
@@ -135,6 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cmd_diamond_sweep(args) -> int:
     if not (0.0 < args.d_min < args.d_max < 1.0):
         raise ValueError(
@@ -169,8 +176,7 @@ def cmd_gap_verify(args) -> int:
         raise ValueError(f"n must be in 2..10, got {args.n}")
     if args.trials < 0:
         raise ValueError("trials must be nonnegative")
-    if not (np.isfinite(args.power) and args.power > 0):
-        raise ValueError(f"power must be finite and positive, got {args.power}")
+    as_power(args.power)
     rng = np.random.default_rng(args.seed)
     expected = args.n / 2.0
     cases = []
@@ -389,9 +395,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import as_int
+from .errors import as_int, as_power
 from .info import RateBits, gauss_c
 from .networks import GaussianNetwork
 from .optimize import Box, golden_max, grid_then_refine
@@ -44,16 +44,14 @@ class DiamondConfig:
         with path-loss exponent 3 (gain = distance^(-3/2)) and power p."""
         if not 0.0 < d < 1.0:
             raise ValueError(f"relay position d must lie in (0, 1), got {d}")
-        if not math.isfinite(p) or p <= 0:
-            raise ValueError(f"power must be finite and positive, got {p}")
+        p = as_power(p)
         near = p / d**3
         far = p / (1.0 - d) ** 3
         return cls(s21=near, s31=far, s42=far, s43=near)
 
     def to_network(self, power: float) -> GaussianNetwork:
         """The same diamond as a GaussianNetwork carrying unit-variance noise."""
-        if not math.isfinite(power) or power <= 0:
-            raise ValueError(f"power must be finite and positive, got {power}")
+        power = as_power(power)
         g = np.zeros((4, 4))
         g[1, 0] = math.sqrt(self.s21 / power)
         g[2, 0] = math.sqrt(self.s31 / power)
@@ -307,8 +305,7 @@ def diamond_sweep(
 
     Rows follow d_grid and are deterministic for a fixed budget.
     """
-    if not math.isfinite(p) or p <= 0:
-        raise ValueError(f"power must be finite and positive, got {p}")
+    p = as_power(p)
 
     def one(d: float) -> SweepRow:
         cfg = DiamondConfig.from_distance(d, p)

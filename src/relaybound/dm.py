@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (
     SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, load_json_object)
-from .info import CELL_CAP, ZERO_EPS, JointPmf, RateBits, checked_tensor, entropy, mutual_info
+from .info import (
+    ZERO_EPS, JointPmf, RateBits, capped_cells, checked_tensor, mask_entropy, mask_mutual_info)
 from .networks import Cut, DeterministicNetwork, GraphicalNetwork, MAX_ENUM_NODES, enumerate_cuts
 from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from_cuts
 
@@ -98,6 +99,9 @@ class DmInstance:
     term is conditioned on them.  Constraint repair appends input variables
     here rather than fusing them into one product-alphabet symbol, which
     preserves the distribution while keeping the tensor small.
+
+    ``x``, ``u`` and ``y`` hold the bitmask (``JointPmf.mask_of``) of x_k,
+    u_k and y_k at index k, and 0 where there is no such variable.
     """
 
     joint: JointPmf
@@ -114,8 +118,10 @@ class DmInstance:
             )
         dests = as_nodes(destinations, n, "destinations", first=2)
         q_vars = tuple(q_vars)
-        for name in q_vars:
-            joint.axis_of(name)
+        object.__setattr__(self, "_q", joint.mask_of(q_vars))
+        object.__setattr__(self, "x", _node_masks(joint, "x", n))
+        object.__setattr__(self, "u", _node_masks(joint, "u", n, first=2))
+        object.__setattr__(self, "y", _node_masks(joint, "y", n))
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "destinations", dests)
@@ -168,11 +174,7 @@ class DmInstance:
             raise ValueError("instance needs at least two nodes")
 
         canonical = _canonical_vars(n, sizes)
-        cells = math.prod(size for _, size in canonical)
-        if cells > CELL_CAP:
-            raise TensorCapError(
-                f"full joint needs {cells} cells, above the cap {CELL_CAP}"
-            )
+        capped_cells((size for _, size in canonical), "full joint")
         a = _aligned(input_pmf.probs, list(input_pmf.names), canonical)
         ch_names = [nm for nm, _ in channel.given] + [nm for nm, _ in channel.out]
         b = _aligned(channel.probs, ch_names, canonical)
@@ -185,26 +187,19 @@ class DmInstance:
             q_vars = ("q",)
         return cls(joint, n, destinations, q_vars)
 
-    def x_set(self, nodes: Iterable[int]) -> frozenset[str]:
-        return frozenset(f"x{k}" for k in nodes)
+    def mi(self, a: int, b: int, given: int = 0) -> RateBits:
+        """I(a ; b | given, Q) for disjoint bitmasks a and b, with variables
+        already inside the conditioning dropped from a and b (an exact
+        identity, not an approximation).
 
-    def u_set(self, nodes: Iterable[int]) -> frozenset[str]:
-        return frozenset(f"u{k}" for k in nodes if k >= 2)
-
-    def y_set(self, nodes: Iterable[int]) -> frozenset[str]:
-        return frozenset(f"y{k}" for k in nodes)
-
-    def mi(self, a: frozenset, b: frozenset, given: frozenset = frozenset()) -> RateBits:
-        """I(a ; b | given, Q) with variables already inside the conditioning
-        dropped from a and b (an exact identity, not an approximation).
-
-        The joint memoizes its subset entropies by subset less its size-1
+        The joint memoizes its subset entropies by mask less its size-1
         variables, so subsets that differ only by those give bit-identical
         floats, which the exactness guarantees below rely on.
         """
-        given = given | frozenset(self.q_vars)
-        a, b = a - given, b - given
-        return mutual_info(self.joint, a, b, given) if a and b else 0.0
+        given |= self._q
+        a &= ~given
+        b &= ~given
+        return mask_mutual_info(self.joint, a, b, given) if a and b else 0.0
 
 
 @dataclass(frozen=True)
@@ -218,27 +213,34 @@ class CutTerms:
     total: RateBits
 
 
-def _earlier(far: Sequence[int], k: int) -> tuple[int, ...]:
-    return tuple(j for j in far if j < k)
+def _node_masks(pmf: JointPmf, kind: str, n: int, first: int = 1) -> tuple[int, ...]:
+    """The bitmask of variable ``kind``k of ``pmf`` at index k, for k in
+    first..n, and 0 below."""
+    return (0,) * first + tuple(pmf.mask_of([f"{kind}{k}"]) for k in range(first, n + 1))
+
+
+def _union(table: Sequence[int], nodes: Iterable[int]) -> int:
+    """The bitmask of ``table``'s variables at ``nodes`` (their bits are distinct)."""
+    return sum(table[k] for k in nodes)
 
 
 def _cut_terms(inst: DmInstance, cut: Cut, dest: int | None) -> CutTerms:
-    far = cut.complement
-    all_x = inst.x_set(range(1, inst.n + 1))
-    b = inst.u_set(far)
+    far = cut.complement  # ascending, so each node's earlier nodes precede it
+    x, u, y = inst.x, inst.u, inst.y
+    x_far = _union(x, far)
+    b = _union(u, far)
     if dest is not None:
-        b = b | inst.y_set({dest})
-    first = inst.mi(inst.x_set(cut.s), b, inst.x_set(far))
+        b |= y[dest]
+    first = inst.mi(_union(x, cut.s), b, x_far)
+    all_x = _union(x, range(1, inst.n + 1))
     pen_u: dict[int, RateBits] = {}
     pen_x: dict[int, RateBits] = {}
+    x_earlier = u_earlier = 0
     for k in far:
-        earlier = _earlier(far, k)
-        pen_u[k] = inst.mi(
-            inst.u_set({k}),
-            inst.u_set(earlier) | all_x,
-            inst.x_set({k}) | inst.y_set({k}),
-        )
-        pen_x[k] = inst.mi(inst.x_set({k}), inst.x_set(earlier))
+        pen_u[k] = inst.mi(u[k], u_earlier | all_x, x[k] | y[k])
+        pen_x[k] = inst.mi(x[k], x_earlier)
+        x_earlier |= x[k]
+        u_earlier |= u[k]
     total = first - sum(pen_u.values()) - sum(pen_x.values())
     return CutTerms(cut, first, pen_u, pen_x, total)
 
@@ -297,7 +299,7 @@ def cutset_dm(
 
     def cut_value(cut: Cut) -> float:
         far = cut.complement
-        return inst.mi(inst.x_set(cut.s), inst.y_set(far), inst.x_set(far))
+        return inst.mi(_union(inst.x, cut.s), _union(inst.y, far), _union(inst.x, far))
 
     cuts = enumerate_cuts(inst.n, dests, mode)
     values = [cut_value(c) for c in cuts]
@@ -354,15 +356,15 @@ def deterministic_inner(
     dests = as_nodes(dests, net.n, "dests", first=2)
     outs, (probs,) = _det_scatter(net, input_pmf, input_pmf.probs)
     joint = JointPmf(list(input_pmf.variables) + [(f"y{k}", s) for k, s in outs], probs)
-
-    def x_set(nodes):
-        return frozenset(f"x{k}" for k in nodes)
+    x, y = _node_masks(joint, "x", net.n), _node_masks(joint, "y", net.n, first=2)
 
     def cut_value(cut: Cut) -> float:
         far = cut.complement
-        value = entropy(joint, {f"y{k}" for k in far}, x_set(far))
+        value = mask_entropy(joint, _union(y, far), _union(x, far))
+        x_earlier = 0
         for k in far:
-            value -= mutual_info(joint, x_set({k}), x_set(_earlier(far, k)))
+            value -= mask_mutual_info(joint, x[k], x_earlier)
+            x_earlier |= x[k]
         return value
 
     cuts = enumerate_cuts(net.n, dests, mode)
@@ -402,9 +404,9 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
             )
     if inst.joint.size_of("y1") != 1:
         raise ValueError("not a single-hop broadcast instance: node 1 receives")
-    all_u = inst.u_set(range(2, inst.n + 1))
+    all_u = _union(inst.u, range(2, inst.n + 1))
     for k in range(2, inst.n + 1):
-        leak = inst.mi(all_u, inst.y_set({k}), inst.x_set({1}))
+        leak = inst.mi(all_u, inst.y[k], inst.x[1])
         if leak > 1e-9:
             raise ValueError(
                 "not a single-hop broadcast instance: descriptions leak into "
@@ -415,9 +417,11 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
         far = cut.complement
         lhs = _cut_terms(inst, cut, None).total
         rhs = 0.0
+        u_earlier = 0
         for k in far:
-            rhs += inst.mi(inst.u_set({k}), inst.y_set({k}))
-            rhs -= inst.mi(inst.u_set({k}), inst.u_set(_earlier(far, k)))
+            rhs += inst.mi(inst.u[k], inst.y[k])
+            rhs -= inst.mi(inst.u[k], u_earlier)
+            u_earlier |= inst.u[k]
         delta = lhs - rhs
         if worst is None or abs(delta) > abs(worst[2]):
             worst = (lhs, rhs, delta)
@@ -778,10 +782,7 @@ def load_pmf(path: str | Path) -> tuple[JointPmf, tuple[str, ...]]:
 
 def _pmf_from_doc(doc: dict) -> tuple[JointPmf, tuple[str, ...]]:
     variables = _vars_from_doc(doc)
-    cells = math.prod(s for _, s in variables)
-    if cells > CELL_CAP:
-        raise TensorCapError(f"pmf needs {cells} cells, above the cap {CELL_CAP}")
-    probs = _probs_from_doc(doc, cells)
+    probs = _probs_from_doc(doc, capped_cells((s for _, s in variables), "pmf"))
     q_vars = doc.get("q_vars", [])
     if not isinstance(q_vars, list) or not all(isinstance(q, str) for q in q_vars):
         raise SchemaError("q_vars: expected a list of variable names")
@@ -819,5 +820,5 @@ def _channel_from_doc(doc: dict) -> Channel:
     ordered = given + out
     if [n for n, _ in ordered] != names:
         raise SchemaError("vars: conditioning variables must precede outputs")
-    cells = math.prod(s for _, s in variables)
+    cells = capped_cells((s for _, s in variables), "channel")
     return Channel(given, out, np.array(_probs_from_doc(doc, cells)))

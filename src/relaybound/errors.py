@@ -1,12 +1,15 @@
 """Exception types shared across the package, and the one owner of each input
 rule: ``as_int`` (an integer), ``as_int_set`` (a sorted set of them),
 ``as_node`` and ``as_nodes`` (node ids 1..n, or destinations 2..n),
-``as_number`` (a number field of a model file) and ``load_json_object`` (a
-model file).  Each raises SchemaError naming the argument or field path."""
+``as_number`` (a real number), ``as_power`` (a transmit power) and
+``load_json_object`` (a model file).  Each raises SchemaError naming the
+argument or field path."""
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 from pathlib import Path
 from typing import Callable, Iterable
@@ -71,10 +74,19 @@ def as_nodes(values: Iterable, n: int, what: str, first: int = 1) -> tuple[int, 
 
 
 def as_number(value, what: str) -> float:
-    """``value`` as a float; a bool or a non-number raises SchemaError."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """``value`` as a float.  A real number (numpy's too) is accepted; a bool
+    (numpy's too) or a non-number raises SchemaError naming ``what``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise SchemaError(f"{what}: expected a number, got {value!r}")
+
+
+def as_power(value, what: str = "power") -> float:
+    """``value`` as a transmit power: a number that is finite and positive."""
+    p = as_number(value, what)
+    if math.isfinite(p) and p > 0:
+        return p
+    raise SchemaError(f"{what}: a power must be finite and positive, got {value!r}")
 
 
 def load_json_object(path: str | Path, build: Callable[[dict], object]):

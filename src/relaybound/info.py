@@ -14,12 +14,20 @@ Exactness contract:
   the oracle that sums ``-p * math.log2(p)`` over the naive marginal.  Its
   last bits depend on which cached marginal it was reduced from, so the same
   sequence of calls on a fresh pmf gives the same bits.
+
+A variable subset is an integer bitmask, bit i for variable i.  Each pmf
+memoizes its entropies by mask, and reduces a miss, always through
+``JointPmf.marginal``, from the smallest cached marginal that covers it
+(``JointPmf``).  ``entropy`` and ``mutual_info`` take names;
+``mask_entropy`` and ``mask_mutual_info`` are the same measures on masks.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,6 +85,16 @@ def binary_entropy(p: float) -> RateBits:
     return ternary_entropy(p, 0.0)
 
 
+def capped_cells(sizes: Iterable[int], what: str) -> int:
+    """The cells of a tensor with axes of ``sizes``; above ``CELL_CAP`` it
+    raises TensorCapError naming ``what``."""
+    cells = math.prod(sizes)
+    if cells > CELL_CAP:
+        raise TensorCapError(
+            f"{what} would need {cells} cells, cap is {CELL_CAP}; reduce alphabet sizes")
+    return cells
+
+
 def checked_tensor(variables: Sequence[tuple[str, int]], probs) -> tuple[tuple, np.ndarray]:
     """``variables`` as (name, size) pairs, sizes integers >= 1 and names
     distinct, and ``probs`` as a finite, nonnegative, read-only float copy
@@ -89,12 +107,7 @@ def checked_tensor(variables: Sequence[tuple[str, int]], probs) -> tuple[tuple, 
         if size < 1:
             raise SchemaError(f"variable {name!r} has alphabet size {size} < 1")
     shape = tuple(s for _, s in variables)
-    cells = math.prod(shape)
-    if cells > CELL_CAP:
-        raise TensorCapError(
-            f"joint tensor would need {cells} cells, cap is {CELL_CAP}; "
-            "reduce alphabet sizes"
-        )
+    capped_cells(shape, "joint tensor")
     arr = np.asarray(probs, dtype=float).reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("probabilities must be finite")
@@ -112,9 +125,13 @@ class JointPmf:
     ``variables`` is an ordered sequence of (name, alphabet_size) pairs and
     ``probs`` has one axis per variable, in that order (row-major layout).
     The pmf is immutable (``probs`` is a read-only copy), so it memoizes the
-    entropy of each variable subset it is asked for, and the marginal behind
-    it; the memo lives and dies with the pmf.  Equality and hashing are by
-    identity, like the memo.
+    entropy of each variable subset it is asked for; the memo lives and dies
+    with the pmf.  Equality and hashing are by identity, like the memo.
+
+    The memo is a dict keyed by bitmask (``mask_of``) less the size-1
+    variables.  Behind it, the lattice is a list of (cells, mask, lean
+    sub-pmf) sorted by cells, ties in insertion order, so its first entry
+    that covers a missing subset is the smallest cached marginal that does.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -128,12 +145,13 @@ class JointPmf:
         self._set(variables, arr)
 
     def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> None:
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_axes", {n: i for i, (n, _) in enumerate(variables)})
-        object.__setattr__(self, "_unit", frozenset(n for n, s in variables if s == 1))
-        object.__setattr__(self, "_entropies", {})
-        object.__setattr__(self, "_marginals", {})
+        kept = sum(1 << i for i, (_, s) in enumerate(variables) if s > 1)
+        full = tuple(v for v in variables if v[1] > 1)
+        root = _lean(full, probs.reshape(tuple(s for _, s in full)))
+        self.__dict__.update(
+            variables=variables, probs=probs,
+            _axes={n: i for i, (n, _) in enumerate(variables)},
+            _kept=kept, _entropies={}, _lattice=[(probs.size, kept, root)])
 
     @classmethod
     def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf:
@@ -158,6 +176,10 @@ class JointPmf:
         except KeyError:
             raise ValueError(f"unknown variable {name!r}; have {list(self.names)}") from None
 
+    def mask_of(self, names: Iterable[str]) -> int:
+        """The bitmask of ``names``; an unknown name raises ValueError."""
+        return sum(1 << self.axis_of(n) for n in set(names))
+
     def marginal(self, names: Iterable[str]) -> np.ndarray:
         """Marginal tensor over ``names``, axes in this pmf's variable order.
 
@@ -180,32 +202,34 @@ class JointPmf:
         return np.add.reduce(q, axis=0).reshape(kept_shape)
 
     def joint_entropy(self, names: Iterable[str]) -> RateBits:
-        """H(names) in bits, memoized per variable subset on this pmf.
+        """H(names) in bits: ``entropy_of(mask_of(names))``."""
+        return self.entropy_of(self.mask_of(names))
 
-        The memo key leaves out size-1 variables, which add nothing to an
-        entropy, so every subset that differs from another only by them reads
-        the same entry.  A subset's marginal is reduced, through ``marginal``,
-        from the smallest marginal cached so far that covers it (the full
-        joint at first), and is cached in turn as a sub-pmf.
-        """
-        key = frozenset(names) - self._unit
+    def entropy_of(self, mask: int) -> RateBits:
+        """H of the variables in ``mask`` in bits.  The memo key drops size-1
+        variables, which add nothing to an entropy; a miss is reduced through
+        ``marginal`` from the first lattice entry that covers it."""
+        key = mask & self._kept
         val = self._entropies.get(key)
         if val is None:
-            for name in key:
-                self.axis_of(name)  # raises on an unknown name
-            lattice = self._marginals
-            if not lattice:
-                full = tuple(v for v in self.variables if v[1] > 1)
-                shape = tuple(s for _, s in full)
-                lattice[frozenset(n for n, _ in full)] = JointPmf._trusted(
-                    full, self.probs.reshape(shape))
-            src = min((m for k, m in lattice.items() if key <= k),
-                      key=lambda m: m.probs.size)
-            marg = src.marginal(key)
-            lattice[key] = JointPmf._trusted(
-                tuple(v for v in src.variables if v[0] in key), marg)
+            lattice = self._lattice
+            for _, src_mask, src in lattice:
+                if key & src_mask == key:
+                    break
+            variables = tuple(v for i, v in enumerate(self.variables) if key >> i & 1)
+            marg = src.marginal([n for n, _ in variables])
+            if key != src_mask:
+                insort(lattice, (marg.size, key, _lean(variables, marg)), key=itemgetter(0))
             val = self._entropies[key] = _plain_entropy(marg)
         return val
+
+
+def _lean(variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf:
+    """A lattice entry's pmf: only what ``JointPmf.marginal`` reads is set."""
+    sub = object.__new__(JointPmf)
+    sub.__dict__.update(variables=variables, probs=probs,
+                        _axes={n: i for i, (n, _) in enumerate(variables)})
+    return sub
 
 
 def _plain_entropy(marg: np.ndarray) -> float:
@@ -219,12 +243,7 @@ def entropy(pmf: JointPmf, names: Iterable[str], given: Iterable[str] = ()) -> R
 
     Unknown variable names raise ValueError.
     """
-    names = set(names)
-    given = set(given)
-    h = pmf.joint_entropy(names | given)
-    if given:
-        h -= pmf.joint_entropy(given)
-    return h if h > 0.0 else 0.0
+    return mask_entropy(pmf, pmf.mask_of(names), pmf.mask_of(given))
 
 
 def mutual_info(
@@ -238,11 +257,25 @@ def mutual_info(
     Tiny negatives from rounding are clamped to zero.  The three variable
     sets must be pairwise disjoint.
     """
-    a, b, given = set(a), set(b), set(given)
+    a, b, given = pmf.mask_of(a), pmf.mask_of(b), pmf.mask_of(given)
     for x, y, what in ((a, b, "a/b"), (a, given, "a/given"), (b, given, "b/given")):
         if x & y:
-            raise ValueError(f"overlapping variable subsets {what}: {sorted(x & y)}")
-    value = entropy(pmf, a, given) - entropy(pmf, a, b | given)
+            both = sorted(n for i, n in enumerate(pmf.names) if (x & y) >> i & 1)
+            raise ValueError(f"overlapping variable subsets {what}: {both}")
+    return mask_mutual_info(pmf, a, b, given)
+
+
+def mask_entropy(pmf: JointPmf, a: int, given: int = 0) -> RateBits:
+    """``entropy`` over bitmasks of ``pmf``'s variables."""
+    h = pmf.entropy_of(a | given)
+    if given:
+        h -= pmf.entropy_of(given)
+    return h if h > 0.0 else 0.0
+
+
+def mask_mutual_info(pmf: JointPmf, a: int, b: int, given: int = 0) -> RateBits:
+    """``mutual_info`` over pairwise disjoint bitmasks of ``pmf``'s variables."""
+    value = mask_entropy(pmf, a, given) - mask_entropy(pmf, a, b | given)
     return value if value > 0.0 else 0.0
 
 

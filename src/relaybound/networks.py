@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    SchemaError, as_int, as_int_set, as_node, as_nodes, as_number, load_json_object)
+    SchemaError, as_int, as_int_set, as_node, as_nodes, as_number, as_power, load_json_object)
 
 #: Cut enumeration is exhaustive; beyond this many nodes callers must supply
 #: explicit cut lists.
@@ -79,10 +79,8 @@ class GaussianNetwork:
             p = np.full(n, float(p))
         if p.shape != (n,):
             raise ValueError(f"power must be a scalar or length-{n} vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"power must be finite, got {p.tolist()}")
-        if np.any(p <= 0):
-            raise ValueError(f"power must be positive, got {p.tolist()}")
+        for j, v in enumerate(p.tolist()):
+            as_power(v, f"power[{j}]")
         dests = as_nodes(destinations, n, "destinations", first=2)
         if not dests:
             raise ValueError("destinations must be nonempty")
@@ -173,7 +171,7 @@ class GraphicalNetwork:
         hi = 1
         for i, (u, v, cap) in enumerate(edges):
             u, v = as_int(u, f"edges[{i}].from"), as_int(v, f"edges[{i}].to")
-            cap = float(cap)
+            cap = as_number(cap, f"edges[{i}].cap")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if u < 1 or v < 1:

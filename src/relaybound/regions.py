@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import as_int
+from .errors import as_int, as_number
 from .networks import Cut
 # bisect_feasible is unused here; the benchmark's tracer wraps it by this name.
 from .optimize import bisect_feasible, simplex_lp_max  # noqa: F401
@@ -76,7 +76,7 @@ def region_from_cuts(
 
 def region_membership(region: RateRegion, rates: Sequence[float]) -> bool:
     """True when the rate tuple satisfies every constraint within 1e-9 slack."""
-    rates = [float(r) for r in rates]
+    rates = [as_number(r, f"rates[{i}]") for i, r in enumerate(rates)]
     if len(rates) != len(region.dims):
         raise ValueError(f"expected {len(region.dims)} rates, got {len(rates)}")
     if any(r < 0 for r in rates):
@@ -92,7 +92,7 @@ def region_max_weighted(
     region: RateRegion, weights: Sequence[float]
 ) -> tuple[np.ndarray, float]:
     """Maximize sum_d w_d R_d over the region via the simplex LP."""
-    weights = [float(w) for w in weights]
+    weights = [as_number(w, f"weights[{i}]") for i, w in enumerate(weights)]
     if len(weights) != len(region.dims):
         raise ValueError(f"expected {len(region.dims)} weights, got {len(weights)}")
     if not region.constraints:

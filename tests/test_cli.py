@@ -16,16 +16,23 @@ from relaybound import (
     save_network,
     save_pmf,
 )
-from relaybound.cli import main
+from relaybound import cli
+from relaybound.cli import build_parser, main
+
+
+def run_full(argv):
+    """The exit code, stdout and stderr of one in-process CLI call."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run(argv):
     """Invoke the CLI in-process, swallowing anything printed to the console."""
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
-        io.StringIO()
-    ):
-        code = main(argv)
-    return code, out.getvalue()
+    code, out, _ = run_full(argv)
+    return code, out
 
 
 def write_json(path, doc):
@@ -68,6 +75,26 @@ def test_help_and_usage_errors():
     assert code == 2
     code, _ = run(["no-such-command"])
     assert code == 2
+
+
+def test_main_reuses_one_parser_without_changing_any_output(tmp_path):
+    # main parses with one parser built on first use; other subcommands and
+    # usage errors in between leave every later call's bytes unchanged.
+    pmf, chan = xor_instance_files(tmp_path)
+    calls = [
+        ["eval-dm", "--pmf", pmf, "--channel", chan, "--mode", "unicast", "--dest", "2"],
+        ["eval-dm", "--pmf", pmf],
+        ["blackwell", "--grid-res", "30", "--points", "3"],
+        ["gap-verify", "--n", "x"],
+        ["--help"],
+        ["region", "--net", "missing.json", "--query", "nope"],
+    ]
+    first = [run_full(argv) for argv in calls]
+    assert [c[0] for c in first] == [0, 2, 0, 2, 0, 2]
+    assert all(out for _, out, _ in first[::2]) and all(err for _, _, err in first[1::2])
+    assert [run_full(argv) for argv in reversed(calls)] == first[::-1]
+    assert cli._parser() is cli._parser()
+    assert vars(cli._parser().parse_args(calls[2])) == vars(build_parser().parse_args(calls[2]))
 
 
 def test_diamond_sweep_csv(tmp_path):
@@ -628,7 +655,18 @@ def test_eval_dm_usage_errors(tmp_path):
 
 
 def test_eval_dm_resource_cap(tmp_path):
-    _, chan = xor_instance_files(tmp_path)
+    pmf, chan = xor_instance_files(tmp_path)
+    huge_chan = write_json(
+        tmp_path / "huge_chan.json",
+        {
+            "vars": [{"name": n, "size": 1000} for n in ("x1", "x2", "y2")],
+            "given": ["x1", "x2"],
+            "probs": [],
+        },
+    )
+    code, _ = run(["eval-dm", "--pmf", pmf, "--channel", huge_chan, "--mode", "unicast",
+                   "--dest", "2"])
+    assert code == 3
     huge = write_json(
         tmp_path / "huge.json",
         {

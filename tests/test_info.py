@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaybound import (
     JointPmf,
@@ -206,20 +208,90 @@ def test_entropy_memo_is_per_pmf():
         naive_marginal(pmf, ["b"])
     )
     assert abs(h - oracle) <= 1e-12
-    # a repeated call, in any order of the names, reads the memo's float
+    # a repeated call, in any order of the names, reads the memo's float,
+    # which is keyed by the subset's bitmask (bit i for variable i)
     memo = dict(pmf._entropies)
-    assert pmf.joint_entropy(["b", "a"]) is pmf._entropies[frozenset({"a", "b"})]
+    assert pmf.mask_of(["b", "a"]) == pmf.mask_of({"a", "b"}) == 0b011
+    assert pmf.joint_entropy(["b", "a"]) is pmf._entropies[0b011]
     assert pmf.joint_entropy({"a", "b"}) is pmf.joint_entropy(["b", "a"])
+    assert pmf.entropy_of(0b011) is pmf.joint_entropy(["a", "b"])
     assert pmf._entropies == memo
     # a second pmf over the same names starts from an empty memo of its own
     other = random_pmf(rng, [2, 3, 2], names=["a", "b", "c"])
     assert other._entropies == {} and other._entropies is not pmf._entropies
     h_other = other.joint_entropy(["a", "b"])
     assert abs(h_other - naive_entropy(naive_marginal(other, ["a", "b"]))) <= 1e-12
-    assert list(other._entropies) == [frozenset({"a", "b"})]
+    assert list(other._entropies) == [0b011]
     assert pmf._entropies == memo
     with pytest.raises(ValueError, match="unknown variable"):
         pmf.joint_entropy(["z"])
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        pmf.mask_of(["a", "z"])
+
+
+def test_lattice_reduces_from_the_smallest_superset_first_cached_among_ties(monkeypatch):
+    pmf = random_pmf(np.random.default_rng(9), [2, 3, 3, 1, 2], names=list("abcud"))
+    for names in ("abd", "acd", "abc"):  # 12, 12 and 18 cells, each from the full joint
+        pmf.joint_entropy(names)
+    sources = []
+    reduce = JointPmf.marginal
+    monkeypatch.setattr(JointPmf, "marginal",
+                        lambda self, names: sources.append(self.names) or reduce(self, names))
+    pmf.joint_entropy("adu")  # abd and acd cover it; abd was cached first
+    pmf.joint_entropy("a")  # now ad, of 4 cells, is the smallest cover
+    pmf.joint_entropy("abcd")  # only the full joint, its size-1 axis dropped
+    assert sources == [("a", "b", "d"), ("a", "d"), ("a", "b", "c", "d")]
+
+
+def oracle_conditional(pmf, a, given):
+    """H(a | given) from row-loop marginals, floored at zero like ``entropy``."""
+    h = naive_entropy(rowloop_marginal(pmf, a + given))
+    if given:
+        h -= naive_entropy(rowloop_marginal(pmf, given))
+    return max(h, 0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.sampled_from([1, 1, 2, 3, 4]), min_size=1, max_size=7),
+    roles=st.lists(st.sampled_from("abg-"), min_size=7, max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+    units=st.integers(1, 3),
+)
+def test_mask_memo_matches_the_oracle_and_ignores_order_and_size_one_variables(
+        sizes, roles, seed, units):
+    rng = np.random.default_rng(seed)
+    pmf = random_pmf(rng, sizes)
+    parts = {r: [n for n, role in zip(pmf.names, roles) if role == r] for r in "abg"}
+    a, b, g = parts["a"], parts["b"], parts["g"]
+    h = entropy(pmf, a, g)
+    i = mutual_info(pmf, a, b, g)
+    assert abs(h - oracle_conditional(pmf, a, g)) <= 1e-12
+    want_i = max(oracle_conditional(pmf, a, g) - oracle_conditional(pmf, a, b + g), 0.0)
+    assert abs(i - want_i) <= 1e-12
+    # the same floats for the names in another order, from the memo
+    assert entropy(pmf, a[::-1], g[::-1]) == h
+    assert mutual_info(pmf, a[::-1], b[::-1], g[::-1]) == i
+    # the same floats when a nonempty subset gains size-1 variables: in this
+    # pmf, or in a fresh one whose extra size-1 axes the calls also name
+    free = [n for n, s in pmf.variables if s == 1 and n not in a + b + g]
+    pad = {r: (parts[r] + free[k::3] if parts[r] else parts[r]) for k, r in enumerate("abg")}
+    assert entropy(pmf, pad["a"], pad["g"]) == h
+    assert mutual_info(pmf, pad["a"], pad["b"], pad["g"]) == i
+    extra = [(f"w{k}", 1) for k in range(units)]
+    wider = JointPmf(list(pmf.variables) + extra,
+                     pmf.probs.reshape(pmf.probs.shape + (1,) * units))
+    ws = [n for n, _ in extra]
+    assert entropy(wider, a + ws if a else a, g) == h
+    assert mutual_info(wider, a, b + ws if b else b, g) == i
+    # overlapping and unknown names raise
+    for x in pmf.names:
+        with pytest.raises(ValueError, match="overlapping"):
+            mutual_info(pmf, a + [x], b + [x] if x not in b else b, g)
+    with pytest.raises(ValueError, match="unknown variable"):
+        entropy(pmf, a + ["zz"], g)
+    with pytest.raises(ValueError, match="unknown variable"):
+        mutual_info(pmf, a, b, g + ["zz"])
 
 
 def test_entropy_inequalities_sweep():

@@ -1,8 +1,12 @@
 """One owner per input rule: every integer argument (node id, destination,
 cut member, size, symbol, budget, resolution) is refused with a SchemaError
 naming it when it is a bool, a non-integral number or out of range, and an
-integral float or a numpy integer gives bit-identical results to the int."""
+integral float or a numpy integer gives bit-identical results to the int.
+Every number argument (capacity, rate, weight, power) is refused when it is
+a bool (numpy's too) or a non-number, and a numpy real scalar gives
+bit-identical results to the float."""
 
+import math
 import pickle
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 
 from relaybound import (
     Channel,
+    DiamondConfig,
     DmInstance,
     GaussianNetwork,
     GraphicalNetwork,
@@ -21,14 +26,19 @@ from relaybound import (
     cutset_dm,
     cutset_estimate,
     ddf_multicast_dm,
+    ddf_region,
     ddf_unicast_dm,
     ddf_unicast_rate,
+    diamond_sweep,
     graphical_mincut,
     maxflow_oracle,
     node_penalty,
     received_snr,
+    region_max_weighted,
+    region_membership,
     simplex_grid,
 )
+from relaybound.errors import as_number
 from relaybound.networks import enumerate_cuts
 
 
@@ -93,3 +103,39 @@ def test_node_ranges_share_one_message():
         received_snr(GNET, 4)
     with pytest.raises(SchemaError, match=r"destinations: 5 is outside 2\.\.4"):
         enumerate_cuts(4, [5], "unicast")
+
+
+REGION = ddf_region(GNET)
+
+#: (call of one number argument, that argument's name in the message, a
+#: valid value of it that float32 holds exactly, the values refused).  The
+#: first three rows once went through float(), which took bools and strings.
+NUMBER_PROBES = [
+    (lambda v: GraphicalNetwork([(1, 2, v), (2, 3, 1.0)], [3]), r"edges\[0\]\.cap", 1.5,
+     [True, "1.5", np.bool_(True)]),
+    (lambda v: region_membership(REGION, [v, 0.1]), r"rates\[0\]", 0.25,
+     [True, "0.1", np.bool_(False)]),
+    (lambda v: region_max_weighted(REGION, [1.0, v]), r"weights\[1\]", 0.5,
+     [True, "1", None]),
+    (lambda v: as_number(v, "value"), "value", 2.5, [np.bool_(True), True, "2.5", None]),
+    (lambda v: diamond_sweep([0.5], v, budget=60), "power", 10.0,
+     [True, "10", 0.0, -1.0, math.nan, math.inf]),
+    (lambda v: DiamondConfig.from_distance(0.5, v), "power", 10.0, [np.bool_(True), 0, math.inf]),
+    (lambda v: DiamondConfig(1.0, 2.0, 3.0, 4.0).to_network(v), "power", 2.0, [0.0, math.nan]),
+    (lambda v: GaussianNetwork(3, _G, [10.0, v, 10.0], [2, 3]), r"power\[1\]", 0.5,
+     [0.0, -2.0, math.nan, math.inf]),
+]
+
+
+@pytest.mark.parametrize("call, name, good, bad", NUMBER_PROBES,
+                         ids=[f"{i}-{p[1]}" for i, p in enumerate(NUMBER_PROBES)])
+def test_number_arguments_have_one_owner(call, name, good, bad):
+    for value in bad:
+        with pytest.raises(SchemaError, match=name):
+            call(value)
+    want = pickle.dumps(call(good))
+    same = [np.float32(good), np.float64(good)]
+    if float(good).is_integer():
+        same += [int(good), np.int64(good)]
+    for value in same:
+        assert pickle.dumps(call(value)) == want
