@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import as_int, as_power
+from .errors import as_int, as_number, as_power
 from .info import RateBits, gauss_c
 from .networks import GaussianNetwork
 from .optimize import Box, golden_max, grid_then_refine
@@ -33,10 +33,12 @@ class DiamondConfig:
 
     def __post_init__(self):
         for name in ("s21", "s31", "s42", "s43"):
-            if not math.isfinite(getattr(self, name)):
+            snr = as_number(getattr(self, name), name)
+            if not math.isfinite(snr):
                 raise ValueError(f"{name} must be finite")
-            if getattr(self, name) < 0:
+            if snr < 0:
                 raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, snr)
 
     @classmethod
     def from_distance(cls, d: float, p: float) -> "DiamondConfig":

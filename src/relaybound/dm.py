@@ -13,10 +13,8 @@ input distribution as given.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,12 +25,8 @@ from .errors import (
     SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, load_json_object)
 from .info import (
     ZERO_EPS, JointPmf, RateBits, capped_cells, checked_tensor, mask_entropy, mask_mutual_info)
-from .networks import Cut, DeterministicNetwork, GraphicalNetwork, MAX_ENUM_NODES, enumerate_cuts
+from .networks import Cut, DeterministicNetwork, GraphicalNetwork, enumerate_cuts
 from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from_cuts
-
-#: Fixed-point scale for the max-flow oracle (capacities in 1/2^20 units).
-FLOW_SCALE = 1 << 20
-
 
 # ---------------------------------------------------------------------------
 # Channels and instances.
@@ -598,60 +592,14 @@ def blackwell_region(c23: float, c32: float, grid_res: int = 996) -> Conferencin
 
 
 # ---------------------------------------------------------------------------
-# Graphical networks: exact min-cut and a max-flow oracle.
+# Graphical networks: exact min-cut.
 
 
 def graphical_mincut(net: GraphicalNetwork, dest: int) -> float:
     """Minimum over cuts of the total capacity leaving the source side."""
     dest = as_node(dest, net.n, "dest", first=2)
-    if net.n > MAX_ENUM_NODES:
-        raise ValueError(f"refusing to enumerate cuts for n = {net.n}")
-    others = [k for k in range(2, net.n + 1) if k != dest]
-    best = math.inf
-    for r in range(len(others) + 1):
-        for extra in itertools.combinations(others, r):
-            side = {1, *extra}
-            cap = sum(c for u, v, c in net.edges if u in side and v not in side)
-            best = min(best, cap)
-    return best
-
-
-def maxflow_oracle(net: GraphicalNetwork, dest: int) -> float:
-    """Max flow from node 1 to dest by augmenting paths on a scaled-integer
-    copy of the capacities (so the arithmetic is exact)."""
-    dest = as_node(dest, net.n, "dest", first=2)
-    n = net.n
-    residual = [[0] * (n + 1) for _ in range(n + 1)]
-    for u, v, c in net.edges:
-        residual[u][v] += round(c * FLOW_SCALE)
-    flow = 0
-    while True:
-        parent = [0] * (n + 1)
-        parent[1] = 1
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for v in range(1, n + 1):
-                if not parent[v] and residual[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if not parent[dest]:
-            break
-        bottleneck = None
-        v = dest
-        while v != 1:
-            u = parent[v]
-            cap = residual[u][v]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = u
-        v = dest
-        while v != 1:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-            v = u
-        flow += bottleneck
-    return flow / FLOW_SCALE
+    return min(sum(c for u, v, c in net.edges if u in cut.s and v not in cut.s)
+               for cut in enumerate_cuts(net.n, {dest}, "unicast"))
 
 
 def graphical_to_deterministic(net: GraphicalNetwork) -> DeterministicNetwork:

@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import as_int, as_node
-from .info import RateBits, log_det_rate
-from .networks import Cut, GaussianNetwork, cut_submatrix, enumerate_cuts, received_snr
+from .info import RateBits, _half_log2_diag, log_det_rate
+from .networks import Cut, GaussianNetwork, enumerate_cuts, received_snr
+from .networks import cut_submatrix  # noqa: F401 -- a module attribute the benchmark tracer wraps
 from .regions import RateRegion, region_from_cuts
 
 
@@ -36,13 +37,11 @@ def node_penalty(net: GaussianNetwork, k: int) -> RateBits:
     return penalty_rate(received_snr(net, k))
 
 
-def _check_cut(net: GaussianNetwork, cut: Cut) -> tuple[int, ...]:
+def _check_cut(net: GaussianNetwork, cut: Cut) -> None:
     if cut.n != net.n:
         raise ValueError(f"cut is over {cut.n} nodes, network has {net.n}")
-    far = cut.complement
-    if not far:
+    if not cut.complement:
         raise ValueError(f"cut {cut.s} has an empty far side")
-    return far
 
 
 #: Matrices per kernel call.  Full-power evaluators score at most this many
@@ -102,33 +101,6 @@ def _ddf_rows(
     return terms, [t - p for t, p in zip(terms, _penalty_sums(net, cuts))]
 
 
-def cut_rate_term(net: GaussianNetwork, cut: Cut) -> RateBits:
-    """(1/2) log2 |I + G(S) diag(P(S)) G(S)^T| at full per-node power."""
-    _check_cut(net, cut)
-    return _full_power_rates(net, [cut])[0]
-
-
-def ddf_cut_rate(net: GaussianNetwork, cut: Cut) -> RateBits:
-    """Inner-bound value of one cut: rate term minus all far-side penalties.
-
-    May be negative; region constructors clamp at zero.
-    """
-    _check_cut(net, cut)
-    return _ddf_rows(net, [cut])[1][0]
-
-
-def relaxed_inner_cut(net: GaussianNetwork, cut: Cut) -> RateBits:
-    """Rate term minus the worst-case penalty 1/2 per far-side node."""
-    far = _check_cut(net, cut)
-    return cut_rate_term(net, cut) - len(far) / 2.0
-
-
-def cutset_relaxed_cut(net: GaussianNetwork, cut: Cut) -> RateBits:
-    """Covariance-free outer bound: rate term plus 1/2 per source-side node."""
-    _check_cut(net, cut)
-    return cut_rate_term(net, cut) + len(cut.s) / 2.0
-
-
 def _validate_cov(net: GaussianNetwork, k_cov: np.ndarray) -> np.ndarray:
     """Check K against the network; tolerances are 1e-9 of max(1, max|K|),
     and 1e-9 of max(1, P_j) on the diagonal."""
@@ -160,77 +132,56 @@ def cutset_cut_rate(net: GaussianNetwork, cut: Cut, k_cov: np.ndarray) -> RateBi
     return float(_plan_rates(_cut_plan(net, [cut]), k)[0])
 
 
-def _half_log2_det_pd(a: np.ndarray, what: str) -> float:
-    """(1/2) log2 det(a) via Cholesky; non-PD input raises ValueError."""
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"degenerate covariance: {what} is not positive definite") from None
-    return float(np.sum(np.log2(np.diag(chol))))
-
-
-def ddf_cut_rate_general(
-    net: GaussianNetwork,
-    cut: Cut,
-    k_cov: np.ndarray,
-    sigma_sq: float | np.ndarray = 1.0,
-) -> RateBits:
-    """Inner-bound cut value for a general input covariance and per-node
-    quantization noise:
+def ddf_rates_general(
+    net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: float | np.ndarray = 1.0
+) -> list[RateBits]:
+    """Inner-bound value of every broadcast cut, in ``gap_certificate``'s row
+    order, for a general input covariance K and per-node description noise:
 
         (1/2) log2 |Sigma(S^c) + G(S) K(S|S^c) G(S)^T| + (1/2) log2 |K(S^c)|
         - sum_{k in S^c} [ (1/2) log2(sigma_k^2 + S_k/(1+S_k)) + (1/2) log2 K_kk ]
 
     where K(S|S^c) is the conditional (Schur-complement) covariance and S_k is
-    the received-signal variance at node k conditioned on X_k.  At K = P I and
-    sigma^2 = 1 this reduces to ddf_cut_rate.
+    the received-signal variance at node k conditioned on X_k.  The first two
+    terms are, by the Schur complement, (1/2) log2 of the determinant of the
+    joint covariance of (X(S^c), G(S) X(S) + Z(S^c)): with D the far-side
+    indicator and A the cut plan, the 2n x 2n matrix [D; A] K [D; A]^T plus
+    diag(I - D, Sigma), factored in one batched Cholesky per ``_STACK`` cuts.
+    At K = diag(P) and sigma^2 = 1 this is the ``ddf`` row of the certificate.
     """
-    far = _check_cut(net, cut)
     k = _validate_cov(net, k_cov)
+    n = net.n
     sig = np.asarray(sigma_sq, dtype=float)
     if sig.ndim == 0:
-        sig = np.full(net.n, float(sig))
-    if sig.shape != (net.n,):
-        raise ValueError(f"sigma_sq must be a scalar or length-{net.n} vector")
-    far_idx = [j - 1 for j in far]
-    near_idx = [j - 1 for j in cut.s]
-    if np.any(sig[far_idx] <= 0):
-        raise ValueError("quantizer variances must be positive on the far side")
-
-    k_ff = k[np.ix_(far_idx, far_idx)]
-    half_log_det_far = _half_log2_det_pd(k_ff, "K(S^c)")
-    k_nn = k[np.ix_(near_idx, near_idx)]
-    k_nf = k[np.ix_(near_idx, far_idx)]
-    k_cond = k_nn - k_nf @ np.linalg.solve(k_ff, k_nf.T)
-    g = cut_submatrix(net, cut)
-    first = _half_log2_det_pd(
-        np.diag(sig[far_idx]) + g @ k_cond @ g.T, "quantized observation covariance"
-    )
-
-    total = first + half_log_det_far
-    for k_node in far:
-        i = k_node - 1
-        rho_sq = k[i, i]
-        if rho_sq <= 0:
-            raise ValueError(f"degenerate covariance: zero variance at node {k_node}")
-        v = net.gains[i]
-        recv = float(v @ k @ v)
-        cross = float(v @ k[:, i])
-        s_cond = max(recv - cross * cross / rho_sq, 0.0)
-        total -= 0.5 * math.log2(sig[i] + s_cond / (1.0 + s_cond))
-        total -= 0.5 * math.log2(rho_sq)
-    return total
-
-
-def ddf_unicast_cut_rate(net: GaussianNetwork, cut: Cut, dest: int) -> RateBits:
-    """One unicast cut: the destination's observation row enters twice (its
-    compressed description and its own channel output), then the usual
-    far-side penalties are charged."""
-    far = _check_cut(net, cut)
-    dest = as_node(dest, net.n, "dest", first=2)
-    if dest not in far:
-        raise ValueError(f"destination {dest} must lie on the far side of {cut.s}")
-    return _full_power_rates(net, [cut], dest)[0] - _penalty_sums(net, [cut])[0]
+        sig = np.full(n, float(sig))
+    if sig.shape != (n,):
+        raise ValueError(f"sigma_sq must be a scalar or length-{n} vector")
+    # every node but the source is on the far side of the cut {1}
+    if not np.all((sig[1:] > 0) & (sig[1:] < math.inf)):
+        raise ValueError("quantizer variances must be finite and positive on the far side")
+    cuts = enumerate_cuts(n, net.destinations, "broadcast")
+    far = np.array([[j not in cut.s for j in range(1, n + 1)] for cut in cuts])
+    diag = np.concatenate([1.0 - far, np.where(far, sig, 1.0)], axis=1)
+    rates = []
+    for i in range(0, len(cuts), _STACK):
+        maps = np.concatenate([far[i : i + _STACK, :, None] * np.eye(n),
+                               _cut_plan(net, cuts[i : i + _STACK])], axis=1)
+        block = maps @ k @ maps.swapaxes(-1, -2)
+        block += diag[i : i + _STACK, :, None] * np.eye(2 * n)
+        try:
+            rates.append(_half_log2_diag(np.linalg.cholesky(block)))
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "degenerate covariance: the joint covariance of a cut's far-side inputs "
+                "and observations is not positive definite") from None
+    # the block of the cut {1} factored, so K is positive definite on nodes
+    # 2..n and every variance below is positive
+    gk = net.gains[1:] @ k
+    var = k.diagonal()[1:]
+    cross = gk.diagonal(offset=1)
+    snr = np.maximum((gk * net.gains[1:]).sum(axis=1) - cross * cross / var, 0.0)
+    prices = 0.5 * np.log2(sig[1:] + snr / (1.0 + snr)) + 0.5 * np.log2(var)
+    return (np.concatenate(rates) - far[:, 1:] @ prices).tolist()
 
 
 def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:

@@ -67,26 +67,26 @@ class GaussianNetwork:
         n = as_int(n, "n")
         if n < 2:
             raise ValueError(f"need n >= 2 nodes, got {n}")
-        g = np.asarray(gains, dtype=float)
+        g = np.asarray(gains, dtype=object)
         if g.shape != (n, n):
             raise ValueError(f"gains must be {n}x{n}, got {g.shape}")
+        g = np.array([v if type(v) is float else as_number(v, f"gains[{i // n}][{i % n}]")
+                      for i, v in enumerate(g.ravel().tolist())]).reshape(n, n)
         if not np.all(np.isfinite(g)):
             raise ValueError("gains must be finite")
         if np.any(np.diag(g) != 0.0):
             raise ValueError("gains diagonal must be zero (no self-link)")
-        p = np.asarray(power, dtype=float)
+        p = np.asarray(power, dtype=object)
         if p.ndim == 0:
-            p = np.full(n, float(p))
-        if p.shape != (n,):
+            p = np.full(n, as_power(p.item()))
+        elif p.shape == (n,):
+            p = np.array([as_power(v, f"power[{j}]") for j, v in enumerate(p.tolist())])
+        else:
             raise ValueError(f"power must be a scalar or length-{n} vector")
-        for j, v in enumerate(p.tolist()):
-            as_power(v, f"power[{j}]")
         dests = as_nodes(destinations, n, "destinations", first=2)
         if not dests:
             raise ValueError("destinations must be nonempty")
-        g = g.copy()
         g.flags.writeable = False
-        p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gains", g)
@@ -226,15 +226,6 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
                 continue
         cuts.append(Cut((k + 1 for k in range(n) if mask >> k & 1), n))
     return cuts
-
-
-def gain_submatrix(
-    net: GaussianNetwork, rx_nodes: Sequence[int], tx_nodes: Sequence[int]
-) -> np.ndarray:
-    """Gain block g[k][j] for receivers k in rx_nodes, transmitters j in tx_nodes."""
-    rx = [as_node(k, net.n, f"rx_nodes[{i}]") - 1 for i, k in enumerate(rx_nodes)]
-    tx = [as_node(j, net.n, f"tx_nodes[{i}]") - 1 for i, j in enumerate(tx_nodes)]
-    return net.gains[np.ix_(rx, tx)]
 
 
 def cut_submatrix(net: GaussianNetwork, cut: Cut) -> np.ndarray:

@@ -39,10 +39,10 @@ from relaybound import (
     graphical_mincut,
     graphical_to_deterministic,
     marton_identity_check,
-    maxflow_oracle,
     nnc_diamond,
     penalty_rate,
 )
+from tests.maxflow import maxflow_oracle
 
 LN2 = math.log(2.0)
 

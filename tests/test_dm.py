@@ -31,12 +31,12 @@ from relaybound import (
     load_channel,
     load_pmf,
     marton_identity_check,
-    maxflow_oracle,
     mutual_info,
     save_pmf,
     simplex_grid,
 )
 from relaybound.dm import _pareto_frontier, pmf_to_dict
+from tests.maxflow import maxflow_oracle
 
 
 def naive_mi(pmf, a, b, given):

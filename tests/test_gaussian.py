@@ -11,22 +11,20 @@ from relaybound import (
     Cut,
     DiamondConfig,
     GaussianNetwork,
-    cut_rate_term,
+    cutset_cut_rate,
     cutset_estimate,
     cutset_diamond_opt,
     cutset_estimate_region,
-    cutset_relaxed_cut,
-    ddf_cut_rate,
+    ddf_rates_general,
     ddf_region,
-    ddf_unicast_cut_rate,
     ddf_unicast_rate,
     gap_certificate,
     node_penalty,
     penalty_rate,
-    relaxed_inner_cut,
     received_snr,
 )
-from relaybound.gaussian import _cut_plan, _plan_rates, cutset_cut_rate, ddf_cut_rate_general
+from relaybound import gaussian
+from relaybound.gaussian import _cut_plan, _plan_rates
 from relaybound.networks import enumerate_cuts
 
 
@@ -75,60 +73,68 @@ def test_node_penalty_uses_received_snr():
     assert abs(node_penalty(net, 2) - penalty_rate(12.0)) < 1e-15
 
 
+def certificate_rows(net):
+    return {row.cut.s: row for row in gap_certificate(net).rows}
+
+
 def test_cut_rate_term_matches_slogdet():
+    # the full-power rate term, read off the certificate's upper and inner rows
     rng = np.random.default_rng(21)
     for _ in range(30):
         n = int(rng.integers(2, 6))
         net = random_net(rng, n, vector_power=bool(rng.integers(0, 2)))
+        rows = certificate_rows(net)
         for cut in [Cut([1], n), Cut(range(1, n), n)]:
             far = cut.complement
             g = net.gains[np.ix_([k - 1 for k in far], [j - 1 for j in cut.s])]
             m = g @ np.diag([net.power[j - 1] for j in cut.s]) @ g.T
             want = 0.5 * np.linalg.slogdet(np.eye(len(far)) + m)[1] / math.log(2)
-            assert abs(cut_rate_term(net, cut) - want) < 1e-9
+            assert abs(rows[cut.s].upper - len(cut.s) / 2.0 - want) < 1e-9
+            assert abs(rows[cut.s].inner + len(far) / 2.0 - want) < 1e-9
 
 
 def test_two_node_closed_forms():
     # single relay-less hop: cut {1}, dest 2
     s = 3.0
     net = GaussianNetwork(2, np.array([[0.0, 0.0], [math.sqrt(s), 0.0]]), 1.0, [2])
-    cut = Cut([1], 2)
+    (row,) = gap_certificate(net).rows
+    assert row.cut.s == (1,)
     want_term = 0.5 * math.log2(1.0 + s)
-    assert abs(cut_rate_term(net, cut) - want_term) < 1e-12
+    assert abs(row.upper - (want_term + 0.5)) < 1e-12
+    assert abs(row.inner - (want_term - 0.5)) < 1e-12
     pen = 0.5 * math.log2(1.0 + s / (1.0 + s))
-    assert abs(ddf_cut_rate(net, cut) - (want_term - pen)) < 1e-12
-    assert abs(ddf_cut_rate(net, cut) - 0.5963225390) < 1e-9
-    # the destination's row is stacked twice in the unicast variant
+    assert abs(row.ddf - (want_term - pen)) < 1e-12
+    assert abs(row.ddf - 0.5963225390) < 1e-9
+    (general,) = ddf_rates_general(net, np.diag(net.power))
+    assert abs(general - (want_term - pen)) < 1e-12
+    # the destination's row is stacked twice in the unicast variant, whose
+    # one cut is {1}
     want_uni = 0.5 * math.log2(1.0 + 2.0 * s) - pen
-    assert abs(ddf_unicast_cut_rate(net, cut, 2) - want_uni) < 1e-12
     assert abs(ddf_unicast_rate(net, 2) - want_uni) < 1e-12
 
 
 def test_cut_guards():
     net = GaussianNetwork(3, np.zeros((3, 3)), 1.0, [3])
+    power = np.diag(net.power)
     with pytest.raises(ValueError, match="empty far side"):
-        ddf_cut_rate(net, Cut([1, 2, 3], 3))
+        cutset_cut_rate(net, Cut([1, 2, 3], 3), power)
     with pytest.raises(ValueError, match="cut is over"):
-        ddf_cut_rate(net, Cut([1], 4))
-    with pytest.raises(ValueError, match="far side"):
-        ddf_unicast_cut_rate(net, Cut([1, 3], 3), 3)
+        cutset_cut_rate(net, Cut([1], 4), power)
     with pytest.raises(ValueError, match="destination"):
         ddf_unicast_rate(net, 1)
 
 
 def test_relaxed_bounds_ordering():
+    # relaxed inner <= ddf <= rate term <= relaxed upper on every row
     rng = np.random.default_rng(22)
     for _ in range(30):
         n = int(rng.integers(2, 6))
         net = random_net(rng, n, lognormal=bool(rng.integers(0, 2)))
-        for cut in [Cut([1], n), Cut(range(1, n), n)]:
-            inner = ddf_cut_rate(net, cut)
-            r_inner = relaxed_inner_cut(net, cut)
-            term = cut_rate_term(net, cut)
-            r_upper = cutset_relaxed_cut(net, cut)
-            assert r_inner <= inner + 1e-12
-            assert inner <= term + 1e-12
-            assert term <= r_upper + 1e-12
+        for row in gap_certificate(net).rows:
+            term = cutset_cut_rate(net, row.cut, np.diag(net.power))
+            assert row.inner <= row.ddf + 1e-12
+            assert row.ddf <= term + 1e-12
+            assert term <= row.upper + 1e-12
 
 
 def test_cutset_cut_rate_validation_and_hadamard():
@@ -150,37 +156,101 @@ def test_cutset_cut_rate_validation_and_hadamard():
         k[0, 1] = k[1, 0] = net.power[0] * 5.0
         cutset_cut_rate(net, cut, k)
     # any feasible covariance stays below the relaxed outer bound
+    upper = certificate_rows(net)[cut.s].upper
     for _ in range(40):
         k = random_feasible_cov(rng, net)
         v = cutset_cut_rate(net, cut, k)
-        assert v <= cutset_relaxed_cut(net, cut) + 1e-9
+        assert v <= upper + 1e-9
     # diagonal input recovers the full-power rate term
-    assert abs(cutset_cut_rate(net, cut, np.diag(net.power)) - cut_rate_term(net, cut)) < 1e-12
+    term = upper - len(cut.s) / 2.0
+    assert abs(cutset_cut_rate(net, cut, np.diag(net.power)) - term) < 1e-12
+
+
+def random_dests(rng, n):
+    picks = rng.integers(0, 2, size=n - 1)
+    return [k for k, pick in zip(range(2, n + 1), picks) if pick] or [n]
 
 
 def test_ddf_general_reduces_to_default():
+    # at K = diag(P) and sigma^2 = 1 every row is the certificate's ddf row
     rng = np.random.default_rng(24)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        net = random_net(rng, n, vector_power=True)
-        cuts = [Cut([1], n), Cut(range(1, n), n)]
-        for cut in cuts:
-            got = ddf_cut_rate_general(net, cut, np.diag(net.power), 1.0)
-            assert abs(got - ddf_cut_rate(net, cut)) < 1e-9
+    for n in range(2, 7):
+        for vector_power in (False, True):
+            for _ in range(4):
+                net = random_net(rng, n, vector_power=vector_power)
+                net = GaussianNetwork(n, net.gains, net.power, random_dests(rng, n))
+                got = ddf_rates_general(net, np.diag(net.power))
+                rows = gap_certificate(net).rows
+                assert len(got) == len(rows)
+                for v, row in zip(got, rows):
+                    assert abs(v - row.ddf) <= 1e-9 * max(1.0, abs(row.ddf))
 
 
 def test_ddf_general_validation():
     rng = np.random.default_rng(25)
     net = random_net(rng, 3)
-    cut = Cut([1], 3)
+    power = np.diag(net.power)
     with pytest.raises(ValueError, match="sigma_sq"):
-        ddf_cut_rate_general(net, cut, np.diag(net.power), np.ones(2))
-    with pytest.raises(ValueError, match="positive on the far side"):
-        ddf_cut_rate_general(net, cut, np.diag(net.power), 0.0)
+        ddf_rates_general(net, power, np.ones(2))
+    for bad in (0.0, [1.0, -1.0, 1.0], [1.0, 1.0, math.nan], [1.0, math.inf, 1.0]):
+        with pytest.raises(ValueError, match="positive on the far side"):
+            ddf_rates_general(net, power, bad)
+    # the source is never on the far side, so its sigma^2 is not read
+    assert ddf_rates_general(net, power, [0.0, 1.0, 1.0]) == ddf_rates_general(net, power)
     with pytest.raises(ValueError, match="degenerate covariance"):
-        k = np.diag(net.power).copy()
+        k = power.copy()
         k[2, 2] = 0.0
-        ddf_cut_rate_general(net, cut, k)
+        ddf_rates_general(net, k)
+
+
+def explicit_ddf_general(net, cut, k_cov, sigma_sq):
+    """The general DDF cut value transcribed term by term: index blocks, the
+    Schur complement and slogdet."""
+    far = [j - 1 for j in cut.complement]
+    near = [j - 1 for j in cut.s]
+    k_ff = k_cov[np.ix_(far, far)]
+    k_nf = k_cov[np.ix_(near, far)]
+    k_cond = k_cov[np.ix_(near, near)] - k_nf @ np.linalg.solve(k_ff, k_nf.T)
+    g = net.gains[np.ix_(far, near)]
+    sign_obs, obs = np.linalg.slogdet(np.diag(sigma_sq[far]) + g @ k_cond @ g.T)
+    sign_far, det_far = np.linalg.slogdet(k_ff)
+    assert sign_obs > 0 and sign_far > 0
+    total = 0.5 * (obs + det_far) / math.log(2.0)
+    for i in far:
+        v = net.gains[i]
+        cross = v @ k_cov[:, i]
+        s = max(v @ k_cov @ v - cross * cross / k_cov[i, i], 0.0)
+        total -= 0.5 * math.log2(sigma_sq[i] + s / (1.0 + s)) + 0.5 * math.log2(k_cov[i, i])
+    return total
+
+
+def test_ddf_general_matches_the_explicit_schur_transcription():
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        n = int(rng.integers(3, 7))
+        g = 10.0 ** rng.uniform(-1.0, 1.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        net = GaussianNetwork(n, g, 10.0 ** rng.uniform(-1.0, 3.0, n), random_dests(rng, n))
+        k = random_feasible_cov(rng, net)
+        sigma_sq = 10.0 ** rng.uniform(-1.0, 1.0, n)
+        cuts = enumerate_cuts(n, net.destinations, "broadcast")
+        got = ddf_rates_general(net, k, sigma_sq)
+        assert len(got) == len(cuts)
+        for cut, v in zip(cuts, got):
+            want = explicit_ddf_general(net, cut, k, sigma_sq)
+            assert abs(v - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_ddf_general_rows_do_not_depend_on_the_stack_size(monkeypatch):
+    rng = np.random.default_rng(34)
+    net = random_net(rng, 6, lognormal=True, vector_power=True)
+    net = GaussianNetwork(6, net.gains, net.power, range(2, 7))
+    k = random_feasible_cov(rng, net)
+    sigma_sq = 10.0 ** rng.uniform(-1.0, 1.0, 6)
+    whole = ddf_rates_general(net, k, sigma_sq)
+    assert len(whole) == 31
+    monkeypatch.setattr(gaussian, "_STACK", 3)
+    assert ddf_rates_general(net, k, sigma_sq) == whole
 
 
 def test_gap_certificate_exactness():
@@ -197,9 +267,13 @@ def test_gap_certificate_exactness():
                 assert row.gap == n / 2.0
                 # the naive float difference agrees to rounding
                 assert abs((row.upper - row.inner) - n / 2.0) < 5e-13
-                assert abs(row.upper - cutset_relaxed_cut(net, row.cut)) < 1e-12
-                assert abs(row.inner - relaxed_inner_cut(net, row.cut)) < 1e-12
-                assert abs(row.ddf - ddf_cut_rate(net, row.cut)) < 1e-12
+                # each row against the slogdet of its explicit submatrices
+                term = explicit_rate(net, row.cut, np.diag(net.power))
+                pen = sum(node_penalty(net, k) for k in row.cut.complement)
+                tol = 1e-12 * max(1.0, abs(term))
+                assert abs(row.upper - (term + len(row.cut.s) / 2.0)) < tol
+                assert abs(row.inner - (term - len(row.cut.complement) / 2.0)) < tol
+                assert abs(row.ddf - (term - pen)) < tol
                 assert row.tighter_gap <= row.gap + 1e-9
             doc = cert.to_dict()
             assert doc["n"] == n
@@ -210,7 +284,7 @@ def test_cutset_estimate_properties():
     rng = np.random.default_rng(27)
     net = random_net(rng, 4)
     cuts_value = min(
-        cut_rate_term(net, c)
+        cutset_cut_rate(net, c, np.diag(net.power))
         for c in [Cut([1], 4), Cut([1, 2], 4), Cut([1, 3], 4), Cut([1, 2, 3], 4)]
     )
     est = cutset_estimate(net, 4, budget=300, seed=0)
@@ -255,10 +329,10 @@ def test_ddf_region_clamps_and_labels():
     net = GaussianNetwork(3, g, 0.05, [2, 3])
     region = ddf_region(net)
     assert region.dims == (2, 3)
-    for c in region.constraints:
+    for c, row in zip(region.constraints, gap_certificate(net).rows, strict=True):
         assert c.bound >= 0.0
-        raw = ddf_cut_rate(net, c.cut)
-        assert c.bound == max(raw, 0.0)
+        assert c.cut.s == row.cut.s
+        assert c.bound == max(row.ddf, 0.0)
         far = set(c.cut.complement)
         assert c.coeff == tuple(1 if d in far else 0 for d in (2, 3))
 
@@ -313,19 +387,19 @@ def test_single_cut_apis_equal_batched_rows():
         net = random_net(rng, n, lognormal=True, vector_power=True)
         net = GaussianNetwork(n, net.gains, net.power, range(2, n + 1))
         cert = gap_certificate(net)
+        power = np.diag(net.power)
         for row in cert.rows:
-            assert row.upper == cutset_relaxed_cut(net, row.cut)
-            assert row.inner == relaxed_inner_cut(net, row.cut)
-            assert row.ddf == ddf_cut_rate(net, row.cut)
-            assert row.upper == cut_rate_term(net, row.cut) + len(row.cut.s) / 2.0
+            term = cutset_cut_rate(net, row.cut, power)
+            assert row.upper == term + len(row.cut.s) / 2.0
+            assert row.inner == term - len(row.cut.complement) / 2.0
         for c, row in zip(ddf_region(net).constraints, cert.rows):
             assert c.bound == max(row.ddf, 0.0)
         cuts = enumerate_cuts(n, {n}, "unicast")
-        assert ddf_unicast_rate(net, n) == min(ddf_unicast_cut_rate(net, c, n) for c in cuts)
         est = cutset_estimate(net, n, budget=120, seed=1)
         assert np.array_equal(est.k_best, est.k_best.T)
         assert est.estimate == min(cutset_cut_rate(net, c, est.k_best) for c in cuts)
-        assert est.relaxed_upper == min(cutset_relaxed_cut(net, c) for c in cuts)
+        assert est.relaxed_upper == min(cutset_cut_rate(net, c, power) + len(c.s) / 2.0
+                                        for c in cuts)
 
 
 def test_cutset_estimate_spends_its_budget_and_keeps_its_values():
@@ -432,7 +506,7 @@ def test_gaussian_evaluators_hold_their_invariants(n, log10_gains, log10_p, dest
     est = cutset_estimate(net, dest, budget=60, seed=0)
     rate = ddf_unicast_rate(net, dest)
     cert = gap_certificate(net)
-    diag = min(cut_rate_term(net, c) for c in cuts)
+    diag = min(cutset_cut_rate(net, c, np.diag(net.power)) for c in cuts)
     values = [est.estimate, est.relaxed_upper, rate, diag, cert.max_tighter_gap]
     values += [v for r in cert.rows for v in (r.upper, r.inner, r.ddf, r.tighter_gap)]
     assert all(math.isfinite(v) for v in values)

@@ -31,7 +31,6 @@ from relaybound import (
     ddf_unicast_rate,
     diamond_sweep,
     graphical_mincut,
-    maxflow_oracle,
     node_penalty,
     received_snr,
     region_max_weighted,
@@ -78,7 +77,6 @@ PROBES = [
     (lambda v: simplex_grid(3, v), "resolution", 3, [2.5]),
     (lambda v: received_snr(GNET, v), "k", 2, [2.5]),
     (lambda v: node_penalty(GNET, v), "k", 2, [2.5]),
-    (lambda v: maxflow_oracle(GRAPH, v), "dest", 3, [2.5]),
     (lambda v: ddf_unicast_dm(INST, v), "dest", 2, [2.5]),
     (lambda v: Channel([("x1", v)], [("y1", 2)], np.full(4, 0.5) if v else []),
      "variable 'x1'", 2, [0]),
@@ -124,6 +122,12 @@ NUMBER_PROBES = [
     (lambda v: DiamondConfig(1.0, 2.0, 3.0, 4.0).to_network(v), "power", 2.0, [0.0, math.nan]),
     (lambda v: GaussianNetwork(3, _G, [10.0, v, 10.0], [2, 3]), r"power\[1\]", 0.5,
      [0.0, -2.0, math.nan, math.inf]),
+    (lambda v: GaussianNetwork(3, _G, v, [2, 3]), "power", 10.0,
+     ["10", True, np.bool_(True), None, 0.0, math.nan]),
+    (lambda v: GaussianNetwork(3, [[0, 1.5, 0.5], [v, 0, 2], [0.25, 1, 0]], 10.0, [2, 3]),
+     r"gains\[1\]\[0\]", 2.0, ["1", True, np.bool_(True), None]),
+    (lambda v: DiamondConfig(v, 2.0, 3.0, 4.0), "s21", 2.0, [True, "1", np.bool_(False), None]),
+    (lambda v: DiamondConfig(1.0, 2.0, 3.0, v), "s43", 4.0, [True, "4", None]),
 ]
 
 

@@ -16,7 +16,7 @@ from relaybound import (
     received_snr,
     save_network,
 )
-from relaybound.networks import cut_submatrix, gain_submatrix, network_to_dict
+from relaybound.networks import cut_submatrix, network_to_dict
 
 
 def diamond_gains(s21, s31, s42, s43, p):
@@ -119,8 +119,6 @@ def test_received_snr_manual():
 def test_submatrices():
     g = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 4.0], [5.0, 6.0, 0.0]])
     net = GaussianNetwork(3, g, 1.0, [3])
-    sub = gain_submatrix(net, [2, 3], [1])
-    assert sub.tolist() == [[3.0], [5.0]]
     cut = Cut([1, 2], 3)
     assert cut_submatrix(net, cut).tolist() == [[5.0, 6.0]]
     with pytest.raises(ValueError, match="cut is over"):

@@ -1,6 +1,10 @@
 """The benchmark's tracer (``perfbench/tracer.py``) wraps relaybound functions
 at the module attributes and class attributes their callers use.  Renaming or
-inlining one of them breaks the traced benchmark runs; this catches it here."""
+inlining one of them breaks the traced benchmark runs; this catches it here.
+The package's public name list is checked here too."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
@@ -87,3 +91,16 @@ def test_tracer_sees_one_kernel_call_per_candidate_stack():
     metrics = tracer.metrics()
     assert metrics["gaussian.search_evals"] == 200
     assert metrics["info.log_det_calls"] <= 16
+
+
+def test_public_names_are_sorted_unique_resolved_and_complete():
+    names = relaybound.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(relaybound, name), name
+    tree = ast.parse(Path(relaybound.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert public - set(names) == set()
