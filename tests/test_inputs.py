@@ -39,6 +39,7 @@ from relaybound import (
 )
 from relaybound.errors import as_number
 from relaybound.networks import enumerate_cuts
+from tests.maxflow import maxflow_oracle
 
 
 def _dm_parts():
@@ -77,6 +78,7 @@ PROBES = [
     (lambda v: simplex_grid(3, v), "resolution", 3, [2.5]),
     (lambda v: received_snr(GNET, v), "k", 2, [2.5]),
     (lambda v: node_penalty(GNET, v), "k", 2, [2.5]),
+    (lambda v: maxflow_oracle(GRAPH, v), "dest", 3, [2.5]),
     (lambda v: ddf_unicast_dm(INST, v), "dest", 2, [2.5]),
     (lambda v: Channel([("x1", v)], [("y1", 2)], np.full(4, 0.5) if v else []),
      "variable 'x1'", 2, [0]),
