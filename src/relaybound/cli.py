@@ -40,18 +40,14 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _floats(raw: str, what: str) -> list[float]:
+def _split(raw: str, what: str, kind: type = float) -> list:
+    """The comma-separated values of ``raw``, each read by ``kind`` (float or
+    int); empty parts are skipped."""
     try:
-        return [float(part) for part in raw.split(",") if part != ""]
+        return [kind(part) for part in raw.split(",") if part != ""]
     except ValueError:
-        raise ValueError(f"{what}: expected comma-separated numbers, got {raw!r}")
-
-
-def _ints(raw: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part != ""]
-    except ValueError:
-        raise ValueError(f"{what}: expected comma-separated integers, got {raw!r}")
+        noun = "numbers" if kind is float else "integers"
+        raise ValueError(f"{what}: expected comma-separated {noun}, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,15 +158,6 @@ def cmd_diamond_sweep(args) -> int:
     return 0
 
 
-def _draw_gains(rng: np.random.Generator, n: int, dist: str) -> np.ndarray:
-    if dist == "uniform":
-        gains = rng.uniform(0.1, 2.0, size=(n, n))
-    else:
-        gains = rng.lognormal(0.0, 1.0, size=(n, n))
-    np.fill_diagonal(gains, 0.0)
-    return gains
-
-
 def cmd_gap_verify(args) -> int:
     if not 2 <= args.n <= 10:
         raise ValueError(f"n must be in 2..10, got {args.n}")
@@ -183,7 +170,10 @@ def cmd_gap_verify(args) -> int:
     violations = []
     max_tighter = -float("inf")
     for trial in range(args.trials):
-        gains = _draw_gains(rng, args.n, args.gain_dist)
+        shape = (args.n, args.n)
+        gains = (rng.uniform(0.1, 2.0, shape) if args.gain_dist == "uniform"
+                 else rng.lognormal(0.0, 1.0, shape))
+        np.fill_diagonal(gains, 0.0)
         net = GaussianNetwork(args.n, gains, args.power, range(2, args.n + 1))
         cert = gap_certificate(net)
         for row in cert.rows:
@@ -234,7 +224,7 @@ def cmd_region(args) -> int:
     if args.query == "membership":
         if args.rates is None:
             raise ValueError("membership query needs --rates")
-        rates = _floats(args.rates, "--rates")
+        rates = _split(args.rates, "--rates")
         doc["rates"] = rates
         doc["member"] = region_membership(region, rates)
     elif args.query == "symmetric":
@@ -242,7 +232,7 @@ def cmd_region(args) -> int:
     else:
         if args.weights is None:
             raise ValueError("weighted query needs --weights")
-        weights = _floats(args.weights, "--weights")
+        weights = _split(args.weights, "--weights")
         rates, value = region_max_weighted(region, weights)
         doc["weights"] = weights
         doc["argmax"] = list(rates)
@@ -280,7 +270,7 @@ def _write_bound(args, dests, mode, value) -> int:
 
 
 def cmd_eval_dm(args) -> int:
-    dests = _ints(args.dest, "--dest") if args.dest else []
+    dests = _split(args.dest, "--dest", int) if args.dest else []
 
     if args.mode == "deterministic":
         net = load_network(args.channel)
@@ -346,7 +336,7 @@ def cmd_eval_dm(args) -> int:
             raise ValueError("repair mode writes a pmf file; give --out")
         values = dm.constraint_values_j(inst)
         if args.cut is not None:
-            cut = tuple(sorted(set(_ints(args.cut, "--cut"))))
+            cut = tuple(sorted(set(_split(args.cut, "--cut", int))))
             if cut not in values:
                 raise ValueError(f"--cut {args.cut}: not a cut of this instance")
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -71,10 +71,12 @@ class DdfParams:
     sigma3_sq: float
 
     def __post_init__(self):
+        for name in ("rho", "sigma2_sq", "sigma3_sq"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.sigma2_sq <= 0 or self.sigma3_sq <= 0:
-            raise ValueError("description-noise variances must be positive")
+        if not (0 < self.sigma2_sq < math.inf and 0 < self.sigma3_sq < math.inf):
+            raise ValueError("description-noise variances must be finite and positive")
 
 
 def _min_terms(terms):
@@ -156,9 +158,10 @@ def _nnc_terms(cfg: DiamondConfig, s2, s3) -> tuple:
 def nnc_diamond_terms(
     cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float
 ) -> tuple[float, ...]:
-    if sigma2_sq <= 0 or sigma3_sq <= 0:
-        raise ValueError("compression-noise variances must be positive")
-    return tuple(float(t) for t in _nnc_terms(cfg, sigma2_sq, sigma3_sq))
+    s2, s3 = as_number(sigma2_sq, "sigma2_sq"), as_number(sigma3_sq, "sigma3_sq")
+    if not (0 < s2 < math.inf and 0 < s3 < math.inf):
+        raise ValueError("compression-noise variances must be finite and positive")
+    return tuple(float(t) for t in _nnc_terms(cfg, s2, s3))
 
 
 def nnc_diamond(cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float) -> RateBits:
@@ -214,6 +217,7 @@ def df_diamond(cfg: DiamondConfig) -> RateBits:
 
 
 def cutset_diamond_terms(cfg: DiamondConfig, rho: float) -> tuple[float, ...]:
+    rho = as_number(rho, "rho")
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
     shrink = 1.0 - rho * rho
@@ -287,11 +291,7 @@ class SweepTable:
                     "params": {
                         "cutset_rho": r.cutset_rho,
                         "nnc_sigma_sq": list(r.nnc_sigma_sq),
-                        "ddf": {
-                            "rho": r.ddf_params.rho,
-                            "sigma2_sq": r.ddf_params.sigma2_sq,
-                            "sigma3_sq": r.ddf_params.sigma3_sq,
-                        },
+                        "ddf": asdict(r.ddf_params),
                         "active": {"nnc": r.nnc_active, "ddf": r.ddf_active},
                     },
                 }

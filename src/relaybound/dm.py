@@ -61,12 +61,6 @@ class Channel:
         object.__setattr__(self, "probs", arr)
 
 
-def _parse_node_var(name: str) -> tuple[str, int] | None:
-    if len(name) >= 2 and name[0] in "xuy" and name[1:].isdigit():
-        return name[0], int(name[1:])
-    return None
-
-
 def _canonical_vars(n: int, sizes: dict[str, int]) -> list[tuple[str, int]]:
     order = ["q"]
     order += [f"x{k}" for k in range(1, n + 1)]
@@ -135,14 +129,11 @@ class DmInstance:
 
         def note(name: str, size: int, where: str):
             nonlocal n
-            if name == "q":
-                kind = "q"
-            else:
-                parsed = _parse_node_var(name)
-                if parsed is None:
+            if name != "q":
+                if len(name) < 2 or name[0] not in "xuy" or not name[1:].isdigit():
                     raise ValueError(f"{where}: unrecognized variable {name!r}")
-                kind, node = parsed
-                if kind == "u" and node < 2:
+                node = int(name[1:])
+                if name[0] == "u" and node < 2:
                     raise ValueError(f"{where}: u1 is not a valid description variable")
                 n = max(n, node)
             if sizes.get(name, size) != size:
@@ -605,46 +596,30 @@ def graphical_mincut(net: GraphicalNetwork, dest: int) -> float:
 def graphical_to_deterministic(net: GraphicalNetwork) -> DeterministicNetwork:
     """Encode integer-capacity bit pipes as a noiseless network.
 
-    Each node's input symbol packs one sub-symbol of 2^cap values per outgoing
-    edge; each receiver observes the packed sub-symbols on its incoming edges.
+    Edge i = (u, v) of b_i bits carries bits low_i .. low_i + b_i - 1 of x_u,
+    low_i being the bits of u's earlier outgoing edges; receiver v observes
+    its incoming edges' sub-symbols packed in edge order, the first edge the
+    most significant.
     """
-    bits = []
+    bits, low, used = [], [], [0] * net.n
     for u, v, c in net.edges:
         b = round(c)
         if abs(c - b) > 1e-9 or b < 0:
             raise ValueError(f"edge ({u}, {v}) capacity {c} is not a small integer")
         bits.append(b)
-    out_edges: dict[int, list[int]] = {u: [] for u in range(1, net.n + 1)}
-    in_edges: dict[int, list[int]] = {u: [] for u in range(1, net.n + 1)}
-    for i, (u, v, _) in enumerate(net.edges):
-        out_edges[u].append(i)
-        in_edges[v].append(i)
-    alphabets = [2 ** sum(bits[i] for i in out_edges[u]) for u in range(1, net.n + 1)]
+        low.append(used[u - 1])
+        used[u - 1] += b
+    alphabets = [2**b for b in used]
     if math.prod(alphabets) > 1_000_000:
         raise TensorCapError(
             f"input joint has {math.prod(alphabets)} cells; "
             "reduce the edge capacities"
         )
-
-    def unpack(symbol: int, edge_ids: list[int]) -> dict[int, int]:
-        vals = {}
-        for i in edge_ids:
-            vals[i] = symbol % (2 ** bits[i])
-            symbol //= 2 ** bits[i]
-        return vals
-
-    maps = {}
-    for v in range(2, net.n + 1):
-        table = np.zeros(tuple(alphabets), dtype=int)
-        for x in np.ndindex(*alphabets):
-            carried = {}
-            for u in range(1, net.n + 1):
-                carried.update(unpack(x[u - 1], out_edges[u]))
-            y = 0
-            for i in in_edges[v]:
-                y = y * (2 ** bits[i]) + carried[i]
-            table[x] = y
-        maps[v] = table
+    x = np.indices(alphabets, sparse=True)
+    maps = {v: np.zeros(alphabets, dtype=int) for v in range(2, net.n + 1)}
+    for (u, v, _), b, lo in zip(net.edges, bits, low):
+        if v != 1:
+            maps[v] = maps[v] * 2**b + (x[u - 1] >> lo) % 2**b
     return DeterministicNetwork(alphabets, maps, net.destinations)
 
 

@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the one owner of each input
 rule: ``as_int`` (an integer), ``as_int_set`` (a sorted set of them),
 ``as_node`` and ``as_nodes`` (node ids 1..n, or destinations 2..n),
-``as_number`` (a real number), ``as_power`` (a transmit power) and
-``load_json_object`` (a model file).  Each raises SchemaError naming the
-argument or field path."""
+``as_number`` (a real number), ``as_numbers`` (an array of them),
+``as_power`` (a transmit power) and ``load_json_object`` (a model file).
+Each raises SchemaError naming the argument or field path."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import numbers
 import operator
 from pathlib import Path
 from typing import Callable, Iterable
+
+import numpy as np
 
 
 class SchemaError(ValueError):
@@ -79,6 +81,21 @@ def as_number(value, what: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise SchemaError(f"{what}: expected a number, got {value!r}")
+
+
+def as_numbers(values, what: str) -> np.ndarray:
+    """``values`` as a float array of the same shape.  A numeric ndarray
+    converts in one call; any other entry that is not a float is read by
+    ``as_number`` and named by its index, e.g. ``what[1][0]``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    arr = np.asarray(values, dtype=object)
+    flat = arr.ravel().tolist()
+    for k, v in enumerate(flat):
+        if type(v) is not float:
+            index = "".join(f"[{i}]" for i in np.unravel_index(k, arr.shape))
+            flat[k] = as_number(v, what + index)
+    return np.array(flat, dtype=float).reshape(arr.shape)
 
 
 def as_power(value, what: str = "power") -> float:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import as_int, as_node
+from .errors import as_int, as_node, as_number, as_numbers
 from .info import RateBits, _half_log2_diag, log_det_rate
 from .networks import Cut, GaussianNetwork, enumerate_cuts, received_snr
 from .networks import cut_submatrix  # noqa: F401 -- a module attribute the benchmark tracer wraps
@@ -28,20 +28,14 @@ from .regions import RateRegion, region_from_cuts
 
 def penalty_rate(snr: float) -> RateBits:
     """(1/2) log2(1 + s/(1+s)); lies in [0, 1/2] for every s >= 0."""
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
+    snr = as_number(snr, "snr")
+    if not 0 <= snr < math.inf:
+        raise ValueError(f"snr must be finite and nonnegative, got {snr}")
     return 0.5 * math.log2(1.0 + snr / (1.0 + snr))
 
 
 def node_penalty(net: GaussianNetwork, k: int) -> RateBits:
     return penalty_rate(received_snr(net, k))
-
-
-def _check_cut(net: GaussianNetwork, cut: Cut) -> None:
-    if cut.n != net.n:
-        raise ValueError(f"cut is over {cut.n} nodes, network has {net.n}")
-    if not cut.complement:
-        raise ValueError(f"cut {cut.s} has an empty far side")
 
 
 #: Matrices per kernel call.  Full-power evaluators score at most this many
@@ -104,7 +98,7 @@ def _ddf_rows(
 def _validate_cov(net: GaussianNetwork, k_cov: np.ndarray) -> np.ndarray:
     """Check K against the network; tolerances are 1e-9 of max(1, max|K|),
     and 1e-9 of max(1, P_j) on the diagonal."""
-    k = np.asarray(k_cov, dtype=float)
+    k = as_numbers(k_cov, "k_cov")
     if k.shape != (net.n, net.n):
         raise ValueError(f"covariance must be {net.n}x{net.n}, got {k.shape}")
     if not np.all(np.isfinite(k)):
@@ -127,7 +121,10 @@ def _validate_cov(net: GaussianNetwork, k_cov: np.ndarray) -> np.ndarray:
 
 def cutset_cut_rate(net: GaussianNetwork, cut: Cut, k_cov: np.ndarray) -> RateBits:
     """(1/2) log2 |I + G(S) K(S) G(S)^T| for a feasible input covariance K."""
-    _check_cut(net, cut)
+    if cut.n != net.n:
+        raise ValueError(f"cut is over {cut.n} nodes, network has {net.n}")
+    if not cut.complement:
+        raise ValueError(f"cut {cut.s} has an empty far side")
     k = _validate_cov(net, k_cov)
     return float(_plan_rates(_cut_plan(net, [cut]), k)[0])
 
@@ -151,7 +148,7 @@ def ddf_rates_general(
     """
     k = _validate_cov(net, k_cov)
     n = net.n
-    sig = np.asarray(sigma_sq, dtype=float)
+    sig = as_numbers(sigma_sq, "sigma_sq")
     if sig.ndim == 0:
         sig = np.full(n, float(sig))
     if sig.shape != (n,):

@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    SchemaError, as_int, as_int_set, as_node, as_nodes, as_number, as_power, load_json_object)
+    SchemaError, as_int, as_int_set, as_node, as_nodes, as_number, as_numbers, as_power,
+    load_json_object)
 
 #: Cut enumeration is exhaustive; beyond this many nodes callers must supply
 #: explicit cut lists.
@@ -67,15 +68,13 @@ class GaussianNetwork:
         n = as_int(n, "n")
         if n < 2:
             raise ValueError(f"need n >= 2 nodes, got {n}")
-        g = np.asarray(gains, dtype=object)
+        g = as_numbers(gains, "gains")
         if g.shape != (n, n):
             raise ValueError(f"gains must be {n}x{n}, got {g.shape}")
-        g = np.array([v if type(v) is float else as_number(v, f"gains[{i // n}][{i % n}]")
-                      for i, v in enumerate(g.ravel().tolist())]).reshape(n, n)
         if not np.all(np.isfinite(g)):
             raise ValueError("gains must be finite")
-        if np.any(np.diag(g) != 0.0):
-            raise ValueError("gains diagonal must be zero (no self-link)")
+        for i in np.flatnonzero(np.diag(g))[:1]:
+            raise ValueError(f"gains[{i}][{i}]: diagonal entries must be zero (no self-link)")
         p = np.asarray(power, dtype=object)
         if p.ndim == 0:
             p = np.full(n, as_power(p.item()))
@@ -92,13 +91,6 @@ class GaussianNetwork:
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "power", p)
         object.__setattr__(self, "destinations", dests)
-
-    @property
-    def common_power(self) -> float:
-        """The shared power limit; raises if the per-node limits differ."""
-        if not np.all(self.power == self.power[0]):
-            raise ValueError("network has per-node power limits, not a common one")
-        return float(self.power[0])
 
 
 @dataclass(frozen=True)
@@ -130,7 +122,7 @@ class DeterministicNetwork:
         fixed: dict[int, np.ndarray] = {}
         for k, table in maps.items():
             k = as_node(k, n, f"maps[{k!r}] node", first=2)
-            vals = np.asarray(table, dtype=float).reshape(shape)
+            vals = as_numbers(table, f"maps[{k}]").reshape(shape)
             if not np.all(np.isfinite(vals)):
                 raise ValueError(f"map y{k} symbols must be finite")
             if np.any(vals != np.floor(vals)):
@@ -252,8 +244,6 @@ def _require(obj: dict, key: str, kind, path: str):
     val = obj[key]
     if kind is int:
         return as_int(val, f"{path}{key}")
-    if kind is float:
-        return as_number(val, f"{path}{key}")
     if not isinstance(val, kind):
         raise SchemaError(f"{path}{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
@@ -302,18 +292,9 @@ def network_from_dict(doc: dict):
         for i, row in enumerate(gains):
             if not isinstance(row, list) or len(row) != n:
                 raise SchemaError(f"gains[{i}]: expected a row of {n} numbers")
-            for j, v in enumerate(row):
-                if as_number(v, f"gains[{i}][{j}]") != 0 and i == j:
-                    raise SchemaError(f"gains[{i}][{j}]: diagonal entries must be 0")
-        power = doc.get("power")
-        if isinstance(power, list):
-            if len(power) != n:
-                raise SchemaError(f"power: expected a number or {n} numbers")
-            power = [as_number(p, f"power[{i}]") for i, p in enumerate(power)]
-        else:
-            power = _require(doc, "power", float, "")
+        power = _require(doc, "power", object, "")
         dests = _require(doc, "destinations", list, "")
-        return GaussianNetwork(n, np.array(gains, float), power, dests)
+        return GaussianNetwork(n, gains, power, dests)
     if model == "deterministic":
         alphabets = _require(doc, "alphabets", list, "")
         maps_doc = _require(doc, "maps", dict, "")
@@ -323,7 +304,7 @@ def network_from_dict(doc: dict):
                 raise SchemaError(f"maps.{key}: keys must look like 'y2'")
             if not isinstance(table, list):
                 raise SchemaError(f"maps.{key}: expected a flat list of symbols")
-            maps[int(key[1:])] = [as_number(v, f"maps.{key}[{i}]") for i, v in enumerate(table)]
+            maps[int(key[1:])] = table
         dests = _require(doc, "destinations", list, "") if "destinations" in doc else ()
         return DeterministicNetwork(alphabets, maps, dests)
     if model == "graphical":
@@ -332,10 +313,8 @@ def network_from_dict(doc: dict):
         for i, e in enumerate(edges_doc):
             if not isinstance(e, dict):
                 raise SchemaError(f"edges[{i}]: expected an object")
-            u = _require(e, "from", int, f"edges[{i}].")
-            v = _require(e, "to", int, f"edges[{i}].")
-            cap = _require(e, "cap", float, f"edges[{i}].")
-            edges.append((u, v, cap))
+            edges.append(tuple(_require(e, key, object, f"edges[{i}].")
+                               for key in ("from", "to", "cap")))
         dests = _require(doc, "destinations", list, "")
         return GraphicalNetwork(edges, dests, n=doc.get("n"))
     raise SchemaError(f"model: unknown model {model!r}")

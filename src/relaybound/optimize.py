@@ -189,10 +189,8 @@ def golden_max(
     if not lo <= hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     best_x, best_v = lo, f(lo)
-    for x in (hi,):
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
+    if (v := f(hi)) > best_v:
+        best_x, best_v = hi, v
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)

@@ -88,6 +88,17 @@ def region_membership(region: RateRegion, rates: Sequence[float]) -> bool:
     return True
 
 
+def _clamped(region: RateRegion) -> list[tuple[tuple[int, ...], float]]:
+    """(coeff, max(bound, 0)) of every constraint.  A region with no
+    constraints, or with a bound below -MEMBERSHIP_SLACK (so that not even
+    the origin is a member), raises."""
+    if not region.constraints:
+        raise ValueError("region has no constraints")
+    if any(c.bound < -MEMBERSHIP_SLACK for c in region.constraints):
+        raise ValueError("region is empty: a constraint bound is negative")
+    return [(c.coeff, max(c.bound, 0.0)) for c in region.constraints]
+
+
 def region_max_weighted(
     region: RateRegion, weights: Sequence[float]
 ) -> tuple[np.ndarray, float]:
@@ -95,20 +106,10 @@ def region_max_weighted(
     weights = [as_number(w, f"weights[{i}]") for i, w in enumerate(weights)]
     if len(weights) != len(region.dims):
         raise ValueError(f"expected {len(region.dims)} weights, got {len(weights)}")
-    if not region.constraints:
-        raise ValueError("region has no constraints")
-    rows = [(c.coeff, max(c.bound, 0.0)) for c in region.constraints]
-    return simplex_lp_max(weights, rows)
+    return simplex_lp_max(weights, _clamped(region))
 
 
 def region_max_symmetric(region: RateRegion) -> float:
     """Largest t with (t, ..., t) in the region: min over constraints of
     max(b, 0) / |c|, or inf when no constraint bounds a rate."""
-    if not region.constraints:
-        raise ValueError("region has no constraints")
-    if any(c.bound < -MEMBERSHIP_SLACK for c in region.constraints):
-        raise ValueError("region is empty: a constraint bound is negative")
-    return min(
-        (max(c.bound, 0.0) / sum(c.coeff) for c in region.constraints if any(c.coeff)),
-        default=math.inf,
-    )
+    return min((b / sum(c) for c, b in _clamped(region) if any(c)), default=math.inf)

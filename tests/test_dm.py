@@ -36,6 +36,7 @@ from relaybound import (
     simplex_grid,
 )
 from relaybound.dm import _pareto_frontier, pmf_to_dict
+from tests.bitpipe import bit_pipe_oracle
 from tests.maxflow import maxflow_oracle
 
 
@@ -556,6 +557,31 @@ def test_bit_pipe_encoding_achieves_mincut():
         inner = deterministic_inner(det, pin, [n])
         assert inner == graphical_mincut(net, n)
         done += 1
+
+
+def test_bit_pipe_encoder_matches_the_cell_by_cell_oracle():
+    rng = np.random.default_rng(53)
+    into_source = zero_caps = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 6))
+        edges, total = [], 0
+        for _ in range(int(rng.integers(1, 8))):
+            u, v = (int(k) for k in rng.choice(np.arange(1, n + 1), 2, replace=False))
+            c = int(rng.integers(0, 3))
+            if total + c <= 9:
+                edges.append((u, v, float(c)))
+                total += c
+        into_source += any(v == 1 for _, v, _ in edges)
+        zero_caps += any(c == 0 for _, _, c in edges)
+        net = GraphicalNetwork(edges, [int(rng.integers(2, n + 1))], n=n)
+        det = graphical_to_deterministic(net)
+        alphabets, maps = bit_pipe_oracle(net)
+        assert det.alphabets == tuple(alphabets)
+        assert sorted(det.maps) == sorted(maps) == list(range(2, n + 1))
+        for v, table in maps.items():
+            assert det.maps[v].dtype == table.dtype
+            assert np.array_equal(det.maps[v], table)
+    assert into_source > 50 and zero_caps > 50
 
 
 def test_graphical_to_deterministic_guards():

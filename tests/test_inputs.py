@@ -14,6 +14,9 @@ import pytest
 
 from relaybound import (
     Channel,
+    Cut,
+    DdfParams,
+    DeterministicNetwork,
     DiamondConfig,
     DmInstance,
     GaussianNetwork,
@@ -23,15 +26,21 @@ from relaybound import (
     SchemaError,
     conferencing_dbc_region,
     constraint_repair,
+    cutset_cut_rate,
+    cutset_diamond,
     cutset_dm,
     cutset_estimate,
+    ddf_diamond,
     ddf_multicast_dm,
+    ddf_rates_general,
     ddf_region,
     ddf_unicast_dm,
     ddf_unicast_rate,
     diamond_sweep,
     graphical_mincut,
+    nnc_diamond,
     node_penalty,
+    penalty_rate,
     received_snr,
     region_max_weighted,
     region_membership,
@@ -130,6 +139,28 @@ NUMBER_PROBES = [
      r"gains\[1\]\[0\]", 2.0, ["1", True, np.bool_(True), None]),
     (lambda v: DiamondConfig(v, 2.0, 3.0, 4.0), "s21", 2.0, [True, "1", np.bool_(False), None]),
     (lambda v: DiamondConfig(1.0, 2.0, 3.0, v), "s43", 4.0, [True, "4", None]),
+    # arrays of numbers: each entry through as_numbers, named by its index
+    (lambda v: cutset_cut_rate(GNET, Cut([1], 3), [[v, 0, 0], [0, 2, 0], [0, 0, 2]]),
+     r"k_cov\[0\]\[0\]", 2.0, ["2", True, np.bool_(True), None]),
+    (lambda v: ddf_rates_general(GNET, np.diag(GNET.power), v), "sigma_sq", 1.0,
+     ["2", True, np.bool_(True), None]),
+    (lambda v: ddf_rates_general(GNET, np.diag(GNET.power), [1.0, v, 1.0]),
+     r"sigma_sq\[1\]", 0.5, ["2", True, None]),
+    (lambda v: DeterministicNetwork([2, 2], {2: [0, v, 1, 0]}), r"maps\[2\]\[1\]", 1.0,
+     ["1", True, np.bool_(True), None]),
+    (lambda v: DeterministicNetwork([2, 2], {2: np.full((2, 2), v)}), r"maps\[2\]\[0\]\[0\]",
+     1.0, [True, np.bool_(False), "1"]),
+    # diamond and penalty scalars
+    (lambda v: DdfParams(v, 1.0, 1.0), "rho", 0.5, [True, "0.5", np.bool_(False), None]),
+    (lambda v: DdfParams(0.1, v, 1.0), "sigma2_sq", 1.0, ["1", True, None]),
+    (lambda v: DdfParams(0.1, 1.0, v), "sigma3_sq", 2.0, ["2", np.bool_(True), None]),
+    (lambda v: nnc_diamond(DiamondConfig(1.0, 2.0, 3.0, 4.0), v, 1.0), "sigma2_sq", 1.0,
+     ["1", True, None]),
+    (lambda v: nnc_diamond(DiamondConfig(1.0, 2.0, 3.0, 4.0), 1.0, v), "sigma3_sq", 0.5,
+     ["0.5", np.bool_(True), None]),
+    (lambda v: cutset_diamond(DiamondConfig(1.0, 2.0, 3.0, 4.0), v), "rho", 0.5,
+     [True, "0.5", np.bool_(True), None]),
+    (lambda v: penalty_rate(v), "snr", 2.0, [True, "2", np.bool_(False), None]),
 ]
 
 
@@ -145,3 +176,25 @@ def test_number_arguments_have_one_owner(call, name, good, bad):
         same += [int(good), np.int64(good)]
     for value in same:
         assert pickle.dumps(call(value)) == want
+
+
+def test_diamond_variances_and_snrs_must_be_finite():
+    cfg = DiamondConfig.from_distance(0.5, 10.0)
+    for bad in (math.nan, math.inf):
+        # an infinite variance once made two DDF terms NaN, and min() skipped
+        # them: 3.7338 bits, above the cutset value 3.6655
+        with pytest.raises(ValueError, match="finite"):
+            DdfParams(0.1, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            DdfParams(0.1, 1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            nnc_diamond(cfg, bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            nnc_diamond(cfg, 1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            penalty_rate(bad)
+    with pytest.raises(ValueError, match="rho"):
+        DdfParams(math.nan, 1.0, 1.0)
+    with pytest.raises(ValueError, match="rho"):
+        cutset_diamond(cfg, math.nan)
+    assert ddf_diamond(cfg, DdfParams(0.1, 1e300, 1.0)) <= cutset_diamond(cfg, 0.1)

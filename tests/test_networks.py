@@ -85,7 +85,6 @@ def test_enumerate_cuts_validation():
 def test_gaussian_network_validation():
     g = diamond_gains(2.0, 1.0, 1.0, 2.0, 1.0)
     net = GaussianNetwork(4, g, 1.0, [4])
-    assert net.common_power == 1.0
     assert net.power.shape == (4,)
     assert not net.gains.flags.writeable
 
@@ -99,8 +98,6 @@ def test_gaussian_network_validation():
         GaussianNetwork(2, np.zeros((2, 2)), 1.0, [])
     with pytest.raises(ValueError, match="destinations"):
         GaussianNetwork(2, np.zeros((2, 2)), 1.0, [1])
-    with pytest.raises(ValueError, match="per-node power"):
-        GaussianNetwork(2, np.zeros((2, 2)), [1.0, 2.0], [2]).common_power
 
 
 def test_received_snr_manual():

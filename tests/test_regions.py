@@ -82,9 +82,18 @@ def test_max_weighted():
 
 
 def test_max_weighted_clamps_negative_bounds():
-    region = RateRegion([2], [RegionConstraint((1,), -0.5)])
-    x, val = region_max_weighted(region, [1.0])
-    assert val == 0.0
+    # R2 <= -0.5 leaves not even the origin in the region: both queries refuse it
+    region = RateRegion([2, 3], [RegionConstraint((1, 0), -0.5), RegionConstraint((0, 1), 1.0)])
+    assert not region_membership(region, [0.0, 0.0])
+    for query in (lambda: region_max_weighted(region, [1.0, 1.0]),
+                  lambda: region_max_symmetric(region)):
+        with pytest.raises(ValueError, match="region is empty"):
+            query()
+    # a bound below zero by less than the membership slack still clamps to 0
+    region = RateRegion([2, 3], [RegionConstraint((1, 0), -1e-12), RegionConstraint((0, 1), 1.0)])
+    x, val = region_max_weighted(region, [1.0, 1.0])
+    assert val == 1.0 and list(x) == [0.0, 1.0]
+    assert region_max_symmetric(region) == 0.0
 
 
 def test_max_symmetric():
