@@ -129,6 +129,8 @@ class DeterministicNetwork:
                 raise ValueError(f"map y{k} has non-integral symbols")
             if np.any(vals < 0):
                 raise ValueError(f"map y{k} has negative symbols")
+            if np.any(vals >= 2.0**63):
+                raise ValueError(f"map y{k} has symbols of 2**63 or more, beyond int64")
             arr = vals.astype(int)
             arr.flags.writeable = False
             fixed[k] = arr

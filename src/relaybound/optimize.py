@@ -3,8 +3,8 @@
 Everything here is dependency-free numerics: a coarse-grid + Nelder-Mead
 maximizer for box-constrained objectives, golden-section line search, a
 feasibility bisection, and a dense-tableau simplex for rate-region LPs.
-``bisect_feasible`` is kept as a public helper; no region query needs it,
-since the symmetric rate has a closed form.
+``golden_max`` and ``bisect_feasible`` have no library caller; they stay
+because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -85,13 +85,21 @@ def grid_then_refine(
     los = [d.to_internal(d.lo) for d in dims]
     his = [d.to_internal(d.hi) for d in dims]
 
+    evals = 0
+
     def probe(t: Sequence[float]) -> float:
+        """f at t clipped to the box, -inf if not finite; counted, and kept
+        as the incumbent when strictly better."""
+        nonlocal evals, overall_t, overall_v
+        evals += 1
         x = tuple(d.to_external(min(max(ti, lo), hi))
                   for d, ti, lo, hi in zip(dims, t, los, his))
         v = float(f(*x))
         if not math.isfinite(v):
             log.debug("discarding non-finite probe f(%s) = %s", x, v)
-            return -math.inf
+            v = -math.inf
+        if v > overall_v:
+            overall_t, overall_v = list(t), v
         return v
 
     axes = [
@@ -110,29 +118,18 @@ def grid_then_refine(
         vals = np.where(finite, vals, -math.inf)
     # C order is itertools.product order, and argmax takes the first maximum.
     cell = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best_t = [float(ax[i]) for ax, i in zip(axes, cell)]
-    best_v = float(vals[cell])
+    overall_t = [float(ax[i]) for ax, i in zip(axes, cell)]
+    overall_v = float(vals[cell])
 
     # Nelder-Mead (reflect 1, expand 2, contract 0.5, shrink 0.5) in internal
     # coordinates, clipped to the box.
     steps = [(hi - lo) / max(grid_per_dim - 1, 1) / 2 for lo, hi in zip(los, his)]
-    simplex = [list(best_t)]
+    simplex = [list(overall_t)]
     for i, s in enumerate(steps):
-        vert = list(best_t)
+        vert = list(overall_t)
         vert[i] = vert[i] + s if vert[i] + s <= his[i] else vert[i] - s
         simplex.append(vert)
     values = [probe(v) for v in simplex]
-    evals = len(simplex)
-
-    overall_t, overall_v = list(best_t), best_v
-    for v, t in zip(values, simplex):
-        if v > overall_v:
-            overall_t, overall_v = list(t), v
-
-    def record(t: Sequence[float], v: float) -> None:
-        nonlocal overall_t, overall_v
-        if v > overall_v:
-            overall_t, overall_v = list(t), v
 
     ndim = len(dims)
     while evals < refine_budget:
@@ -145,13 +142,9 @@ def grid_then_refine(
         worst = simplex[-1]
         refl = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = probe(refl)
-        evals += 1
-        record(refl, fr)
         if fr > values[0]:
             expa = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             fe = probe(expa)
-            evals += 1
-            record(expa, fe)
             if fe > fr:
                 simplex[-1], values[-1] = expa, fe
             else:
@@ -161,17 +154,12 @@ def grid_then_refine(
         else:
             contr = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
             fc = probe(contr)
-            evals += 1
-            record(contr, fc)
             if fc > values[-1]:
                 simplex[-1], values[-1] = contr, fc
             else:
                 for i in range(1, ndim + 1):
                     simplex[i] = [0.5 * (a + b) for a, b in zip(simplex[0], simplex[i])]
                     values[i] = probe(simplex[i])
-                evals += ndim
-                for t, v in zip(simplex[1:], values[1:]):
-                    record(t, v)
 
     clipped = [min(max(t, lo), hi) for t, lo, hi in zip(overall_t, los, his)]
     arg = tuple(d.to_external(t) for d, t in zip(dims, clipped))

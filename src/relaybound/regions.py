@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import as_int, as_number
+from .errors import SchemaError, as_int, as_number
 from .networks import Cut
 # bisect_feasible is unused here; the benchmark's tracer wraps it by this name.
 from .optimize import bisect_feasible, simplex_lp_max  # noqa: F401
@@ -40,7 +40,9 @@ class RateRegion:
         dims = tuple(as_int(d, f"dims[{i}]") for i, d in enumerate(dims))
         if not dims:
             raise ValueError("a region needs at least one rate dimension")
-        for c in constraints:
+        for i, c in enumerate(constraints):
+            if math.isnan(as_number(c.bound, f"constraints[{i}].bound")):
+                raise SchemaError(f"constraints[{i}].bound: a bound must not be NaN")
             if len(c.coeff) != len(dims):
                 raise ValueError(
                     f"constraint arity {len(c.coeff)} != {len(dims)} dimensions"

@@ -23,6 +23,7 @@ from relaybound import (
     ddf_diamond_opt,
     df_diamond,
     diamond_sweep,
+    golden_max,
     nnc_diamond,
     nnc_diamond_opt,
     received_snr,
@@ -284,6 +285,53 @@ def test_cutset_opt_matches_dense_grid():
         dense = max(cutset_diamond(cfg, r) for r in np.linspace(0.0, 1.0, 20001))
         assert opt >= dense - 1e-9
         assert abs(opt - dense) < 1e-5
+
+
+def oracle_cutset_opt(cfg):
+    """The cutset optimum by golden-section search on the unimodal profile."""
+    return golden_max(lambda r: cutset_diamond(cfg, r), 0.0, 1.0, tol=1e-10)[1]
+
+
+def test_cutset_opt_never_below_the_golden_oracle():
+    # Relay positions at powers 10^U(-3, 12), free SNRs 10^U(-3, 9), high SNRs
+    # 10^U(6, 12) (where the optimum crowds rho -> 1 and 1 - rho^2 cancels),
+    # and s31 = (sqrt(s42) + sqrt(s43))^2, where the crossing sits at rho = 1.
+    rng = np.random.default_rng(37)
+    cfgs = [DiamondConfig.from_distance(float(rng.uniform(0.02, 0.98)),
+                                        float(10.0 ** rng.uniform(-3.0, 12.0)))
+            for _ in range(600)]
+    cfgs += [DiamondConfig(*(10.0 ** rng.uniform(-3.0, 9.0, 4)).tolist()) for _ in range(800)]
+    cfgs += [DiamondConfig(*(10.0 ** rng.uniform(6.0, 12.0, 4)).tolist()) for _ in range(400)]
+    for s21, s42, s43 in (10.0 ** rng.uniform(-3.0, 12.0, (200, 3))).tolist():
+        cfgs.append(DiamondConfig(s21, (math.sqrt(s42) + math.sqrt(s43)) ** 2, s42, s43))
+    near_one = 0
+    for cfg in cfgs:
+        value, rho = cutset_diamond_opt(cfg)
+        want = oracle_cutset_opt(cfg)
+        assert 0.0 <= rho <= 1.0
+        assert value >= want - 1e-12 * max(1.0, abs(want)), cfg
+        if 1.0 - rho >= 1e-5:
+            assert abs(cutset_diamond(cfg, rho) - value) <= 1e-12 * max(1.0, abs(value)), cfg
+        near_one += 1.0 - 5e-6 < rho < 1.0
+        if cfg.s21 + cfg.s31 == cfg.s42 + cfg.s43:  # from_distance: no correlation gain
+            assert (value, rho) == (cutset_diamond(cfg, 0.0), 0.0)
+    assert near_one >= 100
+
+
+_SNR = st.one_of(st.just(0.0), st.floats(-3.0, 12.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_SNR, _SNR, _SNR, _SNR))
+def test_cutset_opt_dominates_a_rho_grid_at_any_snr(snrs):
+    cfg = DiamondConfig(*snrs)
+    value, rho = cutset_diamond_opt(cfg)
+    assert math.isfinite(value) and 0.0 <= rho <= 1.0
+    if cfg.s42 * cfg.s43 == 0.0:  # no term grows with rho: ties go to rho = 0
+        assert rho == 0.0
+    slack = 1e-12 * max(1.0, abs(value))
+    for r in np.linspace(0.0, 1.0, 101):
+        assert value >= cutset_diamond(cfg, float(r)) - slack
 
 
 def test_inner_bounds_below_cutset():

@@ -23,6 +23,7 @@ from relaybound import (
     GraphicalNetwork,
     JointPmf,
     RateRegion,
+    RegionConstraint,
     SchemaError,
     conferencing_dbc_region,
     constraint_repair,
@@ -161,6 +162,9 @@ NUMBER_PROBES = [
     (lambda v: cutset_diamond(DiamondConfig(1.0, 2.0, 3.0, 4.0), v), "rho", 0.5,
      [True, "0.5", np.bool_(True), None]),
     (lambda v: penalty_rate(v), "snr", 2.0, [True, "2", np.bool_(False), None]),
+    # a NaN bound once made every query misread the region
+    (lambda v: region_membership(RateRegion([2], [RegionConstraint((1,), v)]), [1.0]),
+     r"constraints\[0\]\.bound", 1.5, [math.nan, True, "1.5", None]),
 ]
 
 

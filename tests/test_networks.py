@@ -136,6 +136,18 @@ def test_deterministic_network_validation():
         DeterministicNetwork([2], {}, [])
 
 
+def test_deterministic_map_symbols_must_fit_int64():
+    # 1e20 once wrapped to -2**63 in the int cast (with a numpy warning), and
+    # out_size(2) read 2.
+    for big in (1e20, 2.0**63):
+        with pytest.raises(ValueError, match=r"y2 has symbols of 2\*\*63"):
+            DeterministicNetwork([2, 2], {2: [0, big, 1, 0]})
+    top = 2.0**63 - 1024  # the largest float below 2**63
+    net = DeterministicNetwork([2, 2], {2: [0, top, 1, 0]})
+    assert net.maps[2].tolist() == [[0, 2**63 - 1024], [1, 0]]
+    assert net.out_size(2) == 2**63 - 1023
+
+
 def test_graphical_network_validation():
     net = GraphicalNetwork([(1, 2, 1.5), (2, 3, 2.0)], [3])
     assert net.n == 3

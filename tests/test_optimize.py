@@ -156,6 +156,40 @@ def test_grid_scan_matches_scalar_oracle():
     assert start == (0.0, 1.0, 0.0) and best == -math.inf
 
 
+def test_grid_then_refine_returns_its_best_probe():
+    # Every call is recorded: the grid scan (arrays) and each Nelder-Mead probe
+    # (floats).  The objectives use only +, - and * so that a point scores the
+    # same in both kinds of call, and the returned value must be the best
+    # finite value seen, reproduced by f at the returned argument.
+    def bumpy(x, y):
+        return -((x * x - 1.0) ** 2) - (y - 0.3) * (y - 0.3) * (y + 0.7) + 0.25 * x * y
+
+    def ridge(s):
+        return np.where(s > 40.0, math.nan, -(s - 3.0) * (s - 3.0) * (s - 9.0) * 0.01)
+
+    cases = [(bumpy, Box([(-2.0, 2.0), (-1.5, 1.5)])),
+             (ridge, Box([BoxDim(0.1, 100.0, "log")])),
+             (lambda x, y, z: -(x - 0.2) ** 2 - (y - z) ** 2 + x * z,
+              Box([(0.0, 1.0), BoxDim(0.5, 8.0, "log"), (-1.0, 1.0)]))]
+    for f, box in cases:
+        for grid, budget in ((2, 5), (3, 40), (5, 400)):
+            grid_vals, probe_vals = [], []
+
+            def recorded(*x):
+                v = f(*x)
+                if np.ndim(x[0]) == 0:
+                    probe_vals.append(float(v))
+                else:
+                    grid_vals.extend(np.broadcast_to(v, np.shape(x[0])).ravel().tolist())
+                return v
+
+            arg, val = grid_then_refine(recorded, box, grid_per_dim=grid, refine_budget=budget)
+            assert len(grid_vals) == grid ** len(box.dims) and probe_vals
+            assert len(probe_vals) <= budget + len(box.dims) + 1
+            assert val == max(v for v in grid_vals + probe_vals if math.isfinite(v))
+            assert float(f(*arg)) == val
+
+
 def test_grid_then_refine_validation():
     with pytest.raises(ValueError, match="grid_per_dim"):
         grid_then_refine(lambda x: x, Box([(0.0, 1.0)]), grid_per_dim=0)
