@@ -45,6 +45,7 @@ class DiamondConfig:
     def from_distance(cls, d: float, p: float) -> "DiamondConfig":
         """Relays at distance d from the source, 1 - d from the destination,
         with path-loss exponent 3 (gain = distance^(-3/2)) and power p."""
+        d = as_number(d, "d")
         if not 0.0 < d < 1.0:
             raise ValueError(f"relay position d must lie in (0, 1), got {d}")
         p = as_power(p)
@@ -138,7 +139,9 @@ def ddf_diamond(cfg: DiamondConfig, params: DdfParams) -> RateBits:
 
 
 def ddf_diamond_opt(cfg: DiamondConfig, budget: int = 6000) -> tuple[RateBits, DdfParams]:
-    """DDF rate maximized over DdfParams by a deterministic search."""
+    """DDF rate maximized over DdfParams by a deterministic search of about
+    ``budget`` probes; its rounded grid side can itself exceed the budget, e.g.
+    budget 2,000 scans 13**3 = 2,197 grid points (see ``grid_then_refine``)."""
     box = Box([(0.0, 0.999), _NOISE, _NOISE])
     value, arg = _search(functools.partial(_ddf_terms, cfg), box, 16, budget)
     return value, DdfParams(*arg)
@@ -177,7 +180,9 @@ def nnc_diamond(cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float) -> RateB
 def nnc_diamond_opt(
     cfg: DiamondConfig, budget: int = 2000
 ) -> tuple[RateBits, tuple[float, float]]:
-    """NNC rate maximized over the quantizer variances by a deterministic search."""
+    """NNC rate maximized over the quantizer variances by a deterministic search
+    of about ``budget`` probes; its rounded grid side can itself exceed the
+    budget, e.g. budget 43 scans 7**2 = 49 grid points."""
     return _search(functools.partial(_nnc_terms, cfg), Box([_NOISE, _NOISE]), 24, budget)
 
 

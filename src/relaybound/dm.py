@@ -516,6 +516,7 @@ def conferencing_dbc_region(
     R3 <= H(Y3) + C23, R2 + R3 <= H(Y2, Y3); the region is the union over
     input pmfs, swept on a simplex grid.
     """
+    c23, c32 = as_number(c23, "c23"), as_number(c32, "c32")
     if not (c23 >= 0 and c32 >= 0):  # also rejects NaN
         raise ValueError("conferencing capacities must be nonnegative")
     y2_map = [as_int(v, f"y2_map[{i}]") for i, v in enumerate(y2_map)]

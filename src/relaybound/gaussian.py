@@ -217,39 +217,35 @@ class CutsetEstimate:
     evaluations: int
 
 
-#: The rho refine: zoom levels, and points per level and profile.
-_LEVELS, _POINTS = 4, 8
+#: The rho bracket search: levels, and points per level and profile.
+_LEVELS, _POINTS = 6, 8
 #: Perturbations of the incumbent per hill-climb round.
-_ROUND = 8
+_ROUND = 24
 
 
-def _corr_to_cov(corr: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Scale a correlation matrix (or a stack, with one power row each)."""
-    d = np.sqrt(powers)
-    return corr * (d[..., :, None] * d[..., None, :])
-
-
-def _rho_profiles(n: int, rhos: np.ndarray) -> np.ndarray:
-    """Correlation stacks of the two one-parameter profiles, shape
-    (2, m, n, n) for ``rhos`` of shape (2, m): rho between every pair of
+def _rho_profiles(n: int, rhos: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Full-power covariances of the two one-parameter profiles, shape
+    (2 m, n, n) for ``rhos`` of shape (2, m): rho between every pair of
     relays 2..n, then rho between every pair of nodes."""
     off = np.ones((2, n, n)) - np.eye(n)
     off[0, 0, :] = off[0, :, 0] = 0.0
-    return np.eye(n) + off[:, None] * rhos[:, :, None, None]
+    d = np.sqrt(powers)
+    corr = np.eye(n) + off[:, None] * rhos[:, :, None, None]
+    return (corr * (d[:, None] * d[None, :])).reshape(-1, n, n)
 
 
 def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     """Shared search over the cuts of ``plan``: returns (best value, best K,
     per-cut rates at K = diag(P), evaluations used).
 
-    Each phase builds its candidates as one stack and scores it in one kernel
-    call per ``_STACK`` (candidate, cut) pairs: diag(P), the two rho-profile
-    grids, a bracket zoom on each profile's rho, random correlation factors,
-    and rounds of perturbations of the incumbent.  A stack is cut to the
-    budget left; the best candidate of a stack (first among ties) replaces
-    the incumbent when it is strictly better.
+    Three phases, each scoring its candidates as one stack in one kernel call
+    per ``_STACK`` (candidate, cut) pairs: diag(P), a bracket search on each
+    rho-profile's rho, and rounds of PSD-preserving perturbations of the
+    incumbent.  A stack is cut to the budget left; the best candidate of a
+    stack (first among ties) replaces the incumbent when it is strictly better.
     """
     budget = as_int(budget, "budget")
+    seed = as_int(seed, "seed")
     if budget < 1:
         raise ValueError("budget must be positive")
     n = net.n
@@ -273,40 +269,29 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
             best_v, best_k = float(values[i]), ks[i]
         return values
 
-    def profiles(rhos: np.ndarray) -> np.ndarray:
-        return score(_corr_to_cov(_rho_profiles(n, rhos), powers).reshape(-1, n, n))
+    # Each profile is the log-det of an affine map of rho, minimised over
+    # cuts, so it is concave in rho and its maximum lies within one spacing
+    # of the best point of a level: the bracket keeps it.
+    lo, hi = np.zeros(2), np.full(2, 0.999)
+    for level in range(_LEVELS):
+        if level and evals + 2 * _POINTS + 16 > budget:
+            break
+        rhos = np.linspace(lo, hi, _POINTS, axis=1)
+        values = score(_rho_profiles(n, rhos, powers))
+        if len(values) < 2 * _POINTS:
+            break
+        step = (hi - lo) / (_POINTS - 1)
+        rho = rhos[[0, 1], np.argmax(values.reshape(2, -1), axis=1)]
+        lo, hi = np.maximum(rho - step, 0.0), np.minimum(rho + step, 0.999)
 
-    grid = np.linspace(0.0, 0.992, 17)
-    values = profiles(np.stack([grid, grid]))
-    if evals + 2 * _LEVELS * _POINTS + 16 <= budget:
-        # zoom on each profile's rho around its grid winner, one call a level;
-        # only when it leaves 8 candidates per profile to the later phases
-        rho = grid[np.argmax(values.reshape(2, -1), axis=1)]
-        lo, hi = np.maximum(rho - 0.07, 0.0), np.minimum(rho + 0.07, 0.999)
-        for _ in range(_LEVELS):
-            rhos = np.linspace(lo, hi, _POINTS, axis=1)
-            step = (hi - lo) / (_POINTS - 1)
-            rho = rhos[[0, 1], np.argmax(profiles(rhos).reshape(2, -1), axis=1)]
-            lo, hi = np.maximum(rho - step, 0.0), np.minimum(rho + step, 0.999)
-
-    # random correlation factors, every second one at random power scalings
+    # hill-climb: rounds of congruences M K M^T of the incumbent, PSD for
+    # every M, shrunk to the power limits; the step shrinks after a round
+    # that fails
     rng = np.random.default_rng(seed)
-    m = max(0, budget - evals - budget // 5)
-    factors = rng.standard_normal((m, n, n + 1))
-    scaling = np.where(np.arange(m)[:, None] % 2 == 0, 1.0, rng.uniform(0.0, 1.0, (m, n)))
-    c = factors @ factors.swapaxes(-1, -2)
-    d = np.sqrt(np.diagonal(c, axis1=-2, axis2=-1))
-    corr = c / (d[:, :, None] * d[:, None, :])
-    score(_corr_to_cov(corr, np.maximum(powers * scaling, powers * 1e-6)))
-
-    # hill-climb: rounds of perturbations of the incumbent, projected back
-    # onto the PSD cone and the power limits; shrink after a round that fails
     scale = 0.3
     while evals < budget:
-        jitter = rng.standard_normal((_ROUND, n, n))
-        cand = best_k + (jitter + jitter.swapaxes(-1, -2)) * (scale * float(np.mean(powers)) / 2.0)
-        eig, vec = np.linalg.eigh(0.5 * (cand + cand.swapaxes(-1, -2)))
-        cand = (vec * np.maximum(eig, 0.0)[:, None, :]) @ vec.swapaxes(-1, -2)
+        mix = np.eye(n) + scale * rng.standard_normal((_ROUND, n, n))
+        cand = mix @ best_k @ mix.swapaxes(-1, -2)
         cand = 0.5 * (cand + cand.swapaxes(-1, -2))  # exactly symmetric, whatever the scale
         diag = np.diagonal(cand, axis1=-2, axis2=-1)
         shrink = np.sqrt(np.minimum(1.0, powers / np.maximum(diag, 1e-12)))
@@ -322,8 +307,8 @@ def cutset_estimate(
 ) -> CutsetEstimate:
     """Estimate the unicast cutset bound by searching input covariances.
 
-    The searched family (full-power diagonal, one-parameter correlation
-    profiles, random correlation factors, local hill-climbing) always contains
+    The searched family (full-power diagonal, a bracket search on two
+    one-parameter correlation profiles, a local hill-climb) always contains
     K = diag(P), so the estimate is at least the easy diagonal value, and it
     is always a lower bound on the true cutset optimum.  ``budget`` caps the
     candidate covariances scored, which the search scores in stacks; the

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, TensorCapError, as_int
+from .errors import SchemaError, TensorCapError, as_int, as_number
 
 #: Probabilities strictly below this are treated as exact zeros.
 ZERO_EPS = 1e-15
@@ -69,7 +69,8 @@ def gauss_c(snr):
 
 def ternary_entropy(alpha: float, beta: float) -> RateBits:
     """Entropy in bits of the distribution (alpha, beta, 1 - alpha - beta)."""
-    if alpha < 0 or beta < 0 or alpha + beta > 1:
+    alpha, beta = as_number(alpha, "alpha"), as_number(beta, "beta")
+    if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1):  # also refuses NaN
         raise ValueError(
             f"(alpha, beta) = ({alpha}, {beta}) is outside the probability simplex"
         )
@@ -82,7 +83,7 @@ def ternary_entropy(alpha: float, beta: float) -> RateBits:
 
 def binary_entropy(p: float) -> RateBits:
     """Entropy in bits of a Bernoulli(p) variable."""
-    return ternary_entropy(p, 0.0)
+    return ternary_entropy(as_number(p, "p"), 0.0)
 
 
 def capped_cells(sizes: Iterable[int], what: str) -> int:

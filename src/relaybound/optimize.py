@@ -76,6 +76,10 @@ def grid_then_refine(
     if every grid probe is non-finite the search starts at the lower corner.
     The returned value is never below the best grid value.  The procedure is
     fully deterministic.
+
+    ``refine_budget`` is a soft cap: Nelder-Mead makes at most
+    ``refine_budget + ndim + 1`` scalar probes, because its initial simplex
+    of ndim + 1 probes always runs and the budget is checked before each step.
     """
     grid_per_dim = as_int(grid_per_dim, "grid_per_dim")
     refine_budget = as_int(refine_budget, "refine_budget")

@@ -431,6 +431,42 @@ def test_cutset_estimate_finds_the_diamond_optimum():
             assert opt - 1e-3 <= est <= opt + 1e-9, (d, power)
 
 
+def profile_oracle(net, dest, rhos):
+    """The best min-over-unicast-cuts value on both one-parameter rho profiles
+    (rho between every pair of relays, then between every pair of nodes),
+    each cut's log-det by slogdet on its explicit gain and covariance blocks."""
+    n, d = net.n, np.sqrt(net.power)
+    off = np.ones((n, n)) - np.eye(n)
+    relays = off.copy()
+    relays[0, :] = relays[:, 0] = 0.0
+    corr = np.eye(n) + np.concatenate([rhos[:, None, None] * relays, rhos[:, None, None] * off])
+    ks = corr * np.outer(d, d)
+    worst = np.full(len(ks), np.inf)
+    for cut in enumerate_cuts(n, {dest}, "unicast"):
+        near, far = [j - 1 for j in cut.s], [j - 1 for j in cut.complement]
+        g = net.gains[np.ix_(far, near)]
+        sign, logdet = np.linalg.slogdet(np.eye(len(far)) + g @ ks[:, near][:, :, near] @ g.T)
+        assert np.all(sign > 0)
+        worst = np.minimum(worst, 0.5 * logdet / math.log(2.0))
+    return float(worst.max())
+
+
+def test_bracket_search_reaches_the_best_profile_point():
+    # Each rho-profile is concave in rho, so at budget 113, where all six
+    # bracket levels run, the search is never below a fine grid of the profiles.
+    rng = np.random.default_rng(33)
+    rhos = np.linspace(0.0, 0.999, 201)
+    for i in range(60):
+        n = int(rng.integers(3, 7))
+        g = rng.lognormal(0.0, 1.0, (n, n)) if i % 2 else rng.uniform(0.1, 2.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        dest = int(rng.integers(2, n + 1))
+        net = GaussianNetwork(n, g, float(10.0 ** rng.uniform(-2.0, 6.0)), [dest])
+        want = profile_oracle(net, dest, rhos)
+        est = cutset_estimate(net, dest, budget=113, seed=0).estimate
+        assert est >= want - 1e-9 * max(1.0, abs(want)), (i, est, want)
+
+
 def check_any_snr_invariants(net, dest):
     est = cutset_estimate(net, dest, budget=200, seed=0)
     rate = ddf_unicast_rate(net, dest)

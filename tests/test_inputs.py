@@ -25,6 +25,8 @@ from relaybound import (
     RateRegion,
     RegionConstraint,
     SchemaError,
+    binary_entropy,
+    blackwell_region,
     conferencing_dbc_region,
     constraint_repair,
     cutset_cut_rate,
@@ -46,6 +48,7 @@ from relaybound import (
     region_max_weighted,
     region_membership,
     simplex_grid,
+    ternary_entropy,
 )
 from relaybound.errors import as_number
 from relaybound.networks import enumerate_cuts
@@ -92,6 +95,8 @@ PROBES = [
     (lambda v: ddf_unicast_dm(INST, v), "dest", 2, [2.5]),
     (lambda v: Channel([("x1", v)], [("y1", 2)], np.full(4, 0.5) if v else []),
      "variable 'x1'", 2, [0]),
+    # an unchecked seed drew OS entropy (None) or raised numpy's TypeError
+    (lambda v: cutset_estimate(GNET, 3, budget=20, seed=v), "seed", 3, [1.5, None, True]),
 ]
 
 
@@ -165,6 +170,14 @@ NUMBER_PROBES = [
     # a NaN bound once made every query misread the region
     (lambda v: region_membership(RateRegion([2], [RegionConstraint((1,), v)]), [1.0]),
      r"constraints\[0\]\.bound", 1.5, [math.nan, True, "1.5", None]),
+    # scalars that once reached a comparison or numpy unchecked
+    (lambda v: ternary_entropy(v, 0.25), "alpha", 0.5, ["0.5", True, np.bool_(False), None]),
+    (lambda v: ternary_entropy(0.25, v), "beta", 0.5, ["0.5", True, None]),
+    (lambda v: binary_entropy(v), r"^p:", 0.25, ["0.25", True, None]),
+    (lambda v: DiamondConfig.from_distance(v, 10.0), r"^d:", 0.5, ["0.5", True, None]),
+    (lambda v: blackwell_region(v, 0.0, 30), "c23", 0.5, ["0.1", True, None]),
+    (lambda v: conferencing_dbc_region([0, 1, 0], [0, 1, 1], 0.5, v, 30), "c32", 0.25,
+     ["0.25", np.bool_(True), None]),
 ]
 
 
@@ -202,3 +215,11 @@ def test_diamond_variances_and_snrs_must_be_finite():
     with pytest.raises(ValueError, match="rho"):
         cutset_diamond(cfg, math.nan)
     assert ddf_diamond(cfg, DdfParams(0.1, 1e300, 1.0)) <= cutset_diamond(cfg, 0.1)
+
+
+def test_entropies_refuse_nan():
+    # NaN once passed the simplex test: 0.4644 bits and 0.0 bits
+    for call in (lambda: ternary_entropy(math.nan, 0.2), lambda: ternary_entropy(0.2, math.nan),
+                 lambda: binary_entropy(math.nan)):
+        with pytest.raises(ValueError, match="simplex"):
+            call()
