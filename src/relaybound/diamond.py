@@ -82,7 +82,10 @@ class DdfParams:
 
 
 def _min_terms(terms):
-    """Elementwise minimum of bound terms (scalars or broadcastable arrays)."""
+    """Elementwise minimum of bound terms (floats or broadcastable arrays); a
+    NaN term gives NaN, as np.minimum does."""
+    if isinstance(terms[0], float):
+        return math.nan if any(map(math.isnan, terms)) else min(terms)
     return functools.reduce(np.minimum, terms)
 
 
@@ -102,11 +105,16 @@ def _search(terms, box: Box, full: int, budget) -> tuple[RateBits, tuple[float, 
     return value, arg
 
 
+def _half_log2(x):
+    """(1/2) log2(x), elementwise; a float gives a float with the array's bits."""
+    if isinstance(x, float):
+        return 0.5 * float(np.log2(x))
+    return 0.5 * np.log2(x)
+
+
 def _relay_info(s: float, sigma_sq):
     """I between a relay's description and its observation, in bits."""
-    return 0.5 * np.log2(
-        (1.0 + s) * (sigma_sq + s) / (sigma_sq + (1.0 + sigma_sq) * s)
-    )
+    return _half_log2((1.0 + s) * (sigma_sq + s) / (sigma_sq + (1.0 + sigma_sq) * s))
 
 
 def _ddf_terms(cfg: DiamondConfig, rho, s2, s3) -> tuple:
@@ -115,7 +123,7 @@ def _ddf_terms(cfg: DiamondConfig, rho, s2, s3) -> tuple:
     i3 = _relay_info(cfg.s31, s3)
     cross = 2.0 * rho * math.sqrt(cfg.s42 * cfg.s43)
     shrink = 1.0 - rho * rho
-    joint_cost = 0.5 * np.log2(
+    joint_cost = _half_log2(
         (s2 + cfg.s21)
         * (s3 + cfg.s31)
         / ((s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21) * shrink)

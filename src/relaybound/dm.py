@@ -430,21 +430,41 @@ def simplex_grid(cells: int, resolution: int) -> np.ndarray:
         raise ValueError(f"{count} grid points is too many; lower the resolution")
     # Lexicographic order, built one column at a time: each row is repeated
     # once per value its next count can take, from 0 up to its remaining mass.
-    counts = np.zeros((1, 0), dtype=np.int64)
+    counts: list[np.ndarray] = []
     left = np.array([resolution], dtype=np.int64)
     for _ in range(cells - 1):
         reps = left + 1
         starts = np.cumsum(reps) - reps
-        nxt = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
-        counts = np.column_stack([np.repeat(counts, reps, axis=0), nxt])
-        left = np.repeat(left, reps) - nxt
-    return np.column_stack([counts, left]) / resolution
+        nxt = np.arange(int(reps.sum()), dtype=np.int64)
+        nxt -= np.repeat(starts, reps)
+        counts = [np.repeat(col, reps) for col in counts] + [nxt]
+        left = np.repeat(left, reps)
+        left -= nxt
+    # Filled in place: the integer columns and the grid are the only copies.
+    grid = np.empty((count, cells))
+    for j, col in enumerate(counts + [left]):
+        grid[:, j] = col
+    grid /= resolution
+    return grid
+
+
+#: Simplex-grid rows ``conferencing_dbc_region`` reduces at a time, which
+#: bounds its working memory.
+_BLOCK_ROWS = 1 << 14
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, adding the columns left to right: the order
+    of numpy's ``sum`` below 8 columns, without its per-row overhead."""
+    total = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        total += a[..., j]
+    return total
 
 
 def _h_rows(p: np.ndarray) -> np.ndarray:
-    """Row entropies in bits; exact zeros contribute nothing."""
-    safe = np.where(p >= ZERO_EPS, p, 1.0)
-    return -np.sum(p * np.log2(safe), axis=-1, where=p >= ZERO_EPS)
+    """Row entropies in bits; a cell below ZERO_EPS contributes +0.0."""
+    return -_row_sums(p * np.log2(np.where(p >= ZERO_EPS, p, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,6 +499,22 @@ class ConferencingRegion:
         return bool(np.any(ok))
 
 
+def _rising(r3s: np.ndarray) -> np.ndarray:
+    """Mask of the entries greater than every entry before them."""
+    return r3s > np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))
+
+
+def _undominated(corner_r2: np.ndarray, corner_r3: np.ndarray) -> np.ndarray:
+    """Ascending indices of the corners that ``_pareto_frontier`` may keep.
+
+    A corner is left out when one before it in a stable decreasing-r2 order
+    has at least its r3; that corner also precedes it in the frontier scan,
+    which therefore never keeps it.
+    """
+    order = np.argsort(-corner_r2, kind="stable")
+    return np.sort(order[_rising(corner_r3[order])])
+
+
 def _pareto_frontier(
     corner_r2: np.ndarray, corner_r3: np.ndarray
 ) -> tuple[tuple[float, float], ...]:
@@ -491,8 +527,7 @@ def _pareto_frontier(
     r2s, r3s = corner_r2[order], corner_r3[order]
     # A kept corner's r3 beats every r3 before it, so the loop below needs
     # only the corners above the running maximum.
-    prev_max = np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))
-    rising = r3s > prev_max
+    rising = _rising(r3s)
     frontier: list[tuple[float, float]] = []
     best_r3 = -1.0
     for r2v, r3v in zip(r2s[rising].tolist(), r3s[rising].tolist()):
@@ -529,31 +564,39 @@ def conferencing_dbc_region(
         raise ValueError("output maps must be nonempty and equally long")
     m = len(y2_map)
     pmfs = simplex_grid(m, grid_res)
+    rows = pmfs.shape[0]
     a2 = max(y2_map) + 1
     a3 = max(y3_map) + 1
-    joint = np.zeros((pmfs.shape[0], a2, a3))
-    for x in range(m):
-        joint[:, y2_map[x], y3_map[x]] += pmfs[:, x]
-    h2 = _h_rows(joint.sum(axis=2))
-    h3 = _h_rows(joint.sum(axis=1))
-    h23 = _h_rows(joint.reshape(pmfs.shape[0], -1))
+    r2_caps, r3_caps, h23 = np.empty(rows), np.empty(rows), np.empty(rows)
+    i_sum, max_sum, max_r2, max_r3 = 0, -math.inf, -math.inf, -math.inf
+    # Each polytope's two upper corners that are undominated within their
+    # block; all first corners precede all second corners, as in one pass.
+    firsts: list[np.ndarray] = []
+    seconds: list[np.ndarray] = []
+    for lo in range(0, rows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, rows)
+        joint = np.zeros((hi - lo, a2, a3))
+        for x in range(m):
+            joint[:, y2_map[x], y3_map[x]] += pmfs[lo:hi, x]
+        r2, r3, h = r2_caps[lo:hi], r3_caps[lo:hi], h23[lo:hi]
+        np.add(_h_rows(_row_sums(joint)), c32, out=r2)
+        np.add(_h_rows(_row_sums(joint.transpose(0, 2, 1))), c23, out=r3)
+        h[:] = _h_rows(joint.reshape(hi - lo, -1))
 
-    r2_caps = h2 + c32
-    r3_caps = h3 + c23
-    best_sum = np.minimum(h23, r2_caps + r3_caps)
-    i_sum = int(np.argmax(best_sum))
-    max_sum = float(best_sum[i_sum])
-    max_r2 = float(np.max(np.minimum(r2_caps, h23)))
-    max_r3 = float(np.max(np.minimum(r3_caps, h23)))
-
-    # Pareto frontier of the union, from each polytope's two upper corners.
-    corner_r2 = np.concatenate(
-        [np.minimum(r2_caps, h23), np.minimum(r2_caps, h23 - np.minimum(r3_caps, h23))]
-    )
-    corner_r3 = np.concatenate(
-        [np.minimum(r3_caps, h23 - np.minimum(r2_caps, h23)), np.minimum(r3_caps, h23)]
-    )
-
+        best_sum = np.minimum(h, r2 + r3)
+        i = int(np.argmax(best_sum))
+        if best_sum[i] > max_sum:
+            i_sum, max_sum = lo + i, float(best_sum[i])
+        top_r2, top_r3 = np.minimum(r2, h), np.minimum(r3, h)
+        max_r2 = max(max_r2, float(np.max(top_r2)))
+        max_r3 = max(max_r3, float(np.max(top_r3)))
+        corner_r2 = np.concatenate([top_r2, np.minimum(r2, h - top_r3)])
+        corner_r3 = np.concatenate([np.minimum(r3, h - top_r2), top_r3])
+        kept = _undominated(corner_r2, corner_r3)
+        split = int(np.searchsorted(kept, hi - lo))
+        firsts.append(np.stack([corner_r2[kept[:split]], corner_r3[kept[:split]]]))
+        seconds.append(np.stack([corner_r2[kept[split:]], corner_r3[kept[split:]]]))
+    corners = np.concatenate(firsts + seconds, axis=1)
     region = RateRegion(
         (2, 3),
         [
@@ -571,7 +614,7 @@ def conferencing_dbc_region(
         max_r3=max_r3,
         sum_argmax=tuple(float(v) for v in pmfs[i_sum]),
         region_at_sum_opt=region,
-        boundary=_pareto_frontier(corner_r2, corner_r3),
+        boundary=_pareto_frontier(corners[0], corners[1]),
         _r2_caps=r2_caps,
         _r3_caps=r3_caps,
         _sum_caps=h23,

@@ -50,21 +50,25 @@ RateBits = float
 def gauss_c(snr):
     """Gaussian point-to-point capacity C(x) = (1/2) log2(1 + x), elementwise.
 
-    A scalar gives a float, an array an array of the same shape.  Raises
-    ValueError if any snr is negative.  The exactness contract above covers
-    marginals and entropies only.
+    A scalar gives a float, an array an array of the same shape, and the two
+    agree bit for bit.  Raises ValueError if any snr is negative or NaN.  The
+    exactness contract above covers marginals and entropies only.
     """
-    x = np.asarray(snr, dtype=float)
-    if x.ndim == 0:
-        # As a float: numpy's per-call cost on a 0-d array is several times
-        # larger, and optimizers probe one point at a time.
+    # A float skips np.asarray, whose per-call cost is several times that of
+    # the log: optimizers probe one point at a time.  np.log2, not math.log2,
+    # keeps the scalar bits equal to the array's.
+    if isinstance(snr, float):
+        x = snr
+    else:
+        x = np.asarray(snr, dtype=float)
+        if x.ndim:
+            if not (x >= 0).all():  # also refuses NaN
+                raise ValueError(f"snr must be nonnegative, got {snr}")
+            return 0.5 * np.log2(1.0 + x)
         x = float(x)
-        if x < 0:
-            raise ValueError(f"snr must be nonnegative, got {snr}")
-        return float(0.5 * np.log2(1.0 + x))
-    if (x < 0).any():
+    if not x >= 0:
         raise ValueError(f"snr must be nonnegative, got {snr}")
-    return 0.5 * np.log2(1.0 + x)
+    return 0.5 * float(np.log2(1.0 + x))
 
 
 def ternary_entropy(alpha: float, beta: float) -> RateBits:

@@ -69,7 +69,9 @@ def grid_then_refine(
     ``f`` must work elementwise: the grid is scanned in one call on arrays of
     shape ``(grid_per_dim,) * ndim`` (``np.meshgrid(..., indexing="ij")`` of
     the axes), whose result may be any array broadcastable to that shape, and
-    Nelder-Mead then probes it one point at a time on Python floats.  The grid
+    Nelder-Mead then probes it one point at a time on Python floats, so ``f``
+    may take a scalar fast path.  Its two kinds of call should agree bit for
+    bit at a point, as the diamond term formulas do.  The grid
     is uniform in internal (possibly log) coordinates and includes the
     endpoints.  Ties prefer the lexicographically smallest probe, so a constant
     objective returns the box's lower corner.  Non-finite probes are discarded;
@@ -88,6 +90,9 @@ def grid_then_refine(
     dims = box.dims
     los = [d.to_internal(d.lo) for d in dims]
     his = [d.to_internal(d.hi) for d in dims]
+    # BoxDim.to_external, chosen once per dimension rather than per probe.
+    exts = [math.exp if d.transform == "log" else float for d in dims]
+    ranges = list(zip(exts, los, his))
 
     evals = 0
 
@@ -96,8 +101,9 @@ def grid_then_refine(
         as the incumbent when strictly better."""
         nonlocal evals, overall_t, overall_v
         evals += 1
-        x = tuple(d.to_external(min(max(ti, lo), hi))
-                  for d, ti, lo, hi in zip(dims, t, los, his))
+        # min(max(ti, lo), hi), without two builtin calls per coordinate.
+        x = [ext(lo if ti < lo else hi if ti > hi else ti)
+             for ti, (ext, lo, hi) in zip(t, ranges)]
         v = float(f(*x))
         if not math.isfinite(v):
             log.debug("discarding non-finite probe f(%s) = %s", x, v)
@@ -112,8 +118,7 @@ def grid_then_refine(
     ]
     # External coordinates per axis through the scalar map, so grid probes see
     # exactly the arguments the scalar probe would pass.
-    ext_axes = [np.array([d.to_external(float(t)) for t in ax])
-                for d, ax in zip(dims, axes)]
+    ext_axes = [np.array([ext(float(t)) for t in ax]) for ext, ax in zip(exts, axes)]
     mesh = np.meshgrid(*ext_axes, indexing="ij")
     vals = np.broadcast_to(np.asarray(f(*mesh), dtype=float), mesh[0].shape)
     finite = np.isfinite(vals)
@@ -137,12 +142,13 @@ def grid_then_refine(
 
     ndim = len(dims)
     while evals < refine_budget:
-        order = sorted(range(ndim + 1), key=lambda i: -values[i])
+        # Best first; a reverse sort is stable, so ties keep their order.
+        order = sorted(range(ndim + 1), key=values.__getitem__, reverse=True)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
         if values[0] - values[-1] < SPREAD_TOL:
             break
-        centroid = [sum(vert[i] for vert in simplex[:-1]) / ndim for i in range(ndim)]
+        centroid = [sum(col) / ndim for col in zip(*simplex[:-1])]
         worst = simplex[-1]
         refl = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = probe(refl)
@@ -165,8 +171,7 @@ def grid_then_refine(
                     simplex[i] = [0.5 * (a + b) for a, b in zip(simplex[0], simplex[i])]
                     values[i] = probe(simplex[i])
 
-    clipped = [min(max(t, lo), hi) for t, lo, hi in zip(overall_t, los, his)]
-    arg = tuple(d.to_external(t) for d, t in zip(dims, clipped))
+    arg = tuple(ext(min(max(t, lo), hi)) for t, (ext, lo, hi) in zip(overall_t, ranges))
     return arg, overall_v
 
 

@@ -24,11 +24,16 @@ from relaybound import (
     df_diamond,
     diamond_sweep,
     golden_max,
+    grid_then_refine,
     nnc_diamond,
     nnc_diamond_opt,
     received_snr,
 )
+from relaybound import diamond
 from relaybound.diamond import (
+    _ddf_terms,
+    _min_terms,
+    _nnc_terms,
     cutset_diamond_terms,
     ddf_diamond_terms,
     nnc_diamond_terms,
@@ -245,6 +250,53 @@ def test_minima_and_argmin_consistency():
     assert ddf_diamond(cfg, p) == min(ddf_diamond_terms(cfg, p))
     assert nnc_diamond(cfg, 2.0, 0.7) == min(nnc_diamond_terms(cfg, 2.0, 0.7))
     assert cutset_diamond(cfg, 0.4) == min(cutset_diamond_terms(cfg, 0.4))
+
+
+def test_scalar_terms_equal_the_grid_elements():
+    # The search's grid calls the term helpers on arrays and its Nelder-Mead
+    # probes call them on floats; the two must agree bit for bit, so that a
+    # point scores the same in both phases.
+    rng = np.random.default_rng(38)
+    for _ in range(300):
+        cfg = DiamondConfig(*(float(x) for x in 10.0 ** rng.uniform(-3.0, 12.0, 4)))
+        rho = rng.uniform(0.0, 0.999, 50)
+        s2, s3 = np.exp(rng.uniform(-6.0, 6.0, (2, 50)))
+        ddf = [t.tolist() for t in _ddf_terms(cfg, rho, s2, s3)]
+        nnc = [t.tolist() for t in _nnc_terms(cfg, s2, s3)]
+        for k in range(50):
+            point = (float(rho[k]), float(s2[k]), float(s3[k]))
+            got = ddf_diamond_terms(cfg, DdfParams(*point))
+            assert list(got) == [t[k] for t in ddf], (cfg, point)
+            got = nnc_diamond_terms(cfg, *point[1:])
+            assert list(got) == [t[k] for t in nnc], (cfg, point)
+
+
+def test_min_terms_of_floats_propagates_nan():
+    assert _min_terms((1.0, 0.5, 2.0, 0.5)) == 0.5
+    for i in range(4):
+        terms = [1.0, 0.5, 2.0, -3.0]
+        terms[i] = math.nan
+        assert math.isnan(_min_terms(tuple(terms)))
+        assert math.isnan(_min_terms(tuple(np.array([t]) for t in terms))[0])
+
+
+def test_diamond_searches_keep_their_probe_counts(monkeypatch):
+    # One grid call on arrays, then one call per Nelder-Mead probe on floats:
+    # faster probes must not come from making fewer of them.
+    calls = []
+
+    def recorded(f, box, **kw):
+        def g(*x):
+            calls.append(type(x[0]))
+            return f(*x)
+        return grid_then_refine(g, box, **kw)
+
+    monkeypatch.setattr(diamond, "grid_then_refine", recorded)
+    cfg = DiamondConfig.from_distance(0.3, 10.0)
+    for opt, budget, probes in ((ddf_diamond_opt, 1500, 139), (nnc_diamond_opt, 500, 16)):
+        calls.clear()
+        opt(cfg, budget)
+        assert calls == [np.ndarray] + [float] * probes, opt.__name__
 
 
 def test_spot_values_at_midpoint():

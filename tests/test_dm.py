@@ -35,6 +35,7 @@ from relaybound import (
     save_pmf,
     simplex_grid,
 )
+from relaybound import dm
 from relaybound.dm import _pareto_frontier, pmf_to_dict
 from tests.bitpipe import bit_pipe_oracle
 from tests.maxflow import maxflow_oracle
@@ -701,6 +702,39 @@ def test_pareto_frontier_matches_loop_oracle():
         corner_r3 = np.concatenate(
             [np.minimum(r3c, h23 - np.minimum(r2c, h23)), np.minimum(r3c, h23)])
         assert reg.boundary == loop_frontier(corner_r2, corner_r3)
+
+
+def test_conferencing_region_is_the_same_for_any_block_size(monkeypatch):
+    # The simplex grid is reduced in row blocks, each block's corners
+    # pre-filtered before one frontier pass: the block size must not show.
+    def snapshot(reg):
+        return (reg.max_sum, reg.max_r2, reg.max_r3, reg.sum_argmax,
+                reg.region_at_sum_opt, reg.boundary, reg._r2_caps.tobytes(),
+                reg._r3_caps.tobytes(), reg._sum_caps.tobytes())
+
+    rng = np.random.default_rng(61)
+    cases = [([0, 1, 0], [0, 1, 1], 0.0, 0.0, 60), ([0, 1, 0], [0, 1, 1], 0.0, 0.5, 45)]
+    for _ in range(8):
+        m = int(rng.integers(2, 5))
+        cases.append((rng.integers(0, 3, m).tolist(), rng.integers(0, 3, m).tolist(),
+                      *(float(c) for c in rng.choice([0.0, 0.1, 0.5], 2)), 18))
+    for y2, y3, c23, c32, res in cases:
+        whole = snapshot(conferencing_dbc_region(y2, y3, c23, c32, res))
+        for rows in (1, 7, 100):
+            monkeypatch.setattr(dm, "_BLOCK_ROWS", rows)
+            assert snapshot(conferencing_dbc_region(y2, y3, c23, c32, res)) == whole
+        monkeypatch.undo()
+
+
+def test_row_sums_add_like_numpy_below_eight_columns():
+    # The conferencing region's marginals and entropies add columns left to
+    # right; below 8 columns numpy's sum does the same, so the bits match it.
+    rng = np.random.default_rng(62)
+    for k in range(1, 8):
+        a = rng.uniform(0.0, 1.0, (500, 3, k)) * 10.0 ** rng.integers(-12, 1, (500, 3, k))
+        assert dm._row_sums(a).tobytes() == a.sum(axis=-1).tobytes()
+        t = a.transpose(0, 2, 1)
+        assert dm._row_sums(t).tobytes() == t.sum(axis=-1).tobytes()
 
 
 def test_conferencing_region_validation():

@@ -131,6 +131,14 @@ def test_closed_form_kernels():
     snr[3, 4] = -1e-300
     with pytest.raises(ValueError):
         gauss_c(snr)
+    assert gauss_c(math.inf) == math.inf
+
+
+def test_gauss_c_refuses_nan():
+    for snr in (math.nan, np.float64(math.nan), np.array(math.nan), [1.0, math.nan],
+                np.array([[0.0], [math.nan]])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gauss_c(snr)
 
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

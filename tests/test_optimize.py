@@ -190,6 +190,22 @@ def test_grid_then_refine_returns_its_best_probe():
             assert float(f(*arg)) == val
 
 
+def test_grid_then_refine_probes_on_python_floats():
+    # The grid is one call on arrays; every Nelder-Mead probe passes Python
+    # floats, on linear and log dimensions alike, even with integer bounds.
+    box = Box([(0, 1), BoxDim(0.5, 8.0, "log"), (-2, 3)])
+    kinds = []
+
+    def f(x, y, z):
+        kinds.append(tuple(type(v) for v in (x, y, z)))
+        return -(x - 0.3) ** 2 - (np.log(y) - 1.0) ** 2 - (z + 4.0) ** 2
+
+    arg, _ = grid_then_refine(f, box, grid_per_dim=4, refine_budget=200)
+    assert kinds[0] == (np.ndarray,) * 3
+    assert len(kinds) > 20 and set(kinds[1:]) == {(float,) * 3}
+    assert arg[2] == -2.0 and type(arg[2]) is float
+
+
 def test_grid_then_refine_validation():
     with pytest.raises(ValueError, match="grid_per_dim"):
         grid_then_refine(lambda x: x, Box([(0.0, 1.0)]), grid_per_dim=0)
