@@ -123,11 +123,17 @@ def _ddf_terms(cfg: DiamondConfig, rho, s2, s3) -> tuple:
     i3 = _relay_info(cfg.s31, s3)
     cross = 2.0 * rho * math.sqrt(cfg.s42 * cfg.s43)
     shrink = 1.0 - rho * rho
-    joint_cost = _half_log2(
-        (s2 + cfg.s21)
-        * (s3 + cfg.s31)
-        / ((s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21) * shrink)
-    )
+    den = s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21
+    if isinstance(den, float) and den == 0.0:
+        # every product underflowed (s2 s3 < 1e-323): the ratio is 1 + 1/u,
+        # u = den / (s21 s31), from the quotients s2/s21 and s3/s31
+        joint_cost = -_half_log2(shrink)
+        if cfg.s21 and cfg.s31:
+            a, b = s2 / cfg.s21, s3 / cfg.s31
+            u = a * b + a + b
+            joint_cost += _half_log2(1.0 + u) - _half_log2(u)
+    else:
+        joint_cost = _half_log2((s2 + cfg.s21) * (s3 + cfg.s31) / (den * shrink))
     return (
         gauss_c(cfg.s42 + cfg.s43 + cross),
         gauss_c(shrink * cfg.s42) + i3,

@@ -207,8 +207,8 @@ class CutsetEstimate:
     ``estimate`` is the best min-over-cuts value found inside the searched
     covariance family, so it never exceeds the true cutset optimum;
     ``relaxed_upper`` is the always-valid min over cuts of the relaxed outer
-    bound.  ``evaluations`` counts the candidate covariances scored, however
-    many of them share one stacked kernel call.
+    bound.  ``evaluations`` counts the candidate covariances scored, whether
+    in closed form, on one cut or on every cut.
     """
 
     estimate: RateBits
@@ -221,28 +221,23 @@ class CutsetEstimate:
 _LEVELS, _POINTS = 6, 8
 #: Perturbations of the incumbent per hill-climb round.
 _ROUND = 24
-
-
-def _rho_profiles(n: int, rhos: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Full-power covariances of the two one-parameter profiles, shape
-    (2 m, n, n) for ``rhos`` of shape (2, m): rho between every pair of
-    relays 2..n, then rho between every pair of nodes."""
-    off = np.ones((2, n, n)) - np.eye(n)
-    off[0, 0, :] = off[0, :, 0] = 0.0
-    d = np.sqrt(powers)
-    corr = np.eye(n) + off[:, None] * rhos[:, :, None, None]
-    return (corr * (d[:, None] * d[None, :])).reshape(-1, n, n)
+#: Floor of a closed-form profile factor 1 + rho lam.
+_TINY = np.finfo(float).tiny
 
 
 def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     """Shared search over the cuts of ``plan``: returns (best value, best K,
     per-cut rates at K = diag(P), evaluations used).
 
-    Three phases, each scoring its candidates as one stack in one kernel call
-    per ``_STACK`` (candidate, cut) pairs: diag(P), a bracket search on each
-    rho-profile's rho, and rounds of PSD-preserving perturbations of the
-    incumbent.  A stack is cut to the budget left; the best candidate of a
-    stack (first among ties) replaces the incumbent when it is strictly better.
+    Three phases, each counting every candidate it scores against the
+    budget: diag(P); a bracket search on each rho-profile's rho, scored in
+    closed form from one generalized eigenproblem per cut and profile, whose
+    overall winner (first among ties) goes through the kernel once; and
+    rounds of PSD-preserving perturbations of the incumbent, scored on the
+    incumbent's binding cut and completed over every cut, in kernel stacks
+    of at most ``_STACK`` (candidate, cut) pairs, only where that bound
+    beats the incumbent.  A phase's candidates are cut to the budget left;
+    a candidate replaces the incumbent when it is strictly better.
     """
     budget = as_int(budget, "budget")
     seed = as_int(seed, "seed")
@@ -252,41 +247,56 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     powers = net.power.copy()
     chunk = max(1, _STACK // len(plan))
     best_k = np.diag(powers)
-    diag_terms = _plan_rates(plan, best_k[None])[0]
+    diag_terms = terms = _plan_rates(plan, best_k[None])[0]
     evals, best_v = 1, float(diag_terms.min())
 
-    def score(ks: np.ndarray) -> np.ndarray:
-        nonlocal evals, best_v, best_k
-        ks = ks[: budget - evals]
-        if not len(ks):
-            return np.empty(0)
-        evals += len(ks)
-        values = np.concatenate(
-            [_plan_rates(plan, ks[i : i + chunk]).min(axis=-1) for i in range(0, len(ks), chunk)]
-        )
-        i = int(np.argmax(values))
-        if values[i] > best_v:
-            best_v, best_k = float(values[i]), ks[i]
-        return values
+    # The profiles K(rho) = diag(P) + rho K1, with K1 the off-diagonal part
+    # over every relay pair, then every node pair.  With C = I + A diag(P) A^T
+    # of a cut, |I + A K(rho) A^T| = |C| prod(1 + rho lam) over the
+    # eigenvalues lam of C^{-1/2} A K1 A^T C^{-1/2}.  C >= I, so flooring
+    # eigh's eigenvalues of C at 1 only undoes rounding.
+    d = np.sqrt(powers)
+    scaled = d[:, None] * d[None, :]
+    off = np.ones((2, n, n)) - np.eye(n)
+    off[0, 0, :] = off[0, :, 0] = 0.0
+    w, v = np.linalg.eigh(np.eye(plan.shape[1]) + (plan * powers) @ plan.swapaxes(-1, -2))
+    root = (v / np.sqrt(np.maximum(w, 1.0))[..., None, :]).swapaxes(-1, -2) @ plan
+    lam = np.linalg.eigvalsh(root @ (off * scaled)[:, None] @ root.swapaxes(-1, -2))
 
     # Each profile is the log-det of an affine map of rho, minimised over
     # cuts, so it is concave in rho and its maximum lies within one spacing
     # of the best point of a level: the bracket keeps it.
     lo, hi = np.zeros(2), np.full(2, 0.999)
+    top, win = -math.inf, None
     for level in range(_LEVELS):
         if level and evals + 2 * _POINTS + 16 > budget:
             break
         rhos = np.linspace(lo, hi, _POINTS, axis=1)
-        values = score(_rho_profiles(n, rhos, powers))
+        # 1 + rho lam > 0 in exact arithmetic; the floor keeps a point that
+        # rounding pushed through zero finite, and last
+        factors = np.maximum(1.0 + rhos[:, :, None, None] * lam[:, None], _TINY)
+        values = (diag_terms + 0.5 * np.log2(factors).sum(axis=-1)).min(axis=-1)
+        values = values.ravel()[: budget - evals]
+        evals += len(values)
+        if len(values) and values.max() > top:
+            i = int(np.argmax(values))
+            top, win = values[i], (i // _POINTS, rhos.flat[i])
         if len(values) < 2 * _POINTS:
             break
         step = (hi - lo) / (_POINTS - 1)
         rho = rhos[[0, 1], np.argmax(values.reshape(2, -1), axis=1)]
         lo, hi = np.maximum(rho - step, 0.0), np.minimum(rho + step, 0.999)
+    if win is not None:
+        k = (np.eye(n) + off[win[0]] * win[1]) * scaled
+        at = _plan_rates(plan, k[None])[0]
+        if at.min() > best_v:
+            best_v, best_k, terms = float(at.min()), k, at
 
     # hill-climb: rounds of congruences M K M^T of the incumbent, PSD for
     # every M, shrunk to the power limits; the step shrinks after a round
-    # that fails
+    # that fails.  A min over one cut bounds the min over all cuts from
+    # above, so a candidate no better than the incumbent at its binding cut
+    # cannot beat it, and the pick (first among ties) is the full stack's.
     rng = np.random.default_rng(seed)
     scale = 0.3
     while evals < budget:
@@ -295,10 +305,19 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
         cand = 0.5 * (cand + cand.swapaxes(-1, -2))  # exactly symmetric, whatever the scale
         diag = np.diagonal(cand, axis1=-2, axis2=-1)
         shrink = np.sqrt(np.minimum(1.0, powers / np.maximum(diag, 1e-12)))
-        incumbent = best_v
-        score(cand * (shrink[:, :, None] * shrink[:, None, :]))
-        if best_v == incumbent:
-            scale = max(scale * 0.97**_ROUND, 0.01)
+        cand = (cand * (shrink[:, :, None] * shrink[:, None, :]))[: budget - evals]
+        evals += len(cand)
+        bind = int(np.argmin(terms))
+        hope = cand[_plan_rates(plan[bind : bind + 1], cand)[:, 0] > best_v]
+        if len(hope):
+            rows = np.concatenate(
+                [_plan_rates(plan, hope[i : i + chunk]) for i in range(0, len(hope), chunk)]
+            )
+            i = int(np.argmax(rows.min(axis=-1)))
+            if rows[i].min() > best_v:
+                best_v, best_k, terms = float(rows[i].min()), hope[i], rows[i]
+                continue
+        scale = max(scale * 0.97**_ROUND, 0.01)
     return best_v, best_k, diag_terms, evals
 
 
@@ -311,8 +330,13 @@ def cutset_estimate(
     one-parameter correlation profiles, a local hill-climb) always contains
     K = diag(P), so the estimate is at least the easy diagonal value, and it
     is always a lower bound on the true cutset optimum.  ``budget`` caps the
-    candidate covariances scored, which the search scores in stacks; the
-    result reports their count as ``evaluations``.
+    candidate covariances scored; the result reports their count as
+    ``evaluations``.  The kernel calls are fewer: one for diag(P), one for
+    the bracket's winner (its points are scored in closed form), and per
+    hill-climb round one on the incumbent's binding cut plus one per
+    ``_STACK`` (candidate, cut) pairs for the candidates that beat the
+    incumbent there.  ``estimate`` is the kernel's minimum over cuts at
+    ``k_best``.
     """
     dest = as_node(dest, net.n, "dest", first=2)
     cuts = enumerate_cuts(net.n, {dest}, "unicast")

@@ -7,6 +7,7 @@ under test and the oracles share no code.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -269,6 +270,26 @@ def test_scalar_terms_equal_the_grid_elements():
             assert list(got) == [t[k] for t in ddf], (cfg, point)
             got = nnc_diamond_terms(cfg, *point[1:])
             assert list(got) == [t[k] for t in nnc], (cfg, point)
+
+
+def test_ddf_joint_cost_survives_underflowing_noise_variances():
+    # With s2 s3 below 1e-323 every product in the joint cost's denominator
+    # underflows; the cost is still the finite value of its exact rationals.
+    cases = [((0.0, 0.0, 1.0, 1.0), (0.0, 1e-200, 1e-200)),
+             ((0.0, 0.0, 1.0, 1.0), (0.6, 1e-200, 1e-200)),
+             ((1e-200, 0.0, 1.0, 1.0), (0.3, 1e-200, 1e-200)),
+             ((1e-30, 1e-30, 1.0, 1.0), (0.6, 1e-300, 1e-300)),
+             ((1e-14, 3e-15, 1.0, 1.0), (0.0, 5e-324, 5e-324))]
+    for snrs, point in cases:
+        cfg, params = DiamondConfig(*snrs), DdfParams(*point)
+        terms = ddf_diamond_terms(cfg, params)
+        assert all(math.isfinite(t) for t in terms), (snrs, point)
+        s21, s31 = (Fraction(x) for x in snrs[:2])
+        rho, s2, s3 = (Fraction(x) for x in point)
+        ratio = (s2 + s21) * (s3 + s31) / ((s2 * s3 + s2 * s31 + s3 * s21) * (1 - rho * rho))
+        want = 0.5 * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
+        i2, i3 = oracle_relay_info(cfg.s21, point[1]), oracle_relay_info(cfg.s31, point[2])
+        assert i2 + i3 - terms[3] == pytest.approx(want, rel=1e-12, abs=1e-12), (snrs, point)
 
 
 def test_min_terms_of_floats_propagates_nan():

@@ -26,6 +26,7 @@ from relaybound import (
 from relaybound import gaussian
 from relaybound.gaussian import _cut_plan, _plan_rates
 from relaybound.networks import enumerate_cuts
+from tests.covsearch import search_cov_oracle
 
 
 def random_net(rng, n, lognormal=False, vector_power=False):
@@ -422,6 +423,52 @@ def test_cutset_estimate_spends_its_budget_and_keeps_its_values():
         assert est.estimate >= value - 1e-12
 
 
+def oracle_nets():
+    """Networks for the search oracle, each with one destination: a third
+    each with uniform(0.1, 2), lognormal(0, 2) and 10^U(-3, 3) gains, the
+    last two kept only when their diag(P) Gram slices stay at or below 1e5;
+    last, one n = 10 network."""
+    rng = np.random.default_rng(35)
+    nets = []
+    while len(nets) < 24:
+        n = int(rng.integers(3, 7))
+        family = len(nets) % 3
+        if family == 0:
+            g = rng.uniform(0.1, 2.0, (n, n))
+        elif family == 1:
+            g = rng.lognormal(0.0, 2.0, (n, n))
+        else:
+            g = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        net = GaussianNetwork(n, g, float(10.0 ** rng.uniform(-3.0, 4.0)), range(2, n + 1))
+        plan = _cut_plan(net, enumerate_cuts(n, net.destinations, "broadcast"))
+        if family == 0 or np.abs(plan * net.power @ plan.swapaxes(-1, -2)).max() <= 1e5:
+            nets.append((net, int(rng.integers(2, n + 1))))
+    g = np.random.default_rng(30).uniform(0.1, 2.0, (10, 10))
+    np.fill_diagonal(g, 0.0)
+    return nets + [(GaussianNetwork(10, g, 3.0, [10]), 10)]
+
+
+def test_covariance_search_matches_the_kernel_scored_oracle():
+    # The closed-form bracket and the binding-cut screening of the hill-climb
+    # give the estimate and evaluation count of scoring every candidate on
+    # every cut, bit for bit, on unicast and broadcast plans and at budgets
+    # that cut a bracket level short.  On n = 10 the 256 unicast cuts leave
+    # 16 candidates per kernel stack, and at budget 200 the first hill-climb
+    # round completes 17 of its 24 candidates, in two stacks.
+    for net, dest in oracle_nets():
+        plans = [_cut_plan(net, enumerate_cuts(net.n, {dest}, "unicast"))]
+        if net.n < 10:
+            plans.append(_cut_plan(net, enumerate_cuts(net.n, net.destinations, "broadcast")))
+        for plan in plans:
+            for budget in (1, 2, 17, 33, 60, 200, 1000):
+                best_v, best_k, terms, evals = gaussian._search_cov(net, plan, budget, 0)
+                want_v, _, want_terms, want_evals = search_cov_oracle(net, plan, budget, 0)
+                assert (best_v, evals) == (want_v, want_evals), (net.n, dest, budget)
+                assert np.array_equal(terms, want_terms)
+                assert _plan_rates(plan, best_k).min() == best_v
+
+
 def test_cutset_estimate_finds_the_diamond_optimum():
     for power in (1.0, 10.0, 100.0, 1000.0):
         for d in np.linspace(0.1, 0.9, 17):
@@ -482,9 +529,12 @@ def check_any_snr_invariants(net, dest):
     assert cert.max_tighter_gap <= net.n / 2.0 + 1e-9
     for k in range(2, net.n + 1):
         assert 0.0 <= node_penalty(net, k) <= 0.5
-    # the winning covariance passes validation at any power
-    for cut in enumerate_cuts(net.n, {dest}, "unicast"):
+    # the winning covariance passes validation at any power, and the search
+    # never ends below diag(P)
+    cuts = enumerate_cuts(net.n, {dest}, "unicast")
+    for cut in cuts:
         assert cutset_cut_rate(net, cut, est.k_best) >= est.estimate
+    assert est.estimate >= min(cutset_cut_rate(net, c, np.diag(net.power)) for c in cuts)
 
 
 @pytest.mark.parametrize("power", [1e6, 1e9, 1e12])
@@ -515,6 +565,21 @@ def test_search_estimate_reaches_ddf_rate_at_high_snr():
     assert ddf_unicast_rate(net, dest) <= estimate + 1e-9
 
 
+def high_snr_draws():
+    """Draws 91 and 94 of a 10^U(-3, 3)-gain sweep: n = 5, P = 4.80e11,
+    destination 4, and n = 6, P = 1.38e11, destination 5.  On both a
+    Cholesky factor of some cut's I + A diag(P) A^T fails."""
+    rng = np.random.default_rng(1)
+    for i in range(95):
+        n = int(rng.integers(3, 7))
+        g = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        power = float(10.0 ** rng.uniform(-3.0, 12.0))
+        dest = int(rng.integers(2, n + 1))
+        if i in (91, 94):
+            yield GaussianNetwork(n, g, power, range(2, n + 1)), dest
+
+
 def test_invariants_over_powers_and_gain_spreads():
     rng = np.random.default_rng(32)
     for _ in range(40):
@@ -524,6 +589,11 @@ def test_invariants_over_powers_and_gain_spreads():
         power = float(10.0 ** rng.uniform(-3.0, 12.0))
         net = GaussianNetwork(n, g, power, range(2, n + 1))
         check_any_snr_invariants(net, int(rng.integers(2, n + 1)))
+    draws = list(high_snr_draws())
+    assert [(net.n, f"{net.power[0]:.2e}", dest) for net, dest in draws] == [
+        (5, "4.80e+11", 4), (6, "1.38e+11", 5)]
+    for net, dest in draws:
+        check_any_snr_invariants(net, dest)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
