@@ -22,7 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, load_json_object)
+    SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, as_numbers,
+    load_json_object)
 from .info import (
     ZERO_EPS, JointPmf, RateBits, capped_cells, checked_tensor, mask_entropy, mask_mutual_info)
 from .networks import Cut, DeterministicNetwork, GraphicalNetwork, enumerate_cuts
@@ -123,7 +124,16 @@ class DmInstance:
         destinations: Iterable[int],
         q_vars: Sequence[str] | None = None,
     ) -> "DmInstance":
-        """Join p(q, x, u) with p(y | x) into the canonical full joint."""
+        """Join p(q, x, u) with p(y | x) into the canonical full joint.
+
+        The per-cut evaluators see the outputs one y_k at a time, so the
+        joint is handed the product's marginals over (q, x, u) and over
+        (q, x, u, y_k) for each y_k with more than one symbol, made from the
+        factors: p(q, x, u) times the channel's own marginal.  The DDF, J,
+        broadcast-region and Marton entropies are reduced from those, never
+        from the full joint, which is still built as ``joint.probs``.  Only
+        an entropy over two or more outputs reduces the full joint.
+        """
         sizes: dict[str, int] = {}
         n = 1
 
@@ -167,7 +177,14 @@ class DmInstance:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"joint mass is {total}, expected 1")
-        joint = JointPmf._trusted(tuple(canonical), probs / total)
+        probs /= total
+        inputs = (1 << (len(canonical) - n)) - 1  # q, x and u precede y1..yn
+        outs = [i for i in range(len(canonical) - n, len(canonical)) if canonical[i][1] > 1]
+        marginals = [(inputs, a * (b.sum(axis=tuple(outs), keepdims=True) / total))]
+        for i in outs:
+            others = tuple(j for j in outs if j != i)
+            marginals.append((inputs | 1 << i, a * (b.sum(axis=others, keepdims=True) / total)))
+        joint = JointPmf._trusted(tuple(canonical), probs, marginals)
         if q_vars is None:
             q_vars = ("q",)
         return cls(joint, n, destinations, q_vars)
@@ -278,8 +295,16 @@ def cutset_dm(
     mode: str = "unicast",
     q_vars: Sequence[str] | None = None,
 ) -> RateBits | RateRegion:
-    """Cutset outer bound at a fixed input pmf: I(X(S); Y(S^c) | X(S^c), Q)."""
-    inst = DmInstance.from_parts(input_pmf, channel, dests, q_vars)
+    """Cutset outer bound at a fixed input pmf: I(X(S); Y(S^c) | X(S^c), Q).
+
+    The bound has no description variable, so each u_k outside ``q_vars``
+    is summed out of ``input_pmf`` before the joint is built, which then has
+    |Q| prod|X| prod|Y| cells, not that times prod|U|.  Its axis stays, of
+    size 1, so ``DmInstance.from_parts`` still checks its name.
+    """
+    q = ("q",) if q_vars is None else tuple(q_vars)
+    drop = {name for name in input_pmf.names if name.startswith("u") and name not in q}
+    inst = DmInstance.from_parts(_summed_out(input_pmf, drop), channel, dests, q_vars)
     dests = inst.destinations
 
     def cut_value(cut: Cut) -> float:
@@ -378,8 +403,10 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
     """Check that the per-cut bound collapses to its binning form on a
     single-hop broadcast instance.
 
-    Returns (lhs, rhs, lhs - rhs) for the cut with the largest discrepancy.
-    Raises if some node other than 1 transmits, or if the descriptions are
+    Returns (lhs, rhs, lhs - rhs) for the cut with the largest discrepancy;
+    a cut must beat an earlier one by more than 1e-12 to replace it, so
+    rounding-level discrepancies, which any exact identity leaves, report
+    the first cut rather than one picked by the last bits.  Raises if some node other than 1 transmits, or if the descriptions are
     not conditionally independent of the outputs given x1.
     """
     for k in range(2, inst.n + 1):
@@ -408,7 +435,7 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
             rhs -= inst.mi(inst.u[k], u_earlier)
             u_earlier |= inst.u[k]
         delta = lhs - rhs
-        if worst is None or abs(delta) > abs(worst[2]):
+        if worst is None or abs(delta) > abs(worst[2]) + 1e-12:
             worst = (lhs, rhs, delta)
     assert worst is not None
     return worst
@@ -687,18 +714,17 @@ def constraint_repair(inst: DmInstance, a_set: Iterable[int]) -> DmInstance:
     if not far:
         raise ValueError("the repaired cut must have a nonempty far side")
 
-    drop = {f"u{k}" for k in far}
-    keep = [name for name in inst.joint.names if name not in drop]
-    marg = inst.joint.marginal(keep)
-    shape = tuple(
-        1 if name in drop else size for name, size in inst.joint.variables
-    )
-    variables = tuple(
-        (name, 1 if name in drop else size) for name, size in inst.joint.variables
-    )
-    joint = JointPmf._trusted(variables, marg.reshape(shape))
+    joint = _summed_out(inst.joint, {f"u{k}" for k in far})
     q_vars = tuple(dict.fromkeys(list(inst.q_vars) + [f"x{k}" for k in far]))
     return DmInstance(joint, inst.n, inst.destinations, q_vars)
+
+
+def _summed_out(pmf: JointPmf, drop: set[str]) -> JointPmf:
+    """``pmf`` with the variables in ``drop`` summed out through
+    ``JointPmf.marginal``; their axes stay, of size 1."""
+    marg = pmf.marginal([name for name in pmf.names if name not in drop])
+    variables = tuple((name, 1 if name in drop else size) for name, size in pmf.variables)
+    return JointPmf._trusted(variables, marg.reshape(tuple(s for _, s in variables)))
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +759,15 @@ def _vars_from_doc(doc: dict) -> list[tuple[str, int]]:
     return out
 
 
-def _probs_from_doc(doc: dict, cells: int) -> list[float]:
+def _probs_from_doc(doc: dict, cells: int) -> np.ndarray:
     probs = doc.get("probs")
     if not isinstance(probs, list):
         raise SchemaError("probs: expected a flat list")
     if len(probs) != cells:
         raise SchemaError(f"probs: expected {cells} entries, got {len(probs)}")
-    return [as_number(p, f"probs[{i}]") for i, p in enumerate(probs)]
+    # A one-axis object array, so that a nested entry is an entry that is
+    # not a number, named probs[i], rather than another axis.
+    return as_numbers(np.fromiter(probs, dtype=object, count=cells), "probs")
 
 
 def load_pmf(path: str | Path) -> tuple[JointPmf, tuple[str, ...]]:
@@ -753,7 +781,7 @@ def _pmf_from_doc(doc: dict) -> tuple[JointPmf, tuple[str, ...]]:
     q_vars = doc.get("q_vars", [])
     if not isinstance(q_vars, list) or not all(isinstance(q, str) for q in q_vars):
         raise SchemaError("q_vars: expected a list of variable names")
-    pmf = JointPmf(variables, np.array(probs))
+    pmf = JointPmf(variables, probs)
     names = set(pmf.names)
     for q in q_vars:
         if q not in names:
@@ -788,4 +816,4 @@ def _channel_from_doc(doc: dict) -> Channel:
     if [n for n, _ in ordered] != names:
         raise SchemaError("vars: conditioning variables must precede outputs")
     cells = capped_cells((s for _, s in variables), "channel")
-    return Channel(given, out, np.array(_probs_from_doc(doc, cells)))
+    return Channel(given, out, _probs_from_doc(doc, cells))

@@ -14,6 +14,11 @@ Exactness contract:
   the oracle that sums ``-p * math.log2(p)`` over the naive marginal.  Its
   last bits depend on which cached marginal it was reduced from, so the same
   sequence of calls on a fresh pmf gives the same bits.
+* A pmf built from a product of factors (``dm.DmInstance.from_parts``) may
+  be handed marginals of that product, computed from the factors rather
+  than from the full tensor, and its entropies may then be reduced from
+  them.  Those marginals are exact up to rounding, so the entropies keep the
+  1e-12 bound above; ``JointPmf.marginal`` itself stays bit-identical.
 
 A variable subset is an integer bitmask, bit i for variable i.  Each pmf
 memoizes its entropies by mask, and reduces a miss, always through
@@ -137,6 +142,7 @@ class JointPmf:
     variables.  Behind it, the lattice is a list of (cells, mask, lean
     sub-pmf) sorted by cells, ties in insertion order, so its first entry
     that covers a missing subset is the smallest cached marginal that does.
+    It starts with the pmf itself and any marginals its builder supplied.
     """
 
     variables: tuple[tuple[str, int], ...]
@@ -149,23 +155,41 @@ class JointPmf:
             raise ValueError(f"probabilities sum to {total}, expected 1 +/- {SUM_TOL}")
         self._set(variables, arr)
 
-    def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> None:
+    def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
+             marginals: Iterable[tuple[int, np.ndarray]] = ()) -> None:
         kept = sum(1 << i for i, (_, s) in enumerate(variables) if s > 1)
-        full = tuple(v for v in variables if v[1] > 1)
-        root = _lean(full, probs.reshape(tuple(s for _, s in full)))
         self.__dict__.update(
             variables=variables, probs=probs,
             _axes={n: i for i, (n, _) in enumerate(variables)},
-            _kept=kept, _entropies={}, _lattice=[(probs.size, kept, root)])
+            _kept=kept, _entropies={})
+        # A supplied marginal precedes the pmf itself among equal sizes.
+        lattice = [self._entry(mask & kept, p) for mask, p in marginals]
+        lattice.append(self._entry(kept, probs))
+        lattice.sort(key=itemgetter(0))
+        self.__dict__["_lattice"] = lattice
+
+    def _entry(self, mask: int, probs: np.ndarray) -> tuple[int, int, JointPmf]:
+        """A lattice entry over the variables in ``mask``, which holds no
+        size-1 variable; ``probs`` has their cells and any size-1 axes."""
+        variables = tuple(v for i, v in enumerate(self.variables) if mask >> i & 1)
+        return probs.size, mask, _lean(variables, probs.reshape([s for _, s in variables]))
 
     @classmethod
-    def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf:
+    def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
+                 marginals: Iterable[tuple[int, np.ndarray]] = ()) -> JointPmf:
         """A pmf over parts that are valid already, built without
         re-validation: ``probs`` is made from checked pmfs (a marginal, or a
-        product whose sum the caller checked) and is set read-only here."""
+        product whose sum the caller checked) and is set read-only here.
+
+        ``marginals`` holds (mask, tensor) pairs, each the marginal of
+        ``probs`` over ``mask``'s variables, on this pmf's axes with size 1
+        where summed out.  They seed the entropy lattice: a builder holding
+        ``probs`` as a product gets them from its factors far more cheaply
+        than from a reduction of ``probs``.
+        """
         probs.flags.writeable = False
         pmf = object.__new__(cls)
-        pmf._set(variables, probs)
+        pmf._set(variables, probs, marginals)
         return pmf
 
     @property
@@ -195,12 +219,17 @@ class JointPmf:
         in another order.  A single kept cell is summed with ``np.cumsum``,
         because numpy reduces a contiguous vector pairwise.
         """
-        keep = sorted(self.axis_of(n) for n in set(names))
-        drop = [i for i in range(len(self.variables)) if i not in keep]
+        names = set(names)
+        try:
+            keep = sorted(map(self._axes.__getitem__, names))
+        except KeyError:
+            keep = sorted(map(self.axis_of, names))  # raises, naming the unknown one
+        shape = self.probs.shape
+        drop = [i for i in range(len(shape)) if i not in keep]
         if not drop:
             return self.probs
-        kept_shape = tuple(self.probs.shape[i] for i in keep)
-        q = np.ascontiguousarray(np.transpose(self.probs, drop + keep))
+        kept_shape = tuple([shape[i] for i in keep])
+        q = np.ascontiguousarray(self.probs.transpose(drop + keep))
         q = q.reshape(-1, math.prod(kept_shape))
         if q.shape[1] == 1:
             return np.cumsum(q[:, 0])[-1:].reshape(kept_shape)

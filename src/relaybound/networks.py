@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,10 +44,18 @@ class Cut:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "n", n)
 
-    @property
+    @cached_property
     def complement(self) -> tuple[int, ...]:
         members = set(self.s)
         return tuple(k for k in range(1, self.n + 1) if k not in members)
+
+
+def _enumerated_cut(s: tuple[int, ...], far: tuple[int, ...], n: int) -> Cut:
+    """The cut ``Cut(s, n)`` of nodes that ``enumerate_cuts`` generated
+    itself, built without re-validation, its complement ``far`` filled in."""
+    cut = object.__new__(Cut)
+    cut.__dict__.update(s=s, n=n, complement=far)
+    return cut
 
 
 @dataclass(frozen=True)
@@ -218,7 +227,8 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
         else:
             if not far & dest_mask:
                 continue
-        cuts.append(Cut((k + 1 for k in range(n) if mask >> k & 1), n))
+        cuts.append(_enumerated_cut(tuple(k + 1 for k in range(n) if mask >> k & 1),
+                                    tuple(k + 1 for k in range(n) if far >> k & 1), n))
     return cuts
 
 

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaybound import (
     Channel,
@@ -37,6 +39,7 @@ from relaybound import (
 )
 from relaybound import dm
 from relaybound.dm import _pareto_frontier, pmf_to_dict
+from relaybound.networks import enumerate_cuts
 from tests.bitpipe import bit_pipe_oracle
 from tests.maxflow import maxflow_oracle
 
@@ -73,6 +76,11 @@ def naive_cut_value(inst, cut_s, dest):
 
 
 def random_instance(rng, n, dests, with_q=False):
+    return DmInstance.from_parts(*random_parts(rng, n, with_q), dests)
+
+
+def random_parts(rng, n, with_q=False):
+    """An input pmf over (q,) x, u and a channel p(y | x), sizes 2 or 3."""
     nq = int(rng.integers(2, 4)) if with_q else 1
     in_vars = [("q", nq)] if with_q else []
     in_vars += [(f"x{k}", int(rng.integers(2, 4))) for k in range(1, n + 1)]
@@ -85,7 +93,7 @@ def random_instance(rng, n, dests, with_q=False):
     c = rng.random(tuple(x_sizes) + tuple(s for _, s in y_vars))
     c /= c.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
     chan = Channel([(f"x{k}", s) for k, s in enumerate(x_sizes, 1)], y_vars, c)
-    return DmInstance.from_parts(pin, chan, dests)
+    return pin, chan
 
 
 def test_channel_validation():
@@ -160,20 +168,22 @@ def test_cut_terms_match_naive_evaluator():
 def test_evaluators_sharing_a_joint_match_fresh_instances():
     # A shared joint reduces later marginals from what earlier evaluators
     # cached, so its last bits may differ from a fresh joint's; the same
-    # call sequence on a fresh copy gives the same bits.
+    # call sequence on a fresh copy built from the same parts gives the same
+    # bits.  A joint built directly, without the factor marginals that
+    # from_parts supplies, agrees within 1e-12.
     rng = np.random.default_rng(41)
     for trial in range(4):
         n = int(rng.integers(3, 5))
-        inst = random_instance(rng, n, [n], with_q=bool(trial % 2))
+        pin, chan = random_parts(rng, n, with_q=bool(trial % 2))
+        inst = DmInstance.from_parts(pin, chan, [n])
 
         def fresh():
-            return DmInstance(
-                JointPmf(inst.joint.variables, inst.joint.probs), n, [n], inst.q_vars
-            )
+            return DmInstance.from_parts(pin, chan, [n])
 
         ddf_unicast_dm(inst, n)
         shared = constraint_values_j(inst)
-        alone = constraint_values_j(fresh())
+        alone = constraint_values_j(
+            DmInstance(JointPmf(inst.joint.variables, inst.joint.probs), n, [n], inst.q_vars))
         assert list(shared) == list(alone)
         for cut_s, j in shared.items():
             assert abs(j - alone[cut_s]) <= 1e-12
@@ -182,6 +192,108 @@ def test_evaluators_sharing_a_joint_match_fresh_instances():
         assert [j.hex() for j in constraint_values_j(again).values()] == [
             j.hex() for j in shared.values()
         ]
+
+
+def joint_route_cutset(inst, dests, mode):
+    """The cutset bound evaluated on ``inst``'s own joint, cut by cut."""
+    cuts = enumerate_cuts(inst.n, dests, mode)
+    xs = lambda nodes: sum(inst.x[k] for k in nodes)
+    values = [inst.mi(xs(c.s), sum(inst.y[k] for k in c.complement), xs(c.complement))
+              for c in cuts]
+    return min(values) if mode == "unicast" else values
+
+
+def close_all(got, want):
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12, (g, w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 4),
+    with_q=st.booleans(),
+    broadcast=st.booleans(),
+    repaired=st.sets(st.integers(2, 4)),
+    y_sizes=st.lists(st.sampled_from([1, 2, 3]), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_marginals_agree_with_the_joint_route(n, with_q, broadcast, repaired, y_sizes,
+                                                      seed):
+    # from_parts hands the joint marginals made from its factors; a joint
+    # built directly reduces every entropy from the full tensor instead.
+    # Both routes agree within 1e-12 on every evaluator, on instances with
+    # size-1 outputs and with far-side inputs moved into q_vars the way
+    # constraint_repair moves them.
+    rng = np.random.default_rng(seed)
+    far = sorted(k for k in repaired if k <= n)
+    small = (2,) if n == 4 else (2, 3)
+    in_vars = [("q", int(rng.integers(2, 4)))] if with_q else []
+    in_vars += [("x1", int(rng.choice(small)))]
+    in_vars += [(f"x{k}", 1 if broadcast else int(rng.choice(small))) for k in range(2, n + 1)]
+    in_vars += [(f"u{k}", 1 if k in far else int(rng.choice(small))) for k in range(2, n + 1)]
+    p = rng.random(tuple(s for _, s in in_vars))
+    pin = JointPmf(in_vars, p / p.sum())
+    x_vars = [v for v in in_vars if v[0].startswith("x")]
+    y_vars = [(f"y{k}", 1 if broadcast and k == 1 else y_sizes[k - 1]) for k in range(1, n + 1)]
+    c = rng.random(tuple(s for _, s in x_vars + y_vars))
+    c /= c.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+    chan = Channel(x_vars, y_vars, c)
+    q_vars = ("q",) + tuple(f"x{k}" for k in far)
+    dests = list(range(2, n + 1))
+
+    inst = DmInstance.from_parts(pin, chan, dests, q_vars)
+    ref = DmInstance(JointPmf(inst.joint.variables, inst.joint.probs), n, dests, q_vars)
+    for d in dests:
+        (got, got_terms), (want, want_terms) = ddf_unicast_dm(inst, d), ddf_unicast_dm(ref, d)
+        close_all([got], [want])
+        for t, r in zip(got_terms, want_terms):
+            assert t.cut == r.cut
+            close_all([t.first_term, t.total], [r.first_term, r.total])
+            close_all(t.penalty_u.values(), r.penalty_u.values())
+            close_all(t.penalty_x.values(), r.penalty_x.values())
+        close_all([cutset_dm(pin, chan, [d], "unicast", q_vars)],
+                  [joint_route_cutset(ref, [d], "unicast")])
+    got_j, want_j = constraint_values_j(inst), constraint_values_j(ref)
+    assert list(got_j) == list(want_j)
+    close_all(got_j.values(), want_j.values())
+    close_all([c.bound for c in ddf_broadcast_region_dm(inst).constraints],
+              [c.bound for c in ddf_broadcast_region_dm(ref).constraints])
+    close_all([c.bound for c in cutset_dm(pin, chan, dests, "broadcast", q_vars).constraints],
+              joint_route_cutset(ref, dests, "broadcast"))
+    if broadcast:
+        close_all(marton_identity_check(inst), marton_identity_check(ref))
+
+
+def test_factor_route_never_reduces_the_full_joint(monkeypatch):
+    rng = np.random.default_rng(44)
+    n = 4
+    pin, chan = random_parts(rng, n, with_q=True)
+    inst = DmInstance.from_parts(pin, chan, [2, 3, 4])
+    widest = pin.probs.size * max(s for _, s in chan.out)
+    sources = []
+    reduce = JointPmf.marginal
+    monkeypatch.setattr(JointPmf, "marginal",
+                        lambda self, names: sources.append(self) or reduce(self, names))
+    ddf_unicast_dm(inst, n)
+    constraint_values_j(inst)
+    ddf_broadcast_region_dm(inst)
+    assert sources
+    for src in sources:
+        assert src.probs.size <= widest < inst.joint.probs.size
+        assert sum(name.startswith("y") for name in src.names) <= 1
+
+    # The cutset bound has no description: its joint is built without them.
+    built = []
+    from_parts = DmInstance.from_parts
+    monkeypatch.setattr(DmInstance, "from_parts",
+                        lambda *args: built.append(from_parts(*args)) or built[-1])
+    cutset_dm(pin, chan, [2, 3, 4], "broadcast")
+    (joint,) = [b.joint for b in built]
+    assert all(s == 1 for name, s in joint.variables if name.startswith("u"))
+    assert joint.probs.size == inst.joint.probs.size // math.prod(
+        s for name, s in pin.variables if name.startswith("u"))
 
 
 def test_cascade_of_perfect_bit_pipes():
@@ -809,6 +921,19 @@ def test_pmf_file_schema_errors(tmp_path):
     )
     with pytest.raises(TensorCapError):
         load_pmf(path)
+
+
+# [[0.5], [0.5]] has the right length, and a bool is not a number
+@pytest.mark.parametrize("probs, index", [([[0.5], [0.5]], 0), ([0.5, True], 1)])
+def test_model_file_probs_are_a_flat_list_of_numbers(tmp_path, probs, index):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vars": [{"name": "x1", "size": 2}], "probs": probs}))
+    with pytest.raises(SchemaError, match=rf"probs\[{index}\]: expected a number"):
+        load_pmf(path)
+    path.write_text(json.dumps({"vars": [{"name": "x1", "size": 1}, {"name": "y2", "size": 2}],
+                                "given": ["x1"], "probs": probs}))
+    with pytest.raises(SchemaError, match=rf"probs\[{index}\]: expected a number"):
+        load_channel(path)
 
 
 def test_channel_file_round_trip_and_errors(tmp_path):

@@ -71,6 +71,16 @@ def test_enumerate_cuts_broadcast():
     assert len(cuts) == 7
 
 
+def test_enumerated_cuts_equal_validated_cuts():
+    for n in range(2, 7):
+        for dests, mode in (([n], "unicast"), (range(2, n + 1), "broadcast")):
+            for cut in enumerate_cuts(n, dests, mode):
+                twin = Cut(cut.s, n)
+                assert cut == twin and hash(cut) == hash(twin) and repr(cut) == repr(twin)
+                assert cut.complement == twin.complement
+                assert cut.complement is cut.complement  # computed once
+
+
 def test_enumerate_cuts_validation():
     with pytest.raises(ValueError, match="exactly one destination"):
         enumerate_cuts(3, [2, 3], "unicast")
