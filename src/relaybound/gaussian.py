@@ -63,10 +63,32 @@ def _cut_plan(
     return plan
 
 
+#: Largest Gram entry A K A^T that the Gram route takes.  Rounding the Gram
+#: costs about eps max|Gram| in its eigenvalues: 1e-10 bits at 1e5, but a
+#: fraction of a bit by 1e15, where it swamps the unit eigenvalues of
+#: I + Gram.  Above the gate a slice's rate comes from the singular values of
+#: A K^{1/2}, whose squares carry no such error.  The SVD costs 2-5 times the
+#: Cholesky, so the slices of everyday powers keep the Cholesky.
+_GRAM_GATE = 1e5
+
+
 def _plan_rates(plan: np.ndarray, k_cov: np.ndarray) -> np.ndarray:
     """(1/2) log2 |I + A K A^T| for every cut of the plan, in one kernel call:
-    shape (ncuts,) for one covariance, (m, ncuts) for a stack of m."""
-    return log_det_rate(plan @ k_cov[..., None, :, :] @ plan.swapaxes(-1, -2))
+    shape (ncuts,) for one covariance, (m, ncuts) for a stack of m.  Slices
+    past ``_GRAM_GATE`` sum (1/2) log2(1 + s^2) over the singular values s of
+    A K^{1/2} instead, with K^{1/2} from ``eigh``."""
+    gram = plan @ k_cov[..., None, :, :] @ plan.swapaxes(-1, -2)
+    # a PSD matrix's largest entry lies on its diagonal
+    if gram.max() <= _GRAM_GATE:
+        return log_det_rate(gram)
+    big = gram.diagonal(axis1=-2, axis2=-1).max(axis=-1) > _GRAM_GATE
+    rates = np.empty(big.shape)
+    rates[~big] = log_det_rate(gram[~big])
+    w, v = np.linalg.eigh(k_cov)
+    root = v * np.sqrt(np.maximum(w, 0.0))[..., None, :]  # K = root root^T up to rounding
+    sv = np.linalg.svd((plan @ root[..., None, :, :])[big], compute_uv=False)
+    rates[big] = np.log1p(sv * sv).sum(axis=-1) / (2.0 * math.log(2.0))
+    return rates
 
 
 def _full_power_rates(
@@ -226,7 +248,7 @@ _TINY = np.finfo(float).tiny
 
 
 def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
-    """Shared search over the cuts of ``plan``: returns (best value, best K,
+    """Search over the cuts of ``plan``: returns (best value, best K,
     per-cut rates at K = diag(P), evaluations used).
 
     Three phases, each counting every candidate it scores against the
@@ -343,24 +365,6 @@ def cutset_estimate(
     best_v, best_k, terms, evals = _search_cov(net, _cut_plan(net, cuts), budget, seed)
     relaxed = min(t + len(cut.s) / 2.0 for t, cut in zip(terms.tolist(), cuts))
     return CutsetEstimate(best_v, relaxed, best_k, evals)
-
-
-def cutset_estimate_region(
-    net: GaussianNetwork, budget: int = 10_000, seed: int = 0
-) -> tuple[RateRegion, RateRegion]:
-    """Broadcast variant: (region at the best covariance found, relaxed region).
-
-    The first region is an estimate slice of the cutset outer bound (its
-    covariance maximizes the worst cut); the second is certified valid for
-    every admissible covariance.
-    """
-    dims = net.destinations
-    cuts = enumerate_cuts(net.n, dims, "broadcast")
-    plan = _cut_plan(net, cuts)
-    _, best_k, terms, _ = _search_cov(net, plan, budget, seed)
-    at_best = _plan_rates(plan, best_k).tolist()
-    relaxed = [t + len(cut.s) / 2.0 for t, cut in zip(terms.tolist(), cuts)]
-    return region_from_cuts(dims, cuts, at_best), region_from_cuts(dims, cuts, relaxed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from .errors import (
     SchemaError, as_int, as_int_set, as_node, as_nodes, as_number, as_numbers, as_power,
     load_json_object)
 
-#: Cut enumeration is exhaustive; beyond this many nodes callers must supply
-#: explicit cut lists.
+#: Cut enumeration is exhaustive, and every cut-based evaluator enumerates, so
+#: networks with more nodes than this are refused.
 MAX_ENUM_NODES = 24
 
 
@@ -208,8 +208,7 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
     n = as_int(n, "n")
     if n > MAX_ENUM_NODES:
         raise ValueError(
-            f"refusing to enumerate 2^{n - 1} cuts for n = {n} > {MAX_ENUM_NODES}; "
-            "pass explicit cut lists instead"
+            f"refusing to enumerate 2^{n - 1} cuts for n = {n} > {MAX_ENUM_NODES}"
         )
     dests = as_nodes(destinations, n, "destinations", first=2)
     if mode == "unicast":
