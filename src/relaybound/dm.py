@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,7 +26,8 @@ from .errors import (
     SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, as_numbers,
     load_json_object)
 from .info import (
-    ZERO_EPS, JointPmf, RateBits, capped_cells, checked_tensor, mask_entropy, mask_mutual_info)
+    ZERO_EPS, JointPmf, RateBits, _axes_of, capped_cells, checked_tensor, mask_entropy,
+    mask_mutual_info)
 from .networks import Cut, DeterministicNetwork, GraphicalNetwork, enumerate_cuts
 from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from_cuts
 
@@ -70,14 +72,64 @@ def _canonical_vars(n: int, sizes: dict[str, int]) -> list[tuple[str, int]]:
     return [(name, sizes.get(name, 1)) for name in order]
 
 
-def _aligned(tensor: np.ndarray, names: Sequence[str], canonical) -> np.ndarray:
+# Plans: what an instance's shape fixes, built once per shape from its
+# variable tuples.  They hold immutable values, and an error is not cached.
+
+
+@lru_cache(maxsize=256)
+def _parts_plan(in_vars: tuple, given: tuple, out: tuple):
+    """``from_parts``'s checks and layout: (n, canonical variables, the input
+    pmf's and the channel's axis order and canonical shape, and a (mask,
+    summed axes) pair per factor marginal)."""
+    sizes: dict[str, int] = {}
+    n = 1
+    for where, variables, letter, wanted, refusal in (
+            ("input pmf", in_vars, "y", False, "input pmf must not contain channel outputs"),
+            ("channel", given, "x", True, "channel inputs must be x variables"),
+            ("channel", out, "y", True, "channel outputs must be y variables")):
+        for name, size in variables:
+            if name.startswith(letter) != wanted:
+                raise ValueError(refusal)
+            if name != "q":
+                if len(name) < 2 or name[0] not in "xuy" or not name[1:].isdigit():
+                    raise ValueError(f"{where}: unrecognized variable {name!r}")
+                node = int(name[1:])
+                if name[0] == "u" and node < 2:
+                    raise ValueError(f"{where}: u1 is not a valid description variable")
+                n = max(n, node)
+            if sizes.setdefault(name, size) != size:
+                raise ValueError(f"{where}: variable {name!r} has conflicting sizes "
+                                 f"{sizes[name]} and {size}")
+    if n < 2:
+        raise ValueError("instance needs at least two nodes")
+
+    canonical = tuple(_canonical_vars(n, sizes))
+    capped_cells((size for _, size in canonical), "full joint")
     pos = {name: i for i, (name, _) in enumerate(canonical)}
-    order = sorted(range(len(names)), key=lambda i: pos[names[i]])
-    t = np.transpose(tensor, order)
-    shape = [1] * len(canonical)
-    for i in order:
-        shape[pos[names[i]]] = tensor.shape[i]
-    return t.reshape(shape)
+
+    def aligned(variables) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        order = sorted(range(len(variables)), key=lambda i: pos[variables[i][0]])
+        shape = [1] * len(canonical)
+        for name, size in variables:
+            shape[pos[name]] = size
+        return tuple(order), tuple(shape)
+
+    inputs = (1 << (len(canonical) - n)) - 1  # q, x and u precede y1..yn
+    outs = tuple(i for i in range(len(canonical) - n, len(canonical)) if canonical[i][1] > 1)
+    factors = ((inputs, outs),) + tuple(
+        (inputs | 1 << i, tuple(j for j in outs if j != i)) for i in outs)
+    return n, canonical, aligned(in_vars), aligned(given + out), factors
+
+
+@lru_cache(maxsize=256)
+def _instance_plan(variables: tuple, n: int, q_vars: tuple[str, ...]):
+    """``DmInstance``'s masks (q, x, u, y) for a joint over ``variables``,
+    which must be the canonical list for ``n``."""
+    if [name for name, _ in variables] != [name for name, _ in _canonical_vars(n, {})]:
+        raise ValueError(f"joint must use the canonical variable list for n = {n}")
+    q = sum(1 << i for i in _axes_of(variables, q_vars))
+    return (q, _node_masks(variables, "x", n), _node_masks(variables, "u", n, first=2),
+            _node_masks(variables, "y", n))
 
 
 @dataclass(frozen=True)
@@ -100,21 +152,11 @@ class DmInstance:
 
     def __init__(self, joint: JointPmf, n: int, destinations, q_vars=("q",)):
         n = as_int(n, "n")
-        expected = [name for name, _ in _canonical_vars(n, {})]
-        if list(joint.names) != expected:
-            raise ValueError(
-                f"joint must use the canonical variable list for n = {n}"
-            )
-        dests = as_nodes(destinations, n, "destinations", first=2)
         q_vars = tuple(q_vars)
-        object.__setattr__(self, "_q", joint.mask_of(q_vars))
-        object.__setattr__(self, "x", _node_masks(joint, "x", n))
-        object.__setattr__(self, "u", _node_masks(joint, "u", n, first=2))
-        object.__setattr__(self, "y", _node_masks(joint, "y", n))
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "destinations", dests)
-        object.__setattr__(self, "q_vars", q_vars)
+        q, x, u, y = _instance_plan(joint.variables, n, q_vars)
+        dests = as_nodes(destinations, n, "destinations", first=2)
+        self.__dict__.update(_q=q, x=x, u=u, y=y, joint=joint, n=n, destinations=dests,
+                             q_vars=q_vars)
 
     @classmethod
     def from_parts(
@@ -134,60 +176,19 @@ class DmInstance:
         from the full joint, which is still built as ``joint.probs``.  Only
         an entropy over two or more outputs reduces the full joint.
         """
-        sizes: dict[str, int] = {}
-        n = 1
-
-        def note(name: str, size: int, where: str):
-            nonlocal n
-            if name != "q":
-                if len(name) < 2 or name[0] not in "xuy" or not name[1:].isdigit():
-                    raise ValueError(f"{where}: unrecognized variable {name!r}")
-                node = int(name[1:])
-                if name[0] == "u" and node < 2:
-                    raise ValueError(f"{where}: u1 is not a valid description variable")
-                n = max(n, node)
-            if sizes.get(name, size) != size:
-                raise ValueError(
-                    f"{where}: variable {name!r} has conflicting sizes "
-                    f"{sizes[name]} and {size}"
-                )
-            sizes[name] = size
-
-        for name, size in input_pmf.variables:
-            if name.startswith("y"):
-                raise ValueError("input pmf must not contain channel outputs")
-            note(name, size, "input pmf")
-        for name, size in channel.given:
-            if not name.startswith("x"):
-                raise ValueError("channel inputs must be x variables")
-            note(name, size, "channel")
-        for name, size in channel.out:
-            if not name.startswith("y"):
-                raise ValueError("channel outputs must be y variables")
-            note(name, size, "channel")
-        if n < 2:
-            raise ValueError("instance needs at least two nodes")
-
-        canonical = _canonical_vars(n, sizes)
-        capped_cells((size for _, size in canonical), "full joint")
-        a = _aligned(input_pmf.probs, list(input_pmf.names), canonical)
-        ch_names = [nm for nm, _ in channel.given] + [nm for nm, _ in channel.out]
-        b = _aligned(channel.probs, ch_names, canonical)
+        n, canonical, (a_order, a_shape), (b_order, b_shape), factors = _parts_plan(
+            input_pmf.variables, channel.given, channel.out)
+        a = input_pmf.probs.transpose(a_order).reshape(a_shape)
+        b = channel.probs.transpose(b_order).reshape(b_shape)
         probs = a * b
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"joint mass is {total}, expected 1")
         probs /= total
-        inputs = (1 << (len(canonical) - n)) - 1  # q, x and u precede y1..yn
-        outs = [i for i in range(len(canonical) - n, len(canonical)) if canonical[i][1] > 1]
-        marginals = [(inputs, a * (b.sum(axis=tuple(outs), keepdims=True) / total))]
-        for i in outs:
-            others = tuple(j for j in outs if j != i)
-            marginals.append((inputs | 1 << i, a * (b.sum(axis=others, keepdims=True) / total)))
-        joint = JointPmf._trusted(tuple(canonical), probs, marginals)
-        if q_vars is None:
-            q_vars = ("q",)
-        return cls(joint, n, destinations, q_vars)
+        marginals = [(mask, a * (b.sum(axis=summed, keepdims=True) / total))
+                     for mask, summed in factors]
+        joint = JointPmf._trusted(canonical, probs, marginals)
+        return cls(joint, n, destinations, ("q",) if q_vars is None else q_vars)
 
     def mi(self, a: int, b: int, given: int = 0) -> RateBits:
         """I(a ; b | given, Q) for disjoint bitmasks a and b, with variables
@@ -215,10 +216,11 @@ class CutTerms:
     total: RateBits
 
 
-def _node_masks(pmf: JointPmf, kind: str, n: int, first: int = 1) -> tuple[int, ...]:
-    """The bitmask of variable ``kind``k of ``pmf`` at index k, for k in
+def _node_masks(variables: tuple, kind: str, n: int, first: int = 1) -> tuple[int, ...]:
+    """The bitmask of variable ``kind``k of ``variables`` at index k, for k in
     first..n, and 0 below."""
-    return (0,) * first + tuple(pmf.mask_of([f"{kind}{k}"]) for k in range(first, n + 1))
+    return (0,) * first + tuple(1 << _axes_of(variables, (f"{kind}{k}",))[0]
+                                for k in range(first, n + 1))
 
 
 def _union(table: Sequence[int], nodes: Iterable[int]) -> int:
@@ -366,7 +368,8 @@ def deterministic_inner(
     dests = as_nodes(dests, net.n, "dests", first=2)
     outs, (probs,) = _det_scatter(net, input_pmf, input_pmf.probs)
     joint = JointPmf(list(input_pmf.variables) + [(f"y{k}", s) for k, s in outs], probs)
-    x, y = _node_masks(joint, "x", net.n), _node_masks(joint, "y", net.n, first=2)
+    x = _node_masks(joint.variables, "x", net.n)
+    y = _node_masks(joint.variables, "y", net.n, first=2)
 
     def cut_value(cut: Cut) -> float:
         far = cut.complement
@@ -406,7 +409,9 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
     Returns (lhs, rhs, lhs - rhs) for the cut with the largest discrepancy;
     a cut must beat an earlier one by more than 1e-12 to replace it, so
     rounding-level discrepancies, which any exact identity leaves, report
-    the first cut rather than one picked by the last bits.  Raises if some node other than 1 transmits, or if the descriptions are
+    the first cut rather than one picked by the last bits.
+
+    Raises if some node other than 1 transmits, or if the descriptions are
     not conditionally independent of the outputs given x1.
     """
     for k in range(2, inst.n + 1):

@@ -25,6 +25,13 @@ memoizes its entropies by mask, and reduces a miss, always through
 ``JointPmf.marginal``, from the smallest cached marginal that covers it
 (``JointPmf``).  ``entropy`` and ``mutual_info`` take names;
 ``mask_entropy`` and ``mask_mutual_info`` are the same measures on masks.
+
+Structure is planned once per shape, and values are computed on every call:
+a variables tuple's axes and kept mask, a lattice key's sub-variables, and
+``marginal``'s axis order and kept shape come from bounded caches keyed on
+the variables (and the names asked for).  Every reduction still goes through
+``JointPmf.marginal`` with the same operations, so the contract above does
+not change.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -157,11 +165,8 @@ class JointPmf:
 
     def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
              marginals: Iterable[tuple[int, np.ndarray]] = ()) -> None:
-        kept = sum(1 << i for i, (_, s) in enumerate(variables) if s > 1)
-        self.__dict__.update(
-            variables=variables, probs=probs,
-            _axes={n: i for i, (n, _) in enumerate(variables)},
-            _kept=kept, _entropies={})
+        variables, _, kept = _layout(variables)
+        self.__dict__.update(variables=variables, probs=probs, _kept=kept, _entropies={})
         # A supplied marginal precedes the pmf itself among equal sizes.
         lattice = [self._entry(mask & kept, p) for mask, p in marginals]
         lattice.append(self._entry(kept, probs))
@@ -171,8 +176,8 @@ class JointPmf:
     def _entry(self, mask: int, probs: np.ndarray) -> tuple[int, int, JointPmf]:
         """A lattice entry over the variables in ``mask``, which holds no
         size-1 variable; ``probs`` has their cells and any size-1 axes."""
-        variables = tuple(v for i, v in enumerate(self.variables) if mask >> i & 1)
-        return probs.size, mask, _lean(variables, probs.reshape([s for _, s in variables]))
+        variables, _, shape = _sub_layout(self.variables, mask)
+        return probs.size, mask, _lean(variables, probs.reshape(shape))
 
     @classmethod
     def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
@@ -200,14 +205,11 @@ class JointPmf:
         return self.variables[self.axis_of(name)][1]
 
     def axis_of(self, name: str) -> int:
-        try:
-            return self._axes[name]
-        except KeyError:
-            raise ValueError(f"unknown variable {name!r}; have {list(self.names)}") from None
+        return _axes_of(self.variables, (name,))[0]
 
     def mask_of(self, names: Iterable[str]) -> int:
         """The bitmask of ``names``; an unknown name raises ValueError."""
-        return sum(1 << self.axis_of(n) for n in set(names))
+        return sum(1 << i for i in _axes_of(self.variables, names))
 
     def marginal(self, names: Iterable[str]) -> np.ndarray:
         """Marginal tensor over ``names``, axes in this pmf's variable order.
@@ -219,19 +221,12 @@ class JointPmf:
         in another order.  A single kept cell is summed with ``np.cumsum``,
         because numpy reduces a contiguous vector pairwise.
         """
-        names = set(names)
-        try:
-            keep = sorted(map(self._axes.__getitem__, names))
-        except KeyError:
-            keep = sorted(map(self.axis_of, names))  # raises, naming the unknown one
-        shape = self.probs.shape
-        drop = [i for i in range(len(shape)) if i not in keep]
-        if not drop:
+        plan = _reduction(self.variables, tuple(names))
+        if plan is None:
             return self.probs
-        kept_shape = tuple([shape[i] for i in keep])
-        q = np.ascontiguousarray(self.probs.transpose(drop + keep))
-        q = q.reshape(-1, math.prod(kept_shape))
-        if q.shape[1] == 1:
+        order, cols, kept_shape = plan
+        q = np.ascontiguousarray(self.probs.transpose(order)).reshape(-1, cols)
+        if cols == 1:
             return np.cumsum(q[:, 0])[-1:].reshape(kept_shape)
         return np.add.reduce(q, axis=0).reshape(kept_shape)
 
@@ -250,8 +245,8 @@ class JointPmf:
             for _, src_mask, src in lattice:
                 if key & src_mask == key:
                     break
-            variables = tuple(v for i, v in enumerate(self.variables) if key >> i & 1)
-            marg = src.marginal([n for n, _ in variables])
+            variables, names, _ = _sub_layout(self.variables, key)
+            marg = src.marginal(names)
             if key != src_mask:
                 insort(lattice, (marg.size, key, _lean(variables, marg)), key=itemgetter(0))
             val = self._entropies[key] = _plain_entropy(marg)
@@ -261,9 +256,52 @@ class JointPmf:
 def _lean(variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf:
     """A lattice entry's pmf: only what ``JointPmf.marginal`` reads is set."""
     sub = object.__new__(JointPmf)
-    sub.__dict__.update(variables=variables, probs=probs,
-                        _axes={n: i for i, (n, _) in enumerate(variables)})
+    sub.__dict__.update(variables=variables, probs=probs)
     return sub
+
+
+# Plans: what a variables tuple fixes, built once per shape.  A pmf keeps
+# only their immutable values, and an error is not cached.
+
+
+@lru_cache(maxsize=1024)
+def _layout(variables: tuple[tuple[str, int], ...]) -> tuple[tuple, dict[str, int], int]:
+    """(variables, name -> axis, mask of the variables of more than one
+    symbol).  Every pmf over these variables keeps the first tuple, so the
+    plans below compare it by identity, and no pmf's object graph depends
+    on which call built the plan."""
+    axes = {name: i for i, (name, _) in enumerate(variables)}
+    return variables, axes, sum(1 << i for i, (_, s) in enumerate(variables) if s > 1)
+
+
+@lru_cache(maxsize=4096)
+def _sub_layout(variables: tuple[tuple[str, int], ...], mask: int) -> tuple[tuple, tuple, tuple]:
+    """(variables, names, shape) of the variables in ``mask``."""
+    sub = tuple(v for i, v in enumerate(variables) if mask >> i & 1)
+    return sub, tuple(name for name, _ in sub), tuple(size for _, size in sub)
+
+
+@lru_cache(maxsize=4096)
+def _reduction(variables: tuple[tuple[str, int], ...], names: tuple[str, ...]):
+    """``JointPmf.marginal``'s (axis order, kept cells, kept shape), dropped
+    axes first; None when no axis is dropped."""
+    keep = _axes_of(variables, names)
+    drop = [i for i in range(len(variables)) if i not in keep]
+    if not drop:
+        return None
+    kept_shape = tuple([variables[i][1] for i in keep])
+    return tuple(drop + keep), math.prod(kept_shape), kept_shape
+
+
+def _axes_of(variables: tuple[tuple[str, int], ...], names: Iterable[str]) -> list[int]:
+    """The ascending axes of the distinct ``names``; an unknown name raises
+    ValueError."""
+    axes = _layout(variables)[1]
+    try:
+        return sorted({axes[name] for name in names})
+    except KeyError as err:
+        have = [name for name, _ in variables]
+        raise ValueError(f"unknown variable {err.args[0]!r}; have {have}") from None
 
 
 def _plain_entropy(marg: np.ndarray) -> float:

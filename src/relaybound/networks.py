@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,13 +26,19 @@ from .errors import (
 #: networks with more nodes than this are refused.
 MAX_ENUM_NODES = 24
 
+#: ``enumerate_cuts`` keeps its cut tables for networks of at most this many
+#: nodes (2,048 cuts each), and builds larger ones on every call.
+_TABLE_NODES = 12
+
 
 @dataclass(frozen=True)
 class Cut:
-    """A source-side subset S of nodes; node 1 is always a member."""
+    """A source-side subset S of nodes; node 1 is always a member.
+    ``complement`` is the far side S^c, ascending."""
 
     s: tuple[int, ...]
     n: int
+    complement: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, s: Iterable[int], n: int):
         n = as_int(n, "n")
@@ -41,13 +47,7 @@ class Cut:
         s = as_nodes(s, n, "s")
         if 1 not in s:
             raise ValueError(f"cut {s} must contain the source node 1")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "n", n)
-
-    @cached_property
-    def complement(self) -> tuple[int, ...]:
-        members = set(self.s)
-        return tuple(k for k in range(1, self.n + 1) if k not in members)
+        self.__dict__.update(s=s, n=n, complement=tuple(k for k in range(1, n + 1) if k not in s))
 
 
 def _enumerated_cut(s: tuple[int, ...], far: tuple[int, ...], n: int) -> Cut:
@@ -204,6 +204,9 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
 
     unicast: the single destination must lie on the far side of every cut.
     broadcast: at least one destination on the far side.
+
+    The arguments are checked on every call.  The list is the caller's own;
+    its cuts, which are frozen, come from a table kept per (n, dests, mode).
     """
     n = as_int(n, "n")
     if n > MAX_ENUM_NODES:
@@ -216,6 +219,13 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
             raise ValueError(f"unicast mode needs exactly one destination, got {dests}")
     elif mode != "broadcast":
         raise ValueError(f"unknown mode {mode!r}")
+    table = _cut_table if n <= _TABLE_NODES else _cut_table.__wrapped__
+    return list(table(n, dests, mode))
+
+
+@lru_cache(maxsize=64)
+def _cut_table(n: int, dests: tuple[int, ...], mode: str) -> tuple[Cut, ...]:
+    """``enumerate_cuts``'s cuts for checked arguments."""
     dest_mask = sum(1 << (d - 1) for d in dests)
     cuts = []
     for mask in range(1, 1 << n, 2):  # node 1 is the low bit, always set
@@ -228,7 +238,7 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
                 continue
         cuts.append(_enumerated_cut(tuple(k + 1 for k in range(n) if mask >> k & 1),
                                     tuple(k + 1 for k in range(n) if far >> k & 1), n))
-    return cuts
+    return tuple(cuts)
 
 
 def cut_submatrix(net: GaussianNetwork, cut: Cut) -> np.ndarray:

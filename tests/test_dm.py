@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from relaybound import (
     save_pmf,
     simplex_grid,
 )
-from relaybound import dm
+from relaybound import dm, info, networks
 from relaybound.dm import _pareto_frontier, pmf_to_dict
 from relaybound.networks import enumerate_cuts
 from tests.bitpipe import bit_pipe_oracle
@@ -133,6 +134,67 @@ def test_from_parts_validation():
     assert inst.n == 2
     assert inst.q_vars == ("q",)
     assert inst.joint.names == ("q", "x1", "x2", "u2", "y1", "y2")
+
+
+@pytest.mark.parametrize("in_vars, match", [
+    ([("x1", 3)], "conflicting sizes 3 and 2"),
+    ([("x1", 2), ("u1", 2)], "u1 is not a valid description variable"),
+    ([("x1", 2), ("y2", 2)], "input pmf must not contain channel outputs"),
+])
+def test_malformed_parts_raise_the_same_error_on_every_call(in_vars, match):
+    # Plans are cached per shape, but a shape that fails is not: the second
+    # call checks it again and raises the same error.
+    sizes = [s for _, s in in_vars]
+    pin = JointPmf(in_vars, np.full(sizes, 1.0 / math.prod(sizes)))
+    chan = Channel([("x1", 2)], [("y2", 2)], np.eye(2))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match) as err:
+            DmInstance.from_parts(pin, chan, [2])
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def _clear_plans():
+    for module in (info, dm, networks):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_cold_and_warm_plans_give_the_same_bits_and_pickles():
+    # Every value comes from the same operations whether the shape's plans
+    # were built by this call or by an earlier one, and a result's object
+    # graph, which pickle records, holds no object whose sharing depends on
+    # that.  Each run rebuilds its parts, so a warm run's inputs are equal to
+    # the cold run's but not the same objects.
+    pin0, chan0 = random_parts(np.random.default_rng(77), 4, with_q=True)
+    n = 4
+
+    def run():
+        pin = JointPmf(list(pin0.variables), pin0.probs.copy())
+        chan = Channel(list(chan0.given), list(chan0.out), chan0.probs.copy())
+        inst = DmInstance.from_parts(pin, chan, [n])
+        built = pickle.dumps(inst)
+        value, terms = ddf_unicast_dm(inst, n)
+        j = constraint_values_j(inst)
+        cutset = cutset_dm(pin, chan, [n], "broadcast")
+        repaired = constraint_repair(inst, min(j, key=j.get))
+        bits = (value.hex(), [t.total.hex() for t in terms],
+                {s: v.hex() for s, v in j.items()},
+                [c.bound.hex() for c in cutset.constraints],
+                sorted(constraint_values_j(repaired).values()))
+        return bits, built, pickle.dumps(inst), pickle.dumps(repaired)
+
+    _clear_plans()
+    cold = run()
+    warm = run()
+    assert cold[0] == warm[0]
+    assert cold[1] == warm[1]  # from_parts
+    assert cold[2] == warm[2]  # the instance with its memo and lattice
+    assert cold[3] == warm[3]  # constraint_repair
+    _clear_plans()
+    assert run() == cold
 
 
 def test_dm_instance_validation():

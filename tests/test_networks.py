@@ -1,5 +1,6 @@
 """Network model validation, cut enumeration, and file round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -90,6 +91,31 @@ def test_enumerate_cuts_validation():
         enumerate_cuts(3, [4], "unicast")
     with pytest.raises(ValueError, match="refusing to enumerate"):
         enumerate_cuts(30, [30], "unicast")
+
+
+def test_enumerate_cuts_hands_out_lists_of_its_own():
+    # Cuts come from a table kept per (n, destinations, mode): a caller that
+    # edits its list, or tries to edit a cut, leaves the next call unchanged.
+    for n, dests, mode in ((5, [3, 5], "broadcast"), (4, [4], "unicast"),
+                           (13, [13], "unicast")):
+        first = enumerate_cuts(n, dests, mode)
+        want = [(c.s, c.complement) for c in first]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first[0].s = (1, 2)
+        first.reverse()
+        first.append(Cut([1], n))
+        del first[:2]
+        again = enumerate_cuts(n, dests, mode)
+        assert again is not first
+        assert [(c.s, c.complement) for c in again] == want
+        assert [c.complement for c in again] == [Cut(s, n).complement for s, _ in want]
+    # the arguments are checked on every call, before any table is read
+    enumerate_cuts(4, [4], "unicast")
+    for _ in range(2):
+        with pytest.raises(SchemaError, match=r"destinations\[0\]: expected an integer"):
+            enumerate_cuts(4, [3.5], "unicast")
+        with pytest.raises(ValueError, match="unknown mode"):
+            enumerate_cuts(4, [4], "Unicast")
 
 
 def test_gaussian_network_validation():
