@@ -98,6 +98,8 @@ def _search(terms, box: Box, full: int, budget) -> tuple[RateBits, tuple[float, 
     over ``box``: ``full`` points per dimension when the budget affords that
     grid, else about budget ** (1 / dim), and the rest of the budget refines."""
     budget = as_int(budget, "budget")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     dim = len(box.dims)
     grid = full if budget >= full**dim else max(2, round(budget ** (1 / dim)))
     arg, value = grid_then_refine(lambda *x: _min_terms(terms(*x)), box, grid_per_dim=grid,

@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .dm import _cut_terms
 from .errors import as_int, as_node, as_number, as_numbers
-from .info import RateBits, _half_log2_diag, log_det_rate
+from .info import RateBits, log_det_rate
 from .networks import Cut, GaussianNetwork, enumerate_cuts, received_snr
 from .networks import cut_submatrix  # noqa: F401 -- a module attribute the benchmark tracer wraps
 from .regions import RateRegion, region_from_cuts
@@ -151,22 +152,53 @@ def cutset_cut_rate(net: GaussianNetwork, cut: Cut, k_cov: np.ndarray) -> RateBi
     return float(_plan_rates(_cut_plan(net, [cut]), k)[0])
 
 
+class _GaussianJoint:
+    """x = K^{1/2} w (K^{1/2} from ``eigh``), u_k = G_k x + sigma_k zhat_k and y_k =
+    G_k x + z_k as rows over unit sources, with ``DmInstance``'s masks.  A subset's
+    entropy, less 2 pi e terms, is log2 |det R| of a QR of its rows: no Gram."""
+
+    def __init__(self, net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: np.ndarray):
+        n = self.n = net.n
+        w, v = np.linalg.eigh(k_cov)
+        root = v * np.sqrt(np.maximum(w, 0.0))
+        signal = net.gains @ root
+        self.rows = np.block([[root, np.zeros((n, 2 * n - 1))],
+                              [signal[1:], np.zeros((n - 1, n)), np.diag(np.sqrt(sigma_sq[1:]))],
+                              [signal, np.eye(n), np.zeros((n, n - 1))]])
+        self.x = (0,) + tuple(1 << i for i in range(n))
+        self.u = (0, 0) + tuple(1 << i for i in range(n, 2 * n - 1))
+        self.y = (0,) + tuple(1 << i for i in range(2 * n - 1, 3 * n - 1))
+        self._h: dict[int, float] = {}
+
+    def entropy(self, mask: int) -> float:
+        if mask not in self._h:
+            rows = self.rows[[i for i in range(len(self.rows)) if mask >> i & 1]]
+            diag = np.abs(np.linalg.qr(rows.T, mode="r").diagonal())
+            if not diag.all():
+                raise ValueError("degenerate covariance: a subset's covariance is singular")
+            self._h[mask] = float(np.log2(diag).sum())
+        return self._h[mask]
+
+    def mi(self, a: int, b: int, given: int = 0) -> RateBits:
+        """I(a ; b | given) clamped at 0; entropies are not, as they can be negative."""
+        h = self.entropy
+        value = h(a | given) - h(given) - (h(a | b | given) - h(b | given))
+        return value if value > 0.0 else 0.0
+
+
 def ddf_rates_general(
     net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: float | np.ndarray = 1.0
 ) -> list[RateBits]:
     """Inner-bound value of every broadcast cut, in ``gap_certificate``'s row
     order, for a general input covariance K and per-node description noise:
+    ``dm._cut_terms``'s J(S) on the Gaussian variables of ``_GaussianJoint``,
 
         (1/2) log2 |Sigma(S^c) + G(S) K(S|S^c) G(S)^T| + (1/2) log2 |K(S^c)|
         - sum_{k in S^c} [ (1/2) log2(sigma_k^2 + S_k/(1+S_k)) + (1/2) log2 K_kk ]
 
-    where K(S|S^c) is the conditional (Schur-complement) covariance and S_k is
-    the received-signal variance at node k conditioned on X_k.  The first two
-    terms are, by the Schur complement, (1/2) log2 of the determinant of the
-    joint covariance of (X(S^c), G(S) X(S) + Z(S^c)): with D the far-side
-    indicator and A the cut plan, the 2n x 2n matrix [D; A] K [D; A]^T plus
-    diag(I - D, Sigma), factored in one batched Cholesky per ``_STACK`` cuts.
-    At K = diag(P) and sigma^2 = 1 this is the ``ddf`` row of the certificate.
+    with K(S|S^c) the Schur complement and S_k the received-signal variance
+    at node k given X_k.  At K = diag(P) and sigma^2 = 1 these are the
+    certificate's ``ddf`` rows.
     """
     k = _validate_cov(net, k_cov)
     n = net.n
@@ -178,29 +210,9 @@ def ddf_rates_general(
     # every node but the source is on the far side of the cut {1}
     if not np.all((sig[1:] > 0) & (sig[1:] < math.inf)):
         raise ValueError("quantizer variances must be finite and positive on the far side")
-    cuts = enumerate_cuts(n, net.destinations, "broadcast")
-    far = np.array([[j not in cut.s for j in range(1, n + 1)] for cut in cuts])
-    diag = np.concatenate([1.0 - far, np.where(far, sig, 1.0)], axis=1)
-    rates = []
-    for i in range(0, len(cuts), _STACK):
-        maps = np.concatenate([far[i : i + _STACK, :, None] * np.eye(n),
-                               _cut_plan(net, cuts[i : i + _STACK])], axis=1)
-        block = maps @ k @ maps.swapaxes(-1, -2)
-        block += diag[i : i + _STACK, :, None] * np.eye(2 * n)
-        try:
-            rates.append(_half_log2_diag(np.linalg.cholesky(block)))
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "degenerate covariance: the joint covariance of a cut's far-side inputs "
-                "and observations is not positive definite") from None
-    # the block of the cut {1} factored, so K is positive definite on nodes
-    # 2..n and every variance below is positive
-    gk = net.gains[1:] @ k
-    var = k.diagonal()[1:]
-    cross = gk.diagonal(offset=1)
-    snr = np.maximum((gk * net.gains[1:]).sum(axis=1) - cross * cross / var, 0.0)
-    prices = 0.5 * np.log2(sig[1:] + snr / (1.0 + snr)) + 0.5 * np.log2(var)
-    return (np.concatenate(rates) - far[:, 1:] @ prices).tolist()
+    joint = _GaussianJoint(net, k, sig)
+    return [_cut_terms(joint, cut, None).total
+            for cut in enumerate_cuts(n, net.destinations, "broadcast")]
 
 
 def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
@@ -224,13 +236,17 @@ def ddf_region(net: GaussianNetwork) -> RateRegion:
 
 @dataclass(frozen=True)
 class CutsetEstimate:
-    """A lower estimate of the cutset value plus the certified relaxation.
+    """A searched estimate of the cutset value plus the certified relaxation.
 
-    ``estimate`` is the best min-over-cuts value found inside the searched
-    covariance family, so it never exceeds the true cutset optimum;
-    ``relaxed_upper`` is the always-valid min over cuts of the relaxed outer
-    bound.  ``evaluations`` counts the candidate covariances scored, whether
-    in closed form, on one cut or on every cut.
+    ``estimate`` is the best min over cuts of (1/2) log2 |I + G(S) K(S) G(S)^T|
+    found inside the searched covariance family.  It scores the near-side
+    block K(S), not the conditional covariance K(S|S^c) of I(X(S); Y(S^c) |
+    X(S^c)); the two agree when K(S, S^c) = 0, as at K = diag(P), but a
+    correlated K can score above its true cut values, so the estimate is not
+    a lower bound on the cutset optimum.  ``relaxed_upper`` is the
+    always-valid min over cuts of the relaxed outer bound.  ``evaluations``
+    counts the candidate covariances scored, whether in closed form, on one
+    cut or on every cut.
     """
 
     estimate: RateBits
@@ -350,8 +366,10 @@ def cutset_estimate(
 
     The searched family (full-power diagonal, a bracket search on two
     one-parameter correlation profiles, a local hill-climb) always contains
-    K = diag(P), so the estimate is at least the easy diagonal value, and it
-    is always a lower bound on the true cutset optimum.  ``budget`` caps the
+    K = diag(P), so the estimate is at least the easy diagonal value.  Each
+    candidate is scored with its near-side block K(S) in place of K(S|S^c)
+    (see ``CutsetEstimate``), so with correlated inputs the estimate can
+    exceed the true cutset optimum.  ``budget`` caps the
     candidate covariances scored; the result reports their count as
     ``evaluations``.  The kernel calls are fewer: one for diag(P), one for
     the bracket's winner (its points are scored in closed form), and per

@@ -377,14 +377,11 @@ def log_det_rate(m: np.ndarray) -> RateBits | np.ndarray:
             raise ValueError("matrix is not symmetric within 1e-9 of its scale")
         sym = 0.5 * (m + mt)
         try:
-            rates = _half_log2_diag(np.linalg.cholesky(np.eye(m.shape[-1]) + sym))
+            chol = np.linalg.cholesky(np.eye(m.shape[-1]) + sym)
+            rates = np.log2(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
         except np.linalg.LinAlgError:
             low = float(np.linalg.eigvalsh(sym).min())
             raise ValueError(
                 f"I + m is not positive definite: m has eigenvalue {low:.3e}") from None
     return float(rates) if m.ndim == 2 else rates
 
-
-def _half_log2_diag(chol: np.ndarray) -> np.ndarray:
-    """(1/2) log2 det of the product L L^T, from its Cholesky factors L."""
-    return np.log2(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)

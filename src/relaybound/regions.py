@@ -76,9 +76,19 @@ def region_from_cuts(
     return RateRegion(dims, constraints)
 
 
+def _finite_numbers(values: Sequence[float], what: str) -> list[float]:
+    """``values`` as floats; an entry that is not a number, or is NaN or
+    infinite, raises SchemaError naming it as ``what[i]``."""
+    out = [as_number(v, f"{what}[{i}]") for i, v in enumerate(values)]
+    for i, v in enumerate(out):
+        if not math.isfinite(v):
+            raise SchemaError(f"{what}[{i}]: must be finite, got {v}")
+    return out
+
+
 def region_membership(region: RateRegion, rates: Sequence[float]) -> bool:
     """True when the rate tuple satisfies every constraint within 1e-9 slack."""
-    rates = [as_number(r, f"rates[{i}]") for i, r in enumerate(rates)]
+    rates = _finite_numbers(rates, "rates")
     if len(rates) != len(region.dims):
         raise ValueError(f"expected {len(region.dims)} rates, got {len(rates)}")
     if any(r < 0 for r in rates):
@@ -105,7 +115,7 @@ def region_max_weighted(
     region: RateRegion, weights: Sequence[float]
 ) -> tuple[np.ndarray, float]:
     """Maximize sum_d w_d R_d over the region via the simplex LP."""
-    weights = [as_number(w, f"weights[{i}]") for i, w in enumerate(weights)]
+    weights = _finite_numbers(weights, "weights")
     if len(weights) != len(region.dims):
         raise ValueError(f"expected {len(region.dims)} weights, got {len(weights)}")
     return simplex_lp_max(weights, _clamped(region))

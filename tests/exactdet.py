@@ -45,3 +45,28 @@ def exact_rate(a: np.ndarray, k_cov: np.ndarray) -> float:
     gram = ai @ ki @ ai.T + np.eye(len(ai), dtype=int).astype(object) * (1 << shift)
     det = _det(gram.tolist())
     return 0.5 * (math.log2(det) - len(ai) * shift)
+
+
+def exact_ddf_row(gains: np.ndarray, power: np.ndarray, near: list[int]) -> float:
+    """``ddf_rates_general``'s row of the cut with 0-based source side ``near``
+    at K = diag(P) and sigma^2 = 1, exact up to the rounding of the final
+    log2: (1/2) log2 of the determinant of the 2n x 2n joint covariance of
+    the far-side inputs and observations, [D; A] K [D; A]^T + diag(I - D, I),
+    minus the prices (1/2) log2((1 + 2 S_k) / (1 + S_k)) + (1/2) log2 P_k of
+    the far-side nodes, with S_k = sum_{j != k} g_kj^2 P_j."""
+    n = len(power)
+    far = [k for k in range(n) if k not in near]
+    a = np.zeros((n, n))
+    a[np.ix_(far, near)] = gains[np.ix_(far, near)]
+    maps = np.concatenate([np.diag([float(k in far) for k in range(n)]), a])
+    mi, sm = _scaled(maps)
+    ki, sk = _scaled(np.diag(power))
+    shift = 2 * sm + sk
+    ones = [int(k not in far) for k in range(n)] + [1] * n
+    block = mi @ ki @ mi.T + np.diag(np.array(ones, dtype=object) << shift)
+    ratio = Fraction(_det(block.tolist()), 1 << (2 * n * shift))
+    for k in far:
+        snr = sum(Fraction(float(gains[k, j])) ** 2 * Fraction(float(power[j]))
+                  for j in range(n) if j != k)
+        ratio /= (1 + 2 * snr) / (1 + snr) * Fraction(float(power[k]))
+    return 0.5 * (math.log2(ratio.numerator) - math.log2(ratio.denominator))

@@ -156,6 +156,9 @@ def test_diamond_sweep_bad_range():
     assert code == 2
     code, _ = run(["diamond-sweep", "--steps", "0"])
     assert code == 2
+    # a negative budget once escaped main as a TypeError traceback
+    code, _ = run(["diamond-sweep", "--steps", "1", "--budget", "-5"])
+    assert code == 2
     # the sweep is deterministic and takes no seed
     code, _ = run(["diamond-sweep", "--steps", "1", "--seed", "0"])
     assert code == 2
@@ -304,6 +307,10 @@ def test_region_usage_errors(tmp_path):
     assert code == 2
     code, _ = run(["region", "--net", net, "--query", "weighted"])
     assert code == 2
+    # a non-finite rate or weight is refused, not queried
+    for query, flag in (("membership", "--rates"), ("weighted", "--weights")):
+        for bad in ("nan", "inf", "-inf"):
+            assert run(["region", "--net", net, "--query", query, flag, bad])[0] == 2
     code, _ = run(
         ["region", "--net", str(tmp_path / "nope.json"), "--query", "symmetric"]
     )

@@ -23,10 +23,12 @@ from relaybound import (
     received_snr,
 )
 from relaybound import gaussian
+from relaybound.diamond import cutset_diamond_terms
+from relaybound.dm import _cut_terms
 from relaybound.gaussian import _cut_plan, _plan_rates
 from relaybound.networks import enumerate_cuts
 from tests.covsearch import search_cov_oracle
-from tests.exactdet import exact_rate
+from tests.exactdet import exact_ddf_row, exact_rate
 
 
 def random_net(rng, n, lognormal=False, vector_power=False):
@@ -242,16 +244,80 @@ def test_ddf_general_matches_the_explicit_schur_transcription():
             assert abs(v - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_ddf_general_rows_do_not_depend_on_the_stack_size(monkeypatch):
-    rng = np.random.default_rng(34)
-    net = random_net(rng, 6, lognormal=True, vector_power=True)
-    net = GaussianNetwork(6, net.gains, net.power, range(2, 7))
-    k = random_feasible_cov(rng, net)
-    sigma_sq = 10.0 ** rng.uniform(-1.0, 1.0, 6)
-    whole = ddf_rates_general(net, k, sigma_sq)
-    assert len(whole) == 31
-    monkeypatch.setattr(gaussian, "_STACK", 3)
-    assert ddf_rates_general(net, k, sigma_sq) == whole
+def exact_rows_worst(net):
+    """The largest distance of ``ddf_rates_general``'s rows at K = diag(P),
+    sigma^2 = 1 from their exact rational values."""
+    got = ddf_rates_general(net, np.diag(net.power))
+    cuts = enumerate_cuts(net.n, net.destinations, "broadcast")
+    return max(abs(v - exact_ddf_row(net.gains, net.power, [j - 1 for j in cut.s]))
+               for cut, v in zip(cuts, got, strict=True))
+
+
+def test_ddf_general_rows_are_exact_at_any_snr():
+    # a common power up to 1e12 and gains over six decades; a Cholesky of
+    # the rounded 2n x 2n block once put these rows off by up to 1.35e-2 bits
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        n = int(rng.integers(3, 6))
+        g = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        net = GaussianNetwork(n, g, float(10.0 ** rng.uniform(-3.0, 12.0)), [n])
+        assert exact_rows_worst(net) <= 1e-9, i
+
+
+def test_ddf_general_rows_are_exact_with_per_node_powers_and_sparse_gains():
+    # the rounded 2n x 2n block once raised "degenerate covariance" on draw
+    # 10 and was off by up to 0.53 bits on the others
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        n = int(rng.integers(2, 7))
+        g = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        if rng.random() < 0.3:
+            g[rng.random((n, n)) < 0.4] = 0.0
+        power = 10.0 ** rng.uniform(-3.0, 12.0, n)
+        dests = sorted({int(d) for d in rng.integers(2, n + 1, 2)})
+        assert exact_rows_worst(GaussianNetwork(n, g, power, dests)) <= 1e-7, i
+
+
+def test_unicast_rate_is_the_dm_functional_on_the_gaussian_joint():
+    # y_dest joins the first term, as in ddf_unicast_dm: the same functional
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n = int(rng.integers(3, 6))
+        g = rng.uniform(0.1, 2.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        net = GaussianNetwork(n, g, float(10.0 ** rng.uniform(0.0, 2.0)), [n])
+        joint = gaussian._GaussianJoint(net, np.diag(net.power), np.ones(n))
+        got = min(_cut_terms(joint, cut, n).total for cut in enumerate_cuts(n, {n}, "unicast"))
+        assert abs(got - ddf_unicast_rate(net, n)) <= 1e-12
+
+
+def test_gaussian_joint_gives_the_diamond_cutset_terms():
+    # I(X(S); Y(S^c) | X(S^c)) conditions on the far-side inputs, so with
+    # correlated relays it is not the plan kernel's near-block value
+    for cfg in (DiamondConfig(1000.0, 3.0, 1.0, 1.0), DiamondConfig(50.0, 4.0, 2.0, 2.0),
+                DiamondConfig.from_distance(0.3, 10.0)):
+        net = cfg.to_network(1.0)
+        for rho in (0.0, 0.5, 0.9):
+            k = np.eye(4)
+            k[1, 2] = k[2, 1] = rho
+            joint = gaussian._GaussianJoint(net, k, np.ones(4))
+            want = dict(zip([(1,), (1, 2), (1, 3), (1, 2, 3)], cutset_diamond_terms(cfg, rho)))
+            for cut in enumerate_cuts(4, {4}, "unicast"):
+                far = cut.complement
+                got = joint.mi(sum(joint.x[j] for j in cut.s), sum(joint.y[j] for j in far),
+                               sum(joint.x[j] for j in far))
+                assert abs(got - want[cut.s]) <= 1e-12, (cfg, rho, cut.s)
+
+
+@pytest.mark.xfail(strict=True, reason="the plan kernel scores the near-side block K(S), "
+                   "not K(S|S^c), so correlated relays inflate the cut terms")
+def test_cutset_estimate_never_exceeds_the_diamond_optimum():
+    for cfg in (DiamondConfig(1000.0, 3.0, 1.0, 1.0), DiamondConfig(50.0, 4.0, 2.0, 2.0)):
+        opt, _ = cutset_diamond_opt(cfg)
+        est = cutset_estimate(cfg.to_network(1.0), 4, budget=200, seed=0).estimate
+        assert est <= opt + 1e-9, (cfg, est, opt)
 
 
 def test_gap_certificate_exactness():

@@ -34,6 +34,7 @@ from relaybound import (
     cutset_dm,
     cutset_estimate,
     ddf_diamond,
+    ddf_diamond_opt,
     ddf_multicast_dm,
     ddf_rates_general,
     ddf_region,
@@ -42,6 +43,7 @@ from relaybound import (
     diamond_sweep,
     graphical_mincut,
     nnc_diamond,
+    nnc_diamond_opt,
     node_penalty,
     penalty_rate,
     received_snr,
@@ -129,9 +131,9 @@ NUMBER_PROBES = [
     (lambda v: GraphicalNetwork([(1, 2, v), (2, 3, 1.0)], [3]), r"edges\[0\]\.cap", 1.5,
      [True, "1.5", np.bool_(True)]),
     (lambda v: region_membership(REGION, [v, 0.1]), r"rates\[0\]", 0.25,
-     [True, "0.1", np.bool_(False)]),
+     [True, "0.1", np.bool_(False), math.nan, math.inf, -math.inf]),
     (lambda v: region_max_weighted(REGION, [1.0, v]), r"weights\[1\]", 0.5,
-     [True, "1", None]),
+     [True, "1", None, math.nan, math.inf, -math.inf]),
     (lambda v: as_number(v, "value"), "value", 2.5, [np.bool_(True), True, "2.5", None]),
     (lambda v: diamond_sweep([0.5], v, budget=60), "power", 10.0,
      [True, "10", 0.0, -1.0, math.nan, math.inf]),
@@ -215,6 +217,19 @@ def test_diamond_variances_and_snrs_must_be_finite():
     with pytest.raises(ValueError, match="rho"):
         cutset_diamond(cfg, math.nan)
     assert ddf_diamond(cfg, DdfParams(0.1, 1e300, 1.0)) <= cutset_diamond(cfg, 0.1)
+
+
+def test_diamond_budgets_must_be_nonnegative():
+    cfg = DiamondConfig.from_distance(0.5, 10.0)
+    # a negative budget once reached budget ** (1 / dim) and raised a
+    # TypeError from the complex grid side
+    for call in (lambda: ddf_diamond_opt(cfg, budget=-5), lambda: nnc_diamond_opt(cfg, budget=-1),
+                 lambda: diamond_sweep([0.5], 10.0, budget=-5)):
+        with pytest.raises(ValueError, match="budget"):
+            call()
+    # budget 0 is the coarsest grid and no refinement; the sweep hands NNC
+    # budget // 3, which is 0 for budgets 1 and 2
+    assert diamond_sweep([0.5], 10.0, budget=2).rows[0].nnc == nnc_diamond_opt(cfg, budget=0)[0]
 
 
 def test_entropies_refuse_nan():
