@@ -363,6 +363,8 @@ def cmd_eval_dm(args) -> int:
 
 
 def cmd_blackwell(args) -> int:
+    if args.points < 0:
+        raise ValueError("points must be nonnegative")
     region = dm.blackwell_region(args.c23, args.c32, args.grid_res)
     rows = list(region.boundary)
     if args.points > 0 and args.points < len(rows):

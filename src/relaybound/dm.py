@@ -102,6 +102,10 @@ def _parts_plan(in_vars: tuple, given: tuple, out: tuple):
                                  f"{sizes[name]} and {size}")
     if n < 2:
         raise ValueError("instance needs at least two nodes")
+    in_names = {name for name, _ in in_vars}
+    for name, size in given:
+        if size > 1 and name not in in_names:
+            raise ValueError(f"channel: input {name!r} is not in the input pmf")
 
     canonical = tuple(_canonical_vars(n, sizes))
     capped_cells((size for _, size in canonical), "full joint")
@@ -135,6 +139,10 @@ def _instance_plan(variables: tuple, n: int, q_vars: tuple[str, ...]):
 @dataclass(frozen=True)
 class DmInstance:
     """A network instance: full joint over the canonical variables.
+
+    ``joint`` is a ``JointPmf`` or ``gaussian``'s Gaussian rows: ``mi`` and the
+    cut evaluators read only its ``variables`` and ``entropy_of``, while
+    ``from_parts``, ``constraint_repair`` and ``marton_identity_check`` need a pmf.
 
     ``q_vars`` lists the variables treated as time sharing; every information
     term is conditioned on them.  Constraint repair appends input variables
@@ -182,8 +190,6 @@ class DmInstance:
         b = channel.probs.transpose(b_order).reshape(b_shape)
         probs = a * b
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"joint mass is {total}, expected 1")
         probs /= total
         marginals = [(mask, a * (b.sum(axis=summed, keepdims=True) / total))
                      for mask, summed in factors]
@@ -193,12 +199,7 @@ class DmInstance:
     def mi(self, a: int, b: int, given: int = 0) -> RateBits:
         """I(a ; b | given, Q) for disjoint bitmasks a and b, with variables
         already inside the conditioning dropped from a and b (an exact
-        identity, not an approximation).
-
-        The joint memoizes its subset entropies by mask less its size-1
-        variables, so subsets that differ only by those give bit-identical
-        floats, which the exactness guarantees below rely on.
-        """
+        identity, not an approximation)."""
         given |= self._q
         a &= ~given
         b &= ~given

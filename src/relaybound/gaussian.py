@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dm import _cut_terms
+from .dm import DmInstance, _canonical_vars, _cut_terms
 from .errors import as_int, as_node, as_number, as_numbers
 from .info import RateBits, log_det_rate
 from .networks import Cut, GaussianNetwork, enumerate_cuts, received_snr
@@ -154,23 +154,23 @@ def cutset_cut_rate(net: GaussianNetwork, cut: Cut, k_cov: np.ndarray) -> RateBi
 
 class _GaussianJoint:
     """x = K^{1/2} w (K^{1/2} from ``eigh``), u_k = G_k x + sigma_k zhat_k and y_k =
-    G_k x + z_k as rows over unit sources, with ``DmInstance``'s masks.  A subset's
-    entropy, less 2 pi e terms, is log2 |det R| of a QR of its rows: no Gram."""
+    G_k x + z_k as rows over unit sources: an entropy source over ``dm``'s canonical
+    variables, q without a row.  A subset's entropy, less 2 pi e terms, is
+    log2 |det R| of a QR of its rows: no Gram."""
 
     def __init__(self, net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: np.ndarray):
-        n = self.n = net.n
+        n = net.n
         w, v = np.linalg.eigh(k_cov)
         root = v * np.sqrt(np.maximum(w, 0.0))
         signal = net.gains @ root
         self.rows = np.block([[root, np.zeros((n, 2 * n - 1))],
                               [signal[1:], np.zeros((n - 1, n)), np.diag(np.sqrt(sigma_sq[1:]))],
                               [signal, np.eye(n), np.zeros((n, n - 1))]])
-        self.x = (0,) + tuple(1 << i for i in range(n))
-        self.u = (0, 0) + tuple(1 << i for i in range(n, 2 * n - 1))
-        self.y = (0,) + tuple(1 << i for i in range(2 * n - 1, 3 * n - 1))
+        self.variables = tuple(_canonical_vars(n, {}))
         self._h: dict[int, float] = {}
 
-    def entropy(self, mask: int) -> float:
+    def entropy_of(self, mask: int) -> float:
+        mask >>= 1  # q is bit 0
         if mask not in self._h:
             rows = self.rows[[i for i in range(len(self.rows)) if mask >> i & 1]]
             diag = np.abs(np.linalg.qr(rows.T, mode="r").diagonal())
@@ -179,19 +179,13 @@ class _GaussianJoint:
             self._h[mask] = float(np.log2(diag).sum())
         return self._h[mask]
 
-    def mi(self, a: int, b: int, given: int = 0) -> RateBits:
-        """I(a ; b | given) clamped at 0; entropies are not, as they can be negative."""
-        h = self.entropy
-        value = h(a | given) - h(given) - (h(a | b | given) - h(b | given))
-        return value if value > 0.0 else 0.0
-
 
 def ddf_rates_general(
     net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: float | np.ndarray = 1.0
 ) -> list[RateBits]:
     """Inner-bound value of every broadcast cut, in ``gap_certificate``'s row
     order, for a general input covariance K and per-node description noise:
-    ``dm._cut_terms``'s J(S) on the Gaussian variables of ``_GaussianJoint``,
+    ``dm._cut_terms``'s J(S) on a ``DmInstance`` of ``_GaussianJoint``'s variables,
 
         (1/2) log2 |Sigma(S^c) + G(S) K(S|S^c) G(S)^T| + (1/2) log2 |K(S^c)|
         - sum_{k in S^c} [ (1/2) log2(sigma_k^2 + S_k/(1+S_k)) + (1/2) log2 K_kk ]
@@ -210,8 +204,8 @@ def ddf_rates_general(
     # every node but the source is on the far side of the cut {1}
     if not np.all((sig[1:] > 0) & (sig[1:] < math.inf)):
         raise ValueError("quantizer variances must be finite and positive on the far side")
-    joint = _GaussianJoint(net, k, sig)
-    return [_cut_terms(joint, cut, None).total
+    inst = DmInstance(_GaussianJoint(net, k, sig), n, net.destinations)
+    return [_cut_terms(inst, cut, None).total
             for cut in enumerate_cuts(n, net.destinations, "broadcast")]
 
 

@@ -25,6 +25,8 @@ memoizes its entropies by mask, and reduces a miss, always through
 ``JointPmf.marginal``, from the smallest cached marginal that covers it
 (``JointPmf``).  ``entropy`` and ``mutual_info`` take names;
 ``mask_entropy`` and ``mask_mutual_info`` are the same measures on masks.
+``mask_mutual_info`` reads only its source's ``entropy_of`` and floors no
+entropy, so it serves differential entropies too.
 
 Structure is planned once per shape, and values are computed on every call:
 a variables tuple's axes and kept mask, a lattice key's sub-variables, and
@@ -345,9 +347,12 @@ def mask_entropy(pmf: JointPmf, a: int, given: int = 0) -> RateBits:
     return h if h > 0.0 else 0.0
 
 
-def mask_mutual_info(pmf: JointPmf, a: int, b: int, given: int = 0) -> RateBits:
-    """``mutual_info`` over pairwise disjoint bitmasks of ``pmf``'s variables."""
-    value = mask_entropy(pmf, a, given) - mask_entropy(pmf, a, b | given)
+def mask_mutual_info(source, a: int, b: int, given: int = 0) -> RateBits:
+    """``mutual_info`` over bitmasks of ``source``'s variables, from its
+    ``entropy_of`` alone; the value, not any entropy, is clamped at zero."""
+    h = source.entropy_of
+    value = h(a | given) - h(given) if given else h(a)
+    value -= h(a | b | given) - h(b | given)
     return value if value > 0.0 else 0.0
 
 
@@ -361,9 +366,9 @@ def log_det_rate(m: np.ndarray) -> RateBits | np.ndarray:
     the unit eigenvalues of I + m, by about 1e-9 bits at max|m| = 1e6 and
     most of a bit by 1e15, which is why ``gaussian`` takes the singular
     values of a factor for large slices.
-    Asymmetry beyond 1e-9 of a slice's scale ``max(1, max|m|)`` raises
-    ValueError, and so does an I + m that is not positive definite, naming
-    the smallest eigenvalue of m.
+    A NaN or infinite entry raises ValueError, asymmetry beyond 1e-9 of a
+    slice's scale ``max(1, max|m|)`` does too, and so does an I + m that is
+    not positive definite, naming the smallest eigenvalue of m.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -371,8 +376,10 @@ def log_det_rate(m: np.ndarray) -> RateBits | np.ndarray:
     if m.size == 0:
         rates = np.zeros(m.shape[:-2])
     else:
-        mt = m.swapaxes(-1, -2)
         scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        if not scale.max() < math.inf:  # a NaN max|m| fails the test too
+            raise ValueError("matrix entries must be finite")
+        mt = m.swapaxes(-1, -2)
         if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-9 * scale).any():
             raise ValueError("matrix is not symmetric within 1e-9 of its scale")
         sym = 0.5 * (m + mt)

@@ -35,6 +35,8 @@ class BoxDim:
     transform: str = "linear"
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"box bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.transform not in ("linear", "log"):
@@ -234,24 +236,32 @@ def simplex_lp_max(
     """Maximize c.x subject to a.x <= b rows and x >= 0, by dense-tableau simplex.
 
     Bland's rule is used for both the entering and leaving choices, so the
-    iteration is deterministic and cannot cycle.  Constraints with an infinite
-    bound are skipped.  A negative bound raises InfeasibleError (the origin
-    start requires b >= 0; with the nonnegative row coefficients produced by
-    rate regions such a row is genuinely infeasible).  An objective direction
-    with no binding row raises UnboundedError.
+    iteration is deterministic and cannot cycle.  Constraints with a +inf
+    bound are skipped.  A negative bound, -inf included, raises
+    InfeasibleError (the origin start requires b >= 0; with the nonnegative
+    row coefficients produced by rate regions such a row is genuinely
+    infeasible).  An objective direction with no binding row raises
+    UnboundedError.  A NaN bound, or a non-finite objective or row
+    coefficient, raises ValueError naming it.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
+    if not np.isfinite(c).all():
+        raise ValueError(f"objective coefficients must be finite, got {c.tolist()}")
     rows = []
     bs = []
-    for coeffs, bound in constraints:
-        if math.isinf(bound):
+    for i, (coeffs, bound) in enumerate(constraints):
+        if math.isnan(bound):
+            raise ValueError(f"constraint {i}: bound must not be NaN")
+        if bound == math.inf:
             continue
         if bound < 0:
             raise InfeasibleError(f"constraint bound {bound} < 0 with x >= 0")
         a = np.asarray(coeffs, dtype=float)
         if a.size != n:
             raise ValueError(f"constraint arity {a.size} != objective arity {n}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"constraint {i}: coefficients must be finite, got {a.tolist()}")
         rows.append(a)
         bs.append(float(bound))
     m = len(rows)

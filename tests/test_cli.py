@@ -729,3 +729,10 @@ def test_blackwell_csv(tmp_path):
 
     code, _ = run(["blackwell", "--c23", "-1.0"])
     assert code == 2
+
+    # a negative count once exited 0 and kept every point
+    out5 = tmp_path / "bw5.csv"
+    code, _, err = run_full(["blackwell", "--grid-res", "96", "--points", "-3",
+                             "--out", str(out5)])
+    assert (code, err) == (2, "error: points must be nonnegative\n")
+    assert not out5.exists()

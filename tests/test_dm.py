@@ -130,10 +130,25 @@ def test_from_parts_validation():
         )
     with pytest.raises(ValueError, match="channel inputs"):
         DmInstance.from_parts(pin, Channel([("u2", 2)], [("y2", 2)], np.eye(2)), [2])
+    # a channel input the pmf lacks once reported "joint mass is 2.0, expected 1"
+    with pytest.raises(ValueError, match="channel: input 'x2' is not in the input pmf"):
+        DmInstance.from_parts(pin, Channel([("x1", 2), ("x2", 2)], [("y2", 2)],
+                                           np.full((2, 2, 2), 0.5)), [2])
     inst = DmInstance.from_parts(pin, chan, [2])
     assert inst.n == 2
     assert inst.q_vars == ("q",)
     assert inst.joint.names == ("q", "x1", "x2", "u2", "y1", "y2")
+    # rows 1 + 0.9995e-9 pass Channel's 1e-9 check and a pmf summing to
+    # 1 + 0.9e-12 passes JointPmf's; the pair once raised "joint mass is
+    # 1.0000000010004, expected 1"
+    row = np.array([0.3, 0.7 + 0.9995e-9])
+    edge = DmInstance.from_parts(JointPmf([("x1", 2)], np.array([0.4, 0.6 + 0.9e-12])),
+                                 Channel([("x1", 2)], [("y2", 2)], np.array([row, row[::-1]])),
+                                 [2])
+    assert abs(float(edge.joint.probs.sum()) - 1.0) <= 1e-15
+    ref = DmInstance.from_parts(JointPmf([("x1", 2)], np.array([0.4, 0.6])),
+                                Channel([("x1", 2)], [("y2", 2)], [[0.3, 0.7], [0.7, 0.3]]), [2])
+    assert abs(ddf_unicast_dm(edge, 2)[0] - ddf_unicast_dm(ref, 2)[0]) <= 1e-8
 
 
 @pytest.mark.parametrize("in_vars, match", [

@@ -24,7 +24,7 @@ from relaybound import (
 )
 from relaybound import gaussian
 from relaybound.diamond import cutset_diamond_terms
-from relaybound.dm import _cut_terms
+from relaybound.dm import DmInstance, _cut_terms
 from relaybound.gaussian import _cut_plan, _plan_rates
 from relaybound.networks import enumerate_cuts
 from tests.covsearch import search_cov_oracle
@@ -288,7 +288,7 @@ def test_unicast_rate_is_the_dm_functional_on_the_gaussian_joint():
         g = rng.uniform(0.1, 2.0, (n, n))
         np.fill_diagonal(g, 0.0)
         net = GaussianNetwork(n, g, float(10.0 ** rng.uniform(0.0, 2.0)), [n])
-        joint = gaussian._GaussianJoint(net, np.diag(net.power), np.ones(n))
+        joint = DmInstance(gaussian._GaussianJoint(net, np.diag(net.power), np.ones(n)), n, [n])
         got = min(_cut_terms(joint, cut, n).total for cut in enumerate_cuts(n, {n}, "unicast"))
         assert abs(got - ddf_unicast_rate(net, n)) <= 1e-12
 
@@ -302,7 +302,7 @@ def test_gaussian_joint_gives_the_diamond_cutset_terms():
         for rho in (0.0, 0.5, 0.9):
             k = np.eye(4)
             k[1, 2] = k[2, 1] = rho
-            joint = gaussian._GaussianJoint(net, k, np.ones(4))
+            joint = DmInstance(gaussian._GaussianJoint(net, k, np.ones(4)), 4, [4])
             want = dict(zip([(1,), (1, 2), (1, 3), (1, 2, 3)], cutset_diamond_terms(cfg, rho)))
             for cut in enumerate_cuts(4, {4}, "unicast"):
                 far = cut.complement
@@ -521,6 +521,27 @@ def test_covariance_search_matches_the_kernel_scored_oracle():
                 assert _plan_rates(plan, best_k).min() == best_v
 
 
+def test_covariance_search_matches_the_oracle_past_the_gram_gate():
+    # The bracket scores its profiles from eigh of the Gram, which the kernel
+    # leaves for the singular values past _GRAM_GATE.  On the draws whose
+    # unicast Gram at diag(P) passes the gate, its picks still match the
+    # kernel-scored oracle: the estimates differ by rounding only, and those
+    # of draw 91 (P = 4.80e11) not at all at either budget.
+    past_gate = 0
+    for net, dest in gain_spread_sweep():
+        plan = _cut_plan(net, enumerate_cuts(net.n, {dest}, "unicast"))
+        if (plan @ np.diag(net.power) @ plan.swapaxes(-1, -2)).max() <= gaussian._GRAM_GATE:
+            continue
+        past_gate += 1
+        for budget in (17, 200):
+            best_v, _, terms, evals = gaussian._search_cov(net, plan, budget, 0)
+            want_v, _, want_terms, want_evals = search_cov_oracle(net, plan, budget, 0)
+            assert evals == want_evals, (net.n, dest, budget)
+            assert np.array_equal(terms, want_terms)
+            assert abs(best_v - want_v) <= 1e-12, (net.n, dest, budget)
+    assert past_gate == 67
+
+
 def test_cutset_estimate_finds_the_diamond_optimum():
     for power in (1.0, 10.0, 100.0, 1000.0):
         for d in np.linspace(0.1, 0.9, 17):
@@ -617,19 +638,26 @@ def test_search_estimate_reaches_ddf_rate_at_high_snr():
     assert ddf_unicast_rate(net, dest) <= estimate + 1e-9
 
 
-def high_snr_draws():
-    """Draws 91 and 94 of a 10^U(-3, 3)-gain sweep: n = 5, P = 4.80e11,
-    destination 4, and n = 6, P = 1.38e11, destination 5.  On both a
-    Cholesky factor of some cut's I + A diag(P) A^T fails."""
+def gain_spread_sweep():
+    """The 95 (network, destination) draws of a sweep with n = 3..6, gains
+    10^U(-3, 3) and P = 10^U(-3, 12)."""
     rng = np.random.default_rng(1)
-    for i in range(95):
+    for _ in range(95):
         n = int(rng.integers(3, 7))
         g = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
         np.fill_diagonal(g, 0.0)
         power = float(10.0 ** rng.uniform(-3.0, 12.0))
         dest = int(rng.integers(2, n + 1))
+        yield GaussianNetwork(n, g, power, range(2, n + 1)), dest
+
+
+def high_snr_draws():
+    """Draws 91 and 94 of ``gain_spread_sweep``: n = 5, P = 4.80e11,
+    destination 4, and n = 6, P = 1.38e11, destination 5.  On both a
+    Cholesky factor of some cut's I + A diag(P) A^T fails."""
+    for i, draw in enumerate(gain_spread_sweep()):
         if i in (91, 94):
-            yield GaussianNetwork(n, g, power, range(2, n + 1)), dest
+            yield draw
 
 
 def test_invariants_over_powers_and_gain_spreads():

@@ -370,6 +370,10 @@ def test_log_det_rate_edges():
         log_det_rate(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="eigenvalue"):
         log_det_rate(-2.0 * np.eye(2))
+    # [[nan]] once gave nan, and [[inf]] inf with a RuntimeWarning
+    for m in ([[math.nan]], [[math.inf]], [[-math.inf]], [np.eye(2), [[1.0, 0.0], [0.0, math.nan]]]):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            log_det_rate(np.array(m))
 
 
 def test_plain_entropy_treats_tiny_mass_as_zero():

@@ -54,6 +54,12 @@ def test_box_dim_validation():
         BoxDim(0.0, 1.0, "cubic")
     with pytest.raises(ValueError, match="lo > 0"):
         BoxDim(0.0, 1.0, "log")
+    # [0, inf] once reached np.linspace, and grid_then_refine gave ((nan,), -inf)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            BoxDim(lo, hi)
+    with pytest.raises(ValueError, match="box bounds must be finite"):
+        grid_then_refine(lambda x: -x * x, Box([(0.0, math.inf)]), 4, 10)
     d = BoxDim(math.exp(-2), math.exp(2), "log")
     assert abs(d.to_internal(1.0)) < 1e-15
     assert abs(d.to_external(0.0) - 1.0) < 1e-15
@@ -273,3 +279,14 @@ def test_simplex_edge_cases():
         simplex_lp_max([1.0], [])
     x, val = simplex_lp_max([-1.0], [])
     assert val == 0.0
+    # a NaN objective once gave the value nan, and an infinite one warned
+    for c in ([math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="objective coefficients must be finite"):
+            simplex_lp_max(c, [([1.0, 1.0], 1.0)])
+    # these three once raised "objective unbounded along variable 0"
+    with pytest.raises(ValueError, match="constraint 1: coefficients must be finite"):
+        simplex_lp_max([1.0, 1.0], [([1.0, 1.0], 2.0), ([math.nan, 1.0], 1.0)])
+    with pytest.raises(ValueError, match="constraint 0: bound must not be NaN"):
+        simplex_lp_max([1.0, 1.0], [([1.0, 1.0], math.nan)])
+    with pytest.raises(InfeasibleError):
+        simplex_lp_max([1.0, 1.0], [([1.0, 1.0], -math.inf)])
