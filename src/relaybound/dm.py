@@ -132,6 +132,9 @@ def _instance_plan(variables: tuple, n: int, q_vars: tuple[str, ...]):
     if [name for name, _ in variables] != [name for name, _ in _canonical_vars(n, {})]:
         raise ValueError(f"joint must use the canonical variable list for n = {n}")
     q = sum(1 << i for i in _axes_of(variables, q_vars))
+    for name in q_vars:
+        if name.startswith("y"):
+            raise ValueError(f"q_vars: {name!r} is a channel output, not time sharing")
     return (q, _node_masks(variables, "x", n), _node_masks(variables, "u", n, first=2),
             _node_masks(variables, "y", n))
 
@@ -224,39 +227,76 @@ def _node_masks(variables: tuple, kind: str, n: int, first: int = 1) -> tuple[in
                                 for k in range(first, n + 1))
 
 
-def _union(table: Sequence[int], nodes: Iterable[int]) -> int:
-    """The bitmask of ``table``'s variables at ``nodes`` (their bits are distinct)."""
-    return sum(table[k] for k in nodes)
+#: The cut functionals ``_cut_program`` compiles.
+_DDF, _CUTSET, _MARTON = range(3)
 
 
-def _cut_terms(inst: DmInstance, cut: Cut, dest: int | None) -> CutTerms:
-    far = cut.complement  # ascending, so each node's earlier nodes precede it
-    x, u, y = inst.x, inst.u, inst.y
-    x_far = _union(x, far)
-    b = _union(u, far)
-    if dest is not None:
-        b |= y[dest]
-    first = inst.mi(_union(x, cut.s), b, x_far)
-    all_x = _union(x, range(1, inst.n + 1))
-    pen_u: dict[int, RateBits] = {}
-    pen_x: dict[int, RateBits] = {}
-    x_earlier = u_earlier = 0
-    for k in far:
-        pen_u[k] = inst.mi(u[k], u_earlier | all_x, x[k] | y[k])
-        pen_x[k] = inst.mi(x[k], x_earlier)
-        x_earlier |= x[k]
-        u_earlier |= u[k]
-    total = first - sum(pen_u.values()) - sum(pen_x.values())
-    return CutTerms(cut, first, pen_u, pen_x, total)
+@lru_cache(maxsize=256)
+def _cut_program(n: int, q: int, dests: int, unicast: bool, kind: int):
+    """(entropy masks, index array (cuts, terms, 4)) of a cut functional over
+    the cuts for the destinations in the bitmask ``dests``.  A term is
+    ``DmInstance.mi(a, b, given)``'s H(a|g), H(g), H(a|b|g) and H(b|g), g =
+    given|q; slot -1 reads 0.0, for an empty g and for an empty side.  The
+    masks keep the per-cut order of first use: a miss's bits depend on which
+    marginal it is reduced from.  A ``_DDF`` row is the rate term, then the
+    far nodes' description and correlation prices, each group padded with
+    empty terms to n - 1; ``_MARTON`` adds I(u_k; y_k) and I(u_k; u(earlier)).
+    """
+    _, x, u, y = _instance_plan(tuple(_canonical_vars(n, {})), n, ())
+    slots: dict[int, int] = {}
+    empty = (-1,) * 4
+
+    def mi(a: int, b: int, given: int = 0) -> tuple[int, ...]:
+        given |= q
+        a, b = a & ~given, b & ~given
+        return tuple(slots.setdefault(m, len(slots)) if a and b and m else -1
+                     for m in (a | given, given, a | b | given, b | given))
+
+    nodes = [k for k in range(2, n + 1) if dests >> k & 1]
+    all_x, rows = sum(x), []
+    for cut in enumerate_cuts(n, nodes, "unicast" if unicast else "broadcast"):
+        far = cut.complement  # ascending, so each node's earlier nodes precede it
+        x_far = sum(x[k] for k in far)
+        if kind == _CUTSET:
+            rows.append([mi(all_x & ~x_far, sum(y[k] for k in far), x_far)])
+            continue
+        b = sum(u[k] for k in far) | (y[nodes[0]] if unicast else 0)
+        groups = [[mi(all_x & ~x_far, b, x_far)]] + [[] for _ in range(2 + 2 * (kind == _MARTON))]
+        x_earlier = u_earlier = 0
+        for k in far:
+            groups[1].append(mi(u[k], u_earlier | all_x, x[k] | y[k]))
+            groups[2].append(mi(x[k], x_earlier))
+            x_earlier, u_earlier = x_earlier | x[k], u_earlier | u[k]
+        for k in far if kind == _MARTON else ():
+            groups[3].append(mi(u[k], y[k]))
+            groups[4].append(mi(u[k], sum(u[j] for j in far if j < k)))
+        rows.append(groups[0] + [t for g in groups[1:] for t in g + [empty] * (n - 1 - len(g))])
+    idx = np.array(rows, dtype=np.intp)
+    idx.flags.writeable = False
+    return tuple(slots), idx
+
+
+def _cut_values(inst: DmInstance, dests: Iterable[int], unicast: bool, kind: int):
+    """``_cut_program``'s terms on ``inst``, clamped at zero as ``mask_mutual_info``
+    clamps them, and the functional: a ``_CUTSET`` term, or the rate term less
+    both prices, each sum added left to right as Python's ``sum`` adds it."""
+    masks, idx = _cut_program(inst.n, inst._q, sum(1 << d for d in dests), unicast, kind)
+    h = np.array([*map(inst.joint.entropy_of, masks), 0.0])[idx]
+    v = (h[..., 0] - h[..., 1]) - (h[..., 2] - h[..., 3])
+    v, w = np.where(v > 0.0, v, 0.0), inst.n - 1
+    if kind == _CUTSET:
+        return v, v[:, 0]
+    return v, v[:, 0] - _row_sums(v[:, 1:w + 1]) - _row_sums(v[:, w + 1:2 * w + 1])
 
 
 def ddf_unicast_dm(inst: DmInstance, dest: int) -> tuple[RateBits, list[CutTerms]]:
     """Achievable rate to one destination plus the per-cut breakdown."""
     dest = as_node(dest, inst.n, "dest", first=2)
-    terms = [
-        _cut_terms(inst, cut, dest)
-        for cut in enumerate_cuts(inst.n, {dest}, "unicast")
-    ]
+    cuts = enumerate_cuts(inst.n, {dest}, "unicast")
+    v, totals = _cut_values(inst, (dest,), True, _DDF)
+    terms = [CutTerms(cut, row[0], dict(zip(cut.complement, row[1:])),
+                      dict(zip(cut.complement, row[inst.n:])), total)
+             for cut, row, total in zip(cuts, v.tolist(), totals.tolist())]
     return min(t.total for t in terms), terms
 
 
@@ -275,10 +315,9 @@ def constraint_values_j(inst: DmInstance) -> dict[tuple[int, ...], RateBits]:
     a negative value marks a constraint that would make the region empty and
     is what constraint_repair removes.
     """
-    out: dict[tuple[int, ...], RateBits] = {}
-    for cut in enumerate_cuts(inst.n, range(2, inst.n + 1), "broadcast"):
-        out[cut.s] = _cut_terms(inst, cut, None).total
-    return out
+    dests = range(2, inst.n + 1)
+    cuts = enumerate_cuts(inst.n, dests, "broadcast")
+    return dict(zip([cut.s for cut in cuts], _cut_values(inst, dests, False, _DDF)[1].tolist()))
 
 
 def ddf_broadcast_region_dm(inst: DmInstance) -> RateRegion:
@@ -287,7 +326,7 @@ def ddf_broadcast_region_dm(inst: DmInstance) -> RateRegion:
     if not dims:
         raise ValueError("instance has no destinations")
     cuts = enumerate_cuts(inst.n, dims, "broadcast")
-    values = [_cut_terms(inst, cut, None).total for cut in cuts]
+    values = _cut_values(inst, dims, False, _DDF)[1].tolist()
     return region_from_cuts(dims, cuts, [max(v, 0.0) for v in values])
 
 
@@ -309,13 +348,8 @@ def cutset_dm(
     drop = {name for name in input_pmf.names if name.startswith("u") and name not in q}
     inst = DmInstance.from_parts(_summed_out(input_pmf, drop), channel, dests, q_vars)
     dests = inst.destinations
-
-    def cut_value(cut: Cut) -> float:
-        far = cut.complement
-        return inst.mi(_union(inst.x, cut.s), _union(inst.y, far), _union(inst.x, far))
-
     cuts = enumerate_cuts(inst.n, dests, mode)
-    values = [cut_value(c) for c in cuts]
+    values = _cut_values(inst, dests, mode == "unicast", _CUTSET)[1].tolist()
     if mode == "unicast":
         return min(values)
     return region_from_cuts(dests, cuts, values)
@@ -374,7 +408,7 @@ def deterministic_inner(
 
     def cut_value(cut: Cut) -> float:
         far = cut.complement
-        value = mask_entropy(joint, _union(y, far), _union(x, far))
+        value = mask_entropy(joint, sum(y[k] for k in far), sum(x[k] for k in far))
         x_earlier = 0
         for k in far:
             value -= mask_mutual_info(joint, x[k], x_earlier)
@@ -422,24 +456,19 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
             )
     if inst.joint.size_of("y1") != 1:
         raise ValueError("not a single-hop broadcast instance: node 1 receives")
-    all_u = _union(inst.u, range(2, inst.n + 1))
     for k in range(2, inst.n + 1):
-        leak = inst.mi(all_u, inst.y[k], inst.x[1])
+        leak = inst.mi(sum(inst.u), inst.y[k], inst.x[1])
         if leak > 1e-9:
             raise ValueError(
                 "not a single-hop broadcast instance: descriptions leak into "
                 f"y{k} beyond x1 (I = {leak:.2e})"
             )
+    v, lhs_cuts = _cut_values(inst, range(2, inst.n + 1), False, _MARTON)
+    rhs_cuts, w = 0.0, inst.n - 1
+    for j in range(2 * w + 1, 3 * w + 1):
+        rhs_cuts = rhs_cuts + v[:, j] - v[:, j + w]
     worst: tuple[RateBits, RateBits, float] | None = None
-    for cut in enumerate_cuts(inst.n, range(2, inst.n + 1), "broadcast"):
-        far = cut.complement
-        lhs = _cut_terms(inst, cut, None).total
-        rhs = 0.0
-        u_earlier = 0
-        for k in far:
-            rhs += inst.mi(inst.u[k], inst.y[k])
-            rhs -= inst.mi(inst.u[k], u_earlier)
-            u_earlier |= inst.u[k]
+    for lhs, rhs in zip(lhs_cuts.tolist(), rhs_cuts.tolist()):
         delta = lhs - rhs
         if worst is None or abs(delta) > abs(worst[2]) + 1e-12:
             worst = (lhs, rhs, delta)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dm import DmInstance, _canonical_vars, _cut_terms
+from .dm import _DDF, DmInstance, _canonical_vars, _cut_values
 from .errors import as_int, as_node, as_number, as_numbers
 from .info import RateBits, log_det_rate
 from .networks import Cut, GaussianNetwork, enumerate_cuts, received_snr
@@ -185,7 +185,7 @@ def ddf_rates_general(
 ) -> list[RateBits]:
     """Inner-bound value of every broadcast cut, in ``gap_certificate``'s row
     order, for a general input covariance K and per-node description noise:
-    ``dm._cut_terms``'s J(S) on a ``DmInstance`` of ``_GaussianJoint``'s variables,
+    ``dm``'s J(S) cut program run on a ``DmInstance`` of ``_GaussianJoint``,
 
         (1/2) log2 |Sigma(S^c) + G(S) K(S|S^c) G(S)^T| + (1/2) log2 |K(S^c)|
         - sum_{k in S^c} [ (1/2) log2(sigma_k^2 + S_k/(1+S_k)) + (1/2) log2 K_kk ]
@@ -205,8 +205,7 @@ def ddf_rates_general(
     if not np.all((sig[1:] > 0) & (sig[1:] < math.inf)):
         raise ValueError("quantizer variances must be finite and positive on the far side")
     inst = DmInstance(_GaussianJoint(net, k, sig), n, net.destinations)
-    return [_cut_terms(inst, cut, None).total
-            for cut in enumerate_cuts(n, net.destinations, "broadcast")]
+    return _cut_values(inst, net.destinations, False, _DDF)[1].tolist()
 
 
 def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:

@@ -31,19 +31,22 @@ entropy, so it serves differential entropies too.
 Structure is planned once per shape, and values are computed on every call:
 a variables tuple's axes and kept mask, a lattice key's sub-variables, and
 ``marginal``'s axis order and kept shape come from bounded caches keyed on
-the variables (and the names asked for).  Every reduction still goes through
-``JointPmf.marginal`` with the same operations, so the contract above does
-not change.
+the variables' interned layout, which hashes by identity (and on the mask or
+the names asked for).  A miss scans the lattice from the first entry with
+the key's cell count, since a smaller entry cannot cover it, and ties keep
+their order, so each reduction has the same source.  Every reduction still
+goes through ``JointPmf.marginal`` with the same operations, so the contract
+above does not change.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,19 +170,20 @@ class JointPmf:
 
     def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
              marginals: Iterable[tuple[int, np.ndarray]] = ()) -> None:
-        variables, _, kept = _layout(variables)
-        self.__dict__.update(variables=variables, probs=probs, _kept=kept, _entropies={})
+        layout = _layout(variables)
+        self.__dict__.update(variables=layout.variables, probs=probs, _layout=layout,
+                             _kept=layout.kept, _entropies={})
         # A supplied marginal precedes the pmf itself among equal sizes.
-        lattice = [self._entry(mask & kept, p) for mask, p in marginals]
-        lattice.append(self._entry(kept, probs))
+        lattice = [self._entry(mask & layout.kept, p) for mask, p in marginals]
+        lattice.append(self._entry(layout.kept, probs))
         lattice.sort(key=itemgetter(0))
         self.__dict__["_lattice"] = lattice
 
     def _entry(self, mask: int, probs: np.ndarray) -> tuple[int, int, JointPmf]:
         """A lattice entry over the variables in ``mask``, which holds no
         size-1 variable; ``probs`` has their cells and any size-1 axes."""
-        variables, _, shape = _sub_layout(self.variables, mask)
-        return probs.size, mask, _lean(variables, probs.reshape(shape))
+        sub, _, shape, cells = _sub_layout(self._layout, mask)
+        return cells, mask, _lean(sub, probs.reshape(shape))
 
     @classmethod
     def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
@@ -223,7 +227,7 @@ class JointPmf:
         in another order.  A single kept cell is summed with ``np.cumsum``,
         because numpy reduces a contiguous vector pairwise.
         """
-        plan = _reduction(self.variables, tuple(names))
+        plan = _reduction(self._layout, tuple(names))
         if plan is None:
             return self.probs
         order, cols, kept_shape = plan
@@ -239,26 +243,27 @@ class JointPmf:
     def entropy_of(self, mask: int) -> RateBits:
         """H of the variables in ``mask`` in bits.  The memo key drops size-1
         variables, which add nothing to an entropy; a miss is reduced through
-        ``marginal`` from the first lattice entry that covers it."""
+        ``marginal`` from the first lattice entry that covers it.  The scan
+        starts at the key's cell count: a smaller entry cannot cover it."""
         key = mask & self._kept
         val = self._entropies.get(key)
         if val is None:
+            sub, names, _, cells = _sub_layout(self._layout, key)
             lattice = self._lattice
-            for _, src_mask, src in lattice:
+            for _, src_mask, src in lattice[bisect_left(lattice, cells, key=itemgetter(0)):]:
                 if key & src_mask == key:
                     break
-            variables, names, _ = _sub_layout(self.variables, key)
             marg = src.marginal(names)
             if key != src_mask:
-                insort(lattice, (marg.size, key, _lean(variables, marg)), key=itemgetter(0))
+                insort(lattice, (cells, key, _lean(sub, marg)), key=itemgetter(0))
             val = self._entropies[key] = _plain_entropy(marg)
         return val
 
 
-def _lean(variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf:
+def _lean(layout: _Layout, probs: np.ndarray) -> JointPmf:
     """A lattice entry's pmf: only what ``JointPmf.marginal`` reads is set."""
     sub = object.__new__(JointPmf)
-    sub.__dict__.update(variables=variables, probs=probs)
+    sub.__dict__.update(variables=layout.variables, _layout=layout, probs=probs)
     return sub
 
 
@@ -266,27 +271,39 @@ def _lean(variables: tuple[tuple[str, int], ...], probs: np.ndarray) -> JointPmf
 # only their immutable values, and an error is not cached.
 
 
+class _Layout(NamedTuple):
+    """``_layout``'s plan of a variables tuple, kept by every pmf over it, so no
+    pmf's object graph depends on which call built a plan.  It hashes and
+    compares by identity: the plans keyed on it never hash the tuple."""
+
+    variables: tuple[tuple[str, int], ...]
+    axes: dict[str, int]  # name -> axis
+    kept: int  # the mask of the variables of more than one symbol
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
+
+    def __reduce__(self):
+        return _layout, (self.variables,)
+
+
 @lru_cache(maxsize=1024)
-def _layout(variables: tuple[tuple[str, int], ...]) -> tuple[tuple, dict[str, int], int]:
-    """(variables, name -> axis, mask of the variables of more than one
-    symbol).  Every pmf over these variables keeps the first tuple, so the
-    plans below compare it by identity, and no pmf's object graph depends
-    on which call built the plan."""
-    axes = {name: i for i, (name, _) in enumerate(variables)}
-    return variables, axes, sum(1 << i for i, (_, s) in enumerate(variables) if s > 1)
+def _layout(variables: tuple[tuple[str, int], ...]) -> _Layout:
+    return _Layout(variables, {name: i for i, (name, _) in enumerate(variables)},
+                   sum(1 << i for i, (_, s) in enumerate(variables) if s > 1))
 
 
 @lru_cache(maxsize=4096)
-def _sub_layout(variables: tuple[tuple[str, int], ...], mask: int) -> tuple[tuple, tuple, tuple]:
-    """(variables, names, shape) of the variables in ``mask``."""
-    sub = tuple(v for i, v in enumerate(variables) if mask >> i & 1)
-    return sub, tuple(name for name, _ in sub), tuple(size for _, size in sub)
+def _sub_layout(layout: _Layout, mask: int) -> tuple[_Layout, tuple, tuple, int]:
+    """(layout, names, shape, cells) of the variables in ``mask``."""
+    sub = tuple(v for i, v in enumerate(layout.variables) if mask >> i & 1)
+    shape = tuple(size for _, size in sub)
+    return _layout(sub), tuple(name for name, _ in sub), shape, math.prod(shape)
 
 
 @lru_cache(maxsize=4096)
-def _reduction(variables: tuple[tuple[str, int], ...], names: tuple[str, ...]):
+def _reduction(layout: _Layout, names: tuple[str, ...]):
     """``JointPmf.marginal``'s (axis order, kept cells, kept shape), dropped
     axes first; None when no axis is dropped."""
+    variables = layout.variables
     keep = _axes_of(variables, names)
     drop = [i for i in range(len(variables)) if i not in keep]
     if not drop:
@@ -298,7 +315,7 @@ def _reduction(variables: tuple[tuple[str, int], ...], names: tuple[str, ...]):
 def _axes_of(variables: tuple[tuple[str, int], ...], names: Iterable[str]) -> list[int]:
     """The ascending axes of the distinct ``names``; an unknown name raises
     ValueError."""
-    axes = _layout(variables)[1]
+    axes = _layout(variables).axes
     try:
         return sorted({axes[name] for name in names})
     except KeyError as err:

@@ -42,6 +42,7 @@ from relaybound import dm, info, networks
 from relaybound.dm import _pareto_frontier, pmf_to_dict
 from relaybound.networks import enumerate_cuts
 from tests.bitpipe import bit_pipe_oracle
+from tests.cutterms import cutset_oracle, j_oracle, marton_oracle, unicast_oracle
 from tests.maxflow import maxflow_oracle
 
 
@@ -225,6 +226,105 @@ def test_dm_instance_validation():
         DmInstance(joint, 2, [3])
     with pytest.raises(ValueError, match="unknown variable"):
         DmInstance(joint, 2, [2], ("q", "zz"))
+
+
+def test_a_channel_output_is_not_a_time_sharing_variable():
+    # y2 once passed as q: every term conditioned on the destination's own
+    # output, and ddf_unicast_dm and every J read 0.0
+    pin = JointPmf([("x1", 2)], np.array([0.4, 0.6]))
+    chan = Channel([("x1", 2)], [("y2", 2)], [[0.9, 0.1], [0.2, 0.8]])
+    with pytest.raises(ValueError, match="q_vars: 'y2' is a channel output"):
+        DmInstance.from_parts(pin, chan, [2], ("y2",))
+    with pytest.raises(ValueError, match="q_vars: 'y1' is a channel output"):
+        cutset_dm(pin, chan, [2], q_vars=("q", "y1"))
+    inst = DmInstance.from_parts(pin, chan, [2])
+    with pytest.raises(ValueError, match="'y2'"):
+        DmInstance(inst.joint, 2, [2], ("q", "y2"))
+    # inputs and descriptions stay allowed: constraint_repair appends x's
+    for q_vars in (("q", "x2"), ("u2",), ()):
+        assert DmInstance(inst.joint, 2, [2], q_vars).q_vars == q_vars
+    assert ddf_unicast_dm(inst, 2)[0] > 0.1
+
+
+def library_bits(pin, chan, dests):
+    """The bits of every DM evaluator on a fresh instance from the parts."""
+    inst = DmInstance.from_parts(pin, chan, dests)
+    bits = [ddf_unicast_dm(inst, d) for d in dests]
+    j = constraint_values_j(inst)
+    bits += [j, [c.bound for c in ddf_broadcast_region_dm(inst).constraints],
+             cutset_dm(pin, chan, dests[-1:], "unicast"),
+             [c.bound for c in cutset_dm(pin, chan, dests, "broadcast").constraints]]
+    repaired = constraint_repair(inst, min(j, key=j.get))
+    return bits + [ddf_unicast_dm(repaired, dests[-1]), constraint_values_j(repaired)]
+
+
+def oracle_bits(pin, chan, dests):
+    """``library_bits`` through the per-cut oracle, in the same call sequence."""
+    inst = DmInstance.from_parts(pin, chan, dests)
+    n = inst.n
+
+    def j_values(inst):
+        cuts = enumerate_cuts(n, range(2, n + 1), "broadcast")
+        return dict(zip([c.s for c in cuts], j_oracle(inst, range(2, n + 1)), strict=True))
+
+    bits = [unicast_oracle(inst, d) for d in dests]
+    j = j_values(inst)
+    bits += [j, [max(v, 0.0) for v in j_oracle(inst, dests)],
+             min(cutset_oracle(pin, chan, dests[-1:], "unicast")),
+             cutset_oracle(pin, chan, dests, "broadcast")]
+    repaired = constraint_repair(inst, min(j, key=j.get))
+    return bits + [unicast_oracle(repaired, dests[-1]), j_values(repaired)]
+
+
+def as_hex(value):
+    """``value`` with every float, CutTerms included, as its hex string."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dm.CutTerms):
+        return (value.cut, as_hex(value.first_term), as_hex(value.penalty_u),
+                as_hex(value.penalty_x), as_hex(value.total))
+    if isinstance(value, dict):
+        return {k: as_hex(v) for k, v in value.items()}
+    return [as_hex(v) for v in value]
+
+
+def test_cut_programs_give_the_per_cut_oracle_bits():
+    # Each evaluator runs one cut program per shape.  The per-cut loop it
+    # replaced gives the same bits in the same call sequence on a fresh
+    # instance from the same parts, and a repaired cut still reads 0.0.
+    rng = np.random.default_rng(60)
+    for trial in range(16):
+        n = 2 + trial % 4
+        pin, chan = random_parts(rng, n, with_q=trial >= 8)
+        dests = list(range(2, n + 1))
+        got, want = library_bits(pin, chan, dests), oracle_bits(pin, chan, dests)
+        assert as_hex(got) == as_hex(want), (trial, n)
+        j, j_after = got[len(dests)], got[-1]
+        assert j_after[min(j, key=j.get)] == 0.0
+    for n in (2, 3, 4, 5):
+        parts = single_hop_parts(rng, n)
+        got, want = (check(DmInstance.from_parts(*parts, range(2, n + 1)))
+                     for check in (marton_identity_check, marton_oracle))
+        assert as_hex(got) == as_hex(want), n
+
+
+def test_one_cut_program_serves_every_alphabet_shape_of_an_n():
+    # Programs are keyed on n, the q mask and the destinations, not on the
+    # variables: a second shape of the same n runs on the first's programs
+    # and gets the bits of a run that built its own.
+    rng = np.random.default_rng(61)
+    first, second = random_parts(rng, 4), random_parts(rng, 4)
+    assert first[0].variables != second[0].variables
+    assert first[1].out != second[1].out
+    _clear_plans()
+    for plan in (dm._cut_program, info._layout, info._sub_layout, info._reduction):
+        assert plan.cache_info().currsize == 0
+    alone = as_hex(library_bits(*second, [4]))
+    _clear_plans()
+    library_bits(*first, [4])
+    built = dm._cut_program.cache_info()
+    assert as_hex(library_bits(*second, [4])) == alone
+    assert dm._cut_program.cache_info().misses == built.misses
 
 
 def test_cut_terms_match_naive_evaluator():
@@ -463,26 +563,31 @@ def test_cutset_dm_on_noiseless_channel():
         cutset_dm(pin, chan, [3], mode="region")
 
 
+def single_hop_parts(rng, n):
+    """An input pmf over x1 and u2..un and a channel p(y2..yn | x1)."""
+    nx = int(rng.integers(2, 5))
+    u_sizes = [int(rng.integers(1, 4)) for _ in range(n - 1)]
+    y_sizes = [int(rng.integers(2, 4)) for _ in range(n - 1)]
+    in_vars = [("x1", nx)] + [
+        (f"u{k}", s) for k, s in zip(range(2, n + 1), u_sizes)
+    ]
+    p = rng.random(tuple(s for _, s in in_vars))
+    p /= p.sum()
+    c = rng.random((nx,) + tuple(y_sizes))
+    c /= c.sum(axis=tuple(range(1, n)), keepdims=True)
+    chan = Channel(
+        [("x1", nx)],
+        [(f"y{k}", s) for k, s in zip(range(2, n + 1), y_sizes)],
+        c,
+    )
+    return JointPmf(in_vars, p), chan
+
+
 def test_marton_identity_on_random_broadcast():
     rng = np.random.default_rng(45)
     for _ in range(20):
         n = int(rng.integers(2, 5))
-        nx = int(rng.integers(2, 5))
-        u_sizes = [int(rng.integers(1, 4)) for _ in range(n - 1)]
-        y_sizes = [int(rng.integers(2, 4)) for _ in range(n - 1)]
-        in_vars = [("x1", nx)] + [
-            (f"u{k}", s) for k, s in zip(range(2, n + 1), u_sizes)
-        ]
-        p = rng.random(tuple(s for _, s in in_vars))
-        p /= p.sum()
-        c = rng.random((nx,) + tuple(y_sizes))
-        c /= c.sum(axis=tuple(range(1, n)), keepdims=True)
-        chan = Channel(
-            [("x1", nx)],
-            [(f"y{k}", s) for k, s in zip(range(2, n + 1), y_sizes)],
-            c,
-        )
-        inst = DmInstance.from_parts(JointPmf(in_vars, p), chan, range(2, n + 1))
+        inst = DmInstance.from_parts(*single_hop_parts(rng, n), range(2, n + 1))
         lhs, rhs, delta = marton_identity_check(inst)
         assert abs(delta) <= 1e-12
         assert abs(lhs - rhs) <= 1e-12

@@ -24,10 +24,11 @@ from relaybound import (
 )
 from relaybound import gaussian
 from relaybound.diamond import cutset_diamond_terms
-from relaybound.dm import DmInstance, _cut_terms
+from relaybound.dm import DmInstance, ddf_unicast_dm
 from relaybound.gaussian import _cut_plan, _plan_rates
 from relaybound.networks import enumerate_cuts
 from tests.covsearch import search_cov_oracle
+from tests.cutterms import j_oracle
 from tests.exactdet import exact_ddf_row, exact_rate
 
 
@@ -244,6 +245,31 @@ def test_ddf_general_matches_the_explicit_schur_transcription():
             assert abs(v - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def full_power_family():
+    """60 draws: n = 3-5, gains uniform(0.1, 2), per-node P = 10^U(-3, 12),
+    a random K with K_jj = P_j, and per-node sigma^2 = 10^U(-1, 1)."""
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        n = int(rng.integers(3, 6))
+        g = rng.uniform(0.1, 2.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        net = GaussianNetwork(n, g, 10.0 ** rng.uniform(-3.0, 12.0, n), random_dests(rng, n))
+        a = rng.standard_normal((n, n + 2))
+        c = a @ a.T
+        d = np.sqrt(np.diag(c) / net.power)
+        yield net, c / np.outer(d, d), 10.0 ** rng.uniform(-1.0, 1.0, n)
+
+
+def test_ddf_general_rows_are_the_per_cut_oracle_bits():
+    # the rows run dm's cut program on the Gaussian joint; the per-cut loop
+    # it replaced gives the same bits
+    for net, k, sigma_sq in full_power_family():
+        rows = ddf_rates_general(net, k, sigma_sq)
+        joint = gaussian._GaussianJoint(net, gaussian._validate_cov(net, k), sigma_sq)
+        want = j_oracle(DmInstance(joint, net.n, net.destinations), net.destinations)
+        assert [v.hex() for v in rows] == [v.hex() for v in want]
+
+
 def exact_rows_worst(net):
     """The largest distance of ``ddf_rates_general``'s rows at K = diag(P),
     sigma^2 = 1 from their exact rational values."""
@@ -289,8 +315,7 @@ def test_unicast_rate_is_the_dm_functional_on_the_gaussian_joint():
         np.fill_diagonal(g, 0.0)
         net = GaussianNetwork(n, g, float(10.0 ** rng.uniform(0.0, 2.0)), [n])
         joint = DmInstance(gaussian._GaussianJoint(net, np.diag(net.power), np.ones(n)), n, [n])
-        got = min(_cut_terms(joint, cut, n).total for cut in enumerate_cuts(n, {n}, "unicast"))
-        assert abs(got - ddf_unicast_rate(net, n)) <= 1e-12
+        assert abs(ddf_unicast_dm(joint, n)[0] - ddf_unicast_rate(net, n)) <= 1e-12
 
 
 def test_gaussian_joint_gives_the_diamond_cutset_terms():
