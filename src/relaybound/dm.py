@@ -26,8 +26,7 @@ from .errors import (
     SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, as_numbers,
     load_json_object)
 from .info import (
-    ZERO_EPS, JointPmf, RateBits, _axes_of, capped_cells, checked_tensor, mask_entropy,
-    mask_mutual_info)
+    ZERO_EPS, JointPmf, RateBits, _axes_of, capped_cells, checked_tensor, mask_mutual_info)
 from .networks import Cut, DeterministicNetwork, GraphicalNetwork, enumerate_cuts
 from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from_cuts
 
@@ -100,8 +99,6 @@ def _parts_plan(in_vars: tuple, given: tuple, out: tuple):
             if sizes.setdefault(name, size) != size:
                 raise ValueError(f"{where}: variable {name!r} has conflicting sizes "
                                  f"{sizes[name]} and {size}")
-    if n < 2:
-        raise ValueError("instance needs at least two nodes")
     in_names = {name for name, _ in in_vars}
     for name, size in given:
         if size > 1 and name not in in_names:
@@ -129,6 +126,8 @@ def _parts_plan(in_vars: tuple, given: tuple, out: tuple):
 def _instance_plan(variables: tuple, n: int, q_vars: tuple[str, ...]):
     """``DmInstance``'s masks (q, x, u, y) for a joint over ``variables``,
     which must be the canonical list for ``n``."""
+    if n < 2:
+        raise ValueError("instance needs at least two nodes")
     if [name for name, _ in variables] != [name for name, _ in _canonical_vars(n, {})]:
         raise ValueError(f"joint must use the canonical variable list for n = {n}")
     q = sum(1 << i for i in _axes_of(variables, q_vars))
@@ -344,6 +343,8 @@ def cutset_dm(
     |Q| prod|X| prod|Y| cells, not that times prod|U|.  Its axis stays, of
     size 1, so ``DmInstance.from_parts`` still checks its name.
     """
+    if not (dests := tuple(dests)):
+        raise ValueError("need at least one destination")
     q = ("q",) if q_vars is None else tuple(q_vars)
     drop = {name for name in input_pmf.names if name.startswith("u") and name not in q}
     inst = DmInstance.from_parts(_summed_out(input_pmf, drop), channel, dests, q_vars)
@@ -377,11 +378,13 @@ def _det_scatter(
                 f"{name} alphabet {size} != network alphabet {net.alphabets[k]}"
             )
     outs = [(k, net.out_size(k)) for k in range(2, net.n + 1)]
+    shape = tuple(net.alphabets) + tuple(s for _, s in outs)
+    capped_cells(shape, "deterministic joint")
     grids = tuple(np.indices(net.alphabets))
     idx = grids + tuple(net.maps[k][grids] for k, _ in outs)
     tensors = []
     for v in values:
-        t = np.zeros(tuple(net.alphabets) + tuple(s for _, s in outs))
+        t = np.zeros(shape)
         t[idx] = v
         tensors.append(t)
     return outs, tensors
@@ -398,25 +401,19 @@ def deterministic_inner(
         H(Y(S^c) | X(S^c)) - sum_{k in S^c} I(X_k ; X(S^c cap [1..k-1]))
 
     per cut, which the general machinery reproduces by choosing each node's
-    description to be its own observation.
+    description to be its own observation.  The prices add up to the total
+    correlation of X(S^c), so by the chain rule each cut's value is the form
+    computed here, H(Y(S^c), X(S^c)) - sum_{k in S^c} H(X_k).
     """
     dests = as_nodes(dests, net.n, "dests", first=2)
+    cuts = enumerate_cuts(net.n, dests, mode)
     outs, (probs,) = _det_scatter(net, input_pmf, input_pmf.probs)
-    joint = JointPmf(list(input_pmf.variables) + [(f"y{k}", s) for k, s in outs], probs)
+    joint = JointPmf._trusted(input_pmf.variables + tuple((f"y{k}", s) for k, s in outs), probs)
     x = _node_masks(joint.variables, "x", net.n)
     y = _node_masks(joint.variables, "y", net.n, first=2)
-
-    def cut_value(cut: Cut) -> float:
-        far = cut.complement
-        value = mask_entropy(joint, sum(y[k] for k in far), sum(x[k] for k in far))
-        x_earlier = 0
-        for k in far:
-            value -= mask_mutual_info(joint, x[k], x_earlier)
-            x_earlier |= x[k]
-        return value
-
-    cuts = enumerate_cuts(net.n, dests, mode)
-    values = [cut_value(c) for c in cuts]
+    h_x = {k: joint.entropy_of(x[k]) for k in range(2, net.n + 1)}
+    values = [joint.entropy_of(sum(x[k] | y[k] for k in c.complement))
+              - sum(h_x[k] for k in c.complement) for c in cuts]
     if mode == "unicast":
         return min(values)
     return region_from_cuts(dests, cuts, [max(v, 0.0) for v in values])
@@ -525,8 +522,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _h_rows(p: np.ndarray) -> np.ndarray:
-    """Row entropies in bits; a cell below ZERO_EPS contributes +0.0."""
-    return -_row_sums(p * np.log2(np.where(p >= ZERO_EPS, p, 1.0)))
+    """Row entropies in bits, never -0.0; cells below ZERO_EPS add nothing."""
+    return 0.0 - _row_sums(p * np.log2(np.where(p >= ZERO_EPS, p, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)

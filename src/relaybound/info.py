@@ -24,9 +24,9 @@ A variable subset is an integer bitmask, bit i for variable i.  Each pmf
 memoizes its entropies by mask, and reduces a miss, always through
 ``JointPmf.marginal``, from the smallest cached marginal that covers it
 (``JointPmf``).  ``entropy`` and ``mutual_info`` take names;
-``mask_entropy`` and ``mask_mutual_info`` are the same measures on masks.
-``mask_mutual_info`` reads only its source's ``entropy_of`` and floors no
-entropy, so it serves differential entropies too.
+``mask_mutual_info`` is ``mutual_info`` on masks.  It reads only its
+source's ``entropy_of`` and floors no entropy, so it serves differential
+entropies too.
 
 Structure is planned once per shape, and values are computed on every call:
 a variables tuple's axes and kept mask, a lattice key's sub-variables, and
@@ -334,7 +334,9 @@ def entropy(pmf: JointPmf, names: Iterable[str], given: Iterable[str] = ()) -> R
 
     Unknown variable names raise ValueError.
     """
-    return mask_entropy(pmf, pmf.mask_of(names), pmf.mask_of(given))
+    a, given = pmf.mask_of(names), pmf.mask_of(given)
+    h = pmf.entropy_of(a | given) - (pmf.entropy_of(given) if given else 0.0)
+    return h if h > 0.0 else 0.0
 
 
 def mutual_info(
@@ -354,14 +356,6 @@ def mutual_info(
             both = sorted(n for i, n in enumerate(pmf.names) if (x & y) >> i & 1)
             raise ValueError(f"overlapping variable subsets {what}: {both}")
     return mask_mutual_info(pmf, a, b, given)
-
-
-def mask_entropy(pmf: JointPmf, a: int, given: int = 0) -> RateBits:
-    """``entropy`` over bitmasks of ``pmf``'s variables."""
-    h = pmf.entropy_of(a | given)
-    if given:
-        h -= pmf.entropy_of(given)
-    return h if h > 0.0 else 0.0
 
 
 def mask_mutual_info(source, a: int, b: int, given: int = 0) -> RateBits:

@@ -209,6 +209,8 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
     its cuts, which are frozen, come from a table kept per (n, dests, mode).
     """
     n = as_int(n, "n")
+    if n < 2:
+        raise ValueError(f"need n >= 2 nodes, got {n}")
     if n > MAX_ENUM_NODES:
         raise ValueError(
             f"refusing to enumerate 2^{n - 1} cuts for n = {n} > {MAX_ENUM_NODES}"

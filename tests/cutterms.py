@@ -3,11 +3,14 @@ the library's cut programs are checked against these for equal bits in the
 same call sequence on fresh instances.  ``cut_terms`` and ``cutset_dm``'s
 ``cut_value`` are the per-cut loop the programs replaced, and each evaluator
 below calls them in the order the library's evaluator asked for its
-entropies."""
+entropies.  ``deterministic_oracle`` is the per-cut loop that
+``deterministic_inner``'s closed form replaced."""
 
 from typing import Iterable, Sequence
 
-from relaybound.dm import CutTerms, DmInstance, _summed_out
+from relaybound.dm import CutTerms, DmInstance, _det_scatter, _node_masks, _summed_out
+from relaybound.errors import as_nodes
+from relaybound.info import JointPmf, mask_mutual_info
 from relaybound.networks import Cut, enumerate_cuts
 
 
@@ -86,3 +89,34 @@ def marton_oracle(inst: DmInstance):
         if worst is None or abs(delta) > abs(worst[2]) + 1e-12:
             worst = (lhs, rhs, delta)
     return worst
+
+
+def mask_entropy(pmf: JointPmf, a: int, given: int = 0) -> float:
+    """H(a | given) over bitmasks of ``pmf``'s variables, floored at zero."""
+    h = pmf.entropy_of(a | given)
+    if given:
+        h -= pmf.entropy_of(given)
+    return h if h > 0.0 else 0.0
+
+
+def deterministic_oracle(net, input_pmf, dests, mode="unicast") -> list:
+    """``deterministic_inner``'s value on every cut, in cut order, before the
+    unicast minimum or the broadcast zero clamp: H(Y(S^c) | X(S^c)) floored
+    at zero, less each far node's clamped correlation price."""
+    dests = as_nodes(dests, net.n, "dests", first=2)
+    outs, (probs,) = _det_scatter(net, input_pmf, input_pmf.probs)
+    joint = JointPmf(list(input_pmf.variables) + [(f"y{k}", s) for k, s in outs], probs)
+    x = _node_masks(joint.variables, "x", net.n)
+    y = _node_masks(joint.variables, "y", net.n, first=2)
+
+    def cut_value(cut: Cut) -> float:
+        far = cut.complement
+        value = mask_entropy(joint, sum(y[k] for k in far), sum(x[k] for k in far))
+        x_earlier = 0
+        for k in far:
+            value -= mask_mutual_info(joint, x[k], x_earlier)
+            x_earlier |= x[k]
+        return value
+
+    cuts = enumerate_cuts(net.n, dests, mode)
+    return [cut_value(c) for c in cuts]

@@ -695,6 +695,15 @@ def test_eval_dm_resource_cap(tmp_path):
         ]
     )
     assert code == 3
+    # an output symbol of 2**62 once exited 2 with numpy's "array is too big"
+    net = DeterministicNetwork([2, 2], {2: np.array([[0, 0], [1, 2**62]])}, [2])
+    save_network(net, tmp_path / "wide_net.json")
+    xs = write_json(tmp_path / "xs.json", {
+        "vars": [{"name": "x1", "size": 2}, {"name": "x2", "size": 2}], "probs": [0.25] * 4})
+    code, _, err = run_full(["eval-dm", "--pmf", xs, "--channel",
+                             str(tmp_path / "wide_net.json"), "--mode", "deterministic"])
+    assert code == 3
+    assert "deterministic joint would need" in err
 
 
 def test_blackwell_csv(tmp_path):
@@ -736,3 +745,7 @@ def test_blackwell_csv(tmp_path):
                              "--out", str(out5)])
     assert (code, err) == (2, "error: points must be nonnegative\n")
     assert not out5.exists()
+
+    # at one grid step every pmf is a point mass, once printed as -0.000000
+    code, out = run(["blackwell", "--grid-res", "1"])
+    assert (code, out.splitlines()) == (0, ["r2,r3,sum", "0.000000,0.000000,0.000000"])

@@ -42,7 +42,8 @@ from relaybound import dm, info, networks
 from relaybound.dm import _pareto_frontier, pmf_to_dict
 from relaybound.networks import enumerate_cuts
 from tests.bitpipe import bit_pipe_oracle
-from tests.cutterms import cutset_oracle, j_oracle, marton_oracle, unicast_oracle
+from tests.cutterms import (
+    cutset_oracle, deterministic_oracle, j_oracle, marton_oracle, unicast_oracle)
 from tests.maxflow import maxflow_oracle
 
 
@@ -226,6 +227,12 @@ def test_dm_instance_validation():
         DmInstance(joint, 2, [3])
     with pytest.raises(ValueError, match="unknown variable"):
         DmInstance(joint, 2, [2], ("q", "zz"))
+    # canonical joints for n = 1 and n = 0 once built instances with no cuts,
+    # on which constraint_values_j raised an IndexError
+    one = JointPmf([("q", 1), ("x1", 2), ("y1", 1)], [0.5, 0.5])
+    for small, n in ((one, 1), (JointPmf([("q", 1)], [1.0]), 0)):
+        with pytest.raises(ValueError, match="instance needs at least two nodes"):
+            DmInstance(small, n, [])
 
 
 def test_a_channel_output_is_not_a_time_sharing_variable():
@@ -561,6 +568,9 @@ def test_cutset_dm_on_noiseless_channel():
         cutset_dm(pin, chan, [2, 3], mode="unicast")
     with pytest.raises(ValueError, match="unknown mode"):
         cutset_dm(pin, chan, [3], mode="region")
+    # once an IndexError from a cut program over no cuts
+    with pytest.raises(ValueError, match="need at least one destination"):
+        cutset_dm(pin, chan, [], mode="broadcast")
 
 
 def single_hop_parts(rng, n):
@@ -798,6 +808,52 @@ def test_deterministic_inner_broadcast_matches_region():
                   lambda: det_dm_instance(net, wide, [2])):
         with pytest.raises(ValueError, match=msg):
             build()
+    # An output symbol of 2**62 once reached np.zeros, which refused it as
+    # "array is too big"; a symbol of 10**12 tried to allocate 29.1 TiB.
+    net = DeterministicNetwork([2, 2], {2: np.array([[0, 0], [1, 2**62]])}, [2])
+    pin = JointPmf([("x1", 2), ("x2", 2)], np.full((2, 2), 0.25))
+    for build in (lambda: deterministic_inner(net, pin, [2]),
+                  lambda: det_dm_instance(net, pin, [2])):
+        with pytest.raises(TensorCapError, match="deterministic joint would need"):
+            build()
+
+
+def test_deterministic_closed_form_matches_the_per_cut_loop():
+    # H(Y(S^c), X(S^c)) - sum H(X_k) against the textbook form evaluated cut
+    # by cut: generic (correlated), independent and sparse input pmfs.
+    rng = np.random.default_rng(63)
+    worst = 0.0
+    for i in range(45):
+        n = int(rng.integers(2, 6))
+        net = random_det_net(rng, n)
+        shape = tuple(net.alphabets)
+        if i % 3 == 0:
+            p = rng.random(shape)
+        elif i % 3 == 1:
+            p = rng.random(shape[0])
+            for a in shape[1:]:
+                p = np.multiply.outer(p, rng.random(a))
+        else:
+            p = rng.random(shape) * (rng.random(shape) < 0.4)
+            p.flat[int(rng.integers(p.size))] += 1.0
+        pin = JointPmf([(f"x{k}", a) for k, a in enumerate(shape, 1)], p / p.sum())
+        dest = int(rng.integers(2, n + 1))
+        dests = [d for d in range(2, n + 1) if rng.random() < 0.5] or [n]
+        want = min(deterministic_oracle(net, pin, [dest]))
+        worst = max(worst, abs(deterministic_inner(net, pin, [dest]) - want))
+        region = deterministic_inner(net, pin, dests, "broadcast")
+        want = deterministic_oracle(net, pin, dests, "broadcast")
+        assert len(region.constraints) == len(want)
+        for c, v in zip(region.constraints, want):
+            worst = max(worst, abs(c.bound - max(v, 0.0)))
+    assert worst <= 1e-12
+    # Uniform bit-pipe inputs give dyadic cells, so both forms are exact.
+    for net, det, pin in uniform_bit_pipe_networks():
+        n = net.n
+        assert deterministic_inner(det, pin, [n]) == min(deterministic_oracle(det, pin, [n]))
+        region = deterministic_inner(det, pin, range(2, n + 1), "broadcast")
+        want = deterministic_oracle(det, pin, range(2, n + 1), "broadcast")
+        assert [c.bound for c in region.constraints] == [max(v, 0.0) for v in want]
 
 
 def test_graphical_mincut_hand_example():
@@ -827,7 +883,9 @@ def test_graphical_mincut_matches_maxflow_random():
         assert graphical_mincut(net, n) == maxflow_oracle(net, n)
 
 
-def test_bit_pipe_encoding_achieves_mincut():
+def uniform_bit_pipe_networks():
+    """Four random graphical networks (``default_rng(52)``, n = 3-4, at most
+    8 bits of capacity), each with its bit-pipe encoding and uniform inputs."""
     rng = np.random.default_rng(52)
     done = 0
     while done < 4:
@@ -849,9 +907,14 @@ def test_bit_pipe_encoding_achieves_mincut():
             [(f"x{k}", a) for k, a in enumerate(det.alphabets, 1)],
             np.full(det.alphabets, 1.0 / cells),
         )
-        inner = deterministic_inner(det, pin, [n])
-        assert inner == graphical_mincut(net, n)
+        yield net, det, pin
         done += 1
+
+
+def test_bit_pipe_encoding_achieves_mincut():
+    for net, det, pin in uniform_bit_pipe_networks():
+        inner = deterministic_inner(det, pin, [net.n])
+        assert inner == graphical_mincut(net, net.n)
 
 
 def test_bit_pipe_encoder_matches_the_cell_by_cell_oracle():
@@ -1029,6 +1092,16 @@ def test_row_sums_add_like_numpy_below_eight_columns():
         assert dm._row_sums(a).tobytes() == a.sum(axis=-1).tobytes()
         t = a.transpose(0, 2, 1)
         assert dm._row_sums(t).tobytes() == t.sum(axis=-1).tobytes()
+
+
+def test_a_point_mass_region_has_no_negative_zero():
+    # Every simplex-grid pmf of constant maps is a point mass, whose row
+    # entropies once came out as -0.0.
+    reg = conferencing_dbc_region([0, 0], [0, 0], 0.0, 0.0, 4)
+    values = [*reg.boundary[0], reg.max_sum, reg.max_r2, reg.max_r3,
+              *(c.bound for c in reg.region_at_sum_opt.constraints)]
+    assert reg.boundary == ((0.0, 0.0),)
+    assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
 
 
 def test_conferencing_region_validation():

@@ -91,6 +91,10 @@ def test_enumerate_cuts_validation():
         enumerate_cuts(3, [4], "unicast")
     with pytest.raises(ValueError, match="refusing to enumerate"):
         enumerate_cuts(30, [30], "unicast")
+    # n = 0 and n = 1 once gave no cuts, and n = -1 "negative shift count"
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"need n >= 2 nodes, got {n}"):
+            enumerate_cuts(n, [], "broadcast")
 
 
 def test_enumerate_cuts_hands_out_lists_of_its_own():
