@@ -211,6 +211,12 @@ def cmd_gap_verify(args) -> int:
 
 
 def cmd_region(args) -> int:
+    flag = {"membership": "rates", "weighted": "weights"}.get(args.query)
+    if flag is not None:
+        raw = getattr(args, flag)
+        if raw is None:
+            raise ValueError(f"{args.query} query needs --{flag}")
+        vector = _split(raw, f"--{flag}")
     net = load_network(args.net)
     if not isinstance(net, GaussianNetwork):
         raise ValueError(f"{args.net}: region queries need a Gaussian network")
@@ -221,20 +227,14 @@ def cmd_region(args) -> int:
         "constraints": region.to_dicts(),
         "query": args.query,
     }
+    if flag is not None:
+        doc[flag] = vector
     if args.query == "membership":
-        if args.rates is None:
-            raise ValueError("membership query needs --rates")
-        rates = _split(args.rates, "--rates")
-        doc["rates"] = rates
-        doc["member"] = region_membership(region, rates)
+        doc["member"] = region_membership(region, vector)
     elif args.query == "symmetric":
         doc["value"] = region_max_symmetric(region)
     else:
-        if args.weights is None:
-            raise ValueError("weighted query needs --weights")
-        weights = _split(args.weights, "--weights")
-        rates, value = region_max_weighted(region, weights)
-        doc["weights"] = weights
+        rates, value = region_max_weighted(region, vector)
         doc["argmax"] = list(rates)
         doc["value"] = value
     _write(_json(doc), args.out)
@@ -258,19 +258,17 @@ def _region_doc(region) -> dict:
     return {"dims": list(region.dims), "constraints": region.to_dicts()}
 
 
-def _write_bound(args, dests, mode, value) -> int:
-    """Write the unicast value or broadcast region of an ``eval-dm`` bound."""
-    doc = {"mode": args.mode, "destinations": dests}
-    if mode == "unicast":
-        doc["value"] = value
-    else:
-        doc["region"] = _region_doc(value)
-    _write(_json(doc), args.out)
-    return 0
-
-
 def cmd_eval_dm(args) -> int:
     dests = _split(args.dest, "--dest", int) if args.dest else []
+    if args.mode == "unicast" and len(dests) != 1:
+        raise ValueError("unicast mode needs exactly one --dest")
+    if args.mode in ("multicast", "broadcast", "cutset") and not dests:
+        raise ValueError(f"{args.mode} mode needs --dest")
+    if args.mode == "repair":
+        if args.out in (None, "-"):
+            raise ValueError("repair mode writes a pmf file; give --out")
+        if args.cut is not None:
+            cut = tuple(sorted(set(_split(args.cut, "--cut", int))))
 
     if args.mode == "deterministic":
         net = load_network(args.channel)
@@ -283,64 +281,42 @@ def cmd_eval_dm(args) -> int:
         dests = dests or list(net.destinations)
         if not dests:
             raise ValueError("no destinations given (use --dest)")
+    else:
+        pmf, q_vars = dm.load_pmf(args.pmf)
+        channel = dm.load_channel(args.channel)
+    doc = {"mode": args.mode, "destinations": dests}
+
+    if args.mode in ("deterministic", "cutset"):
         mode = "unicast" if len(dests) == 1 else "broadcast"
-        value = dm.deterministic_inner(net, pmf, dests, mode)
-        return _write_bound(args, dests, mode, value)
-
-    pmf, q_vars = dm.load_pmf(args.pmf)
-    channel = dm.load_channel(args.channel)
-
-    if args.mode == "cutset":
-        if not dests:
-            raise ValueError("cutset mode needs --dest")
-        mode = "unicast" if len(dests) == 1 else "broadcast"
-        value = dm.cutset_dm(pmf, channel, dests, mode, q_vars or None)
-        return _write_bound(args, dests, mode, value)
-
-    inst = dm.DmInstance.from_parts(pmf, channel, dests, q_vars or None)
+        if args.mode == "deterministic":
+            bound = dm.deterministic_inner(net, pmf, dests, mode)
+        else:
+            bound = dm.cutset_dm(pmf, channel, dests, mode, q_vars or None)
+        if mode == "unicast":
+            doc["value"] = bound
+        else:
+            doc["region"] = _region_doc(bound)
+    else:
+        inst = dm.DmInstance.from_parts(pmf, channel, dests, q_vars or None)
 
     if args.mode == "unicast":
-        if len(dests) != 1:
-            raise ValueError("unicast mode needs exactly one --dest")
-        value, terms = dm.ddf_unicast_dm(inst, dests[0])
-        doc = {
-            "mode": args.mode,
-            "destinations": dests,
-            "value": value,
-            "cuts": _terms_doc(terms),
-        }
+        doc["value"], terms = dm.ddf_unicast_dm(inst, dests[0])
+        doc["cuts"] = _terms_doc(terms)
     elif args.mode == "multicast":
-        if not dests:
-            raise ValueError("multicast mode needs --dest")
         per_dest = {str(d): dm.ddf_unicast_dm(inst, d)[0] for d in dests}
-        doc = {
-            "mode": args.mode,
-            "destinations": dests,
-            "value": min(per_dest.values()),
-            "per_dest": per_dest,
-        }
+        doc["value"] = min(per_dest.values())
+        doc["per_dest"] = per_dest
     elif args.mode == "broadcast":
-        if not dests:
-            raise ValueError("broadcast mode needs --dest")
-        region = dm.ddf_broadcast_region_dm(inst)
-        doc = {
-            "mode": args.mode,
-            "destinations": dests,
-            "region": _region_doc(region),
-        }
+        doc["region"] = _region_doc(dm.ddf_broadcast_region_dm(inst))
     elif args.mode == "marton":
         lhs, rhs, delta = dm.marton_identity_check(inst)
         doc = {"mode": args.mode, "lhs": lhs, "rhs": rhs, "delta": delta}
-    else:  # repair
-        if args.out in (None, "-"):
-            raise ValueError("repair mode writes a pmf file; give --out")
+    elif args.mode == "repair":
         values = dm.constraint_values_j(inst)
-        if args.cut is not None:
-            cut = tuple(sorted(set(_split(args.cut, "--cut", int))))
-            if cut not in values:
-                raise ValueError(f"--cut {args.cut}: not a cut of this instance")
-        else:
+        if args.cut is None:
             cut = min(values, key=lambda s: (values[s], s))
+        elif cut not in values:
+            raise ValueError(f"--cut {args.cut}: not a cut of this instance")
         drop = {f"u{k}" for k in range(1, inst.n + 1) if k not in cut}
         keep = [(n2, s) for n2, s in pmf.variables if n2 not in drop]
         new_pmf = dm.JointPmf(keep, pmf.marginal([n2 for n2, _ in keep]))
@@ -356,9 +332,8 @@ def cmd_eval_dm(args) -> int:
             "pmf_out": args.out,
             "q_vars": list(new_q),
         }
-        sys.stdout.write(_json(doc))
-        return 0
-    _write(_json(doc), args.out)
+    # repair's --out is the pmf file, so its document goes to stdout
+    _write(_json(doc), "-" if args.mode == "repair" else args.out)
     return 0
 
 

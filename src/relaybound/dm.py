@@ -621,6 +621,10 @@ def conferencing_dbc_region(
     grid_res = as_int(grid_res, "grid_res")
     if len(y2_map) != len(y3_map) or not y2_map:
         raise ValueError("output maps must be nonempty and equally long")
+    # Entropies depend only on which inputs share a symbol, so each symbol is
+    # replaced by its rank in its map: at most m columns per receiver.
+    ranks = [{v: i for i, v in enumerate(sorted(set(t)))} for t in (y2_map, y3_map)]
+    y2_map, y3_map = ([rank[v] for v in t] for rank, t in zip(ranks, (y2_map, y3_map)))
     m = len(y2_map)
     pmfs = simplex_grid(m, grid_res)
     rows = pmfs.shape[0]

@@ -92,30 +92,18 @@ def _plan_rates(plan: np.ndarray, k_cov: np.ndarray) -> np.ndarray:
     return rates
 
 
-def _full_power_rates(
-    net: GaussianNetwork, cuts: Sequence[Cut], dest: int | None = None
-) -> list[RateBits]:
-    """The rate term of every cut at K = diag(P), one kernel call per
-    ``_STACK`` cuts."""
-    power = np.diag(net.power)
-    rates: list[RateBits] = []
-    for i in range(0, len(cuts), _STACK):
-        rates += _plan_rates(_cut_plan(net, cuts[i : i + _STACK], dest), power).tolist()
-    return rates
-
-
-def _penalty_sums(net: GaussianNetwork, cuts: Sequence[Cut]) -> list[RateBits]:
-    """The far-side penalties of each cut, summed in far-side order."""
-    pen = {k: node_penalty(net, k) for k in range(2, net.n + 1)}
-    return [sum(pen[k] for k in cut.complement) for cut in cuts]
-
-
 def _ddf_rows(
-    net: GaussianNetwork, cuts: Sequence[Cut]
+    net: GaussianNetwork, cuts: Sequence[Cut], dest: int | None = None
 ) -> tuple[list[RateBits], list[RateBits]]:
-    """(rate terms, inner-bound values) of every cut."""
-    terms = _full_power_rates(net, cuts)
-    return terms, [t - p for t, p in zip(terms, _penalty_sums(net, cuts))]
+    """(rate terms, inner-bound values) of every cut at K = diag(P), one
+    kernel call per ``_STACK`` cuts, with ``dest`` as in ``_cut_plan``.  A
+    value is its term less the far-side penalties, summed in far-side order."""
+    power = np.diag(net.power)
+    terms: list[RateBits] = []
+    for i in range(0, len(cuts), _STACK):
+        terms += _plan_rates(_cut_plan(net, cuts[i : i + _STACK], dest), power).tolist()
+    pen = {k: node_penalty(net, k) for k in range(2, net.n + 1)}
+    return terms, [t - sum(pen[k] for k in cut.complement) for t, cut in zip(terms, cuts)]
 
 
 def _validate_cov(net: GaussianNetwork, k_cov: np.ndarray) -> np.ndarray:
@@ -212,8 +200,7 @@ def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
     """Achievable rate to a single destination: minimum over unicast cuts."""
     dest = as_node(dest, net.n, "dest", first=2)
     cuts = enumerate_cuts(net.n, {dest}, "unicast")
-    terms = _full_power_rates(net, cuts, dest)
-    return min(t - p for t, p in zip(terms, _penalty_sums(net, cuts)))
+    return min(_ddf_rows(net, cuts, dest)[1])
 
 
 def ddf_region(net: GaussianNetwork) -> RateRegion:

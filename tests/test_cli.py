@@ -12,6 +12,9 @@ from relaybound import (
     DeterministicNetwork,
     GaussianNetwork,
     JointPmf,
+    cutset_dm,
+    deterministic_inner,
+    load_channel,
     load_pmf,
     save_network,
     save_pmf,
@@ -315,6 +318,15 @@ def test_region_usage_errors(tmp_path):
         ["region", "--net", str(tmp_path / "nope.json"), "--query", "symmetric"]
     )
     assert code == 2
+    # --rates and --weights are checked before the network file is read
+    missing = ["region", "--net", str(tmp_path / "nope.json"), "--query"]
+    for argv, message in (
+        (["membership"], "membership query needs --rates"),
+        (["weighted"], "weighted query needs --weights"),
+        (["membership", "--rates", "a,b"],
+         "--rates: expected comma-separated numbers, got 'a,b'"),
+    ):
+        assert run_full(missing + argv) == (2, "", f"error: {message}\n")
     det = write_json(
         tmp_path / "det.json",
         {
@@ -551,6 +563,44 @@ def test_eval_dm_repair(tmp_path):
     assert code == 2
 
 
+def test_eval_dm_cutset_region_document(tmp_path):
+    pmf, chan = repair_files(tmp_path)
+    out = tmp_path / "cut.json"
+    code, _ = run(["eval-dm", "--pmf", pmf, "--channel", chan, "--mode", "cutset",
+                   "--dest", "2,3", "--out", str(out)])
+    assert code == 0
+    region = cutset_dm(load_pmf(pmf)[0], load_channel(chan), [2, 3], "broadcast")
+    assert json.loads(out.read_text()) == {
+        "mode": "cutset",
+        "destinations": [2, 3],
+        "region": json.loads(json.dumps(
+            {"dims": list(region.dims), "constraints": region.to_dicts()})),
+    }
+
+
+def test_eval_dm_deterministic_region_document(tmp_path):
+    net = DeterministicNetwork([2, 2, 2], {
+        2: np.array([[[0, 1], [1, 1]], [[1, 0], [2, 2]]]),
+        3: np.array([[[0, 0], [0, 1]], [[1, 1], [1, 0]]]),
+    }, [2, 3])
+    save_network(net, tmp_path / "det_net.json")
+    pmf = JointPmf([(f"x{k}", 2) for k in (1, 2, 3)],
+                   np.arange(1.0, 9.0).reshape(2, 2, 2) / 36.0)
+    save_pmf(pmf, tmp_path / "det_pmf.json")
+    out = tmp_path / "det.json"
+    code, _ = run(["eval-dm", "--pmf", str(tmp_path / "det_pmf.json"), "--channel",
+                   str(tmp_path / "det_net.json"), "--mode", "deterministic",
+                   "--out", str(out)])
+    assert code == 0
+    region = deterministic_inner(net, pmf, [2, 3], "broadcast")
+    assert json.loads(out.read_text()) == {
+        "mode": "deterministic",
+        "destinations": [2, 3],
+        "region": json.loads(json.dumps(
+            {"dims": list(region.dims), "constraints": region.to_dicts()})),
+    }
+
+
 def test_eval_dm_deterministic(tmp_path):
     net = DeterministicNetwork(
         [2, 2], {2: np.array([[0, 0], [1, 1]])}, [2]
@@ -608,6 +658,21 @@ def test_eval_dm_deterministic(tmp_path):
     assert code == 2
 
 
+def over_cap_instance_files(tmp_path):
+    """A 5,000-cell pmf (x1: 2, u2: 2,500) and a 5,000-cell channel
+    (x1 -> y2: 2,500) whose full joint needs 12.5M cells, past the cap."""
+    pmf = write_json(tmp_path / "big_pmf.json", {
+        "vars": [{"name": "x1", "size": 2}, {"name": "u2", "size": 2500}],
+        "probs": [1 / 5000] * 5000,
+    })
+    chan = write_json(tmp_path / "big_chan.json", {
+        "vars": [{"name": "x1", "size": 2}, {"name": "y2", "size": 2500}],
+        "given": ["x1"],
+        "probs": [1 / 2500] * 5000,
+    })
+    return pmf, chan
+
+
 def test_eval_dm_usage_errors(tmp_path):
     pmf, chan = xor_instance_files(tmp_path)
     code, _ = run(
@@ -659,6 +724,27 @@ def test_eval_dm_usage_errors(tmp_path):
         ["eval-dm", "--pmf", nan_pmf, "--channel", chan, "--mode", "unicast", "--dest", "2"]
     )
     assert code == 2
+
+    # Usage is checked before any file is read: on an instance whose joint
+    # passes the cell cap, each of these once exited 3 with the cap message.
+    big_pmf, big_chan = over_cap_instance_files(tmp_path)
+    base = ["eval-dm", "--pmf", big_pmf, "--channel", big_chan, "--mode"]
+    usage = [
+        (["unicast"], "unicast mode needs exactly one --dest"),
+        (["unicast", "--dest", "2,3"], "unicast mode needs exactly one --dest"),
+        (["multicast"], "multicast mode needs --dest"),
+        (["broadcast"], "broadcast mode needs --dest"),
+        (["cutset"], "cutset mode needs --dest"),
+        (["repair", "--dest", "2"], "repair mode writes a pmf file; give --out"),
+        (["repair", "--cut", "1,a", "--out", str(tmp_path / "rep.json")],
+         "--cut: expected comma-separated integers, got '1,a'"),
+    ]
+    for argv, message in usage:
+        assert run_full(base + argv) == (2, "", f"error: {message}\n")
+    code, _, err = run_full(base + ["unicast", "--dest", "2"])
+    assert code == 3
+    assert "full joint would need 12500000 cells" in err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_eval_dm_resource_cap(tmp_path):

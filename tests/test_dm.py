@@ -1061,14 +1061,16 @@ def test_pareto_frontier_matches_loop_oracle():
         assert reg.boundary == loop_frontier(corner_r2, corner_r3)
 
 
+def region_snapshot(reg):
+    """Every field and cap array of a conferencing region, as bytes where exact."""
+    return (reg.max_sum, reg.max_r2, reg.max_r3, reg.sum_argmax,
+            reg.region_at_sum_opt, reg.boundary, reg._r2_caps.tobytes(),
+            reg._r3_caps.tobytes(), reg._sum_caps.tobytes())
+
+
 def test_conferencing_region_is_the_same_for_any_block_size(monkeypatch):
     # The simplex grid is reduced in row blocks, each block's corners
     # pre-filtered before one frontier pass: the block size must not show.
-    def snapshot(reg):
-        return (reg.max_sum, reg.max_r2, reg.max_r3, reg.sum_argmax,
-                reg.region_at_sum_opt, reg.boundary, reg._r2_caps.tobytes(),
-                reg._r3_caps.tobytes(), reg._sum_caps.tobytes())
-
     rng = np.random.default_rng(61)
     cases = [([0, 1, 0], [0, 1, 1], 0.0, 0.0, 60), ([0, 1, 0], [0, 1, 1], 0.0, 0.5, 45)]
     for _ in range(8):
@@ -1076,10 +1078,10 @@ def test_conferencing_region_is_the_same_for_any_block_size(monkeypatch):
         cases.append((rng.integers(0, 3, m).tolist(), rng.integers(0, 3, m).tolist(),
                       *(float(c) for c in rng.choice([0.0, 0.1, 0.5], 2)), 18))
     for y2, y3, c23, c32, res in cases:
-        whole = snapshot(conferencing_dbc_region(y2, y3, c23, c32, res))
+        whole = region_snapshot(conferencing_dbc_region(y2, y3, c23, c32, res))
         for rows in (1, 7, 100):
             monkeypatch.setattr(dm, "_BLOCK_ROWS", rows)
-            assert snapshot(conferencing_dbc_region(y2, y3, c23, c32, res)) == whole
+            assert region_snapshot(conferencing_dbc_region(y2, y3, c23, c32, res)) == whole
         monkeypatch.undo()
 
 
@@ -1102,6 +1104,18 @@ def test_a_point_mass_region_has_no_negative_zero():
               *(c.bound for c in reg.region_at_sum_opt.constraints)]
     assert reg.boundary == ((0.0, 0.0),)
     assert [math.copysign(1.0, v) for v in values] == [1.0] * len(values)
+
+
+def test_conferencing_region_ranks_output_symbols():
+    # Only which inputs share a symbol matters.  The block joint was once
+    # sized by the largest symbol: 2**62 raised numpy's "array is too big"
+    # and 10**30 overflowed.
+    small = region_snapshot(conferencing_dbc_region([0, 1], [0, 0], 0.0, 0.0, 4))
+    for big in (2**62, 10**30):
+        assert region_snapshot(conferencing_dbc_region([0, big], [0, 0], 0.0, 0.0, 4)) == small
+    gappy = conferencing_dbc_region([7, 0, 7], [3, 9, 9], 0.1, 0.2, 30)
+    assert region_snapshot(gappy) == region_snapshot(
+        conferencing_dbc_region([1, 0, 1], [0, 1, 1], 0.1, 0.2, 30))
 
 
 def test_conferencing_region_validation():
