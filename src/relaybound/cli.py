@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dm
 from .diamond import diamond_sweep
-from .errors import SchemaError, TensorCapError, as_power
+from .errors import SchemaError, TensorCapError, as_numbers, as_power
 from .gaussian import ddf_region, gap_certificate
 from .networks import DeterministicNetwork, GaussianNetwork, load_network
 from .regions import (
@@ -217,6 +217,7 @@ def cmd_region(args) -> int:
         if raw is None:
             raise ValueError(f"{args.query} query needs --{flag}")
         vector = _split(raw, f"--{flag}")
+        as_numbers(vector, flag)
     net = load_network(args.net)
     if not isinstance(net, GaussianNetwork):
         raise ValueError(f"{args.net}: region queries need a Gaussian network")

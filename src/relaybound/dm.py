@@ -477,7 +477,8 @@ def simplex_grid(cells: int, resolution: int) -> np.ndarray:
     """All pmfs on ``cells`` outcomes with probabilities i/resolution.
 
     Rows are in lexicographic order.  Intended for sweeping at most a few
-    free variables; larger alphabets are refused.
+    free variables; larger alphabets are refused, and a grid of more than
+    2,000,000 rows raises TensorCapError.
     """
     cells, resolution = as_int(cells, "cells"), as_int(resolution, "resolution")
     if cells < 1 or cells > 4:
@@ -486,7 +487,7 @@ def simplex_grid(cells: int, resolution: int) -> np.ndarray:
         raise ValueError("resolution must be positive")
     count = math.comb(resolution + cells - 1, cells - 1)
     if count > 2_000_000:
-        raise ValueError(f"{count} grid points is too many; lower the resolution")
+        raise TensorCapError(f"{count} grid points is too many; lower the resolution")
     # Lexicographic order, built one column at a time: each row is repeated
     # once per value its next count can take, from 0 up to its remaining mass.
     counts: list[np.ndarray] = []
@@ -564,14 +565,14 @@ def _rising(r3s: np.ndarray) -> np.ndarray:
 
 
 def _undominated(corner_r2: np.ndarray, corner_r3: np.ndarray) -> np.ndarray:
-    """Ascending indices of the corners that ``_pareto_frontier`` may keep.
+    """Indices of the corners that ``_pareto_frontier`` may keep.
 
     A corner is left out when one before it in a stable decreasing-r2 order
     has at least its r3; that corner also precedes it in the frontier scan,
     which therefore never keeps it.
     """
     order = np.argsort(-corner_r2, kind="stable")
-    return np.sort(order[_rising(corner_r3[order])])
+    return order[_rising(corner_r3[order])]
 
 
 def _pareto_frontier(
@@ -633,9 +634,8 @@ def conferencing_dbc_region(
     r2_caps, r3_caps, h23 = np.empty(rows), np.empty(rows), np.empty(rows)
     i_sum, max_sum, max_r2, max_r3 = 0, -math.inf, -math.inf, -math.inf
     # Each polytope's two upper corners that are undominated within their
-    # block; all first corners precede all second corners, as in one pass.
-    firsts: list[np.ndarray] = []
-    seconds: list[np.ndarray] = []
+    # block; the frontier sorts them, so their order does not matter.
+    kept_corners: list[np.ndarray] = []
     for lo in range(0, rows, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, rows)
         joint = np.zeros((hi - lo, a2, a3))
@@ -656,10 +656,8 @@ def conferencing_dbc_region(
         corner_r2 = np.concatenate([top_r2, np.minimum(r2, h - top_r3)])
         corner_r3 = np.concatenate([np.minimum(r3, h - top_r2), top_r3])
         kept = _undominated(corner_r2, corner_r3)
-        split = int(np.searchsorted(kept, hi - lo))
-        firsts.append(np.stack([corner_r2[kept[:split]], corner_r3[kept[:split]]]))
-        seconds.append(np.stack([corner_r2[kept[split:]], corner_r3[kept[split:]]]))
-    corners = np.concatenate(firsts + seconds, axis=1)
+        kept_corners.append(np.stack([corner_r2[kept], corner_r3[kept]]))
+    corners = np.concatenate(kept_corners, axis=1)
     region = RateRegion(
         (2, 3),
         [

@@ -112,8 +112,6 @@ def _validate_cov(net: GaussianNetwork, k_cov: np.ndarray) -> np.ndarray:
     k = as_numbers(k_cov, "k_cov")
     if k.shape != (net.n, net.n):
         raise ValueError(f"covariance must be {net.n}x{net.n}, got {k.shape}")
-    if not np.all(np.isfinite(k)):
-        raise ValueError("covariance must be finite")
     tol = 1e-9 * max(1.0, float(np.max(np.abs(k))))
     if np.max(np.abs(k - k.T)) > tol:
         raise ValueError(f"covariance is not symmetric within {tol:.3e}")
@@ -190,8 +188,8 @@ def ddf_rates_general(
     if sig.shape != (n,):
         raise ValueError(f"sigma_sq must be a scalar or length-{n} vector")
     # every node but the source is on the far side of the cut {1}
-    if not np.all((sig[1:] > 0) & (sig[1:] < math.inf)):
-        raise ValueError("quantizer variances must be finite and positive on the far side")
+    if not np.all(sig[1:] > 0):
+        raise ValueError("quantizer variances must be positive on the far side")
     inst = DmInstance(_GaussianJoint(net, k, sig), n, net.destinations)
     return _cut_values(inst, net.destinations, False, _DDF)[1].tolist()
 
@@ -415,8 +413,6 @@ class GapCertificate:
 def gap_certificate(net: GaussianNetwork) -> GapCertificate:
     half_n = net.n / 2.0
     cuts = enumerate_cuts(net.n, net.destinations, "broadcast")
-    if not cuts:
-        raise ValueError("network has no broadcast cuts")
     rows = []
     for cut, term, ddf in zip(cuts, *_ddf_rows(net, cuts)):
         upper = term + len(cut.s) / 2.0

@@ -50,7 +50,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, TensorCapError, as_int, as_number
+from .errors import SchemaError, TensorCapError, as_int, as_number, as_numbers
 
 #: Probabilities strictly below this are treated as exact zeros.
 ZERO_EPS = 1e-15
@@ -131,12 +131,9 @@ def checked_tensor(variables: Sequence[tuple[str, int]], probs) -> tuple[tuple, 
             raise SchemaError(f"variable {name!r} has alphabet size {size} < 1")
     shape = tuple(s for _, s in variables)
     capped_cells(shape, "joint tensor")
-    arr = np.asarray(probs, dtype=float).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("probabilities must be finite")
+    arr = as_numbers(np.asarray(probs, dtype=float).reshape(shape), "probs")
     if np.any(arr < 0):
         raise ValueError("probabilities must be nonnegative")
-    arr = arr.copy()
     arr.flags.writeable = False
     return variables, arr
 

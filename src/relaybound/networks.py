@@ -80,8 +80,6 @@ class GaussianNetwork:
         g = as_numbers(gains, "gains")
         if g.shape != (n, n):
             raise ValueError(f"gains must be {n}x{n}, got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains must be finite")
         for i in np.flatnonzero(np.diag(g))[:1]:
             raise ValueError(f"gains[{i}][{i}]: diagonal entries must be zero (no self-link)")
         p = np.asarray(power, dtype=object)
@@ -132,8 +130,6 @@ class DeterministicNetwork:
         for k, table in maps.items():
             k = as_node(k, n, f"maps[{k!r}] node", first=2)
             vals = as_numbers(table, f"maps[{k}]").reshape(shape)
-            if not np.all(np.isfinite(vals)):
-                raise ValueError(f"map y{k} symbols must be finite")
             if np.any(vals != np.floor(vals)):
                 raise ValueError(f"map y{k} has non-integral symbols")
             if np.any(vals < 0):

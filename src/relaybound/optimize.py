@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, UnboundedError, as_int
+from .errors import InfeasibleError, UnboundedError, as_int, as_numbers
 
 log = logging.getLogger(__name__)
 
@@ -244,10 +244,8 @@ def simplex_lp_max(
     UnboundedError.  A NaN bound, or a non-finite objective or row
     coefficient, raises ValueError naming it.
     """
-    c = np.asarray(c, dtype=float)
+    c = as_numbers(np.asarray(c, dtype=float), "objective")
     n = c.size
-    if not np.isfinite(c).all():
-        raise ValueError(f"objective coefficients must be finite, got {c.tolist()}")
     rows = []
     bs = []
     for i, (coeffs, bound) in enumerate(constraints):
@@ -257,11 +255,9 @@ def simplex_lp_max(
             continue
         if bound < 0:
             raise InfeasibleError(f"constraint bound {bound} < 0 with x >= 0")
-        a = np.asarray(coeffs, dtype=float)
+        a = as_numbers(np.asarray(coeffs, dtype=float), f"constraint {i} coefficients")
         if a.size != n:
             raise ValueError(f"constraint arity {a.size} != objective arity {n}")
-        if not np.isfinite(a).all():
-            raise ValueError(f"constraint {i}: coefficients must be finite, got {a.tolist()}")
         rows.append(a)
         bs.append(float(bound))
     m = len(rows)

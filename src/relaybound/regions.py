@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SchemaError, as_int, as_number
+from .errors import SchemaError, as_int, as_number, as_numbers
 from .networks import Cut
 # bisect_feasible is unused here; the benchmark's tracer wraps it by this name.
 from .optimize import bisect_feasible, simplex_lp_max  # noqa: F401
@@ -76,19 +76,9 @@ def region_from_cuts(
     return RateRegion(dims, constraints)
 
 
-def _finite_numbers(values: Sequence[float], what: str) -> list[float]:
-    """``values`` as floats; an entry that is not a number, or is NaN or
-    infinite, raises SchemaError naming it as ``what[i]``."""
-    out = [as_number(v, f"{what}[{i}]") for i, v in enumerate(values)]
-    for i, v in enumerate(out):
-        if not math.isfinite(v):
-            raise SchemaError(f"{what}[{i}]: must be finite, got {v}")
-    return out
-
-
 def region_membership(region: RateRegion, rates: Sequence[float]) -> bool:
     """True when the rate tuple satisfies every constraint within 1e-9 slack."""
-    rates = _finite_numbers(rates, "rates")
+    rates = as_numbers(np.fromiter(rates, dtype=object), "rates").tolist()
     if len(rates) != len(region.dims):
         raise ValueError(f"expected {len(region.dims)} rates, got {len(rates)}")
     if any(r < 0 for r in rates):
@@ -115,7 +105,7 @@ def region_max_weighted(
     region: RateRegion, weights: Sequence[float]
 ) -> tuple[np.ndarray, float]:
     """Maximize sum_d w_d R_d over the region via the simplex LP."""
-    weights = _finite_numbers(weights, "weights")
+    weights = as_numbers(np.fromiter(weights, dtype=object), "weights")
     if len(weights) != len(region.dims):
         raise ValueError(f"expected {len(region.dims)} weights, got {len(weights)}")
     return simplex_lp_max(weights, _clamped(region))

@@ -208,6 +208,8 @@ def test_gap_verify(tmp_path):
 
     code, _ = run(["gap-verify", "--n", "1"])
     assert code == 2
+    assert run_full(["gap-verify", "--trials", "-1"]) == (
+        2, "", "error: trials must be nonnegative\n")
 
 
 def test_gap_verify_at_high_snr(tmp_path):
@@ -228,8 +230,8 @@ def test_region_rejects_non_finite_network_file(tmp_path):
     path = tmp_path / "nan_net.json"
     path.write_text('{"model": "gaussian", "n": 2, "power": 1.0, '
                     '"gains": [[0, 0], [NaN, 0]], "destinations": [2]}')
-    code, _ = run(["region", "--net", str(path), "--query", "symmetric"])
-    assert code == 2
+    assert run_full(["region", "--net", str(path), "--query", "symmetric"]) == (
+        2, "", "error: gains[1][0]: must be finite, got nan\n")
 
 
 def two_node_net_file(tmp_path):
@@ -325,6 +327,8 @@ def test_region_usage_errors(tmp_path):
         (["weighted"], "weighted query needs --weights"),
         (["membership", "--rates", "a,b"],
          "--rates: expected comma-separated numbers, got 'a,b'"),
+        (["membership", "--rates", "nan"], "rates[0]: must be finite, got nan"),
+        (["weighted", "--weights", "1,inf"], "weights[1]: must be finite, got inf"),
     ):
         assert run_full(missing + argv) == (2, "", f"error: {message}\n")
     det = write_json(
@@ -656,6 +660,18 @@ def test_eval_dm_deterministic(tmp_path):
         ]
     )
     assert code == 2
+    # nor is a Gaussian network file, and a file without destinations needs --dest
+    gauss = write_json(tmp_path / "gauss_net.json", {
+        "model": "gaussian", "n": 2, "power": 1.0, "gains": [[0, 0], [1, 0]],
+        "destinations": [2]})
+    bare = write_json(tmp_path / "bare_net.json", {
+        "model": "deterministic", "alphabets": [2, 2], "maps": {"y2": [0, 0, 1, 1]}})
+    for channel, message in (
+        (gauss, f"{gauss}: deterministic mode needs a deterministic network file"),
+        (bare, "no destinations given (use --dest)"),
+    ):
+        assert run_full(["eval-dm", "--pmf", pmf_path, "--channel", channel,
+                         "--mode", "deterministic"]) == (2, "", f"error: {message}\n")
 
 
 def over_cap_instance_files(tmp_path):
@@ -790,6 +806,9 @@ def test_eval_dm_resource_cap(tmp_path):
                              str(tmp_path / "wide_net.json"), "--mode", "deterministic"])
     assert code == 3
     assert "deterministic joint would need" in err
+    # the conferencing sweep's grid cap once exited 2 as a usage error
+    assert run_full(["blackwell", "--grid-res", "3000"]) == (
+        3, "", "error: 4504501 grid points is too many; lower the resolution\n")
 
 
 def test_blackwell_csv(tmp_path):

@@ -24,7 +24,6 @@ from relaybound import (
     ddf_diamond_opt,
     df_diamond,
     diamond_sweep,
-    golden_max,
     grid_then_refine,
     nnc_diamond,
     nnc_diamond_opt,
@@ -39,6 +38,7 @@ from relaybound.diamond import (
     ddf_diamond_terms,
     nnc_diamond_terms,
 )
+from relaybound.optimize import golden_max
 
 LN2 = math.log(2.0)
 

@@ -233,6 +233,8 @@ def test_dm_instance_validation():
     for small, n in ((one, 1), (JointPmf([("q", 1)], [1.0]), 0)):
         with pytest.raises(ValueError, match="instance needs at least two nodes"):
             DmInstance(small, n, [])
+    with pytest.raises(ValueError, match="instance has no destinations"):
+        ddf_broadcast_region_dm(DmInstance(joint, 2, []))
 
 
 def test_a_channel_output_is_not_a_time_sharing_variable():
@@ -964,7 +966,8 @@ def test_simplex_grid_shape_and_order():
         simplex_grid(5, 4)
     with pytest.raises(ValueError, match="resolution"):
         simplex_grid(2, 0)
-    with pytest.raises(ValueError, match="too many"):
+    # a grid past 2,000,000 rows is a resource cap, not a usage error
+    with pytest.raises(TensorCapError, match="too many"):
         simplex_grid(4, 300)
 
 
@@ -1177,8 +1180,24 @@ def test_pmf_file_schema_errors(tmp_path):
     path.write_text(
         json.dumps({"vars": [{"name": "x1", "size": 2}], "probs": [math.nan, 1.0]})
     )
-    with pytest.raises(SchemaError, match="finite"):
+    with pytest.raises(SchemaError, match=r"probs\[0\]: must be finite, got nan"):
         load_pmf(path)
+    x1 = {"name": "x1", "size": 2}
+    for doc, message in (
+        ({"vars": ["x1"], "probs": [1.0]}, r"vars\[0\]: expected an object"),
+        ({"vars": [{"name": 1, "size": 2}], "probs": [0.5, 0.5]},
+         r"vars\[0\]\.name: expected a string"),
+        ({"vars": [{"name": "x1", "size": 0}], "probs": []},
+         r"vars\[0\]\.size: expected a positive integer"),
+        ({"vars": [x1], "probs": "0.5,0.5"}, "probs: expected a flat list"),
+        ({"vars": [x1], "probs": [0.5, 0.5], "q_vars": "x1"},
+         "q_vars: expected a list of variable names"),
+        ({"vars": [x1], "probs": [0.5, 0.5], "q_vars": [1]},
+         "q_vars: expected a list of variable names"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=message):
+            load_pmf(path)
     # a tiny file cannot demand a huge tensor
     path.write_text(
         json.dumps(

@@ -11,6 +11,7 @@ from relaybound import (
     Cut,
     DiamondConfig,
     GaussianNetwork,
+    SchemaError,
     cutset_cut_rate,
     cutset_estimate,
     cutset_diamond_opt,
@@ -196,8 +197,13 @@ def test_ddf_general_validation():
     power = np.diag(net.power)
     with pytest.raises(ValueError, match="sigma_sq"):
         ddf_rates_general(net, power, np.ones(2))
-    for bad in (0.0, [1.0, -1.0, 1.0], [1.0, 1.0, math.nan], [1.0, math.inf, 1.0]):
+    for bad in (0.0, [1.0, -1.0, 1.0]):
         with pytest.raises(ValueError, match="positive on the far side"):
+            ddf_rates_general(net, power, bad)
+    for bad, message in (([1.0, 1.0, math.nan], r"sigma_sq\[2\]: must be finite, got nan"),
+                         ([1.0, math.inf, 1.0], r"sigma_sq\[1\]: must be finite, got inf"),
+                         (math.nan, "sigma_sq: must be finite, got nan")):
+        with pytest.raises(SchemaError, match=message):
             ddf_rates_general(net, power, bad)
     # the source is never on the far side, so its sigma^2 is not read
     assert ddf_rates_general(net, power, [0.0, 1.0, 1.0]) == ddf_rates_general(net, power)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,10 @@ def test_gaussian_network_validation():
         GaussianNetwork(2, np.zeros((2, 2)), 1.0, [])
     with pytest.raises(ValueError, match="destinations"):
         GaussianNetwork(2, np.zeros((2, 2)), 1.0, [1])
+    with pytest.raises(ValueError, match="need n >= 2 nodes, got 1"):
+        GaussianNetwork(1, np.zeros((1, 1)), 1.0, [2])
+    with pytest.raises(ValueError, match="power must be a scalar or length-2 vector"):
+        GaussianNetwork(2, np.zeros((2, 2)), [1.0, 1.0, 1.0], [2])
 
 
 def test_received_snr_manual():
@@ -174,6 +179,8 @@ def test_deterministic_network_validation():
         DeterministicNetwork([2, 2], {5: np.zeros((2, 2), int), 2: np.zeros((2, 2), int)}, [2])
     with pytest.raises(ValueError, match="n >= 2"):
         DeterministicNetwork([2], {}, [])
+    with pytest.raises(ValueError, match="alphabet sizes must be >= 1"):
+        DeterministicNetwork([2, 0], {2: []}, [2])
 
 
 def test_deterministic_map_symbols_must_fit_int64():
@@ -196,6 +203,8 @@ def test_graphical_network_validation():
     assert net5.n == 5
     with pytest.raises(ValueError, match="self-loop"):
         GraphicalNetwork([(2, 2, 1.0)], [2])
+    with pytest.raises(ValueError, match="has nodes below 1"):
+        GraphicalNetwork([(0, 2, 1.0)], [2])
     with pytest.raises(ValueError, match="negative capacity"):
         GraphicalNetwork([(1, 2, -1.0)], [2])
     with pytest.raises(ValueError, match="smaller than"):
@@ -313,6 +322,10 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="unknown model"):
         load_network(path)
 
+    path.write_text(json.dumps({"model": 3}))
+    with pytest.raises(SchemaError, match="model: expected str, got int"):
+        load_network(path)
+
     doc = {"model": "gaussian", "n": 2, "power": 1.0,
            "gains": [[0, 1], [1, "x"]], "destinations": [2]}
     path.write_text(json.dumps(doc))
@@ -329,6 +342,12 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="expected 2 rows"):
         load_network(path)
 
+    for row in ([1], 1.0):
+        doc["gains"] = [[0, 1], row]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"gains\[1\]: expected a row of 2 numbers"):
+            load_network(path)
+
     doc = {"model": "gaussian", "n": 2, "power": "high",
            "gains": [[0, 1], [1, 0]], "destinations": [2]}
     path.write_text(json.dumps(doc))
@@ -341,10 +360,20 @@ def test_schema_errors(tmp_path):
     with pytest.raises(SchemaError, match="maps.z2"):
         load_network(path)
 
+    doc["maps"] = {"y2": "0000"}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="maps.y2: expected a flat list of symbols"):
+        load_network(path)
+
     doc = {"model": "graphical", "edges": [{"from": 1, "to": 2}],
            "destinations": [2]}
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=r"edges\[0\].cap"):
+        load_network(path)
+
+    doc["edges"] = [[1, 2, 1.0]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"edges\[0\]: expected an object"):
         load_network(path)
 
     # integer fields: bools, non-numbers and non-integral numbers are refused
@@ -383,6 +412,8 @@ def test_schema_errors(tmp_path):
 
 def test_gaussian_network_rejects_non_finite_inputs(tmp_path):
     g = np.array([[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(SchemaError, match=r"^gains\[0\]\[1\]: must be finite, got nan$"):
+        GaussianNetwork(2, [[0, math.nan], [1, 0]], 1.0, [2])
     for bad in (np.nan, np.inf, -np.inf):
         gains = g.copy()
         gains[1, 0] = bad

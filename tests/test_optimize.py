@@ -10,12 +10,12 @@ from relaybound import (
     Box,
     BoxDim,
     InfeasibleError,
+    SchemaError,
     UnboundedError,
-    bisect_feasible,
-    golden_max,
     grid_then_refine,
     simplex_lp_max,
 )
+from relaybound.optimize import bisect_feasible, golden_max
 
 
 def lp_vertex_oracle(c, constraints):
@@ -280,11 +280,12 @@ def test_simplex_edge_cases():
     x, val = simplex_lp_max([-1.0], [])
     assert val == 0.0
     # a NaN objective once gave the value nan, and an infinite one warned
-    for c in ([math.nan, 1.0], [math.inf, 1.0]):
-        with pytest.raises(ValueError, match="objective coefficients must be finite"):
+    for c, message in (([math.nan, 1.0], r"objective\[0\]: must be finite, got nan"),
+                       ([1.0, math.inf], r"objective\[1\]: must be finite, got inf")):
+        with pytest.raises(SchemaError, match=message):
             simplex_lp_max(c, [([1.0, 1.0], 1.0)])
     # these three once raised "objective unbounded along variable 0"
-    with pytest.raises(ValueError, match="constraint 1: coefficients must be finite"):
+    with pytest.raises(SchemaError, match=r"constraint 1 coefficients\[0\]: must be finite, got nan"):
         simplex_lp_max([1.0, 1.0], [([1.0, 1.0], 2.0), ([math.nan, 1.0], 1.0)])
     with pytest.raises(ValueError, match="constraint 0: bound must not be NaN"):
         simplex_lp_max([1.0, 1.0], [([1.0, 1.0], math.nan)])
