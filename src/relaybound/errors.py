@@ -91,11 +91,14 @@ def _index(k: int, shape: tuple[int, ...]) -> str:
 
 def as_numbers(values, what: str) -> np.ndarray:
     """``values`` as a float array of the same shape, every entry finite.  A
-    numeric ndarray converts in one call; any other entry that is not a float
-    is read by ``as_number``.  A bad entry is named by its index, e.g.
-    ``what[1][0]``."""
+    numeric ndarray, or a flat list or tuple of plain floats and ints,
+    converts in one call; any other entry that is not a float is read by
+    ``as_number``, which refuses a bool or a string.  A bad entry is named by
+    its index, e.g. ``what[1][0]``."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         arr = values.astype(float)
+    elif type(values) in (list, tuple) and all(type(v) in (float, int) for v in values):
+        arr = np.array(values, dtype=float)
     else:
         obj = np.asarray(values, dtype=object)
         flat = obj.ravel().tolist()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .dm import _DDF, DmInstance, _canonical_vars, _cut_values
 from .errors import as_int, as_node, as_number, as_numbers
 from .info import RateBits, log_det_rate
-from .networks import Cut, GaussianNetwork, enumerate_cuts, received_snr
+from .networks import _TABLE_NODES, Cut, GaussianNetwork, enumerate_cuts, received_snr
 from .networks import cut_submatrix  # noqa: F401 -- a module attribute the benchmark tracer wraps
 from .regions import RateRegion, region_from_cuts
 
@@ -54,14 +55,30 @@ def _cut_plan(
     The other rows are zero, so det(I + A K A^T) equals the determinant over
     the far block, |I + G(S) K(S) G(S)^T|.  With ``dest`` the destination's
     row is appended once more (n + 1 rows): the unicast cut's doubled
-    observation.
+    observation.  The 0/1 pattern comes from ``_cut_pattern``.
     """
-    masks = np.array([sum(1 << (k - 1) for k in cut.s) for cut in cuts], dtype=np.int64)
-    near = (masks[:, None] >> np.arange(net.n)) & 1 == 1
-    plan = np.where(~near[:, :, None] & near[:, None, :], net.gains, 0.0)
+    build = _cut_pattern if net.n <= _TABLE_NODES else _cut_pattern.__wrapped__
+    pattern, rows = build(net.n, tuple([cut.s for cut in cuts]), dest)
+    return np.where(pattern, net.gains[rows], 0.0)
+
+
+@lru_cache(maxsize=64)
+def _cut_pattern(n: int, sides: tuple[tuple[int, ...], ...], dest: int | None):
+    """(pattern, rows) of ``_cut_plan``: the read-only 0/1 far-row by
+    near-column pattern of the cuts with source sides ``sides``, and the
+    rows of G it selects, the destination's row once more at the end when
+    ``dest`` is given.  Kept per cut list, like ``enumerate_cuts``' tables,
+    for networks of at most ``_TABLE_NODES`` nodes."""
+    masks = np.array([sum(1 << (k - 1) for k in s) for s in sides], dtype=np.int64)
+    near = (masks[:, None] >> np.arange(n)) & 1 == 1
+    pattern = ~near[:, :, None] & near[:, None, :]
+    rows = slice(None)
     if dest is not None:
-        plan = np.concatenate([plan, plan[:, dest - 1 : dest]], axis=1)
-    return plan
+        rows = np.append(np.arange(n), dest - 1)
+        pattern = pattern[:, rows]
+        rows.flags.writeable = False
+    pattern.flags.writeable = False
+    return pattern, rows
 
 
 #: Largest Gram entry A K A^T that the Gram route takes.  Rounding the Gram
@@ -79,6 +96,9 @@ def _plan_rates(plan: np.ndarray, k_cov: np.ndarray) -> np.ndarray:
     past ``_GRAM_GATE`` sum (1/2) log2(1 + s^2) over the singular values s of
     A K^{1/2} instead, with K^{1/2} from ``eigh``."""
     gram = plan @ k_cov[..., None, :, :] @ plan.swapaxes(-1, -2)
+    # equal to its transpose, so ``log_det_rate`` skips its scale and
+    # asymmetry passes; these are the bits it would symmetrize to itself
+    gram = 0.5 * (gram + gram.swapaxes(-1, -2))
     # a PSD matrix's largest entry lies on its diagonal
     if gram.max() <= _GRAM_GATE:
         return log_det_rate(gram)

@@ -120,8 +120,9 @@ def capped_cells(sizes: Iterable[int], what: str) -> int:
 
 def checked_tensor(variables: Sequence[tuple[str, int]], probs) -> tuple[tuple, np.ndarray]:
     """``variables`` as (name, size) pairs, sizes integers >= 1 and names
-    distinct, and ``probs`` as a finite, nonnegative, read-only float copy
-    with one axis each; the cell cap is checked before ``probs`` is read."""
+    distinct, and ``probs``, read by ``as_numbers`` as given, as a finite,
+    nonnegative, read-only float copy with one axis each; the cell cap is
+    checked before ``probs`` is read."""
     variables = tuple((str(n), as_int(s, f"variable {n!r} size")) for n, s in variables)
     names = [n for n, _ in variables]
     if len(set(names)) != len(names):
@@ -131,7 +132,7 @@ def checked_tensor(variables: Sequence[tuple[str, int]], probs) -> tuple[tuple, 
             raise SchemaError(f"variable {name!r} has alphabet size {size} < 1")
     shape = tuple(s for _, s in variables)
     capped_cells(shape, "joint tensor")
-    arr = as_numbers(np.asarray(probs, dtype=float).reshape(shape), "probs")
+    arr = as_numbers(probs, "probs").reshape(shape)
     if np.any(arr < 0):
         raise ValueError("probabilities must be nonnegative")
     arr.flags.writeable = False
@@ -376,7 +377,9 @@ def log_det_rate(m: np.ndarray) -> RateBits | np.ndarray:
     values of a factor for large slices.
     A NaN or infinite entry raises ValueError, asymmetry beyond 1e-9 of a
     slice's scale ``max(1, max|m|)`` does too, and so does an I + m that is
-    not positive definite, naming the smallest eigenvalue of m.
+    not positive definite, naming the smallest eigenvalue of m.  A stack
+    equal to its transpose is factored as it stands, with no scale or
+    asymmetry pass, and gives the bits its symmetrization would.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -384,19 +387,33 @@ def log_det_rate(m: np.ndarray) -> RateBits | np.ndarray:
     if m.size == 0:
         rates = np.zeros(m.shape[:-2])
     else:
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        if not scale.max() < math.inf:  # a NaN max|m| fails the test too
-            raise ValueError("matrix entries must be finite")
         mt = m.swapaxes(-1, -2)
-        if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-9 * scale).any():
-            raise ValueError("matrix is not symmetric within 1e-9 of its scale")
-        sym = 0.5 * (m + mt)
+        if (m == mt).all():
+            # Equal to its transpose (so NaN-free) and its own symmetrization
+            # up to the signs of zeros, which I + m erases: no scale pass.  An
+            # infinity surfaces in the Cholesky's diagonal or makes it fail.
+            sym = m
+        else:
+            scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+            if not scale.max() < math.inf:  # a NaN max|m| fails the test too
+                raise ValueError("matrix entries must be finite")
+            if (np.abs(m - mt).max(axis=(-2, -1)) > 1e-9 * scale).any():
+                raise ValueError("matrix is not symmetric within 1e-9 of its scale")
+            sym = 0.5 * (m + mt)
         try:
             chol = np.linalg.cholesky(np.eye(m.shape[-1]) + sym)
-            rates = np.log2(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
         except np.linalg.LinAlgError:
+            _check_finite(m)
             low = float(np.linalg.eigvalsh(sym).min())
             raise ValueError(
                 f"I + m is not positive definite: m has eigenvalue {low:.3e}") from None
+        rates = np.log2(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+        if not rates.max() < math.inf:  # a NaN fails the test too
+            _check_finite(m)
     return float(rates) if m.ndim == 2 else rates
+
+
+def _check_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
 

@@ -244,7 +244,7 @@ def simplex_lp_max(
     UnboundedError.  A NaN bound, or a non-finite objective or row
     coefficient, raises ValueError naming it.
     """
-    c = as_numbers(np.asarray(c, dtype=float), "objective")
+    c = as_numbers(c, "objective")
     n = c.size
     rows = []
     bs = []
@@ -255,7 +255,7 @@ def simplex_lp_max(
             continue
         if bound < 0:
             raise InfeasibleError(f"constraint bound {bound} < 0 with x >= 0")
-        a = as_numbers(np.asarray(coeffs, dtype=float), f"constraint {i} coefficients")
+        a = as_numbers(coeffs, f"constraint {i} coefficients")
         if a.size != n:
             raise ValueError(f"constraint arity {a.size} != objective arity {n}")
         rows.append(a)

@@ -465,6 +465,75 @@ def test_stacked_kernel_matches_slogdet_on_explicit_submatrices():
             assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def _plan_uncached(net, cuts, dest=None):
+    """A cut plan built without the cache: the gains where the row is far
+    and the column near, the destination's row appended once more."""
+    masks = np.array([sum(1 << (k - 1) for k in cut.s) for cut in cuts], dtype=np.int64)
+    near = (masks[:, None] >> np.arange(net.n)) & 1 == 1
+    plan = np.where(~near[:, :, None] & near[:, None, :], net.gains, 0.0)
+    if dest is not None:
+        plan = np.concatenate([plan, plan[:, dest - 1 : dest]], axis=1)
+    return plan
+
+
+def test_cut_patterns_are_kept_read_only_in_a_bounded_cache():
+    rng = np.random.default_rng(43)
+    for n in range(2, 9):
+        net = random_net(rng, n)
+        lists = [(enumerate_cuts(n, {d}, "unicast"), d) for d in range(2, n + 1)]
+        for bits in range(1, 1 << (n - 1)):
+            dests = [k for k in range(2, n + 1) if bits >> (k - 2) & 1]
+            lists.append((enumerate_cuts(n, dests, "broadcast"), dests[-1]))
+        for cuts, dest in lists:
+            for d in (None, dest):
+                want = _plan_uncached(net, cuts, d)
+                for _ in range(2):  # built, then read from the cache
+                    plan = _cut_plan(net, cuts, d)
+                    assert plan.shape == want.shape and np.array_equal(plan, want)
+                    plan[...] = -1.0  # the caller's own array
+                pattern, rows = gaussian._cut_pattern(n, tuple(c.s for c in cuts), d)
+                assert not pattern.flags.writeable
+                assert d is None or not rows.flags.writeable
+    info = gaussian._cut_pattern.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    # past the table size nothing is kept
+    n = 13
+    net = random_net(rng, n)
+    cuts = [Cut([1, 4, 7], n), Cut(range(1, n), n)]
+    gaussian._cut_pattern.cache_clear()
+    assert np.array_equal(_cut_plan(net, cuts, n), _plan_uncached(net, cuts, n))
+    assert gaussian._cut_pattern.cache_info().currsize == 0
+
+
+def test_single_cut_rate_keeps_its_bits(monkeypatch):
+    # cutset_cut_rate on one cut: the uncached plan's Gram, then the kernel's
+    # steps on it, bit for bit, at diag(P) and at a correlated K.  The kernel
+    # is handed Grams equal to their transposes, which it takes without its
+    # scale and asymmetry passes.
+    kernel = gaussian.log_det_rate
+
+    def symmetric_only(m):
+        assert (m == m.swapaxes(-1, -2)).all()
+        return kernel(m)
+
+    monkeypatch.setattr(gaussian, "log_det_rate", symmetric_only)
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        net = random_net(rng, n, lognormal=True)
+        for k_cov in (np.diag(net.power), random_feasible_cov(rng, net)):
+            k = 0.5 * (k_cov + k_cov.T)  # as the covariance check leaves it
+            for cut in enumerate_cuts(n, range(2, n + 1), "broadcast"):
+                plan = _plan_uncached(net, [cut])
+                gram = plan @ k @ plan.swapaxes(-1, -2)
+                if gram.max() > gaussian._GRAM_GATE:
+                    continue
+                sym = 0.5 * (gram + gram.swapaxes(-1, -2))
+                chol = np.linalg.cholesky(np.eye(n) + sym)
+                want = float(np.log2(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)[0])
+                assert cutset_cut_rate(net, cut, k_cov) == want
+
+
 def test_single_cut_apis_equal_batched_rows():
     rng = np.random.default_rng(31)
     for n in (2, 3, 4, 5, 6):

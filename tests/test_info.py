@@ -17,6 +17,7 @@ from relaybound import (
     mutual_info,
     ternary_entropy,
 )
+from relaybound.gaussian import _GRAM_GATE
 from relaybound.info import CELL_CAP, ZERO_EPS, _plain_entropy
 
 
@@ -421,6 +422,63 @@ def test_log_det_rate_falls_back_per_slice_with_relative_tolerances():
     with pytest.raises(ValueError, match="symmetric"):
         big[0, 1] += 1e4
         log_det_rate(big)
+
+
+def _log_det_steps(m):
+    """The kernel's arithmetic spelled out: (1/2)(m + m^T), the Cholesky of
+    I plus it, and the sum of log2 of its diagonal."""
+    sym = 0.5 * (m + m.swapaxes(-1, -2))
+    chol = np.linalg.cholesky(np.eye(m.shape[-1]) + sym)
+    return np.log2(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def test_log_det_rate_takes_symmetric_stacks_with_the_same_bits():
+    # A stack equal to its transpose skips the scale and asymmetry passes;
+    # any other stack is checked and symmetrized.  Both give the bits of the
+    # spelled-out steps, on Grams of powers 10^U(-3, 12) up to the Gram gate.
+    rng = np.random.default_rng(41)
+    asymmetric = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        g = rng.lognormal(0.0, 1.0, size=(24, n, n))
+        power = 10.0 ** rng.uniform(-3.0, 12.0, size=(24, 1, n))
+        gram = (g * power) @ g.swapaxes(-1, -2)  # rounding-asymmetric
+        gram = gram[gram.max(axis=(-2, -1)) <= _GRAM_GATE]
+        sym = 0.5 * (gram + gram.swapaxes(-1, -2))  # equal to its transpose
+        asymmetric += not np.array_equal(gram, sym)
+        want = _log_det_steps(gram)
+        assert np.array_equal(log_det_rate(gram), want)
+        assert np.array_equal(log_det_rate(sym), want)
+        assert np.array_equal(_log_det_steps(sym), want)
+        for i in range(len(gram)):
+            assert log_det_rate(gram[i]) == want[i] == log_det_rate(sym[i])
+    assert asymmetric >= 10  # the checked path ran too
+    # a zero and a negative zero are equal, and I + m erases the sign
+    m = np.array([[2.0, 0.0, 1.0], [-0.0, 3.0, 0.5], [1.0, 0.5, 4.0]])
+    assert log_det_rate(m) == _log_det_steps(m)
+    # m + m^T overflows near the float maximum, and m itself is not summed
+    assert math.isclose(log_det_rate(np.array([[1e308]])), 0.5 * math.log2(1e308))
+
+
+def test_log_det_rate_refuses_non_finite_entries_in_any_slice():
+    rng = np.random.default_rng(42)
+    a = rng.normal(size=(6, 4, 4))
+    stack = a @ a.swapaxes(-1, -2)
+    stack = 0.5 * (stack + stack.swapaxes(-1, -2))
+    for i, j, value in ((0, 2, math.inf), (0, 2, -math.inf), (1, 1, math.inf),
+                        (3, 3, -math.inf), (1, 2, math.nan), (2, 2, math.nan)):
+        bad = stack.copy()
+        bad[3, i, j] = bad[3, j, i] = value  # still equal to its transpose, but a NaN
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            log_det_rate(bad)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            log_det_rate(bad[3])
+        # finiteness comes before the eigenvalue test, in any slice order
+        bad[5] = -2.0 * np.eye(4)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            log_det_rate(bad)
+    with pytest.raises(ValueError, match="eigenvalue -2.000e"):
+        log_det_rate(bad[4:])
 
 
 def test_joint_pmf_equality_and_hash_are_by_identity():

@@ -8,6 +8,7 @@ bit-identical results to the float."""
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from relaybound import (
     region_max_weighted,
     region_membership,
     simplex_grid,
+    simplex_lp_max,
     ternary_entropy,
 )
 from relaybound.errors import as_number
@@ -195,6 +197,38 @@ def test_number_arguments_have_one_owner(call, name, good, bad):
         same += [int(good), np.int64(good)]
     for value in same:
         assert pickle.dumps(call(value)) == want
+
+
+def test_probability_and_lp_arrays_are_read_as_given():
+    # These once went through np.asarray(..., dtype=float) first, which took
+    # strings and bools: ["0.5", "0.5"] built a pmf, [True, False] a point
+    # mass, and the LP below answered 1.0.
+    for probs, got in ((["0.5", "0.5"], "'0.5'"), ([True, False], "True"),
+                       (np.array([True, False]), "True")):
+        message = rf"^probs\[0\]: expected a number, got {re.escape(got)}$"
+        with pytest.raises(SchemaError, match=message):
+            JointPmf([("a", 2)], probs)
+        with pytest.raises(SchemaError, match=message):
+            Channel([("x", 1)], [("y", 2)], probs)
+    with pytest.raises(SchemaError, match=r"^probs\[1\]\[0\]: expected a number, got '0.25'$"):
+        JointPmf([("a", 2), ("b", 2)], [[0.25, 0.25], ["0.25", 0.25]])
+    with pytest.raises(SchemaError, match=r"^objective\[0\]: expected a number, got '1'$"):
+        simplex_lp_max(["1", True], [(["1", 1], 1.0)])
+    with pytest.raises(SchemaError,
+                       match=r"^constraint 0 coefficients\[1\]: expected a number, got True$"):
+        simplex_lp_max([1, 2], [([1, True], 1.0)])
+    # numeric arrays and lists of plain numbers are read as floats
+    quarter = [np.array([0.25, 0.75]), np.array([0.25, 0.75], dtype=np.float32),
+               [0.25, 0.75], (0.25, np.float64(0.75))]
+    point = [np.array([1, 0]), np.array([1, 0], dtype=np.uint8), [1, 0.0]]
+    for probs, want in [(p, [0.25, 0.75]) for p in quarter] + [(p, [1.0, 0.0]) for p in point]:
+        for made in (JointPmf([("a", 2)], probs), Channel([("x", 1)], [("y", 2)], probs)):
+            arr = made.probs
+            assert arr.dtype == float and arr.ravel().tolist() == want
+            assert not arr.flags.writeable
+    for c, a in ((np.array([1, 2]), np.array([1, 1])), ([1, 2.0], (1, 1)), ([1, 2], [1.0, 1.0])):
+        x, value = simplex_lp_max(c, [(a, 1.0)])
+        assert x.tolist() == [0.0, 1.0] and value == 2.0
 
 
 def test_diamond_variances_and_snrs_must_be_finite():

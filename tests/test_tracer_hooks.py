@@ -79,7 +79,8 @@ def test_tracer_sees_lattice_reductions_through_marginal():
 def test_tracer_sees_one_kernel_call_per_candidate_stack():
     # The covariance search scores each phase's candidates as stacks through
     # gaussian.log_det_rate: 200 candidates over 8 unicast cuts take a dozen
-    # kernel calls, not one per candidate.
+    # kernel calls, not one per candidate, and none goes around the
+    # attribute, so the tracer sees at least one.
     g = np.random.default_rng(4).lognormal(0.0, 1.0, (5, 5))
     np.fill_diagonal(g, 0.0)
     net = relaybound.GaussianNetwork(5, g, 10.0, [5])
@@ -92,7 +93,7 @@ def test_tracer_sees_one_kernel_call_per_candidate_stack():
         tracer.restore()
     metrics = tracer.metrics()
     assert metrics["gaussian.search_evals"] == 200
-    assert metrics["info.log_det_calls"] <= 16
+    assert 1 <= metrics["info.log_det_calls"] <= 16
 
 
 def test_public_names_are_sorted_unique_resolved_and_complete():
