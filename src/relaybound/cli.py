@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dm
 from .diamond import diamond_sweep
-from .errors import SchemaError, TensorCapError, as_numbers, as_power
+from .errors import SchemaError, TensorCapError, as_numbers, as_positive
 from .gaussian import ddf_region, gap_certificate
 from .networks import DeterministicNetwork, GaussianNetwork, load_network
 from .regions import (
@@ -163,7 +163,7 @@ def cmd_gap_verify(args) -> int:
         raise ValueError(f"n must be in 2..10, got {args.n}")
     if args.trials < 0:
         raise ValueError("trials must be nonnegative")
-    as_power(args.power)
+    as_positive(args.power, "power")
     rng = np.random.default_rng(args.seed)
     expected = args.n / 2.0
     cases = []

@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import as_int, as_number, as_power
+from .errors import as_int, as_nonnegative, as_number, as_positive
 from .info import RateBits, gauss_c
 from .networks import GaussianNetwork
-from .optimize import Box, grid_then_refine
+from .optimize import grid_then_refine
 from .optimize import golden_max  # noqa: F401 -- a module attribute the benchmark tracer wraps
 
 
@@ -34,12 +34,7 @@ class DiamondConfig:
 
     def __post_init__(self):
         for name in ("s21", "s31", "s42", "s43"):
-            snr = as_number(getattr(self, name), name)
-            if not math.isfinite(snr):
-                raise ValueError(f"{name} must be finite")
-            if snr < 0:
-                raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, snr)
+            object.__setattr__(self, name, as_nonnegative(getattr(self, name), name))
 
     @classmethod
     def from_distance(cls, d: float, p: float) -> "DiamondConfig":
@@ -48,14 +43,14 @@ class DiamondConfig:
         d = as_number(d, "d")
         if not 0.0 < d < 1.0:
             raise ValueError(f"relay position d must lie in (0, 1), got {d}")
-        p = as_power(p)
+        p = as_positive(p, "power")
         near = p / d**3
         far = p / (1.0 - d) ** 3
         return cls(s21=near, s31=far, s42=far, s43=near)
 
     def to_network(self, power: float) -> GaussianNetwork:
         """The same diamond as a GaussianNetwork carrying unit-variance noise."""
-        power = as_power(power)
+        power = as_positive(power, "power")
         g = np.zeros((4, 4))
         g[1, 0] = math.sqrt(self.s21 / power)
         g[2, 0] = math.sqrt(self.s31 / power)
@@ -73,12 +68,11 @@ class DdfParams:
     sigma3_sq: float
 
     def __post_init__(self):
-        for name in ("rho", "sigma2_sq", "sigma3_sq"):
-            object.__setattr__(self, name, as_number(getattr(self, name), name))
+        object.__setattr__(self, "rho", as_number(self.rho, "rho"))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        if not (0 < self.sigma2_sq < math.inf and 0 < self.sigma3_sq < math.inf):
-            raise ValueError("description-noise variances must be finite and positive")
+        for name in ("sigma2_sq", "sigma3_sq"):
+            object.__setattr__(self, name, as_positive(getattr(self, name), name))
 
 
 def _min_terms(terms):
@@ -93,14 +87,14 @@ def _min_terms(terms):
 _NOISE = (math.exp(-6.0), math.exp(6.0), "log")
 
 
-def _search(terms, box: Box, full: int, budget) -> tuple[RateBits, tuple[float, ...]]:
+def _search(terms, box: Sequence[tuple], full: int, budget) -> tuple[RateBits, tuple[float, ...]]:
     """(value, argument) of ``grid_then_refine`` on the minimum of ``terms``
     over ``box``: ``full`` points per dimension when the budget affords that
     grid, else about budget ** (1 / dim), and the rest of the budget refines."""
     budget = as_int(budget, "budget")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    dim = len(box.dims)
+    dim = len(box)
     grid = full if budget >= full**dim else max(2, round(budget ** (1 / dim)))
     arg, value = grid_then_refine(lambda *x: _min_terms(terms(*x)), box, grid_per_dim=grid,
                                   refine_budget=max(budget - grid**dim, 0))
@@ -158,7 +152,7 @@ def ddf_diamond_opt(cfg: DiamondConfig, budget: int = 6000) -> tuple[RateBits, D
     """DDF rate maximized over DdfParams by a deterministic search of about
     ``budget`` probes; its rounded grid side can itself exceed the budget, e.g.
     budget 2,000 scans 13**3 = 2,197 grid points (see ``grid_then_refine``)."""
-    box = Box([(0.0, 0.999), _NOISE, _NOISE])
+    box = [(0.0, 0.999), _NOISE, _NOISE]
     value, arg = _search(functools.partial(_ddf_terms, cfg), box, 16, budget)
     return value, DdfParams(*arg)
 
@@ -179,9 +173,7 @@ def _nnc_terms(cfg: DiamondConfig, s2, s3) -> tuple:
 def nnc_diamond_terms(
     cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float
 ) -> tuple[float, ...]:
-    s2, s3 = as_number(sigma2_sq, "sigma2_sq"), as_number(sigma3_sq, "sigma3_sq")
-    if not (0 < s2 < math.inf and 0 < s3 < math.inf):
-        raise ValueError("compression-noise variances must be finite and positive")
+    s2, s3 = as_positive(sigma2_sq, "sigma2_sq"), as_positive(sigma3_sq, "sigma3_sq")
     return tuple(float(t) for t in _nnc_terms(cfg, s2, s3))
 
 
@@ -199,7 +191,7 @@ def nnc_diamond_opt(
     """NNC rate maximized over the quantizer variances by a deterministic search
     of about ``budget`` probes; its rounded grid side can itself exceed the
     budget, e.g. budget 43 scans 7**2 = 49 grid points."""
-    return _search(functools.partial(_nnc_terms, cfg), Box([_NOISE, _NOISE]), 24, budget)
+    return _search(functools.partial(_nnc_terms, cfg), [_NOISE, _NOISE], 24, budget)
 
 
 def af_diamond(cfg: DiamondConfig) -> RateBits:
@@ -339,7 +331,7 @@ def diamond_sweep(
 
     Rows follow d_grid and are deterministic for a fixed budget.
     """
-    p = as_power(p)
+    p = as_positive(p, "power")
 
     def one(d: float) -> SweepRow:
         cfg = DiamondConfig.from_distance(d, p)

@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    SchemaError, TensorCapError, as_int, as_node, as_nodes, as_number, as_numbers,
-    load_json_object)
+    SchemaError, TensorCapError, as_int, as_node, as_node_count, as_nodes, as_number,
+    as_numbers, load_json_object)
 from .info import (
     ZERO_EPS, JointPmf, RateBits, _axes_of, capped_cells, checked_tensor, mask_mutual_info)
 from .networks import Cut, DeterministicNetwork, GraphicalNetwork, enumerate_cuts
@@ -126,8 +126,6 @@ def _parts_plan(in_vars: tuple, given: tuple, out: tuple):
 def _instance_plan(variables: tuple, n: int, q_vars: tuple[str, ...]):
     """``DmInstance``'s masks (q, x, u, y) for a joint over ``variables``,
     which must be the canonical list for ``n``."""
-    if n < 2:
-        raise ValueError("instance needs at least two nodes")
     if [name for name, _ in variables] != [name for name, _ in _canonical_vars(n, {})]:
         raise ValueError(f"joint must use the canonical variable list for n = {n}")
     q = sum(1 << i for i in _axes_of(variables, q_vars))
@@ -161,7 +159,7 @@ class DmInstance:
     q_vars: tuple[str, ...]
 
     def __init__(self, joint: JointPmf, n: int, destinations, q_vars=("q",)):
-        n = as_int(n, "n")
+        n = as_node_count(n)
         q_vars = tuple(q_vars)
         q, x, u, y = _instance_plan(joint.variables, n, q_vars)
         dests = as_nodes(destinations, n, "destinations", first=2)
@@ -325,8 +323,7 @@ def ddf_broadcast_region_dm(inst: DmInstance) -> RateRegion:
     if not dims:
         raise ValueError("instance has no destinations")
     cuts = enumerate_cuts(inst.n, dims, "broadcast")
-    values = _cut_values(inst, dims, False, _DDF)[1].tolist()
-    return region_from_cuts(dims, cuts, [max(v, 0.0) for v in values])
+    return region_from_cuts(dims, cuts, _cut_values(inst, dims, False, _DDF)[1].tolist())
 
 
 def cutset_dm(
@@ -416,7 +413,7 @@ def deterministic_inner(
               - sum(h_x[k] for k in c.complement) for c in cuts]
     if mode == "unicast":
         return min(values)
-    return region_from_cuts(dests, cuts, [max(v, 0.0) for v in values])
+    return region_from_cuts(dests, cuts, values)
 
 
 def det_dm_instance(

@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the one owner of each input
 rule: ``as_int`` (an integer), ``as_int_set`` (a sorted set of them),
 ``as_node`` and ``as_nodes`` (node ids 1..n, or destinations 2..n),
-``as_number`` (a real number), ``as_numbers`` (an array of them, each one
-finite: the owner of finiteness for array inputs), ``as_power`` (a
-transmit power) and ``load_json_object`` (a model file).  Each raises
-SchemaError naming the argument or field path."""
+``as_node_count`` (a network's node count, at least 2), ``as_number`` (a
+real number), ``as_nonnegative`` and ``as_positive`` (a finite real number
+that is >= 0 or > 0: an SNR, a capacity, a variance, a transmit power),
+``as_numbers`` (an array of real numbers, each one finite: the owner of
+finiteness for array inputs) and ``load_json_object`` (a model file).  Each
+raises SchemaError naming the argument or field path."""
 
 from __future__ import annotations
 
@@ -76,6 +78,14 @@ def as_nodes(values: Iterable, n: int, what: str, first: int = 1) -> tuple[int, 
     return nodes
 
 
+def as_node_count(value, what: str = "n") -> int:
+    """``value`` as the node count of a network: an integer, at least 2."""
+    n = value if type(value) is int else as_int(value, what)
+    if n >= 2:
+        return n
+    raise SchemaError(f"{what}: a network needs at least 2 nodes, got {n}")
+
+
 def as_number(value, what: str) -> float:
     """``value`` as a float.  A real number (numpy's too) is accepted; a bool
     (numpy's too) or a non-number raises SchemaError naming ``what``."""
@@ -104,7 +114,10 @@ def as_numbers(values, what: str) -> np.ndarray:
         flat = obj.ravel().tolist()
         for k, v in enumerate(flat):
             if type(v) is not float:
-                flat[k] = as_number(v, what + _index(k, obj.shape))
+                try:
+                    flat[k] = as_number(v, what)
+                except SchemaError as exc:  # only a bad entry pays for its index
+                    raise SchemaError(what + _index(k, obj.shape) + str(exc)[len(what):]) from None
         arr = np.array(flat, dtype=float).reshape(obj.shape)
     if not np.isfinite(arr).all():
         k = int(np.argmin(np.isfinite(arr)))
@@ -112,12 +125,20 @@ def as_numbers(values, what: str) -> np.ndarray:
     return arr
 
 
-def as_power(value, what: str = "power") -> float:
-    """``value`` as a transmit power: a number that is finite and positive."""
-    p = as_number(value, what)
-    if math.isfinite(p) and p > 0:
-        return p
-    raise SchemaError(f"{what}: a power must be finite and positive, got {value!r}")
+def as_nonnegative(value, what: str) -> float:
+    """``value`` as a float that is finite and >= 0, e.g. an SNR."""
+    x = as_number(value, what)
+    if 0.0 <= x < math.inf:
+        return x
+    raise SchemaError(f"{what}: must be finite and nonnegative, got {x}")
+
+
+def as_positive(value, what: str) -> float:
+    """``value`` as a float that is finite and > 0, e.g. a power."""
+    x = as_number(value, what)
+    if 0.0 < x < math.inf:
+        return x
+    raise SchemaError(f"{what}: must be finite and positive, got {x}")
 
 
 def load_json_object(path: str | Path, build: Callable[[dict], object]):

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dm import _DDF, DmInstance, _canonical_vars, _cut_values
-from .errors import as_int, as_node, as_number, as_numbers
+from .errors import as_int, as_node, as_nonnegative, as_numbers
 from .info import RateBits, log_det_rate
 from .networks import _TABLE_NODES, Cut, GaussianNetwork, enumerate_cuts, received_snr
 from .networks import cut_submatrix  # noqa: F401 -- a module attribute the benchmark tracer wraps
@@ -30,9 +30,7 @@ from .regions import RateRegion, region_from_cuts
 
 def penalty_rate(snr: float) -> RateBits:
     """(1/2) log2(1 + s/(1+s)); lies in [0, 1/2] for every s >= 0."""
-    snr = as_number(snr, "snr")
-    if not 0 <= snr < math.inf:
-        raise ValueError(f"snr must be finite and nonnegative, got {snr}")
+    snr = as_nonnegative(snr, "snr")
     return 0.5 * math.log2(1.0 + snr / (1.0 + snr))
 
 
@@ -224,8 +222,7 @@ def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
 def ddf_region(net: GaussianNetwork) -> RateRegion:
     """Broadcast inner bound: one halfspace per cut, clamped at zero."""
     cuts = enumerate_cuts(net.n, net.destinations, "broadcast")
-    values = _ddf_rows(net, cuts)[1]
-    return region_from_cuts(net.destinations, cuts, [max(v, 0.0) for v in values])
+    return region_from_cuts(net.destinations, cuts, _ddf_rows(net, cuts)[1])
 
 
 # ---------------------------------------------------------------------------

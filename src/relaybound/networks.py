@@ -10,7 +10,6 @@ column).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -19,8 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    SchemaError, as_int, as_int_set, as_node, as_nodes, as_number, as_numbers, as_power,
-    load_json_object)
+    SchemaError, as_int, as_int_set, as_node, as_node_count, as_nodes, as_nonnegative,
+    as_numbers, as_positive, load_json_object)
 
 #: Cut enumeration is exhaustive, and every cut-based evaluator enumerates, so
 #: networks with more nodes than this are refused.
@@ -41,9 +40,7 @@ class Cut:
     complement: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, s: Iterable[int], n: int):
-        n = as_int(n, "n")
-        if n < 2:
-            raise ValueError(f"need n >= 2 nodes, got {n}")
+        n = as_node_count(n)
         s = as_nodes(s, n, "s")
         if 1 not in s:
             raise ValueError(f"cut {s} must contain the source node 1")
@@ -74,9 +71,7 @@ class GaussianNetwork:
         power: float | Sequence[float],
         destinations: Iterable[int],
     ):
-        n = as_int(n, "n")
-        if n < 2:
-            raise ValueError(f"need n >= 2 nodes, got {n}")
+        n = as_node_count(n)
         g = as_numbers(gains, "gains")
         if g.shape != (n, n):
             raise ValueError(f"gains must be {n}x{n}, got {g.shape}")
@@ -84,9 +79,9 @@ class GaussianNetwork:
             raise ValueError(f"gains[{i}][{i}]: diagonal entries must be zero (no self-link)")
         p = np.asarray(power, dtype=object)
         if p.ndim == 0:
-            p = np.full(n, as_power(p.item()))
+            p = np.full(n, as_positive(p.item(), "power"))
         elif p.shape == (n,):
-            p = np.array([as_power(v, f"power[{j}]") for j, v in enumerate(p.tolist())])
+            p = np.array([as_positive(v, f"power[{j}]") for j, v in enumerate(p.tolist())])
         else:
             raise ValueError(f"power must be a scalar or length-{n} vector")
         dests = as_nodes(destinations, n, "destinations", first=2)
@@ -120,9 +115,7 @@ class DeterministicNetwork:
         destinations: Iterable[int] = (),
     ):
         alphabets = tuple(as_int(a, f"alphabets[{i}]") for i, a in enumerate(alphabets))
-        n = len(alphabets)
-        if n < 2:
-            raise ValueError(f"need n >= 2 nodes, got {n}")
+        n = as_node_count(len(alphabets), "alphabets")
         if any(a < 1 for a in alphabets):
             raise ValueError(f"alphabet sizes must be >= 1, got {alphabets}")
         shape = alphabets
@@ -170,15 +163,11 @@ class GraphicalNetwork:
         hi = 1
         for i, (u, v, cap) in enumerate(edges):
             u, v = as_int(u, f"edges[{i}].from"), as_int(v, f"edges[{i}].to")
-            cap = as_number(cap, f"edges[{i}].cap")
+            cap = as_nonnegative(cap, f"edges[{i}].cap")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if u < 1 or v < 1:
                 raise ValueError(f"edge ({u}, {v}) has nodes below 1")
-            if not math.isfinite(cap):
-                raise ValueError(f"edge ({u}, {v}) capacity must be finite, got {cap}")
-            if cap < 0:
-                raise ValueError(f"edge ({u}, {v}) has negative capacity {cap}")
             norm.append((u, v, cap))
             hi = max(hi, u, v)
         dests = as_int_set(destinations, "destinations")
@@ -204,9 +193,7 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
     The arguments are checked on every call.  The list is the caller's own;
     its cuts, which are frozen, come from a table kept per (n, dests, mode).
     """
-    n = as_int(n, "n")
-    if n < 2:
-        raise ValueError(f"need n >= 2 nodes, got {n}")
+    n = as_node_count(n)
     if n > MAX_ENUM_NODES:
         raise ValueError(
             f"refusing to enumerate 2^{n - 1} cuts for n = {n} > {MAX_ENUM_NODES}"

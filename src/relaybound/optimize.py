@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, UnboundedError, as_int, as_numbers
+from .errors import InfeasibleError, UnboundedError, as_int, as_number, as_numbers
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +35,8 @@ class BoxDim:
     transform: str = "linear"
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"box bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
@@ -51,22 +53,15 @@ class BoxDim:
         return math.exp(t) if self.transform == "log" else t
 
 
-@dataclass(frozen=True)
-class Box:
-    dims: tuple[BoxDim, ...]
-
-    def __init__(self, dims: Sequence[BoxDim | tuple]):
-        norm = tuple(d if isinstance(d, BoxDim) else BoxDim(*d) for d in dims)
-        object.__setattr__(self, "dims", norm)
-
-
 def grid_then_refine(
     f: Callable[..., float],
-    box: Box,
+    box: Sequence[BoxDim | tuple],
     grid_per_dim: int = 8,
     refine_budget: int = 400,
 ) -> tuple[tuple[float, ...], float]:
     """Maximize f over a box: full grid scan, then Nelder-Mead from the best cell.
+
+    ``box`` lists one ``BoxDim`` or ``(lo, hi[, transform])`` per dimension.
 
     ``f`` must work elementwise: the grid is scanned in one call on arrays of
     shape ``(grid_per_dim,) * ndim`` (``np.meshgrid(..., indexing="ij")`` of
@@ -89,7 +84,7 @@ def grid_then_refine(
     refine_budget = as_int(refine_budget, "refine_budget")
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be >= 1")
-    dims = box.dims
+    dims = [d if isinstance(d, BoxDim) else BoxDim(*d) for d in box]
     los = [d.to_internal(d.lo) for d in dims]
     his = [d.to_internal(d.hi) for d in dims]
     # BoxDim.to_external, chosen once per dimension rather than per probe.
@@ -241,14 +236,16 @@ def simplex_lp_max(
     InfeasibleError (the origin start requires b >= 0; with the nonnegative
     row coefficients produced by rate regions such a row is genuinely
     infeasible).  An objective direction with no binding row raises
-    UnboundedError.  A NaN bound, or a non-finite objective or row
-    coefficient, raises ValueError naming it.
+    UnboundedError.  A NaN bound, a non-finite objective or row coefficient,
+    or a bound or coefficient that is not a number (a bool, a string), raises
+    ValueError naming it.
     """
     c = as_numbers(c, "objective")
     n = c.size
     rows = []
     bs = []
     for i, (coeffs, bound) in enumerate(constraints):
+        bound = as_number(bound, f"constraint {i} bound")
         if math.isnan(bound):
             raise ValueError(f"constraint {i}: bound must not be NaN")
         if bound == math.inf:
@@ -259,7 +256,7 @@ def simplex_lp_max(
         if a.size != n:
             raise ValueError(f"constraint arity {a.size} != objective arity {n}")
         rows.append(a)
-        bs.append(float(bound))
+        bs.append(bound)
     m = len(rows)
     tol = 1e-9
 

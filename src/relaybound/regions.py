@@ -40,6 +40,7 @@ class RateRegion:
         dims = tuple(as_int(d, f"dims[{i}]") for i, d in enumerate(dims))
         if not dims:
             raise ValueError("a region needs at least one rate dimension")
+        constraints = list(constraints)
         for i, c in enumerate(constraints):
             if math.isnan(as_number(c.bound, f"constraints[{i}].bound")):
                 raise SchemaError(f"constraints[{i}].bound: a bound must not be NaN")
@@ -47,7 +48,11 @@ class RateRegion:
                 raise ValueError(
                     f"constraint arity {len(c.coeff)} != {len(dims)} dimensions"
                 )
-            if any(x not in (0, 1) for x in c.coeff):
+            if set(map(type, c.coeff)) != {int}:
+                coeff = tuple(as_int(x, f"constraints[{i}].coeff[{j}]")
+                              for j, x in enumerate(c.coeff))
+                constraints[i] = c = RegionConstraint(coeff, c.bound, c.cut)
+            if not set(c.coeff) <= {0, 1}:
                 raise ValueError(f"coefficients must be 0/1, got {c.coeff}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "constraints", tuple(constraints))
@@ -67,11 +72,14 @@ def region_from_cuts(
     dims: Sequence[int], cuts: Sequence[Cut], bounds: Iterable[float]
 ) -> RateRegion:
     """One constraint per cut, in cut order: the destinations on the cut's far
-    side share that cut's bound."""
+    side share that cut's bound, floored at zero."""
     constraints = []
-    for cut, bound in zip(cuts, bounds):
+    for i, (cut, bound) in enumerate(zip(cuts, bounds)):
         far = set(cut.complement)
         coeff = tuple(1 if d in far else 0 for d in dims)
+        if type(bound) is not float:
+            bound = as_number(bound, f"bounds[{i}]")
+        bound = max(bound, 0.0)
         constraints.append(RegionConstraint(coeff, bound, cut))
     return RateRegion(dims, constraints)
 

@@ -222,8 +222,9 @@ def test_gap_verify_at_high_snr(tmp_path):
     assert doc["pass"] is True
     assert doc["violations"] == []
     assert doc["max_tighter_gap"] <= 2.0 + 1e-9
-    for bad in ("0", "-1", "nan", "inf"):
-        assert run(["gap-verify", "--power", bad])[0] == 2
+    for bad, got in (("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")):
+        assert run_full(["gap-verify", "--power", bad]) == (
+            2, "", f"error: power: must be finite and positive, got {got}\n")
 
 
 def test_region_rejects_non_finite_network_file(tmp_path):

@@ -179,9 +179,9 @@ def test_config_validation():
             DiamondConfig(1.0, 1.0, 1.0, 1.0).to_network(bad)
     with pytest.raises(ValueError, match="rho"):
         DdfParams(1.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="variances"):
+    with pytest.raises(ValueError, match=r"^sigma2_sq: must be finite and positive, got 0\.0$"):
         DdfParams(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError, match="variances"):
+    with pytest.raises(ValueError, match=r"^sigma2_sq: must be finite and positive, got -1\.0$"):
         nnc_diamond_terms(DiamondConfig(1, 1, 1, 1), -1.0, 1.0)
     with pytest.raises(ValueError, match="rho"):
         cutset_diamond_terms(DiamondConfig(1, 1, 1, 1), 1.5)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from relaybound import (
+    BoxDim,
     Channel,
     Cut,
     DdfParams,
@@ -22,6 +23,7 @@ from relaybound import (
     DmInstance,
     GaussianNetwork,
     GraphicalNetwork,
+    InfeasibleError,
     JointPmf,
     RateRegion,
     RegionConstraint,
@@ -54,7 +56,8 @@ from relaybound import (
     simplex_lp_max,
     ternary_entropy,
 )
-from relaybound.errors import as_number
+from relaybound.diamond import nnc_diamond_terms
+from relaybound.errors import as_number, as_numbers
 from relaybound.networks import enumerate_cuts
 from tests.maxflow import maxflow_oracle
 
@@ -229,6 +232,80 @@ def test_probability_and_lp_arrays_are_read_as_given():
     for c, a in ((np.array([1, 2]), np.array([1, 1])), ([1, 2.0], (1, 1)), ([1, 2], [1.0, 1.0])):
         x, value = simplex_lp_max(c, [(a, 1.0)])
         assert x.tolist() == [0.0, 1.0] and value == 2.0
+
+
+def test_nested_arrays_convert_and_name_a_bad_entry():
+    arr = as_numbers([[1, 2], [3, 4]], "x")
+    assert arr.dtype == float and arr.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    for bad, got in (("3", "'3'"), (True, "True"), (None, "None")):
+        with pytest.raises(SchemaError, match=rf"^x\[1\]\[0\]: expected a number, got {got}$"):
+            as_numbers([[1, 2], [bad, 4]], "x")
+
+
+#: (call, the exact message) of the real-number rules through their former
+#: sites: each has one owner in ``errors``, ``as_nonnegative`` (a finite real
+#: >= 0) or ``as_positive`` (a finite real > 0).  The node count's owner,
+#: ``as_node_count``, is pinned by the network and instance validation tests.
+SCALAR_RULES = [
+    (lambda: DiamondConfig(-1.0, 1, 1, 1), "s21: must be finite and nonnegative, got -1.0"),
+    (lambda: DiamondConfig(1, 1, 1, math.inf), "s43: must be finite and nonnegative, got inf"),
+    (lambda: GraphicalNetwork([(1, 2, 1.0), (2, 3, math.nan)], [3]),
+     "edges[1].cap: must be finite and nonnegative, got nan"),
+    (lambda: penalty_rate(-1.0), "snr: must be finite and nonnegative, got -1.0"),
+    (lambda: penalty_rate(np.float32(math.inf)), "snr: must be finite and nonnegative, got inf"),
+    (lambda: DdfParams(0.0, 0.0, 1.0), "sigma2_sq: must be finite and positive, got 0.0"),
+    (lambda: DdfParams(0.0, 1.0, math.nan), "sigma3_sq: must be finite and positive, got nan"),
+    (lambda: nnc_diamond_terms(DiamondConfig(1, 1, 1, 1), 1.0, math.inf),
+     "sigma3_sq: must be finite and positive, got inf"),
+    (lambda: GaussianNetwork(2, np.zeros((2, 2)), 0.0, [2]),
+     "power: must be finite and positive, got 0.0"),
+    (lambda: GaussianNetwork(2, np.zeros((2, 2)), [1.0, -2], [2]),
+     "power[1]: must be finite and positive, got -2.0"),
+    (lambda: DiamondConfig.from_distance(0.5, math.nan),
+     "power: must be finite and positive, got nan"),
+    (lambda: diamond_sweep([0.5], -1.0), "power: must be finite and positive, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("call, message", SCALAR_RULES,
+                         ids=[f"{i}-{m.split(':')[0]}" for i, (_, m) in enumerate(SCALAR_RULES)])
+def test_real_number_rules_have_one_owner_and_one_message(call, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_lp_bounds_box_dims_and_region_coefficients_go_through_their_owners():
+    # these once escaped as_number and as_int: a bound of True read as 1.0,
+    # "1" raised a bare TypeError, BoxDim(True, 2.0) built and BoxDim("0", 1.0)
+    # raised a TypeError, and the coefficient True passed the 0/1 test
+    for bound, got in ((True, "True"), ("1", "'1'"), (None, "None")):
+        message = f"^constraint 0 bound: expected a number, got {got}$"
+        with pytest.raises(SchemaError, match=message):
+            simplex_lp_max([1.0], [([1.0], bound)])
+    for lo, got in ((True, "True"), ("0", "'0'"), (np.bool_(False), "np.False_|False")):
+        with pytest.raises(SchemaError, match=f"^lo: expected a number, got ({got})$"):
+            BoxDim(lo, 2.0)
+    with pytest.raises(SchemaError, match="^hi: expected a number, got '1'$"):
+        BoxDim(0.0, "1")
+    with pytest.raises(SchemaError,
+                       match=r"^constraints\[0\]\.coeff\[0\]: expected an integer, got True$"):
+        RateRegion([2], [RegionConstraint((True,), 1.0)])
+    with pytest.raises(SchemaError,
+                       match=r"^constraints\[1\]\.coeff\[1\]: expected an integer, got 0\.5$"):
+        RateRegion([2, 3], [RegionConstraint((1, 0), 1.0), RegionConstraint((1, 0.5), 1.0)])
+    # the LP's own bound rules stand: NaN is refused, +inf skipped, -inf infeasible
+    with pytest.raises(ValueError, match="^constraint 0: bound must not be NaN$"):
+        simplex_lp_max([1.0], [([1.0], math.nan)])
+    assert simplex_lp_max([1.0], [([1.0], math.inf), ([1.0], np.float64(2.0))])[1] == 2.0
+    with pytest.raises(InfeasibleError):
+        simplex_lp_max([1.0], [([1.0], -math.inf)])
+    # integral and numpy values read as the plain ones
+    assert BoxDim(np.int64(1), np.float32(2.0)) == BoxDim(1.0, 2.0)
+    for one in (1.0, np.int64(1)):
+        region = RateRegion([2], [RegionConstraint((one,), 1.5)])
+        assert region.constraints == (RegionConstraint((1,), 1.5),)
+        assert type(region.constraints[0].coeff[0]) is int
+        assert region_max_weighted(region, [1.0])[1] == 1.5
 
 
 def test_diamond_variances_and_snrs_must_be_finite():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from relaybound import (
-    Box,
     BoxDim,
     InfeasibleError,
     SchemaError,
@@ -59,14 +58,14 @@ def test_box_dim_validation():
         with pytest.raises(ValueError, match="box bounds must be finite"):
             BoxDim(lo, hi)
     with pytest.raises(ValueError, match="box bounds must be finite"):
-        grid_then_refine(lambda x: -x * x, Box([(0.0, math.inf)]), 4, 10)
+        grid_then_refine(lambda x: -x * x, [(0.0, math.inf)], 4, 10)
     d = BoxDim(math.exp(-2), math.exp(2), "log")
     assert abs(d.to_internal(1.0)) < 1e-15
     assert abs(d.to_external(0.0) - 1.0) < 1e-15
 
 
 def test_grid_then_refine_quadratic():
-    box = Box([(-4.0, 4.0), (-4.0, 4.0)])
+    box = [(-4.0, 4.0), (-4.0, 4.0)]
 
     def f(x, y):
         return -((x - 1.3) ** 2) - 2.0 * (y + 0.7) ** 2
@@ -79,14 +78,14 @@ def test_grid_then_refine_quadratic():
 
 
 def test_grid_then_refine_log_dimension():
-    box = Box([BoxDim(1e-3, 1e3, "log")])
+    box = [BoxDim(1e-3, 1e3, "log")]
     arg, val = grid_then_refine(lambda s: -(np.log(s) - math.log(7.0)) ** 2, box)
     assert abs(arg[0] - 7.0) / 7.0 < 1e-3
     assert val > -1e-6
 
 
 def test_grid_then_refine_deterministic_and_tie_breaking():
-    box = Box([(0.0, 1.0), (0.0, 1.0)])
+    box = [(0.0, 1.0), (0.0, 1.0)]
     runs = [grid_then_refine(lambda x, y: 5.0, box) for _ in range(2)]
     assert runs[0] == runs[1]
     # constant objective: lexicographically smallest probe wins
@@ -95,7 +94,7 @@ def test_grid_then_refine_deterministic_and_tie_breaking():
 
 
 def test_grid_then_refine_handles_non_finite():
-    box = Box([(0.0, 2.0)])
+    box = [(0.0, 2.0)]
 
     def f(x):
         return np.where(x < 0.5, math.nan, np.where(x < 1.0, -math.inf, -((x - 1.5) ** 2)))
@@ -107,7 +106,7 @@ def test_grid_then_refine_handles_non_finite():
 
 def test_grid_then_refine_never_below_grid():
     # a spiky objective the refinement step can easily wander away from
-    box = Box([(0.0, 1.0)])
+    box = [(0.0, 1.0)]
 
     def f(x):
         return np.where(abs(x - 2.0 / 7.0) < 1e-3, 1.0, np.sin(40.0 * x))
@@ -121,22 +120,23 @@ def scalar_grid_scan(f, box, grid_per_dim):
     """The grid phase as a scalar loop: probes in itertools.product order, the
     first strictly greater finite value wins, and the lower corner is the
     start when no probe is finite."""
+    dims = [d if isinstance(d, BoxDim) else BoxDim(*d) for d in box]
     axes = [np.linspace(d.to_internal(d.lo), d.to_internal(d.hi), grid_per_dim)
-            for d in box.dims]
+            for d in dims]
     best_t, best_v = None, -math.inf
     for t in itertools.product(*axes):
-        v = float(f(*(d.to_external(float(ti)) for d, ti in zip(box.dims, t))))
+        v = float(f(*(d.to_external(float(ti)) for d, ti in zip(dims, t))))
         if math.isfinite(v) and v > best_v:
             best_t, best_v = t, v
     if best_t is None:
         best_t = [ax[0] for ax in axes]
-    return tuple(d.to_external(float(ti)) for d, ti in zip(box.dims, best_t)), best_v
+    return tuple(d.to_external(float(ti)) for d, ti in zip(dims, best_t)), best_v
 
 
 def test_grid_scan_matches_scalar_oracle():
     # A 5x5x5 table of values looked up elementwise; few distinct values, so
     # exact ties are common, and NaN and +-inf cells must be skipped.
-    box = Box([(0.0, 4.0), BoxDim(1.0, 16.0, "log"), (0.0, 1.0)])
+    box = [(0.0, 4.0), BoxDim(1.0, 16.0, "log"), (0.0, 1.0)]
     rng = np.random.default_rng(7)
     pool = np.array([math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0])
     tables = [pool[rng.integers(0, pool.size, size=(5, 5, 5))] for _ in range(40)]
@@ -173,10 +173,10 @@ def test_grid_then_refine_returns_its_best_probe():
     def ridge(s):
         return np.where(s > 40.0, math.nan, -(s - 3.0) * (s - 3.0) * (s - 9.0) * 0.01)
 
-    cases = [(bumpy, Box([(-2.0, 2.0), (-1.5, 1.5)])),
-             (ridge, Box([BoxDim(0.1, 100.0, "log")])),
+    cases = [(bumpy, [(-2.0, 2.0), (-1.5, 1.5)]),
+             (ridge, [BoxDim(0.1, 100.0, "log")]),
              (lambda x, y, z: -(x - 0.2) ** 2 - (y - z) ** 2 + x * z,
-              Box([(0.0, 1.0), BoxDim(0.5, 8.0, "log"), (-1.0, 1.0)]))]
+              [(0.0, 1.0), BoxDim(0.5, 8.0, "log"), (-1.0, 1.0)])]
     for f, box in cases:
         for grid, budget in ((2, 5), (3, 40), (5, 400)):
             grid_vals, probe_vals = [], []
@@ -190,8 +190,8 @@ def test_grid_then_refine_returns_its_best_probe():
                 return v
 
             arg, val = grid_then_refine(recorded, box, grid_per_dim=grid, refine_budget=budget)
-            assert len(grid_vals) == grid ** len(box.dims) and probe_vals
-            assert len(probe_vals) <= budget + len(box.dims) + 1
+            assert len(grid_vals) == grid ** len(box) and probe_vals
+            assert len(probe_vals) <= budget + len(box) + 1
             assert val == max(v for v in grid_vals + probe_vals if math.isfinite(v))
             assert float(f(*arg)) == val
 
@@ -199,7 +199,7 @@ def test_grid_then_refine_returns_its_best_probe():
 def test_grid_then_refine_probes_on_python_floats():
     # The grid is one call on arrays; every Nelder-Mead probe passes Python
     # floats, on linear and log dimensions alike, even with integer bounds.
-    box = Box([(0, 1), BoxDim(0.5, 8.0, "log"), (-2, 3)])
+    box = [(0, 1), BoxDim(0.5, 8.0, "log"), (-2, 3)]
     kinds = []
 
     def f(x, y, z):
@@ -214,7 +214,7 @@ def test_grid_then_refine_probes_on_python_floats():
 
 def test_grid_then_refine_validation():
     with pytest.raises(ValueError, match="grid_per_dim"):
-        grid_then_refine(lambda x: x, Box([(0.0, 1.0)]), grid_per_dim=0)
+        grid_then_refine(lambda x: x, [(0.0, 1.0)], grid_per_dim=0)
 
 
 def test_golden_max():
