@@ -140,8 +140,8 @@ def _instance_plan(variables: tuple, n: int, q_vars: tuple[str, ...]):
 class DmInstance:
     """A network instance: full joint over the canonical variables.
 
-    ``joint`` is a ``JointPmf`` or ``gaussian``'s Gaussian rows: ``mi`` and the
-    cut evaluators read only its ``variables`` and ``entropy_of``, while
+    ``joint`` is a ``JointPmf`` or ``gaussian``'s Gaussian rows: ``mi`` and the cut
+    evaluators read only its ``variables``, ``entropy_of`` and ``entropies``, while
     ``from_parts``, ``constraint_repair`` and ``marton_identity_check`` need a pmf.
 
     ``q_vars`` lists the variables treated as time sharing; every information
@@ -278,7 +278,7 @@ def _cut_values(inst: DmInstance, dests: Iterable[int], unicast: bool, kind: int
     clamps them, and the functional: a ``_CUTSET`` term, or the rate term less
     both prices, each sum added left to right as Python's ``sum`` adds it."""
     masks, idx = _cut_program(inst.n, inst._q, sum(1 << d for d in dests), unicast, kind)
-    h = np.array([*map(inst.joint.entropy_of, masks), 0.0])[idx]
+    h = np.array([*inst.joint.entropies(masks), 0.0])[idx]
     v = (h[..., 0] - h[..., 1]) - (h[..., 2] - h[..., 3])
     v, w = np.where(v > 0.0, v, 0.0), inst.n - 1
     if kind == _CUTSET:
@@ -408,9 +408,9 @@ def deterministic_inner(
     joint = JointPmf._trusted(input_pmf.variables + tuple((f"y{k}", s) for k, s in outs), probs)
     x = _node_masks(joint.variables, "x", net.n)
     y = _node_masks(joint.variables, "y", net.n, first=2)
-    h_x = {k: joint.entropy_of(x[k]) for k in range(2, net.n + 1)}
-    values = [joint.entropy_of(sum(x[k] | y[k] for k in c.complement))
-              - sum(h_x[k] for k in c.complement) for c in cuts]
+    h = joint.entropies([x[k] for k in range(2, net.n + 1)]
+                        + [sum(x[k] | y[k] for k in c.complement) for c in cuts])
+    values = [hc - sum(h[k - 2] for k in c.complement) for c, hc in zip(cuts, h[net.n - 1:])]
     if mode == "unicast":
         return min(values)
     return region_from_cuts(dests, cuts, values)

@@ -183,6 +183,9 @@ class _GaussianJoint:
             self._h[mask] = float(np.log2(diag).sum())
         return self._h[mask]
 
+    def entropies(self, masks) -> list[float]:
+        return [self.entropy_of(mask) for mask in masks]
+
 
 def ddf_rates_general(
     net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: float | np.ndarray = 1.0

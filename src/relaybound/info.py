@@ -34,15 +34,16 @@ a variables tuple's axes and kept mask, a lattice key's sub-variables, and
 the variables' interned layout, which hashes by identity (and on the mask or
 the names asked for).  A miss scans the lattice from the first entry with
 the key's cell count, since a smaller entry cannot cover it, and ties keep
-their order, so each reduction has the same source.  Every reduction still
-goes through ``JointPmf.marginal`` with the same operations, so the contract
+their order.  ``JointPmf.entropies`` plans its misses once per lattice state
+and takes their p log2 p in chunks, each entropy summed alone.  Each
+reduction has the same source and operations as before, so the contract
 above does not change.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
@@ -241,21 +242,32 @@ class JointPmf:
     def entropy_of(self, mask: int) -> RateBits:
         """H of the variables in ``mask`` in bits.  The memo key drops size-1
         variables, which add nothing to an entropy; a miss is reduced through
-        ``marginal`` from the first lattice entry that covers it.  The scan
-        starts at the key's cell count: a smaller entry cannot cover it."""
+        ``marginal`` from the first lattice entry that covers it (``_slot``)."""
         key = mask & self._kept
         val = self._entropies.get(key)
         if val is None:
-            sub, names, _, cells = _sub_layout(self._layout, key)
             lattice = self._lattice
-            for _, src_mask, src in lattice[bisect_left(lattice, cells, key=itemgetter(0)):]:
-                if key & src_mask == key:
-                    break
-            marg = src.marginal(names)
-            if key != src_mask:
-                insort(lattice, (cells, key, _lean(sub, marg)), key=itemgetter(0))
+            src, names, pos, cells, key, sub = _slot(self._layout, lattice, key)
+            marg = lattice[src][2].marginal(names)
+            if pos >= 0:
+                lattice.insert(pos, (cells, key, _lean(sub, marg)))
             val = self._entropies[key] = _plain_entropy(marg)
         return val
+
+    def entropies(self, masks: Iterable[int]) -> list[RateBits]:
+        """``entropy_of`` of each mask, with the same memo and lattice after:
+        the misses replay their plan and share one ``_plain_entropies``."""
+        memo, lattice, margs = self._entropies, self._lattice, []
+        keys = [mask & self._kept for mask in masks]
+        new = tuple(dict.fromkeys([key for key in keys if key not in memo]))
+        if new:
+            for src, names, pos, cells, key, sub in _miss_plan(
+                    self._layout, tuple([mask for _, mask, _ in lattice]), new):
+                margs.append(lattice[src][2].marginal(names))
+                if pos >= 0:
+                    lattice.insert(pos, (cells, key, _lean(sub, margs[-1])))
+            memo.update(zip(new, _plain_entropies(margs)))
+        return [memo[key] for key in keys]
 
 
 def _lean(layout: _Layout, probs: np.ndarray) -> JointPmf:
@@ -310,6 +322,28 @@ def _reduction(layout: _Layout, names: tuple[str, ...]):
     return tuple(drop + keep), math.prod(kept_shape), kept_shape
 
 
+@lru_cache(maxsize=256)
+def _miss_plan(layout: _Layout, lattice: tuple[int, ...], misses: tuple[int, ...]) -> tuple:
+    """``_slot`` of each key of ``misses`` in turn, on a lattice of the masks ``lattice``."""
+    lattice, plan = [(_sub_layout(layout, mask)[3], mask) for mask in lattice], []
+    for key in misses:
+        plan.append(_slot(layout, lattice, key))
+        if plan[-1][2] >= 0:
+            lattice.insert(plan[-1][2], (plan[-1][3], key))
+    return tuple(plan)
+
+
+def _slot(layout: _Layout, lattice: list[tuple], key: int) -> tuple:
+    """The miss ``key`` on ``lattice``: the index of the first entry covering it
+    (the full pmf does), its names, insertion index (-1 for none), cells, mask, layout."""
+    sub, names, _, cells = _sub_layout(layout, key)
+    i = bisect_left(lattice, cells, key=itemgetter(0))
+    while key & lattice[i][1] != key:
+        i += 1
+    pos = -1 if key == lattice[i][1] else bisect_right(lattice, cells, key=itemgetter(0))
+    return i, names, pos, cells, key, sub
+
+
 def _axes_of(variables: tuple[tuple[str, int], ...], names: Iterable[str]) -> list[int]:
     """The ascending axes of the distinct ``names``; an unknown name raises
     ValueError."""
@@ -321,10 +355,31 @@ def _axes_of(variables: tuple[tuple[str, int], ...], names: Iterable[str]) -> li
         raise ValueError(f"unknown variable {err.args[0]!r}; have {have}") from None
 
 
+_CHUNK_CELLS = 1 << 14  # the cells of a ``_plain_entropies`` chunk, at most
+
+
+def _plain_entropies(margs: Sequence[np.ndarray]) -> list[float]:
+    """``_plain_entropy`` of each marginal, from one p log2 p per chunk of at
+    most ``_CHUNK_CELLS`` cells (a larger marginal alone), summed per slice."""
+    out, stop = [], 0
+    while stop < len(margs):
+        start, ends, stop = stop, [margs[stop].size], stop + 1
+        while stop < len(margs) and ends[-1] + margs[stop].size <= _CHUNK_CELLS:
+            ends.append(ends[-1] + margs[stop].size)
+            stop += 1
+        flat = (margs[start].reshape(-1) if stop - start == 1
+                else np.concatenate([m.reshape(-1) for m in margs[start:stop]]))
+        if not (keep := flat >= ZERO_EPS).all():  # a slice ends at its count of kept cells
+            flat, ends = flat[keep], np.searchsorted(np.flatnonzero(keep), ends).tolist()
+        t = flat * np.log2(flat)
+        out += [0.0 - float(np.add.reduce(t[a:b])) for a, b in zip([0, *ends], ends)]
+    return out
+
+
 def _plain_entropy(marg: np.ndarray) -> float:
     """Entropy in bits of a marginal tensor, cells below ``ZERO_EPS`` left out."""
     p = marg[marg >= ZERO_EPS]
-    return 0.0 - float((p * np.log2(p)).sum())  # +0.0, never -0.0, for a point mass
+    return 0.0 - float(np.add.reduce(p * np.log2(p)))  # +0.0, never -0.0, for a point mass
 
 
 def entropy(pmf: JointPmf, names: Iterable[str], given: Iterable[str] = ()) -> RateBits:

@@ -73,6 +73,8 @@ def region_from_cuts(
 ) -> RateRegion:
     """One constraint per cut, in cut order: the destinations on the cut's far
     side share that cut's bound, floored at zero."""
+    if len(bounds := list(bounds)) != len(cuts):
+        raise SchemaError(f"bounds: expected {len(cuts)}, one per cut, got {len(bounds)}")
     constraints = []
     for i, (cut, bound) in enumerate(zip(cuts, bounds)):
         far = set(cut.complement)

@@ -18,7 +18,9 @@ from relaybound import (
     ternary_entropy,
 )
 from relaybound.gaussian import _GRAM_GATE
+from relaybound import info
 from relaybound.info import CELL_CAP, ZERO_EPS, _plain_entropy
+from tests.test_dm import _clear_plans
 
 
 def naive_marginal(pmf, names):
@@ -250,6 +252,117 @@ def test_lattice_reduces_from_the_smallest_superset_first_cached_among_ties(monk
     pmf.joint_entropy("a")  # now ad, of 4 cells, is the smallest cover
     pmf.joint_entropy("abcd")  # only the full joint, its size-1 axis dropped
     assert sources == [("a", "b", "d"), ("a", "d"), ("a", "b", "c", "d")]
+
+
+def twin_pmfs(sizes, seed, kind, supplied):
+    """Two pmfs equal in every bit but not the same objects: dense, with
+    exact zeros and cells below ``ZERO_EPS`` (sparse), or a point mass.
+    ``supplied`` masks seed their lattices with those marginals, as
+    ``DmInstance.from_parts`` seeds its joint."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(sizes)
+    if kind == "point":
+        p = np.zeros(sizes)
+        p.flat[rng.integers(p.size)] = 1.0
+    elif kind == "sparse":
+        p[rng.random(sizes) < 0.3] = 0.0
+        p.flat[0] += p.sum() == 0.0
+        p /= p.sum()
+        p[(rng.random(sizes) < 0.2) & (p > 0)] = 0.5 * ZERO_EPS
+    p /= p.sum()
+    variables = tuple((f"v{i}", s) for i, s in enumerate(sizes))
+    axes = range(len(sizes))
+    marginals = [(m, p.sum(axis=tuple(i for i in axes if not m >> i & 1), keepdims=True))
+                 for m in supplied]
+    return [JointPmf._trusted(variables, p.copy(), [(m, a.copy()) for m, a in marginals])
+            for _ in range(2)]
+
+
+def lattice_state(pmf):
+    return ([(cells, mask, e.probs.shape, e.probs.tobytes()) for cells, mask, e in pmf._lattice],
+            list(pmf._entropies))
+
+
+@st.composite
+def batch_cases(draw):
+    """(sizes, seed, pmf kind, supplied masks, calls): each call is a batch
+    of masks for ``entropies`` or a run of single ``entropy_of`` calls.  The
+    masks repeat, include 0, and include masks of size-1 variables only."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=9))
+    full = (1 << len(sizes)) - 1
+    units = sum(1 << i for i, s in enumerate(sizes) if s == 1)
+    mask = st.one_of(st.integers(0, full), st.just(0), st.integers(0, full).map(units.__and__))
+    calls = draw(st.lists(st.tuples(st.booleans(), st.lists(mask, max_size=12)),
+                          min_size=1, max_size=5))
+    calls = [(single, masks + masks[::3]) for single, masks in calls]
+    kind = draw(st.sampled_from(["dense", "sparse", "point"]))
+    return (sizes, draw(st.integers(0, 2**32 - 1)), kind,
+            draw(st.lists(st.integers(0, full), max_size=2)), calls)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=batch_cases())
+def test_batched_entropies_equal_single_calls_bit_for_bit(case):
+    # ``entropies`` gives the floats the same masks give through
+    # ``entropy_of`` one at a time on a fresh twin, and leaves the memo and
+    # the lattice with the same masks, marginals and order, whether its
+    # calls stand alone or between single calls.
+    sizes, seed, kind, supplied, calls = case
+    pmf, twin = twin_pmfs(sizes, seed, kind, supplied)
+    reductions, reduce = [], JointPmf.marginal
+    JointPmf.marginal = lambda self, names: reductions.append(names) or reduce(self, names)
+    try:  # each miss is reduced once, through the class attribute
+        for single, masks in calls:
+            start = len(reductions)
+            got = [pmf.entropy_of(m) for m in masks] if single else pmf.entropies(masks)
+            mid = len(reductions)
+            want = [twin.entropy_of(m) for m in masks]
+            assert reductions[start:mid] == reductions[mid:]
+            assert [h.hex() for h in got] == [h.hex() for h in want]
+            assert lattice_state(pmf) == lattice_state(twin)
+    finally:
+        JointPmf.marginal = reduce
+    # a batch over the whole call list on fresh twins, and the plan it left
+    pmf, twin = twin_pmfs(sizes, seed, kind, supplied)
+    masks = [m for _, ms in calls for m in ms]
+    for _ in range(2):
+        got, want = pmf.entropies(masks), [twin.entropy_of(m) for m in masks]
+        assert [h.hex() for h in got] == [h.hex() for h in want]
+        assert lattice_state(pmf) == lattice_state(twin)
+        pmf, twin = twin_pmfs(sizes, seed, kind, supplied)
+
+
+def test_batched_entropies_take_chunks_of_many_marginals(monkeypatch):
+    # Marginals larger than a chunk, and more cells than one chunk holds,
+    # give the floats of the one-marginal kernel; no chunk joins more than
+    # _CHUNK_CELLS cells.
+    rng = np.random.default_rng(12)
+    margs = [rng.random(int(k)) for k in rng.integers(1, 3 * info._CHUNK_CELLS, 12)]
+    margs += [rng.random(int(k)) for k in rng.integers(1, 300, 200)]
+    for m in margs[::7]:
+        m[rng.random(m.size) < 0.1] = 0.0
+    rng.shuffle(margs)
+    joined, concatenate = [], np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda arrays: joined.append(
+        sum(a.size for a in arrays)) or concatenate(arrays))
+    got = info._plain_entropies(margs)
+    assert [h.hex() for h in got] == [_plain_entropy(m).hex() for m in margs]
+    assert len(joined) > 3 and max(joined) <= info._CHUNK_CELLS
+    assert info._plain_entropies([]) == []
+
+
+def test_entropy_plans_are_bounded_and_cleared_with_the_other_plans():
+    maxsize = info._miss_plan.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 1024
+    rng = np.random.default_rng(8)
+    pmf = random_pmf(rng, [2] * 9)
+    probs = pmf.probs
+    _clear_plans()
+    for m in range(1, maxsize + 40):  # a distinct pair of misses each time
+        JointPmf(list(pmf.variables), probs).entropies([m, m ^ 0b110000000])
+    assert info._miss_plan.cache_info().currsize == maxsize
+    _clear_plans()
+    assert info._miss_plan.cache_info().currsize == 0
 
 
 def oracle_conditional(pmf, a, given):

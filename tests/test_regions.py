@@ -15,6 +15,7 @@ from relaybound import (
     region_max_weighted,
     region_membership,
 )
+from relaybound.errors import SchemaError
 from relaybound.networks import enumerate_cuts
 from relaybound.regions import region_from_cuts
 
@@ -38,6 +39,22 @@ def test_region_validation():
         RateRegion([2, 3], [RegionConstraint((1,), 1.0)])
     with pytest.raises(ValueError, match="0/1"):
         RateRegion([2], [RegionConstraint((2,), 1.0)])
+
+
+def test_region_from_cuts_needs_one_bound_per_cut():
+    # A bound list of the wrong length, a generator among them, is refused
+    # rather than cut short: a dropped constraint would widen the region.
+    cuts = enumerate_cuts(3, [2, 3], "broadcast")
+    assert len(cuts) == 3
+    for bounds, got in (([1.0], 1), ([], 0), ([1.0] * 4, 4), ((b for b in [1.0, 2.0]), 2),
+                        (iter([0.5] * 5), 5)):
+        with pytest.raises(SchemaError) as err:
+            region_from_cuts([2, 3], cuts, bounds)
+        assert str(err.value) == f"bounds: expected 3, one per cut, got {got}"
+    # a generator of one bound per cut builds one constraint per cut, in order
+    region = region_from_cuts([2, 3], cuts, (b for b in [1.0, 2.0, 3.0]))
+    assert [c.cut for c in region.constraints] == cuts
+    assert [c.bound for c in region.constraints] == [1.0, 2.0, 3.0]
 
 
 def test_to_dicts_carries_cut_provenance():

@@ -44,6 +44,41 @@ def test_tracer_installs_counts_and_restores(tmp_path):
             assert now[name] is value, (owner, name)
 
 
+def _dm_parts(n):
+    rng = np.random.default_rng(3)
+    p = rng.random((2,) * (2 * n - 1))
+    pin = relaybound.JointPmf([(f"x{k}", 2) for k in range(1, n + 1)]
+                              + [(f"u{k}", 2) for k in range(2, n + 1)], p / p.sum())
+    c = rng.random((2,) * (2 * n))
+    c /= c.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
+    chan = relaybound.Channel([(f"x{k}", 2) for k in range(1, n + 1)],
+                              [(f"y{k}", 2) for k in range(1, n + 1)], c)
+    return pin, chan
+
+
+def test_tracer_sees_one_marginal_call_per_new_entropy():
+    # A batched entropy pass reduces each miss through the wrapped
+    # JointPmf.marginal, whether its plan is built by this call or was built
+    # by an earlier one: a replay that reduces around the attribute would
+    # show fewer calls than new memo entries.
+    n = 4
+    parts = _dm_parts(n)
+    counts = []
+    for _ in range(2):
+        inst = relaybound.DmInstance.from_parts(*parts, [n])
+        assert inst.joint._entropies == {}
+        tracer = Tracer()
+        tracer.install(relaybound)
+        try:
+            relaybound.ddf_unicast_dm(inst, n)
+            tracer.end_job(1.0)
+        finally:
+            tracer.restore()
+        counts.append((tracer.metrics()["info.marginal_calls"], len(inst.joint._entropies)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == counts[0][1] > 1
+
+
 def test_tracer_sees_lattice_reductions_through_marginal():
     # The entropy lattice reduces cached sub-pmfs through JointPmf.marginal,
     # so the benchmark's marginal counts see every reduction, and most of
@@ -52,16 +87,8 @@ def test_tracer_sees_lattice_reductions_through_marginal():
     # instance built from parts is at most one of the factor marginals over
     # (x, u, y_k) (256 cells here, against the joint's 2,048), and a source
     # of another size moves them.
-    rng = np.random.default_rng(3)
     n = 4
-    p = rng.random((2,) * (2 * n - 1))
-    pin = relaybound.JointPmf([(f"x{k}", 2) for k in range(1, n + 1)]
-                              + [(f"u{k}", 2) for k in range(2, n + 1)], p / p.sum())
-    c = rng.random((2,) * (2 * n))
-    c /= c.sum(axis=tuple(range(n, 2 * n)), keepdims=True)
-    chan = relaybound.Channel([(f"x{k}", 2) for k in range(1, n + 1)],
-                              [(f"y{k}", 2) for k in range(1, n + 1)], c)
-    inst = relaybound.DmInstance.from_parts(pin, chan, [n])
+    inst = relaybound.DmInstance.from_parts(*_dm_parts(n), [n])
     tracer = Tracer()
     tracer.install(relaybound)
     try:

@@ -3,11 +3,13 @@
     python3 tools/output_identity.py --seeds 1-8 --workdir /tmp/identity
 
 For each seed, each workload of ``perfbench.workloads`` builds its job set as
-the benchmark does, runs every job once, and takes the job's fingerprint
-(the values the benchmark compares between rounds).  The digest of a
-workload is the sha256 of the pickled fingerprints of all its jobs, seed by
-seed, in job order.  Two checkouts whose digests agree give the same outputs
-on every benchmark job.
+the benchmark does, and runs every job twice: first with relaybound's plan
+caches emptied, then again on the plans that run left.  Each run gives the
+job's fingerprint (the values the benchmark compares between rounds).  When
+the two differ, the tool names the workload, seed and job on stderr and
+exits 1.  The digest of a workload is the sha256 of the pickled fingerprints
+of all its jobs, seed by seed, in job order.  Two checkouts whose digests
+agree give the same outputs on every benchmark job.
 
 relaybound is imported from the ``src/`` directory beside ``tools/``.  The
 work directory holds the files the ``cli_session`` jobs read and write; their
@@ -49,6 +51,9 @@ def main(argv=None) -> int:
     from perfbench.workloads import WORKLOADS
 
     rb = import_relaybound(ROOT / "src")
+    caches = [obj for name, module in list(sys.modules.items())
+              if name.partition(".")[0] == "relaybound"
+              for obj in vars(module).values() if hasattr(obj, "cache_clear")]
     for name, workload in WORKLOADS.items():
         digest = hashlib.sha256()
         for seed in args.seeds:
@@ -56,7 +61,15 @@ def main(argv=None) -> int:
             workdir.mkdir(parents=True, exist_ok=True)
             wl = workload(rb, seed, workdir)
             for i in range(len(wl.jobs)):
-                digest.update(pickle.dumps(wl.fingerprint(i, wl.run(i)), protocol=4))
+                for cache in caches:
+                    cache.cache_clear()
+                cold, warm = (pickle.dumps(wl.fingerprint(i, wl.run(i)), protocol=4)
+                              for _ in range(2))
+                if warm != cold:
+                    print(f"{name} seed {seed} job {i}: the run on warm plans gives "
+                          "another fingerprint than the run on cold plans", file=sys.stderr)
+                    return 1
+                digest.update(cold)
         print(name, digest.hexdigest())
     return 0
 
