@@ -34,10 +34,10 @@ a variables tuple's axes and kept mask, a lattice key's sub-variables, and
 the variables' interned layout, which hashes by identity (and on the mask or
 the names asked for).  A miss scans the lattice from the first entry with
 the key's cell count, since a smaller entry cannot cover it, and ties keep
-their order.  ``JointPmf.entropies`` plans its misses once per lattice state
-and takes their p log2 p in chunks, each entropy summed alone.  Each
-reduction has the same source and operations as before, so the contract
-above does not change.
+their order.  ``JointPmf.entropies`` plans its misses once per lattice state,
+which recurs across fresh instances of one shape, and takes their p log2 p
+in chunks, each entropy summed alone.  Each reduction has the same source
+and operations as before, so the contract above does not change.
 """
 
 from __future__ import annotations

@@ -38,13 +38,14 @@ from relaybound import (
     save_pmf,
     simplex_grid,
 )
-from relaybound import dm, info, networks
+from relaybound import dm, info
 from relaybound.dm import _pareto_frontier, pmf_to_dict
 from relaybound.networks import enumerate_cuts
 from tests.bitpipe import bit_pipe_oracle
 from tests.cutterms import (
     cutset_oracle, deterministic_oracle, j_oracle, marton_oracle, unicast_oracle)
 from tests.maxflow import maxflow_oracle
+from tests.plans import _clear_plans
 
 
 def naive_mi(pmf, a, b, given):
@@ -170,13 +171,6 @@ def test_malformed_parts_raise_the_same_error_on_every_call(in_vars, match):
             DmInstance.from_parts(pin, chan, [2])
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-
-
-def _clear_plans():
-    for module in (info, dm, networks):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
 
 
 def test_cold_and_warm_plans_give_the_same_bits_and_pickles():

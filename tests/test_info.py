@@ -20,7 +20,7 @@ from relaybound import (
 from relaybound.gaussian import _GRAM_GATE
 from relaybound import info
 from relaybound.info import CELL_CAP, ZERO_EPS, _plain_entropy
-from tests.test_dm import _clear_plans
+from tests.plans import _clear_plans
 
 
 def naive_marginal(pmf, names):
