@@ -34,12 +34,13 @@ from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from
 # Channels and instances.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """A conditional pmf p(outputs | inputs) as a dense tensor.
 
     Axes follow ``given`` variables first, then ``out`` variables; for every
-    input combination the output slice sums to one.
+    input combination the output slice sums to one.  Equality and hashing
+    are by identity, as ``probs`` is an array.
     """
 
     given: tuple[tuple[str, int], ...]
@@ -229,15 +230,17 @@ _DDF, _CUTSET, _MARTON = range(3)
 
 
 @lru_cache(maxsize=256)
-def _cut_program(n: int, q: int, dests: int, unicast: bool, kind: int):
-    """(entropy masks, index array (cuts, terms, 4)) of a cut functional over
-    the cuts for the destinations in the bitmask ``dests``.  A term is
-    ``DmInstance.mi(a, b, given)``'s H(a|g), H(g), H(a|b|g) and H(b|g), g =
-    given|q; slot -1 reads 0.0, for an empty g and for an empty side.  The
-    masks keep the per-cut order of first use: a miss's bits depend on which
-    marginal it is reduced from.  A ``_DDF`` row is the rate term, then the
-    far nodes' description and correlation prices, each group padded with
-    empty terms to n - 1; ``_MARTON`` adds I(u_k; y_k) and I(u_k; u(earlier)).
+def _cut_program(n: int, q: int, dests: int, mode: str, kind: int):
+    """(cuts, entropy masks, index array (cuts, terms, 4)) of a cut functional.
+    ``cuts`` is the tuple of ``enumerate_cuts``' cuts for ``mode`` and the
+    destinations in the bitmask ``dests``, the one enumeration of the
+    functional's evaluators.  A term is ``DmInstance.mi(a, b, given)``'s H(a|g),
+    H(g), H(a|b|g) and H(b|g), g = given|q; slot -1 reads 0.0, for an empty g
+    and for an empty side.  The masks keep the per-cut order of first use: a
+    miss's bits depend on which marginal it is reduced from.  A ``_DDF`` row is
+    the rate term, then the far nodes' description and correlation prices, each
+    group padded with empty terms to n - 1; ``_MARTON`` adds I(u_k; y_k) and
+    I(u_k; u(earlier)).
     """
     _, x, u, y = _instance_plan(tuple(_canonical_vars(n, {})), n, ())
     slots: dict[int, int] = {}
@@ -250,14 +253,15 @@ def _cut_program(n: int, q: int, dests: int, unicast: bool, kind: int):
                      for m in (a | given, given, a | b | given, b | given))
 
     nodes = [k for k in range(2, n + 1) if dests >> k & 1]
+    cuts = tuple(enumerate_cuts(n, nodes, mode))
     all_x, rows = sum(x), []
-    for cut in enumerate_cuts(n, nodes, "unicast" if unicast else "broadcast"):
+    for cut in cuts:
         far = cut.complement  # ascending, so each node's earlier nodes precede it
         x_far = sum(x[k] for k in far)
         if kind == _CUTSET:
             rows.append([mi(all_x & ~x_far, sum(y[k] for k in far), x_far)])
             continue
-        b = sum(u[k] for k in far) | (y[nodes[0]] if unicast else 0)
+        b = sum(u[k] for k in far) | (y[nodes[0]] if mode == "unicast" else 0)
         groups = [[mi(all_x & ~x_far, b, x_far)]] + [[] for _ in range(2 + 2 * (kind == _MARTON))]
         x_earlier = u_earlier = 0
         for k in far:
@@ -270,27 +274,34 @@ def _cut_program(n: int, q: int, dests: int, unicast: bool, kind: int):
         rows.append(groups[0] + [t for g in groups[1:] for t in g + [empty] * (n - 1 - len(g))])
     idx = np.array(rows, dtype=np.intp)
     idx.flags.writeable = False
-    return tuple(slots), idx
+    return cuts, tuple(slots), idx
 
 
-def _cut_values(inst: DmInstance, dests: Iterable[int], unicast: bool, kind: int):
-    """``_cut_program``'s terms on ``inst``, clamped at zero as ``mask_mutual_info``
-    clamps them, and the functional: a ``_CUTSET`` term, or the rate term less
-    both prices, each sum added left to right as Python's ``sum`` adds it."""
-    masks, idx = _cut_program(inst.n, inst._q, sum(1 << d for d in dests), unicast, kind)
+def _cut_values(inst: DmInstance, dests: Iterable[int], mode: str, kind: int):
+    """(cuts, terms, values) of ``_cut_program``'s functional on ``inst``: its
+    cuts, the (cuts, terms) array of its terms, clamped at zero as
+    ``mask_mutual_info`` clamps them, and each cut's value, a ``_CUTSET`` term
+    or the rate term less both prices, each sum added left to right as Python's
+    ``sum`` adds it."""
+    cuts, masks, idx = _cut_program(inst.n, inst._q, sum(1 << d for d in dests), mode, kind)
     h = np.array([*inst.joint.entropies(masks), 0.0])[idx]
     v = (h[..., 0] - h[..., 1]) - (h[..., 2] - h[..., 3])
     v, w = np.where(v > 0.0, v, 0.0), inst.n - 1
     if kind == _CUTSET:
-        return v, v[:, 0]
-    return v, v[:, 0] - _row_sums(v[:, 1:w + 1]) - _row_sums(v[:, w + 1:2 * w + 1])
+        return cuts, v, v[:, 0]
+    return cuts, v, v[:, 0] - _row_sums(v[:, 1:w + 1]) - _row_sums(v[:, w + 1:2 * w + 1])
+
+
+def _bound(dests: tuple[int, ...], mode: str, cuts: Sequence[Cut], values: list[RateBits]):
+    """A cut bound's result: the minimum of ``values`` for ``"unicast"``, and
+    their region over ``cuts`` otherwise."""
+    return min(values) if mode == "unicast" else region_from_cuts(dests, cuts, values)
 
 
 def ddf_unicast_dm(inst: DmInstance, dest: int) -> tuple[RateBits, list[CutTerms]]:
     """Achievable rate to one destination plus the per-cut breakdown."""
     dest = as_node(dest, inst.n, "dest", first=2)
-    cuts = enumerate_cuts(inst.n, {dest}, "unicast")
-    v, totals = _cut_values(inst, (dest,), True, _DDF)
+    cuts, v, totals = _cut_values(inst, (dest,), "unicast", _DDF)
     terms = [CutTerms(cut, row[0], dict(zip(cut.complement, row[1:])),
                       dict(zip(cut.complement, row[inst.n:])), total)
              for cut, row, total in zip(cuts, v.tolist(), totals.tolist())]
@@ -312,18 +323,14 @@ def constraint_values_j(inst: DmInstance) -> dict[tuple[int, ...], RateBits]:
     a negative value marks a constraint that would make the region empty and
     is what constraint_repair removes.
     """
-    dests = range(2, inst.n + 1)
-    cuts = enumerate_cuts(inst.n, dests, "broadcast")
-    return dict(zip([cut.s for cut in cuts], _cut_values(inst, dests, False, _DDF)[1].tolist()))
+    cuts, _, totals = _cut_values(inst, range(2, inst.n + 1), "broadcast", _DDF)
+    return dict(zip([cut.s for cut in cuts], totals.tolist()))
 
 
 def ddf_broadcast_region_dm(inst: DmInstance) -> RateRegion:
     """Private-message inner bound: per cut, the far-side destinations share J(S)."""
-    dims = inst.destinations
-    if not dims:
-        raise ValueError("instance has no destinations")
-    cuts = enumerate_cuts(inst.n, dims, "broadcast")
-    return region_from_cuts(dims, cuts, _cut_values(inst, dims, False, _DDF)[1].tolist())
+    cuts, _, totals = _cut_values(inst, inst.destinations, "broadcast", _DDF)
+    return region_from_cuts(inst.destinations, cuts, totals.tolist())
 
 
 def cutset_dm(
@@ -340,17 +347,11 @@ def cutset_dm(
     |Q| prod|X| prod|Y| cells, not that times prod|U|.  Its axis stays, of
     size 1, so ``DmInstance.from_parts`` still checks its name.
     """
-    if not (dests := tuple(dests)):
-        raise ValueError("need at least one destination")
     q = ("q",) if q_vars is None else tuple(q_vars)
     drop = {name for name in input_pmf.names if name.startswith("u") and name not in q}
     inst = DmInstance.from_parts(_summed_out(input_pmf, drop), channel, dests, q_vars)
-    dests = inst.destinations
-    cuts = enumerate_cuts(inst.n, dests, mode)
-    values = _cut_values(inst, dests, mode == "unicast", _CUTSET)[1].tolist()
-    if mode == "unicast":
-        return min(values)
-    return region_from_cuts(dests, cuts, values)
+    cuts, _, values = _cut_values(inst, inst.destinations, mode, _CUTSET)
+    return _bound(inst.destinations, mode, cuts, values.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +412,7 @@ def deterministic_inner(
     h = joint.entropies([x[k] for k in range(2, net.n + 1)]
                         + [sum(x[k] | y[k] for k in c.complement) for c in cuts])
     values = [hc - sum(h[k - 2] for k in c.complement) for c, hc in zip(cuts, h[net.n - 1:])]
-    if mode == "unicast":
-        return min(values)
-    return region_from_cuts(dests, cuts, values)
+    return _bound(dests, mode, cuts, values)
 
 
 def det_dm_instance(
@@ -457,7 +456,7 @@ def marton_identity_check(inst: DmInstance) -> tuple[RateBits, RateBits, float]:
                 "not a single-hop broadcast instance: descriptions leak into "
                 f"y{k} beyond x1 (I = {leak:.2e})"
             )
-    v, lhs_cuts = _cut_values(inst, range(2, inst.n + 1), False, _MARTON)
+    _, v, lhs_cuts = _cut_values(inst, range(2, inst.n + 1), "broadcast", _MARTON)
     rhs_cuts, w = 0.0, inst.n - 1
     for j in range(2 * w + 1, 3 * w + 1):
         rhs_cuts = rhs_cuts + v[:, j] - v[:, j + w]
@@ -629,7 +628,6 @@ def conferencing_dbc_region(
     a2 = max(y2_map) + 1
     a3 = max(y3_map) + 1
     r2_caps, r3_caps, h23 = np.empty(rows), np.empty(rows), np.empty(rows)
-    i_sum, max_sum, max_r2, max_r3 = 0, -math.inf, -math.inf, -math.inf
     # Each polytope's two upper corners that are undominated within their
     # block; the frontier sorts them, so their order does not matter.
     kept_corners: list[np.ndarray] = []
@@ -642,19 +640,14 @@ def conferencing_dbc_region(
         np.add(_h_rows(_row_sums(joint)), c32, out=r2)
         np.add(_h_rows(_row_sums(joint.transpose(0, 2, 1))), c23, out=r3)
         h[:] = _h_rows(joint.reshape(hi - lo, -1))
-
-        best_sum = np.minimum(h, r2 + r3)
-        i = int(np.argmax(best_sum))
-        if best_sum[i] > max_sum:
-            i_sum, max_sum = lo + i, float(best_sum[i])
         top_r2, top_r3 = np.minimum(r2, h), np.minimum(r3, h)
-        max_r2 = max(max_r2, float(np.max(top_r2)))
-        max_r3 = max(max_r3, float(np.max(top_r3)))
         corner_r2 = np.concatenate([top_r2, np.minimum(r2, h - top_r3)])
         corner_r3 = np.concatenate([np.minimum(r3, h - top_r2), top_r3])
         kept = _undominated(corner_r2, corner_r3)
         kept_corners.append(np.stack([corner_r2[kept], corner_r3[kept]]))
     corners = np.concatenate(kept_corners, axis=1)
+    best_sum = np.minimum(h23, r2_caps + r3_caps)
+    i_sum = int(np.argmax(best_sum))  # the first maximum
     region = RateRegion(
         (2, 3),
         [
@@ -667,9 +660,9 @@ def conferencing_dbc_region(
         c23=c23,
         c32=c32,
         resolution=grid_res,
-        max_sum=max_sum,
-        max_r2=max_r2,
-        max_r3=max_r3,
+        max_sum=float(best_sum[i_sum]),
+        max_r2=float(np.max(np.minimum(r2_caps, h23))),
+        max_r3=float(np.max(np.minimum(r3_caps, h23))),
         sum_argmax=tuple(float(v) for v in pmfs[i_sum]),
         region_at_sum_opt=region,
         boundary=_pareto_frontier(corners[0], corners[1]),

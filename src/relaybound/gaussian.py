@@ -111,17 +111,21 @@ def _plan_rates(plan: np.ndarray, k_cov: np.ndarray) -> np.ndarray:
 
 
 def _ddf_rows(
-    net: GaussianNetwork, cuts: Sequence[Cut], dest: int | None = None
-) -> tuple[list[RateBits], list[RateBits]]:
-    """(rate terms, inner-bound values) of every cut at K = diag(P), one
-    kernel call per ``_STACK`` cuts, with ``dest`` as in ``_cut_plan``.  A
-    value is its term less the far-side penalties, summed in far-side order."""
+    net: GaussianNetwork, dest: int | None = None
+) -> tuple[list[Cut], list[RateBits], list[RateBits]]:
+    """(cuts, rate terms, inner-bound values) at K = diag(P): the unicast cuts
+    for ``dest``, its row doubled as in ``_cut_plan``, or with no ``dest`` the
+    broadcast cuts for ``net.destinations``.  One kernel call per ``_STACK``
+    cuts; a value is its term less the far-side penalties, summed in far-side
+    order."""
+    dests, mode = (net.destinations, "broadcast") if dest is None else ((dest,), "unicast")
+    cuts = enumerate_cuts(net.n, dests, mode)
     power = np.diag(net.power)
     terms: list[RateBits] = []
     for i in range(0, len(cuts), _STACK):
         terms += _plan_rates(_cut_plan(net, cuts[i : i + _STACK], dest), power).tolist()
     pen = {k: node_penalty(net, k) for k in range(2, net.n + 1)}
-    return terms, [t - sum(pen[k] for k in cut.complement) for t, cut in zip(terms, cuts)]
+    return cuts, terms, [t - sum(pen[k] for k in cut.complement) for t, cut in zip(terms, cuts)]
 
 
 def _validate_cov(net: GaussianNetwork, k_cov: np.ndarray) -> np.ndarray:
@@ -212,27 +216,25 @@ def ddf_rates_general(
     if not np.all(sig[1:] > 0):
         raise ValueError("quantizer variances must be positive on the far side")
     inst = DmInstance(_GaussianJoint(net, k, sig), n, net.destinations)
-    return _cut_values(inst, net.destinations, False, _DDF)[1].tolist()
+    return _cut_values(inst, net.destinations, "broadcast", _DDF)[2].tolist()
 
 
 def ddf_unicast_rate(net: GaussianNetwork, dest: int) -> RateBits:
     """Achievable rate to a single destination: minimum over unicast cuts."""
-    dest = as_node(dest, net.n, "dest", first=2)
-    cuts = enumerate_cuts(net.n, {dest}, "unicast")
-    return min(_ddf_rows(net, cuts, dest)[1])
+    return min(_ddf_rows(net, as_node(dest, net.n, "dest", first=2))[2])
 
 
 def ddf_region(net: GaussianNetwork) -> RateRegion:
     """Broadcast inner bound: one halfspace per cut, clamped at zero."""
-    cuts = enumerate_cuts(net.n, net.destinations, "broadcast")
-    return region_from_cuts(net.destinations, cuts, _ddf_rows(net, cuts)[1])
+    cuts, _, values = _ddf_rows(net)
+    return region_from_cuts(net.destinations, cuts, values)
 
 
 # ---------------------------------------------------------------------------
 # Cutset estimation: heuristic maximization over input covariances.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutsetEstimate:
     """A searched estimate of the cutset value plus the certified relaxation.
 
@@ -244,7 +246,8 @@ class CutsetEstimate:
     a lower bound on the cutset optimum.  ``relaxed_upper`` is the
     always-valid min over cuts of the relaxed outer bound.  ``evaluations``
     counts the candidate covariances scored, whether in closed form, on one
-    cut or on every cut.
+    cut or on every cut.  Equality and hashing are by identity, as
+    ``k_best`` is an array.
     """
 
     estimate: RateBits
@@ -432,9 +435,8 @@ class GapCertificate:
 
 def gap_certificate(net: GaussianNetwork) -> GapCertificate:
     half_n = net.n / 2.0
-    cuts = enumerate_cuts(net.n, net.destinations, "broadcast")
     rows = []
-    for cut, term, ddf in zip(cuts, *_ddf_rows(net, cuts)):
+    for cut, term, ddf in zip(*_ddf_rows(net)):
         upper = term + len(cut.s) / 2.0
         inner = term - len(cut.complement) / 2.0
         rows.append(GapRow(cut, upper, inner, half_n, ddf, upper - ddf))

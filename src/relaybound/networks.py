@@ -55,9 +55,10 @@ def _enumerated_cut(s: tuple[int, ...], far: tuple[int, ...], n: int) -> Cut:
     return cut
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianNetwork:
-    """An n-node Gaussian network with per-node transmit power limits."""
+    """An n-node Gaussian network with per-node transmit power limits.
+    Equality and hashing are by identity, as its gains and powers are arrays."""
 
     n: int
     gains: np.ndarray
@@ -95,12 +96,13 @@ class GaussianNetwork:
         object.__setattr__(self, "destinations", dests)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeterministicNetwork:
     """A noiseless network: y_k = maps[k](x_1, ..., x_n) for k = 2..n.
 
     ``alphabets[j-1]`` is the input alphabet size of node j; each map is a
     dense int tensor over the full input joint (row-major, axis j-1 for x_j).
+    Equality and hashing are by identity, as the maps are arrays.
     """
 
     n: int
@@ -188,7 +190,8 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
     """All cuts S containing node 1, in ascending bitmask order (node 1 = LSB).
 
     unicast: the single destination must lie on the far side of every cut.
-    broadcast: at least one destination on the far side.
+    broadcast: at least one destination on the far side; at least one
+    destination must be given.
 
     The arguments are checked on every call.  The list is the caller's own;
     its cuts, which are frozen, come from a table kept per (n, dests, mode).
@@ -204,6 +207,8 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
             raise ValueError(f"unicast mode needs exactly one destination, got {dests}")
     elif mode != "broadcast":
         raise ValueError(f"unknown mode {mode!r}")
+    elif not dests:
+        raise ValueError("broadcast mode needs at least one destination")
     table = _cut_table if n <= _TABLE_NODES else _cut_table.__wrapped__
     return list(table(n, dests, mode))
 

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from relaybound import (
+    Cut,
     DeterministicNetwork,
+    GapCertificate,
+    GapRow,
     GaussianNetwork,
     JointPmf,
     cutset_dm,
@@ -225,6 +228,20 @@ def test_gap_verify_at_high_snr(tmp_path):
     for bad, got in (("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")):
         assert run_full(["gap-verify", "--power", bad]) == (
             2, "", f"error: power: must be finite and positive, got {got}\n")
+
+
+def test_gap_verify_exits_1_on_a_violation(tmp_path, monkeypatch):
+    # a certificate row whose tighter gap passes n/2 fails the run
+    over = 1.5 + 1e-6
+    row = GapRow(Cut([1], 3), 2.0, 0.5, 1.5, 2.0 - over, over)
+    monkeypatch.setattr(cli, "gap_certificate", lambda net: GapCertificate(3, (row,), 1.5, over))
+    out = tmp_path / "gap.json"
+    assert run_full(["gap-verify", "--n", "3", "--trials", "2", "--out", str(out)]) == (1, "", "")
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert doc["max_tighter_gap"] == over
+    assert doc["violations"] == [{"trial": t, "cut": [1], "gap": 1.5, "tighter_gap": over}
+                                 for t in range(2)]
 
 
 def test_region_rejects_non_finite_network_file(tmp_path):

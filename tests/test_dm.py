@@ -227,7 +227,7 @@ def test_dm_instance_validation():
     for small, n in ((one, 1), (JointPmf([("q", 1)], [1.0]), 0)):
         with pytest.raises(ValueError, match=f"^n: a network needs at least 2 nodes, got {n}$"):
             DmInstance(small, n, [])
-    with pytest.raises(ValueError, match="instance has no destinations"):
+    with pytest.raises(ValueError, match="^broadcast mode needs at least one destination$"):
         ddf_broadcast_region_dm(DmInstance(joint, 2, []))
 
 
@@ -565,8 +565,26 @@ def test_cutset_dm_on_noiseless_channel():
     with pytest.raises(ValueError, match="unknown mode"):
         cutset_dm(pin, chan, [3], mode="region")
     # once an IndexError from a cut program over no cuts
-    with pytest.raises(ValueError, match="need at least one destination"):
+    with pytest.raises(ValueError, match="^broadcast mode needs at least one destination$"):
         cutset_dm(pin, chan, [], mode="broadcast")
+
+
+def test_an_empty_broadcast_set_has_one_message():
+    # enumerate_cuts owns the rule, and every bound over broadcast cuts
+    # raises its message
+    pin = JointPmf([("x1", 2)], [0.5, 0.5])
+    chan = Channel([("x1", 2)], [("y2", 2)], [[0.9, 0.1], [0.2, 0.8]])
+    net = DeterministicNetwork([2, 1], {2: [0, 1]})
+    calls = [
+        lambda: enumerate_cuts(3, [], "broadcast"),
+        lambda: cutset_dm(pin, chan, [], "broadcast"),
+        lambda: ddf_broadcast_region_dm(DmInstance.from_parts(pin, chan, [])),
+        lambda: deterministic_inner(net, JointPmf([("x1", 2), ("x2", 1)], [0.5, 0.5]), [],
+                                    "broadcast"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^broadcast mode needs at least one destination$"):
+            call()
 
 
 def single_hop_parts(rng, n):

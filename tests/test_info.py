@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaybound import (
+    GaussianNetwork,
     JointPmf,
     TensorCapError,
     binary_entropy,
@@ -18,9 +19,9 @@ from relaybound import (
     ternary_entropy,
 )
 from relaybound.gaussian import _GRAM_GATE
-from relaybound import info
+from relaybound import cli, gaussian, info
 from relaybound.info import CELL_CAP, ZERO_EPS, _plain_entropy
-from tests.plans import _clear_plans
+from tests.plans import _clear_plans, _plan_caches
 
 
 def naive_marginal(pmf, names):
@@ -363,6 +364,19 @@ def test_entropy_plans_are_bounded_and_cleared_with_the_other_plans():
     assert info._miss_plan.cache_info().currsize == maxsize
     _clear_plans()
     assert info._miss_plan.cache_info().currsize == 0
+
+
+def test_clear_plans_empties_every_plan_cache_of_the_package():
+    # every cache of every loaded relaybound module, the Gaussian cut
+    # patterns and the CLI parser among them
+    net = GaussianNetwork(3, [[0, 0, 0], [1.0, 0, 0], [0.5, 2.0, 0]], 1.0, [2, 3])
+    gaussian.ddf_region(net)
+    cli._parser()
+    caches = _plan_caches()
+    assert gaussian._cut_pattern in caches and cli._parser in caches
+    assert any(cache.cache_info().currsize for cache in caches)
+    _clear_plans()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
 
 
 def oracle_conditional(pmf, a, given):

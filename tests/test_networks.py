@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from relaybound import (
+    Channel,
     Cut,
     DeterministicNetwork,
     GaussianNetwork,
     GraphicalNetwork,
+    RateRegion,
+    RegionConstraint,
     SchemaError,
+    cutset_estimate,
     enumerate_cuts,
     load_network,
     received_snr,
@@ -252,6 +256,33 @@ def test_graphical_network_rejects_non_integral_ints():
         GraphicalNetwork([(1, 2, 1.0)], [2], n=3.5)
     net = GraphicalNetwork([(1.0, np.int64(2), 1.0)], [2], n=3.0)
     assert net.edges == ((1, 2, 1.0),) and net.n == 3
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # Their generated == compared array fields, which raised ValueError, and
+    # their hash hashed them, which raised TypeError.  Like JointPmf, they now
+    # compare and hash by identity.
+    g = diamond_gains(1.0, 2.0, 3.0, 4.0, 1.0)
+    makers = [
+        lambda: GaussianNetwork(2, g[:2, :2].copy(), 1.0, [2]),
+        lambda: DeterministicNetwork([2, 2], {2: [0, 1, 1, 0]}, [2]),
+        lambda: Channel([("x1", 2)], [("y2", 2)], [[0.9, 0.1], [0.2, 0.8]]),
+        lambda: cutset_estimate(GaussianNetwork(4, g, 1.0, [4]), 4, budget=50),
+    ]
+    for make in makers:
+        a, twin = make(), make()
+        assert (a == twin) is False and (a != twin) is True
+        assert a == a and hash(a) == hash(a)
+        assert len({a, twin}) == 2
+    # records of tuples and numbers keep value equality and value hashing
+    makers = [
+        lambda: Cut([1, 3], 4),
+        lambda: GraphicalNetwork([(1, 2, 1.0), (2, 3, 0.5)], [3]),
+        lambda: RateRegion([2, 3], [RegionConstraint((1, 1), 1.0, Cut([1], 3))]),
+    ]
+    for make in makers:
+        a, twin = make(), make()
+        assert a is not twin and a == twin and hash(a) == hash(twin)
 
 
 def test_gaussian_round_trip(tmp_path):

@@ -57,6 +57,19 @@ def test_region_from_cuts_needs_one_bound_per_cut():
     assert [c.bound for c in region.constraints] == [1.0, 2.0, 3.0]
 
 
+def test_region_from_cuts_reads_each_bound_as_a_number():
+    # a bound that is not a float is read as one, then floored at zero; a
+    # bool or a string is refused with its index
+    cuts = enumerate_cuts(3, [2, 3], "broadcast")
+    region = region_from_cuts([2, 3], cuts, [np.float32(0.5), 1, np.int64(-2)])
+    assert [c.bound for c in region.constraints] == [0.5, 1.0, 0.0]
+    assert [type(c.bound) for c in region.constraints] == [float] * 3
+    for bad in (True, "1"):
+        with pytest.raises(SchemaError) as err:
+            region_from_cuts([2, 3], cuts, [bad, 1.0, 1.0])
+        assert str(err.value) == f"bounds[0]: expected a number, got {bad!r}"
+
+
 def test_to_dicts_carries_cut_provenance():
     cut = Cut([1], 3)
     region = RateRegion([3], [RegionConstraint((1,), 0.7, cut)])
