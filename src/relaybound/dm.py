@@ -27,7 +27,7 @@ from .errors import (
     as_numbers, load_json_object)
 from .info import (
     ZERO_EPS, JointPmf, RateBits, _axes_of, capped_cells, checked_tensor, mask_mutual_info)
-from .networks import Cut, DeterministicNetwork, GraphicalNetwork, enumerate_cuts
+from .networks import Cut, DeterministicNetwork, GraphicalNetwork, as_mode, enumerate_cuts
 from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from_cuts
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,7 @@ def _cut_values(inst: DmInstance, dests: Iterable[int], mode: str, kind: int):
     ``mask_mutual_info`` clamps them, and each cut's value, a ``_CUTSET`` term
     or the rate term less both prices, each sum added left to right as Python's
     ``sum`` adds it."""
+    mode = as_mode(mode)  # before it keys the cache
     cuts, masks, idx = _cut_program(inst.n, inst._q, sum(1 << d for d in dests), mode, kind)
     h = np.array([*inst.joint.entropies(masks), 0.0])[idx]
     v = (h[..., 0] - h[..., 1]) - (h[..., 2] - h[..., 3])

@@ -262,6 +262,35 @@ _LEVELS, _POINTS = 6, 8
 _ROUND = 24
 #: Floor of a closed-form profile factor 1 + rho lam.
 _TINY = np.finfo(float).tiny
+#: 0, 1, ..., _POINTS - 1: a bracket level's grid before its scaling.
+_ARANGE = np.arange(float(_POINTS))
+#: Most normals ``_normals`` keeps in one block: 256 KiB, so its eight
+#: blocks hold at most 2 MiB.
+_NORMALS_CAP = 1 << 15
+
+
+def _rho_grid(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(``np.linspace(lo, hi, _POINTS, axis=1)``, its step), bit for bit:
+    linspace's own arithmetic without its per-call cost, including the other
+    order it takes for every profile when any step is zero."""
+    step = (hi - lo) / (_POINTS - 1)
+    if step.all():
+        rhos = _ARANGE * step[:, None] + lo[:, None]
+    else:
+        rhos = _ARANGE / (_POINTS - 1) * (hi - lo)[:, None] + lo[:, None]
+    rhos[:, -1] = hi
+    return rhos, step
+
+
+@lru_cache(maxsize=8)
+def _normals(seed: int, rounds: int, n: int) -> np.ndarray:
+    """The hill-climb's normals for ``rounds`` rounds, read-only, shape
+    (rounds, _ROUND, n, n): one draw from ``default_rng(seed)``, the stream of
+    ``rounds`` successive ``standard_normal((_ROUND, n, n))`` draws.  Kept
+    per (seed, rounds, n) for blocks of at most ``_NORMALS_CAP`` normals."""
+    block = np.random.default_rng(seed).standard_normal((rounds, _ROUND, n, n))
+    block.flags.writeable = False
+    return block
 
 
 def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
@@ -277,12 +306,20 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     of at most ``_STACK`` (candidate, cut) pairs, only where that bound
     beats the incumbent.  A phase's candidates are cut to the budget left;
     a candidate replaces the incumbent when it is strictly better.
+
+    The bracket's points are ``np.linspace``'s bits (``_rho_grid``).  The
+    hill-climb's normals are one ``default_rng(seed)`` stream, a round's
+    (_ROUND, n, n) at a time.  When every round's normals fit in
+    ``_NORMALS_CAP`` they come from one block draw that ``_normals`` keeps per
+    (seed, rounds, n); past the cap they are drawn round by round, so no
+    budget holds them all at once.
     """
     budget = as_int(budget, "budget")
     seed = as_int(seed, "seed")
     if budget < 1:
         raise ValueError("budget must be positive")
     n = net.n
+    eye = np.eye(n)
     powers = net.power.copy()
     chunk = max(1, _STACK // len(plan))
     best_k = np.diag(powers)
@@ -296,7 +333,7 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     # eigh's eigenvalues of C at 1 only undoes rounding.
     d = np.sqrt(powers)
     scaled = d[:, None] * d[None, :]
-    off = np.ones((2, n, n)) - np.eye(n)
+    off = np.ones((2, n, n)) - eye
     off[0, 0, :] = off[0, :, 0] = 0.0
     w, v = np.linalg.eigh(np.eye(plan.shape[1]) + (plan * powers) @ plan.swapaxes(-1, -2))
     root = (v / np.sqrt(np.maximum(w, 1.0))[..., None, :]).swapaxes(-1, -2) @ plan
@@ -310,7 +347,7 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     for level in range(_LEVELS):
         if level and evals + 2 * _POINTS + 16 > budget:
             break
-        rhos = np.linspace(lo, hi, _POINTS, axis=1)
+        rhos, step = _rho_grid(lo, hi)
         # 1 + rho lam > 0 in exact arithmetic; the floor keeps a point that
         # rounding pushed through zero finite, and last
         factors = np.maximum(1.0 + rhos[:, :, None, None] * lam[:, None], _TINY)
@@ -322,11 +359,10 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
             top, win = values[i], (i // _POINTS, rhos.flat[i])
         if len(values) < 2 * _POINTS:
             break
-        step = (hi - lo) / (_POINTS - 1)
         rho = rhos[[0, 1], np.argmax(values.reshape(2, -1), axis=1)]
         lo, hi = np.maximum(rho - step, 0.0), np.minimum(rho + step, 0.999)
     if win is not None:
-        k = (np.eye(n) + off[win[0]] * win[1]) * scaled
+        k = (eye + off[win[0]] * win[1]) * scaled
         at = _plan_rates(plan, k[None])[0]
         if at.min() > best_v:
             best_v, best_k, terms = float(at.min()), k, at
@@ -336,10 +372,15 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     # that fails.  A min over one cut bounds the min over all cuts from
     # above, so a candidate no better than the incumbent at its binding cut
     # cannot beat it, and the pick (first among ties) is the full stack's.
-    rng = np.random.default_rng(seed)
+    rounds = (budget - evals + _ROUND - 1) // _ROUND
+    if rounds * _ROUND * n * n <= _NORMALS_CAP:
+        normals = _normals(seed, rounds, n)
+    else:
+        rng = np.random.default_rng(seed)
+        normals = (rng.standard_normal((_ROUND, n, n)) for _ in range(rounds))
     scale = 0.3
-    while evals < budget:
-        mix = np.eye(n) + scale * rng.standard_normal((_ROUND, n, n))
+    for normal in normals:
+        mix = eye + scale * normal
         cand = mix @ best_k @ mix.swapaxes(-1, -2)
         cand = 0.5 * (cand + cand.swapaxes(-1, -2))  # exactly symmetric, whatever the scale
         diag = np.diagonal(cand, axis1=-2, axis2=-1)

@@ -186,6 +186,15 @@ class GraphicalNetwork:
         object.__setattr__(self, "destinations", dests)
 
 
+def as_mode(mode: str) -> str:
+    """``mode`` when it is ``"unicast"`` or ``"broadcast"``; any other
+    value, a string or not, raises ValueError.  The one check of a mode,
+    made before the mode keys any cache."""
+    if not isinstance(mode, str) or mode not in ("unicast", "broadcast"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
+
+
 def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
     """All cuts S containing node 1, in ascending bitmask order (node 1 = LSB).
 
@@ -202,11 +211,9 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
             f"refusing to enumerate 2^{n - 1} cuts for n = {n} > {MAX_ENUM_NODES}"
         )
     dests = as_nodes(destinations, n, "destinations", first=2)
-    if mode == "unicast":
+    if as_mode(mode) == "unicast":
         if len(dests) != 1:
             raise ValueError(f"unicast mode needs exactly one destination, got {dests}")
-    elif mode != "broadcast":
-        raise ValueError(f"unknown mode {mode!r}")
     elif not dests:
         raise ValueError("broadcast mode needs at least one destination")
     table = _cut_table if n <= _TABLE_NODES else _cut_table.__wrapped__

@@ -1,6 +1,7 @@
 """Gaussian inner/outer bound checks against independent arithmetic oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -640,6 +641,88 @@ def test_covariance_search_matches_the_oracle_past_the_gram_gate():
             assert np.array_equal(terms, want_terms)
             assert abs(best_v - want_v) <= 1e-12, (net.n, dest, budget)
     assert past_gate == 67
+
+
+def test_rho_grid_is_linspace_bit_for_bit():
+    # random brackets in [0, 0.999], spans down to 1e-12 and 0, and each
+    # again with one profile's lo == hi, where linspace takes its zero-step
+    # branch for both profiles
+    rng = np.random.default_rng(31)
+    grids = [(np.zeros(2), np.full(2, 0.999))]
+    for span in (None, 1e-3, 1e-6, 1e-9, 1e-12, 0.0):
+        for _ in range(200):
+            if span is None:
+                lo, hi = np.sort(rng.uniform(0.0, 0.999, (2, 2)), axis=0)
+            else:
+                lo = rng.uniform(0.0, 0.999 - span, 2)
+                hi = lo + span * rng.uniform(0.0, 1.0, 2)
+            grids += [(lo, hi), (lo, np.where(np.arange(2) == rng.integers(2), lo, hi))]
+    for lo, hi in grids:
+        rhos, step = gaussian._rho_grid(lo, hi)
+        want = np.linspace(lo, hi, gaussian._POINTS, axis=1)
+        assert rhos.tobytes() == want.tobytes(), (lo, hi)
+        assert step.tobytes() == ((hi - lo) / (gaussian._POINTS - 1)).tobytes()
+
+
+def test_hill_climb_normals_are_the_per_round_stream():
+    # One block draw gives the normals of successive per-round draws, bit
+    # for bit, whether it comes from the cache or is drawn uncached; a
+    # cached block is read-only and the cache is bounded.
+    for seed in range(10):
+        for n in range(2, 11):
+            rounds = 1 + (seed + n) % 4
+            rng = np.random.default_rng(seed)
+            want = [rng.standard_normal((gaussian._ROUND, n, n)) for _ in range(rounds)]
+            for block in (gaussian._normals(seed, rounds, n),
+                          gaussian._normals.__wrapped__(seed, rounds, n)):
+                assert block.shape == (rounds, gaussian._ROUND, n, n)
+                assert all(np.array_equal(b, w) for b, w in zip(block, want))
+            assert not gaussian._normals(seed, rounds, n).flags.writeable
+    info = gaussian._normals.cache_info()
+    assert info.maxsize * gaussian._NORMALS_CAP * 8 <= 2 << 20
+    assert 0 < info.currsize <= info.maxsize
+
+
+#: log_det_rate calls of cutset_estimate per (n, budget) on the networks of
+#: ``test_covariance_search_keeps_its_kernel_calls``: one for diag(P), one for
+#: the bracket's winner, and per hill-climb round one on the binding cut plus
+#: the stacks of the candidates that pass it.  How the search draws its
+#: normals or builds its rho grid must not change them.
+KERNEL_CALLS = {
+    (4, 1): 1, (4, 17): 2, (4, 200): 7, (4, 1000): 40,
+    (6, 1): 1, (6, 17): 2, (6, 200): 7, (6, 1000): 40,
+    (10, 1): 1, (10, 17): 2, (10, 200): 8, (10, 1000): 41,
+}
+
+
+def test_covariance_search_keeps_its_kernel_calls(monkeypatch):
+    calls = []
+    kernel = gaussian.log_det_rate
+    monkeypatch.setattr(gaussian, "log_det_rate", lambda m: calls.append(1) or kernel(m))
+    for n, seed in ((4, 1), (6, 2), (10, 3)):
+        g = np.random.default_rng(seed).uniform(0.1, 2.0, (n, n))
+        np.fill_diagonal(g, 0.0)
+        net = GaussianNetwork(n, g, 10.0, [n])
+        for budget in (1, 17, 200, 1000):
+            calls.clear()
+            cutset_estimate(net, n, budget=budget, seed=0)
+            assert len(calls) == KERNEL_CALLS[n, budget], (n, budget)
+
+
+def test_a_large_search_draws_its_normals_round_by_round():
+    # At n = 10 and budget 10,000 the normals of all 413 rounds would take
+    # 7.9 MB at once.  The peak may exceed the 10,923,760 bytes measured
+    # with round-by-round draws (numpy 2.4) by one block at the cap at most.
+    g = np.random.default_rng(30).uniform(0.1, 2.0, (10, 10))
+    np.fill_diagonal(g, 0.0)
+    net = GaussianNetwork(10, g, 3.0, [10])
+    tracemalloc.start()
+    try:
+        cutset_estimate(net, 10, budget=10_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_923_760 + gaussian._NORMALS_CAP * 8, peak
 
 
 def test_cutset_estimate_finds_the_diamond_optimum():

@@ -349,3 +349,13 @@ def test_entropies_refuse_nan():
                  lambda: binary_entropy(math.nan)):
         with pytest.raises(ValueError, match="simplex"):
             call()
+
+
+@pytest.mark.parametrize("mode", [["unicast"], {"unicast": 1}], ids=["list", "dict"])
+def test_a_mode_is_checked_before_it_keys_a_cache(mode):
+    # a list or dict mode once raised TypeError from the cut program's cache key
+    message = f"^unknown mode {re.escape(repr(mode))}$"
+    with pytest.raises(ValueError, match=message):
+        cutset_dm(PMF, CHANNEL, [2], mode=mode)
+    with pytest.raises(ValueError, match=message):
+        enumerate_cuts(3, [2], mode)
