@@ -142,7 +142,7 @@ class DmInstance:
     """A network instance: full joint over the canonical variables.
 
     ``joint`` is a ``JointPmf`` or ``gaussian``'s Gaussian rows: ``mi`` and the cut
-    evaluators read only its ``variables``, ``entropy_of`` and ``entropies``, while
+    evaluators read only its ``variables`` and ``entropies``, one call each, while
     ``from_parts``, ``constraint_repair`` and ``marton_identity_check`` need a pmf.
 
     ``q_vars`` lists the variables treated as time sharing; every information

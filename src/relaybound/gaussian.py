@@ -163,8 +163,8 @@ def cutset_cut_rate(net: GaussianNetwork, cut: Cut, k_cov: np.ndarray) -> RateBi
 class _GaussianJoint:
     """x = K^{1/2} w (K^{1/2} from ``eigh``), u_k = G_k x + sigma_k zhat_k and y_k =
     G_k x + z_k as rows over unit sources: an entropy source over ``dm``'s canonical
-    variables, q without a row.  A subset's entropy, less 2 pi e terms, is
-    log2 |det R| of a QR of its rows: no Gram."""
+    variables, q without a row, answering ``entropies`` only.  A subset's entropy,
+    less 2 pi e terms, is log2 |det R| of a QR of its rows (no Gram), memoized."""
 
     def __init__(self, net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: np.ndarray):
         n = net.n
@@ -177,18 +177,16 @@ class _GaussianJoint:
         self.variables = tuple(_canonical_vars(n, {}))
         self._h: dict[int, float] = {}
 
-    def entropy_of(self, mask: int) -> float:
-        mask >>= 1  # q is bit 0
-        if mask not in self._h:
-            rows = self.rows[[i for i in range(len(self.rows)) if mask >> i & 1]]
-            diag = np.abs(np.linalg.qr(rows.T, mode="r").diagonal())
-            if not diag.all():
-                raise ValueError("degenerate covariance: a subset's covariance is singular")
-            self._h[mask] = float(np.log2(diag).sum())
-        return self._h[mask]
-
     def entropies(self, masks) -> list[float]:
-        return [self.entropy_of(mask) for mask in masks]
+        keys = [mask >> 1 for mask in masks]  # q is bit 0
+        for key in dict.fromkeys(keys):
+            if key not in self._h:
+                rows = self.rows[[i for i in range(len(self.rows)) if key >> i & 1]]
+                diag = np.abs(np.linalg.qr(rows.T, mode="r").diagonal())
+                if not diag.all():
+                    raise ValueError("degenerate covariance: a subset's covariance is singular")
+                self._h[key] = float(np.log2(diag).sum())
+        return [self._h[key] for key in keys]
 
 
 def ddf_rates_general(

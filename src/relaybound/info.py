@@ -10,23 +10,25 @@ Exactness contract:
 * An entropy is an exact float where the identity is structural: a size-1
   variable adds nothing, so H(A + size-1 variables) is the same float as
   H(A), and a difference of two such entropies is exactly 0.0 (a repaired
-  cut's functional relies on this).  Otherwise an entropy is within 1e-12 of
-  the oracle that sums ``-p * math.log2(p)`` over the naive marginal.  Its
-  last bits depend on which cached marginal it was reduced from, so the same
-  sequence of calls on a fresh pmf gives the same bits.
+  cut's functional relies on this); H of no variable, or of size-1 variables
+  only, is exactly 0.0, with no reduction.  Otherwise an entropy is within
+  1e-12 of the oracle that sums ``-p * math.log2(p)`` over the naive
+  marginal.  Its last bits depend on which cached marginal it was reduced
+  from, so the same sequence of calls on a fresh pmf gives the same bits.
 * A pmf built from a product of factors (``dm.DmInstance.from_parts``) may
   be handed marginals of that product, computed from the factors rather
   than from the full tensor, and its entropies may then be reduced from
   them.  Those marginals are exact up to rounding, so the entropies keep the
   1e-12 bound above; ``JointPmf.marginal`` itself stays bit-identical.
 
-A variable subset is an integer bitmask, bit i for variable i.  Each pmf
-memoizes its entropies by mask, and reduces a miss, always through
-``JointPmf.marginal``, from the smallest cached marginal that covers it
-(``JointPmf``).  ``entropy`` and ``mutual_info`` take names;
-``mask_mutual_info`` is ``mutual_info`` on masks.  It reads only its
-source's ``entropy_of`` and floors no entropy, so it serves differential
-entropies too.
+A variable subset is an integer bitmask, bit i for variable i.  A pmf
+answers entropies one way, ``JointPmf.entropies(masks)``, and
+``entropy_of`` is its one-mask call.  Each pmf memoizes its entropies by
+mask, and reduces a miss, always through ``JointPmf.marginal``, from the
+smallest cached marginal that covers it (``JointPmf``).  ``entropy`` and
+``mutual_info`` take names; ``mask_mutual_info`` is ``mutual_info`` on
+masks.  It reads only its source's ``entropies``, in one call, and floors
+no entropy, so it serves differential entropies too.
 
 Structure is planned once per shape, and values are computed on every call:
 a variables tuple's axes and kept mask, a lattice key's sub-variables, and
@@ -36,8 +38,8 @@ the names asked for).  A miss scans the lattice from the first entry with
 the key's cell count, since a smaller entry cannot cover it, and ties keep
 their order.  ``JointPmf.entropies`` plans its misses once per lattice state,
 which recurs across fresh instances of one shape, and takes their p log2 p
-in chunks, each entropy summed alone.  Each reduction has the same source
-and operations as before, so the contract above does not change.
+in chunks, each entropy summed alone, so a batch gives the bits and the
+lattice of the same misses asked one at a time.
 """
 
 from __future__ import annotations
@@ -151,9 +153,10 @@ class JointPmf:
     with the pmf.  Equality and hashing are by identity, like the memo.
 
     The memo is a dict keyed by bitmask (``mask_of``) less the size-1
-    variables.  Behind it, the lattice is a list of (cells, mask, lean
-    sub-pmf) sorted by cells, ties in insertion order, so its first entry
-    that covers a missing subset is the smallest cached marginal that does.
+    variables, and holds no key 0.  Behind it, the lattice is a list of
+    (cells, mask, lean sub-pmf) sorted by cells, ties in insertion order, so
+    its first entry that covers a missing subset is the smallest cached
+    marginal that does.
     It starts with the pmf itself and any marginals its builder supplied.
     """
 
@@ -240,34 +243,27 @@ class JointPmf:
         return self.entropy_of(self.mask_of(names))
 
     def entropy_of(self, mask: int) -> RateBits:
-        """H of the variables in ``mask`` in bits.  The memo key drops size-1
-        variables, which add nothing to an entropy; a miss is reduced through
-        ``marginal`` from the first lattice entry that covers it (``_slot``)."""
-        key = mask & self._kept
-        val = self._entropies.get(key)
-        if val is None:
-            lattice = self._lattice
-            src, names, pos, cells, key, sub = _slot(self._layout, lattice, key)
-            marg = lattice[src][2].marginal(names)
-            if pos >= 0:
-                lattice.insert(pos, (cells, key, _lean(sub, marg)))
-            val = self._entropies[key] = _plain_entropy(marg)
-        return val
+        """H of the variables in ``mask`` in bits: ``entropies((mask,))[0]``."""
+        return self.entropies((mask,))[0]
 
     def entropies(self, masks: Iterable[int]) -> list[RateBits]:
-        """``entropy_of`` of each mask, with the same memo and lattice after:
-        the misses replay their plan and share one ``_plain_entropies``."""
-        memo, lattice, margs = self._entropies, self._lattice, []
-        keys = [mask & self._kept for mask in masks]
-        new = tuple(dict.fromkeys([key for key in keys if key not in memo]))
-        if new:
+        """H of the variables in each mask in bits, the one way a pmf answers.
+        The memo key drops size-1 variables, which add nothing to an entropy,
+        and key 0 reads 0.0 with no reduction.  The distinct misses, in order
+        of first use, replay their plan (``_miss_plan``): each is reduced
+        through ``marginal`` from the first lattice entry that covers it and
+        enters the lattice, and all share one ``_plain_entropies``."""
+        memo, kept = self._entropies, self._kept
+        keys = [mask & kept for mask in masks]
+        if new := [key for key in keys if key and key not in memo]:
+            lattice, margs, new = self._lattice, [], tuple(dict.fromkeys(new))
             for src, names, pos, cells, key, sub in _miss_plan(
                     self._layout, tuple([mask for _, mask, _ in lattice]), new):
                 margs.append(lattice[src][2].marginal(names))
                 if pos >= 0:
                     lattice.insert(pos, (cells, key, _lean(sub, margs[-1])))
             memo.update(zip(new, _plain_entropies(margs)))
-        return [memo[key] for key in keys]
+        return [memo[key] if key else 0.0 for key in keys]
 
 
 def _lean(layout: _Layout, probs: np.ndarray) -> JointPmf:
@@ -324,24 +320,20 @@ def _reduction(layout: _Layout, names: tuple[str, ...]):
 
 @lru_cache(maxsize=256)
 def _miss_plan(layout: _Layout, lattice: tuple[int, ...], misses: tuple[int, ...]) -> tuple:
-    """``_slot`` of each key of ``misses`` in turn, on a lattice of the masks ``lattice``."""
+    """Each key of ``misses`` in turn on a lattice of the masks ``lattice``, which
+    it then joins: the index of the first entry covering it (the full pmf does),
+    its names, insertion index (-1 for none), cells, mask and layout."""
     lattice, plan = [(_sub_layout(layout, mask)[3], mask) for mask in lattice], []
     for key in misses:
-        plan.append(_slot(layout, lattice, key))
-        if plan[-1][2] >= 0:
-            lattice.insert(plan[-1][2], (plan[-1][3], key))
+        sub, names, _, cells = _sub_layout(layout, key)
+        i = bisect_left(lattice, cells, key=itemgetter(0))
+        while key & lattice[i][1] != key:
+            i += 1
+        pos = -1 if key == lattice[i][1] else bisect_right(lattice, cells, key=itemgetter(0))
+        if pos >= 0:
+            lattice.insert(pos, (cells, key))
+        plan.append((i, names, pos, cells, key, sub))
     return tuple(plan)
-
-
-def _slot(layout: _Layout, lattice: list[tuple], key: int) -> tuple:
-    """The miss ``key`` on ``lattice``: the index of the first entry covering it
-    (the full pmf does), its names, insertion index (-1 for none), cells, mask, layout."""
-    sub, names, _, cells = _sub_layout(layout, key)
-    i = bisect_left(lattice, cells, key=itemgetter(0))
-    while key & lattice[i][1] != key:
-        i += 1
-    pos = -1 if key == lattice[i][1] else bisect_right(lattice, cells, key=itemgetter(0))
-    return i, names, pos, cells, key, sub
 
 
 def _axes_of(variables: tuple[tuple[str, int], ...], names: Iterable[str]) -> list[int]:
@@ -359,8 +351,9 @@ _CHUNK_CELLS = 1 << 14  # the cells of a ``_plain_entropies`` chunk, at most
 
 
 def _plain_entropies(margs: Sequence[np.ndarray]) -> list[float]:
-    """``_plain_entropy`` of each marginal, from one p log2 p per chunk of at
-    most ``_CHUNK_CELLS`` cells (a larger marginal alone), summed per slice."""
+    """The entropy in bits of each marginal, cells below ``ZERO_EPS`` left out,
+    from one p log2 p per chunk of at most ``_CHUNK_CELLS`` cells (a larger
+    marginal alone), each summed over its own slice; a point mass gives +0.0."""
     out, stop = [], 0
     while stop < len(margs):
         start, ends, stop = stop, [margs[stop].size], stop + 1
@@ -376,19 +369,14 @@ def _plain_entropies(margs: Sequence[np.ndarray]) -> list[float]:
     return out
 
 
-def _plain_entropy(marg: np.ndarray) -> float:
-    """Entropy in bits of a marginal tensor, cells below ``ZERO_EPS`` left out."""
-    p = marg[marg >= ZERO_EPS]
-    return 0.0 - float(np.add.reduce(p * np.log2(p)))  # +0.0, never -0.0, for a point mass
-
-
 def entropy(pmf: JointPmf, names: Iterable[str], given: Iterable[str] = ()) -> RateBits:
     """H(names | given) in bits, floored at zero.
 
     Unknown variable names raise ValueError.
     """
     a, given = pmf.mask_of(names), pmf.mask_of(given)
-    h = pmf.entropy_of(a | given) - (pmf.entropy_of(given) if given else 0.0)
+    h_all, h_given = pmf.entropies((a | given, given))
+    h = h_all - h_given
     return h if h > 0.0 else 0.0
 
 
@@ -412,11 +400,14 @@ def mutual_info(
 
 
 def mask_mutual_info(source, a: int, b: int, given: int = 0) -> RateBits:
-    """``mutual_info`` over bitmasks of ``source``'s variables, from its
-    ``entropy_of`` alone; the value, not any entropy, is clamped at zero."""
-    h = source.entropy_of
-    value = h(a | given) - h(given) if given else h(a)
-    value -= h(a | b | given) - h(b | given)
+    """``mutual_info`` over bitmasks of ``source``'s variables, from one call
+    of its ``entropies``; the value, not any entropy, is clamped at zero."""
+    if given:
+        hag, hg, habg, hbg = source.entropies((a | given, given, a | b | given, b | given))
+        value = (hag - hg) - (habg - hbg)
+    else:
+        ha, hab, hb = source.entropies((a, a | b, b))
+        value = ha - (hab - hb)
     return value if value > 0.0 else 0.0
 
 

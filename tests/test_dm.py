@@ -724,6 +724,49 @@ def test_constraint_repair_zero_is_structural():
                 assert j_after[cut_s] == 0.0, (n, unit, cut_s)
 
 
+class CountingSource:
+    """An entropy source with ``variables`` and ``entropies`` only; it records
+    each request and answers it from a pmf."""
+
+    def __init__(self, pmf):
+        self.variables, self.requests, self._answer = pmf.variables, [], pmf.entropies
+
+    def entropies(self, masks):
+        self.requests.append(list(masks))
+        return self._answer(self.requests[-1])
+
+
+def test_every_entropy_consumer_asks_its_source_once_per_call():
+    # mask_mutual_info, DmInstance.mi and a cut functional's evaluation each
+    # make one ``entropies`` request per call, and give the bits a twin pmf
+    # gives them when asked the same things in the same order.
+    rng = np.random.default_rng(32)
+    n = 4
+    pin, chan = random_parts(rng, n)
+    twin = DmInstance.from_parts(pin, chan, [n])
+    source = CountingSource(DmInstance.from_parts(pin, chan, [n]).joint)
+    inst = DmInstance(source, n, [n])
+    x, u, y = inst.x, inst.u, inst.y
+    for a, b, given in [(x[1], y[n], 0), (x[1] | x[2], y[n] | y[3], x[3]),
+                        (u[2], y[2], x[2] | inst._q)]:
+        got = info.mask_mutual_info(source, a, b, given)
+        assert len(source.requests) == 1
+        assert got.hex() == info.mask_mutual_info(twin.joint, a, b, given).hex()
+        got = inst.mi(a, b, given)
+        assert len(source.requests) == 2
+        assert got.hex() == twin.mi(a, b, given).hex()
+        source.requests.clear()
+    for mode, kind in [("unicast", dm._DDF), ("unicast", dm._CUTSET),
+                       ("broadcast", dm._MARTON)]:
+        cuts, terms, values = dm._cut_values(inst, [n], mode, kind)
+        assert len(source.requests) == 1
+        source.requests.clear()
+        want_cuts, want_terms, want_values = dm._cut_values(twin, [n], mode, kind)
+        assert cuts == want_cuts
+        assert terms.tobytes() == want_terms.tobytes()
+        assert values.tobytes() == want_values.tobytes()
+
+
 def test_entropy_memo_key_drops_size_one_variables():
     rng = np.random.default_rng(50)
     for trial in range(20):
