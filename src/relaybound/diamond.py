@@ -19,7 +19,7 @@ import numpy as np
 from .errors import as_int, as_nonnegative, as_number, as_positive
 from .info import RateBits, gauss_c
 from .networks import GaussianNetwork
-from .optimize import grid_then_refine
+from .optimize import BoxDim, grid_then_refine
 from .optimize import golden_max  # noqa: F401 -- a module attribute the benchmark tracer wraps
 
 
@@ -44,8 +44,12 @@ class DiamondConfig:
         if not 0.0 < d < 1.0:
             raise ValueError(f"relay position d must lie in (0, 1), got {d}")
         p = as_positive(p, "power")
-        near = p / d**3
+        near_cube = d**3  # 0.0 once it underflows, below d ~ 1e-108
+        near = p / near_cube if near_cube else math.inf
         far = p / (1.0 - d) ** 3
+        if max(near, far) == math.inf:
+            raise ValueError(
+                f"relay position d = {d} at power {p} gives a received SNR that overflows a float")
         return cls(s21=near, s31=far, s42=far, s43=near)
 
     def to_network(self, power: float) -> GaussianNetwork:
@@ -77,69 +81,98 @@ class DdfParams:
 
 def _min_terms(terms):
     """Elementwise minimum of bound terms (floats or broadcastable arrays); a
-    NaN term gives NaN, as np.minimum does."""
+    NaN term gives NaN, as np.minimum does.  Floats otherwise give what
+    ``min`` gives, the first of equal terms."""
     if isinstance(terms[0], float):
-        return math.nan if any(map(math.isnan, terms)) else min(terms)
+        low = terms[0]
+        for t in terms:
+            if t < low:
+                low = t
+            elif not t >= low:  # t or low is NaN
+                return math.nan
+        return low
     return functools.reduce(np.minimum, terms)
 
 
-#: The search range of a description- or quantizer-noise variance.
-_NOISE = (math.exp(-6.0), math.exp(6.0), "log")
+#: The search range of a description- or quantizer-noise variance, and the
+#: search boxes over the DDF parameters (rho, sigma2_sq, sigma3_sq) and over
+#: the two NNC quantizer variances.
+_NOISE = BoxDim(math.exp(-6.0), math.exp(6.0), "log")
+_DDF_BOX = (BoxDim(0.0, 0.999), _NOISE, _NOISE)
+_NNC_BOX = (_NOISE, _NOISE)
 
 
-def _search(terms, box: Sequence[tuple], full: int, budget) -> tuple[RateBits, tuple[float, ...]]:
-    """(value, argument) of ``grid_then_refine`` on the minimum of ``terms``
-    over ``box``: ``full`` points per dimension when the budget affords that
-    grid, else about budget ** (1 / dim), and the rest of the budget refines."""
+def _search(objective, box: Sequence[BoxDim], full: int, budget) -> tuple[RateBits, tuple[float, ...]]:
+    """(value, argument) of ``grid_then_refine`` on ``objective`` over ``box``:
+    ``full`` points per dimension when the budget affords that grid, else
+    about budget ** (1 / dim), and the rest of the budget refines."""
     budget = as_int(budget, "budget")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     dim = len(box)
     grid = full if budget >= full**dim else max(2, round(budget ** (1 / dim)))
-    arg, value = grid_then_refine(lambda *x: _min_terms(terms(*x)), box, grid_per_dim=grid,
+    arg, value = grid_then_refine(objective, box, grid_per_dim=grid,
                                   refine_budget=max(budget - grid**dim, 0))
     return value, arg
 
 
 def _half_log2(x):
-    """(1/2) log2(x), elementwise; a float gives a float with the array's bits."""
-    if isinstance(x, float):
-        return 0.5 * float(np.log2(x))
+    """(1/2) log2(x) of an array, elementwise."""
     return 0.5 * np.log2(x)
 
 
-def _relay_info(s: float, sigma_sq):
-    """I between a relay's description and its observation, in bits."""
-    return _half_log2((1.0 + s) * (sigma_sq + s) / (sigma_sq + (1.0 + sigma_sq) * s))
+def _half_log2_of_float(x: float) -> float:
+    """(1/2) log2(x) of a float, as a float with the array's bits."""
+    return 0.5 * float(np.log2(x))
 
 
-def _ddf_terms(cfg: DiamondConfig, rho, s2, s3) -> tuple:
-    """The four DDF cut terms, elementwise in (rho, s2, s3)."""
-    i2 = _relay_info(cfg.s21, s2)
-    i3 = _relay_info(cfg.s31, s3)
-    cross = 2.0 * rho * math.sqrt(cfg.s42 * cfg.s43)
-    shrink = 1.0 - rho * rho
-    den = s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21
-    if isinstance(den, float) and den == 0.0:
-        # every product underflowed (s2 s3 < 1e-323): the ratio is 1 + 1/u,
-        # u = den / (s21 s31), from the quotients s2/s21 and s3/s31
-        joint_cost = -_half_log2(shrink)
-        if cfg.s21 and cfg.s31:
-            a, b = s2 / cfg.s21, s3 / cfg.s31
-            u = a * b + a + b
-            joint_cost += _half_log2(1.0 + u) - _half_log2(u)
-    else:
-        joint_cost = _half_log2((s2 + cfg.s21) * (s3 + cfg.s31) / (den * shrink))
-    return (
-        gauss_c(cfg.s42 + cfg.s43 + cross),
-        gauss_c(shrink * cfg.s42) + i3,
-        gauss_c(shrink * cfg.s43) + i2,
-        i2 + i3 - joint_cost,
-    )
+def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms):
+    """``reduce`` of the four DDF cut terms of ``cfg``, as one function of
+    (rho, s2, s3), elementwise on arrays or on floats: by default their
+    minimum, the search's objective, and with ``tuple`` the terms.
+
+    The derived constants are bound once per configuration and the half-log2
+    is picked once per call; every C(x) goes through ``gauss_c``, which
+    refuses a negative or NaN SNR on both kinds of call."""
+    s21, s31, s42, s43 = cfg.s21, cfg.s31, cfg.s42, cfg.s43
+    a21, a31, mac = 1.0 + s21, 1.0 + s31, s42 + s43
+    root = math.sqrt(s42 * s43)
+
+    def objective(rho, s2, s3):
+        floats = isinstance(s2, float)
+        half_log2 = _half_log2_of_float if floats else _half_log2
+        # I between a relay's description and its observation, in bits.
+        i2 = half_log2(a21 * (s2 + s21) / (s2 + (1.0 + s2) * s21))
+        i3 = half_log2(a31 * (s3 + s31) / (s3 + (1.0 + s3) * s31))
+        shrink = 1.0 - rho * rho
+        den = s2 * s3 + s2 * s31 + s3 * s21
+        underflowed = den == 0.0 if floats else not den.all()
+        if underflowed:
+            # Where every product underflowed (s2 s3 < 1e-323) the ratio is
+            # 1 + 1/u, u = den / (s21 s31), from the quotients s2/s21, s3/s31.
+            joint_cost = -half_log2(shrink)
+            if s21 and s31:
+                a, b = s2 / s21, s3 / s31
+                u = a * b + a + b
+                joint_cost = joint_cost + (half_log2(1.0 + u) - half_log2(u))
+            if not floats:  # an array keeps its other entries' ratio
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    kept = half_log2((s2 + s21) * (s3 + s31) / (den * shrink))
+                joint_cost = np.where(den == 0.0, joint_cost, kept)
+        else:
+            joint_cost = half_log2((s2 + s21) * (s3 + s31) / (den * shrink))
+        return reduce((
+            gauss_c(mac + 2.0 * rho * root),
+            gauss_c(shrink * s42) + i3,
+            gauss_c(shrink * s43) + i2,
+            i2 + i3 - joint_cost,
+        ))
+
+    return objective
 
 
 def ddf_diamond_terms(cfg: DiamondConfig, params: DdfParams) -> tuple[float, ...]:
-    terms = _ddf_terms(cfg, params.rho, params.sigma2_sq, params.sigma3_sq)
+    terms = _ddf_objective(cfg, tuple)(params.rho, params.sigma2_sq, params.sigma3_sq)
     return tuple(float(t) for t in terms)
 
 
@@ -152,29 +185,34 @@ def ddf_diamond_opt(cfg: DiamondConfig, budget: int = 6000) -> tuple[RateBits, D
     """DDF rate maximized over DdfParams by a deterministic search of about
     ``budget`` probes; its rounded grid side can itself exceed the budget, e.g.
     budget 2,000 scans 13**3 = 2,197 grid points (see ``grid_then_refine``)."""
-    box = [(0.0, 0.999), _NOISE, _NOISE]
-    value, arg = _search(functools.partial(_ddf_terms, cfg), box, 16, budget)
+    value, arg = _search(_ddf_objective(cfg), _DDF_BOX, 16, budget)
     return value, DdfParams(*arg)
 
 
-def _nnc_terms(cfg: DiamondConfig, s2, s3) -> tuple:
-    """The four NNC cut terms, elementwise in (s2, s3)."""
-    return (
-        gauss_c(
-            (cfg.s21 * (1.0 + s3) + cfg.s31 * (1.0 + s2))
-            / ((1.0 + s2) * (1.0 + s3))
-        ),
-        gauss_c(cfg.s42) + gauss_c(cfg.s31 / (1.0 + s3)) - gauss_c(1.0 / s2),
-        gauss_c(cfg.s43) + gauss_c(cfg.s21 / (1.0 + s2)) - gauss_c(1.0 / s3),
-        gauss_c(cfg.s42 + cfg.s43) - gauss_c(1.0 / s2) - gauss_c(1.0 / s3),
-    )
+def _nnc_objective(cfg: DiamondConfig, reduce=_min_terms):
+    """``reduce`` of the four NNC cut terms of ``cfg``, as one function of
+    (s2, s3), elementwise on arrays or on floats, as ``_ddf_objective``;
+    C(s42), C(s43) and C(s42 + s43) are bound once per configuration."""
+    s21, s31 = cfg.s21, cfg.s31
+    c42, c43, c_mac = gauss_c(cfg.s42), gauss_c(cfg.s43), gauss_c(cfg.s42 + cfg.s43)
+
+    def objective(s2, s3):
+        c2, c3 = gauss_c(1.0 / s2), gauss_c(1.0 / s3)
+        return reduce((
+            gauss_c((s21 * (1.0 + s3) + s31 * (1.0 + s2)) / ((1.0 + s2) * (1.0 + s3))),
+            c42 + gauss_c(s31 / (1.0 + s3)) - c2,
+            c43 + gauss_c(s21 / (1.0 + s2)) - c3,
+            c_mac - c2 - c3,
+        ))
+
+    return objective
 
 
 def nnc_diamond_terms(
     cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float
 ) -> tuple[float, ...]:
     s2, s3 = as_positive(sigma2_sq, "sigma2_sq"), as_positive(sigma3_sq, "sigma3_sq")
-    return tuple(float(t) for t in _nnc_terms(cfg, s2, s3))
+    return tuple(float(t) for t in _nnc_objective(cfg, tuple)(s2, s3))
 
 
 def nnc_diamond(cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float) -> RateBits:
@@ -191,7 +229,7 @@ def nnc_diamond_opt(
     """NNC rate maximized over the quantizer variances by a deterministic search
     of about ``budget`` probes; its rounded grid side can itself exceed the
     budget, e.g. budget 43 scans 7**2 = 49 grid points."""
-    return _search(functools.partial(_nnc_terms, cfg), [_NOISE, _NOISE], 24, budget)
+    return _search(_nnc_objective(cfg), _NNC_BOX, 24, budget)
 
 
 def af_diamond(cfg: DiamondConfig) -> RateBits:

@@ -72,8 +72,9 @@ def gauss_c(snr):
     """Gaussian point-to-point capacity C(x) = (1/2) log2(1 + x), elementwise.
 
     A scalar gives a float, an array an array of the same shape, and the two
-    agree bit for bit.  Raises ValueError if any snr is negative or NaN.  The
-    exactness contract above covers marginals and entropies only.
+    agree bit for bit.  Raises ValueError if any snr is negative or NaN, with
+    one message for a float and for an array whose first such entry it is.
+    The exactness contract above covers marginals and entropies only.
     """
     # A float skips np.asarray, whose per-call cost is several times that of
     # the log: optimizers probe one point at a time.  np.log2, not math.log2,
@@ -84,7 +85,7 @@ def gauss_c(snr):
         x = np.asarray(snr, dtype=float)
         if x.ndim:
             if not (x >= 0).all():  # also refuses NaN
-                raise ValueError(f"snr must be nonnegative, got {snr}")
+                raise ValueError(f"snr must be nonnegative, got {float(x[~(x >= 0)][0])}")
             return 0.5 * np.log2(1.0 + x)
         x = float(x)
     if not x >= 0:

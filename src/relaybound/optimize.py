@@ -12,15 +12,21 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleError, UnboundedError, as_int, as_number, as_numbers
+from .errors import (
+    InfeasibleError, TensorCapError, UnboundedError, as_int, as_number, as_numbers)
+from .info import CELL_CAP
 
 log = logging.getLogger(__name__)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: The value and the vertex of a Nelder-Mead (value, vertex) pair.
+_VALUE, _VERTEX = itemgetter(0), itemgetter(1)
 
 #: Internal convergence tolerance on rates (user-facing guarantees are 1e-6).
 SPREAD_TOL = 1e-8
@@ -68,13 +74,16 @@ def grid_then_refine(
     the axes), whose result may be any array broadcastable to that shape, and
     Nelder-Mead then probes it one point at a time on Python floats, so ``f``
     may take a scalar fast path.  Its two kinds of call should agree bit for
-    bit at a point, as the diamond term formulas do.  The grid
+    bit at a point, as the diamond objectives do.  The grid
     is uniform in internal (possibly log) coordinates and includes the
-    endpoints.  Ties prefer the lexicographically smallest probe, so a constant
+    endpoints; one of more than ``info.CELL_CAP`` points raises TensorCapError
+    before any array is built or ``f`` is called.  Ties prefer the
+    lexicographically smallest probe, so a constant
     objective returns the box's lower corner.  Non-finite probes are discarded;
     if every grid probe is non-finite the search starts at the lower corner.
     The returned value is never below the best grid value.  The procedure is
-    fully deterministic.
+    fully deterministic: Nelder-Mead keeps its simplex as (value, vertex)
+    pairs, best first by a stable sort, so tied vertices keep their order.
 
     ``refine_budget`` is a soft cap: Nelder-Mead makes at most
     ``refine_budget + ndim + 1`` scalar probes, because its initial simplex
@@ -85,6 +94,10 @@ def grid_then_refine(
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be >= 1")
     dims = [d if isinstance(d, BoxDim) else BoxDim(*d) for d in box]
+    cells = grid_per_dim ** len(dims)
+    if cells > CELL_CAP:
+        raise TensorCapError(f"a grid of {grid_per_dim}**{len(dims)} = {cells} points "
+                             f"is over the cap of {CELL_CAP}; lower grid_per_dim")
     los = [d.to_internal(d.lo) for d in dims]
     his = [d.to_internal(d.hi) for d in dims]
     # BoxDim.to_external, chosen once per dimension rather than per probe.
@@ -105,8 +118,8 @@ def grid_then_refine(
         if not math.isfinite(v):
             log.debug("discarding non-finite probe f(%s) = %s", x, v)
             v = -math.inf
-        if v > overall_v:
-            overall_t, overall_v = list(t), v
+        if v > overall_v:  # no vertex changes once probed, so t is kept as is
+            overall_t, overall_v = t, v
         return v
 
     axes = [
@@ -128,45 +141,40 @@ def grid_then_refine(
     overall_v = float(vals[cell])
 
     # Nelder-Mead (reflect 1, expand 2, contract 0.5, shrink 0.5) in internal
-    # coordinates, clipped to the box.
+    # coordinates, clipped to the box, on (value, vertex) pairs.
     steps = [(hi - lo) / max(grid_per_dim - 1, 1) / 2 for lo, hi in zip(los, his)]
     simplex = [list(overall_t)]
     for i, s in enumerate(steps):
         vert = list(overall_t)
         vert[i] = vert[i] + s if vert[i] + s <= his[i] else vert[i] - s
         simplex.append(vert)
-    values = [probe(v) for v in simplex]
+    pairs = [(probe(v), v) for v in simplex]
 
     ndim = len(dims)
     while evals < refine_budget:
         # Best first; a reverse sort is stable, so ties keep their order.
-        order = sorted(range(ndim + 1), key=values.__getitem__, reverse=True)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if values[0] - values[-1] < SPREAD_TOL:
+        pairs.sort(key=_VALUE, reverse=True)
+        (best_v, best), (worst_v, worst) = pairs[0], pairs[-1]
+        if best_v - worst_v < SPREAD_TOL:
             break
-        centroid = [sum(col) / ndim for col in zip(*simplex[:-1])]
-        worst = simplex[-1]
+        centroid = [sum(col) / ndim for col in zip(*map(_VERTEX, pairs[:-1]))]
         refl = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = probe(refl)
-        if fr > values[0]:
+        if fr > best_v:
             expa = [c + 2.0 * (c - w) for c, w in zip(centroid, worst)]
             fe = probe(expa)
-            if fe > fr:
-                simplex[-1], values[-1] = expa, fe
-            else:
-                simplex[-1], values[-1] = refl, fr
-        elif fr > values[-2]:
-            simplex[-1], values[-1] = refl, fr
+            pairs[-1] = (fe, expa) if fe > fr else (fr, refl)
+        elif fr > pairs[-2][0]:
+            pairs[-1] = (fr, refl)
         else:
             contr = [c + 0.5 * (w - c) for c, w in zip(centroid, worst)]
             fc = probe(contr)
-            if fc > values[-1]:
-                simplex[-1], values[-1] = contr, fc
+            if fc > worst_v:
+                pairs[-1] = (fc, contr)
             else:
                 for i in range(1, ndim + 1):
-                    simplex[i] = [0.5 * (a + b) for a, b in zip(simplex[0], simplex[i])]
-                    values[i] = probe(simplex[i])
+                    vert = [0.5 * (a + b) for a, b in zip(best, pairs[i][1])]
+                    pairs[i] = (probe(vert), vert)
 
     arg = tuple(ext(min(max(t, lo), hi)) for t, (ext, lo, hi) in zip(overall_t, ranges))
     return arg, overall_v

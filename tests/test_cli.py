@@ -170,6 +170,16 @@ def test_diamond_sweep_bad_range():
     assert code == 2
 
 
+def test_diamond_sweep_refuses_an_snr_past_the_floats():
+    # d**3 underflows to 0.0 below d ~ 1e-108; this once raised
+    # ZeroDivisionError, a traceback and exit 1, the property-violation code
+    code, out, err = run_full(["diamond-sweep", "--d-min", "1e-120", "--d-max", "0.5",
+                               "--steps", "2", "--budget", "10"])
+    assert (code, out) == (2, "")
+    assert err == ("error: relay position d = 1e-120 at power 10.0 gives a received SNR "
+                   "that overflows a float\n")
+
+
 def test_gap_verify(tmp_path):
     out = tmp_path / "gap.json"
     code, _ = run(

@@ -31,14 +31,15 @@ from relaybound import (
 )
 from relaybound import diamond
 from relaybound.diamond import (
-    _ddf_terms,
+    _ddf_objective,
     _min_terms,
-    _nnc_terms,
+    _nnc_objective,
     cutset_diamond_terms,
     ddf_diamond_terms,
     nnc_diamond_terms,
 )
 from relaybound.optimize import golden_max
+from tests.neldermead import grid_then_refine_reference, run_logged
 
 LN2 = math.log(2.0)
 
@@ -253,34 +254,77 @@ def test_minima_and_argmin_consistency():
     assert cutset_diamond(cfg, 0.4) == min(cutset_diamond_terms(cfg, 0.4))
 
 
-def test_scalar_terms_equal_the_grid_elements():
-    # The search's grid calls the term helpers on arrays and its Nelder-Mead
-    # probes call them on floats; the two must agree bit for bit, so that a
-    # point scores the same in both phases.
+#: (SNRs, DDF parameters) at which every product of the joint cost's
+#: denominator underflows: s2 s3 < 1e-323.
+UNDERFLOWING = [((0.0, 0.0, 1.0, 1.0), (0.0, 1e-200, 1e-200)),
+                ((0.0, 0.0, 1.0, 1.0), (0.6, 1e-200, 1e-200)),
+                ((1e-200, 0.0, 1.0, 1.0), (0.3, 1e-200, 1e-200)),
+                ((1e-30, 1e-30, 1.0, 1.0), (0.6, 1e-300, 1e-300)),
+                ((1e-14, 3e-15, 1.0, 1.0), (0.0, 5e-324, 5e-324))]
+
+
+def search_objectives(monkeypatch):
+    """A list that collects each diamond search's call of ``grid_then_refine``
+    as (objective, box, keywords)."""
+    searches = []
+
+    def recorded(f, box, **kw):
+        searches.append((f, box, kw))
+        return grid_then_refine(f, box, **kw)
+
+    monkeypatch.setattr(diamond, "grid_then_refine", recorded)
+    return searches
+
+
+def test_scalar_terms_equal_the_grid_elements(monkeypatch):
+    # The search's grid calls its objective on arrays and its Nelder-Mead
+    # probes call it on floats; the two must agree bit for bit, so that a
+    # point scores the same in both phases.  The objective is the minimum of
+    # the terms that ddf_diamond_terms and nnc_diamond_terms report, from the
+    # same formula, at grid points and where the noise variances underflow.
+    searches = search_objectives(monkeypatch)
     rng = np.random.default_rng(38)
+    cases = []
     for _ in range(300):
         cfg = DiamondConfig(*(float(x) for x in 10.0 ** rng.uniform(-3.0, 12.0, 4)))
-        rho = rng.uniform(0.0, 0.999, 50)
-        s2, s3 = np.exp(rng.uniform(-6.0, 6.0, (2, 50)))
-        ddf = [t.tolist() for t in _ddf_terms(cfg, rho, s2, s3)]
-        nnc = [t.tolist() for t in _nnc_terms(cfg, s2, s3)]
-        for k in range(50):
+        cases.append((cfg, rng.uniform(0.0, 0.999, 50), *np.exp(rng.uniform(-6.0, 6.0, (2, 50)))))
+    for snrs, point in UNDERFLOWING:
+        cases.append((DiamondConfig(*snrs), *(np.array([x, 0.5]) for x in point)))
+    for cfg, rho, s2, s3 in cases:
+        searches.clear()
+        ddf_diamond_opt(cfg, 0)
+        nnc_diamond_opt(cfg, 0)
+        (ddf, _, _), (nnc, _, _) = searches
+        ddf_grid = ddf(rho, s2, s3).tolist()
+        ddf_terms = [t.tolist() for t in _ddf_objective(cfg, tuple)(rho, s2, s3)]
+        for k in range(len(rho)):
             point = (float(rho[k]), float(s2[k]), float(s3[k]))
-            got = ddf_diamond_terms(cfg, DdfParams(*point))
-            assert list(got) == [t[k] for t in ddf], (cfg, point)
-            got = nnc_diamond_terms(cfg, *point[1:])
-            assert list(got) == [t[k] for t in nnc], (cfg, point)
+            terms = ddf_diamond_terms(cfg, DdfParams(*point))
+            assert list(terms) == [t[k] for t in ddf_terms], (cfg, point)
+            assert ddf(*point) == ddf_grid[k] == min(terms), (cfg, point)
+        if s2.min() < 1e-100:  # 1 / s2 overflows, and numpy warns
+            continue
+        nnc_grid = nnc(s2, s3).tolist()
+        nnc_terms = [t.tolist() for t in _nnc_objective(cfg, tuple)(s2, s3)]
+        for k in range(len(rho)):
+            point = (float(s2[k]), float(s3[k]))
+            terms = nnc_diamond_terms(cfg, *point)
+            assert list(terms) == [t[k] for t in nnc_terms], (cfg, point)
+            assert nnc(*point) == nnc_grid[k] == min(terms), (cfg, point)
+    # An SNR that gauss_c refuses raises one message on both kinds of call, so
+    # a NaN term never becomes a quiet -inf probe: at rho = 0, s42 s43
+    # overflows and C(s42 + s43 + 2 rho sqrt(s42 s43)) is C(nan).
+    ddf = _ddf_objective(DiamondConfig(1.0, 1.0, 1e200, 1e200))
+    for args in ((0.0, 1.0, 1.0), (np.array([0.5, 0.0]), np.ones(2), np.ones(2))):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as info:
+            ddf(*args)
+        assert str(info.value) == "snr must be nonnegative, got nan"
 
 
 def test_ddf_joint_cost_survives_underflowing_noise_variances():
     # With s2 s3 below 1e-323 every product in the joint cost's denominator
     # underflows; the cost is still the finite value of its exact rationals.
-    cases = [((0.0, 0.0, 1.0, 1.0), (0.0, 1e-200, 1e-200)),
-             ((0.0, 0.0, 1.0, 1.0), (0.6, 1e-200, 1e-200)),
-             ((1e-200, 0.0, 1.0, 1.0), (0.3, 1e-200, 1e-200)),
-             ((1e-30, 1e-30, 1.0, 1.0), (0.6, 1e-300, 1e-300)),
-             ((1e-14, 3e-15, 1.0, 1.0), (0.0, 5e-324, 5e-324))]
-    for snrs, point in cases:
+    for snrs, point in UNDERFLOWING:
         cfg, params = DiamondConfig(*snrs), DdfParams(*point)
         terms = ddf_diamond_terms(cfg, params)
         assert all(math.isfinite(t) for t in terms), (snrs, point)
@@ -318,6 +362,38 @@ def test_diamond_searches_keep_their_probe_counts(monkeypatch):
         calls.clear()
         opt(cfg, budget)
         assert calls == [np.ndarray] + [float] * probes, opt.__name__
+
+
+def test_diamond_searches_match_the_reference_loop(monkeypatch):
+    # Both searches' objectives, on SNRs 10^U(-3, 12) and on relay positions
+    # at powers 10^U(-3, 12): the library's Nelder-Mead gives the argument,
+    # the value and every probe, in order, of the loop on parallel lists.
+    searches = search_objectives(monkeypatch)
+    rng = np.random.default_rng(39)
+    cfgs = [DiamondConfig(*(10.0 ** rng.uniform(-3.0, 12.0, 4)).tolist()) for _ in range(5)]
+    cfgs += [DiamondConfig.from_distance(float(rng.uniform(0.02, 0.98)),
+                                         float(10.0 ** rng.uniform(-3.0, 12.0)))
+             for _ in range(5)]
+    for cfg in cfgs:
+        for budget in (0, 60, 1500, 6000):
+            searches.clear()
+            ddf_diamond_opt(cfg, budget)
+            nnc_diamond_opt(cfg, budget)
+            for f, box, kw in searches:
+                got = run_logged(grid_then_refine, f, box, **kw)
+                assert got == run_logged(grid_then_refine_reference, f, box, **kw), (cfg, budget)
+
+
+def test_from_distance_refuses_an_snr_past_the_floats():
+    # d**3 underflows below d ~ 1e-108 (this once raised ZeroDivisionError),
+    # and p / d**3 or p / (1 - d)**3 can overflow (once reported as s21 or
+    # s31 "must be finite")
+    for d, p in ((1e-120, 1.0), (1e-100, 1e10), (1.0 - 2.0**-53, 1e300)):
+        with pytest.raises(ValueError) as info:
+            DiamondConfig.from_distance(d, p)
+        assert str(info.value) == (f"relay position d = {d} at power {p} gives a received "
+                                   "SNR that overflows a float")
+    assert DiamondConfig.from_distance(1e-100, 1.0).s21 == 1.0 / 1e-100**3
 
 
 def test_spot_values_at_midpoint():

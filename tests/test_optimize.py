@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from relaybound import (
     BoxDim,
     InfeasibleError,
     SchemaError,
+    TensorCapError,
     UnboundedError,
     grid_then_refine,
     simplex_lp_max,
 )
+from relaybound.info import CELL_CAP
 from relaybound.optimize import bisect_feasible, golden_max
+from tests.neldermead import grid_then_refine_reference, run_logged
 
 
 def lp_vertex_oracle(c, constraints):
@@ -162,17 +166,19 @@ def test_grid_scan_matches_scalar_oracle():
     assert start == (0.0, 1.0, 0.0) and best == -math.inf
 
 
+def bumpy(x, y):
+    return -((x * x - 1.0) ** 2) - (y - 0.3) * (y - 0.3) * (y + 0.7) + 0.25 * x * y
+
+
+def ridge(s):
+    return np.where(s > 40.0, math.nan, -(s - 3.0) * (s - 3.0) * (s - 9.0) * 0.01)
+
+
 def test_grid_then_refine_returns_its_best_probe():
     # Every call is recorded: the grid scan (arrays) and each Nelder-Mead probe
     # (floats).  The objectives use only +, - and * so that a point scores the
     # same in both kinds of call, and the returned value must be the best
     # finite value seen, reproduced by f at the returned argument.
-    def bumpy(x, y):
-        return -((x * x - 1.0) ** 2) - (y - 0.3) * (y - 0.3) * (y + 0.7) + 0.25 * x * y
-
-    def ridge(s):
-        return np.where(s > 40.0, math.nan, -(s - 3.0) * (s - 3.0) * (s - 9.0) * 0.01)
-
     cases = [(bumpy, [(-2.0, 2.0), (-1.5, 1.5)]),
              (ridge, [BoxDim(0.1, 100.0, "log")]),
              (lambda x, y, z: -(x - 0.2) ** 2 - (y - z) ** 2 + x * z,
@@ -210,6 +216,59 @@ def test_grid_then_refine_probes_on_python_floats():
     assert kinds[0] == (np.ndarray,) * 3
     assert len(kinds) > 20 and set(kinds[1:]) == {(float,) * 3}
     assert arg[2] == -2.0 and type(arg[2]) is float
+
+
+def test_nelder_mead_matches_the_reference_loop():
+    # The loop on (value, vertex) pairs gives the argument, the value and
+    # every probe, in order, of the loop on parallel vertex and value lists.
+    def spiky(x):
+        return np.where(abs(x - 2.0 / 7.0) < 1e-3, 1.0, np.sin(40.0 * x))
+
+    def patchy(x):
+        return np.where(x < 0.5, math.nan, np.where(x < 1.0, -math.inf, -((x - 1.5) ** 2)))
+
+    # few distinct values, so vertices tie and the sort's order of ties shows
+    table = np.random.default_rng(7).choice([0.0, 1.0, 2.0, math.nan], size=(5, 5, 5))
+
+    def lookup(x, y, z):
+        return table[np.rint(x).astype(int), np.rint(np.log2(y)).astype(int),
+                     np.rint(4.0 * z).astype(int)]
+
+    cases = [(lookup, [(0.0, 4.0), BoxDim(1.0, 16.0, "log"), (0.0, 1.0)], 5),
+             (lambda x, y: -((x - 1.3) ** 2) - 2.0 * (y + 0.7) ** 2, [(-4.0, 4.0)] * 2, 9),
+             (lambda s: -(np.log(s) - math.log(7.0)) ** 2, [BoxDim(1e-3, 1e3, "log")], 8),
+             (lambda x, y: 5.0, [(0.0, 1.0)] * 2, 8),
+             (patchy, [(0.0, 2.0)], 17),
+             (spiky, [(0.0, 1.0)], 8),
+             (bumpy, [(-2.0, 2.0), (-1.5, 1.5)], 3),
+             (ridge, [BoxDim(0.1, 100.0, "log")], 5),
+             (lambda x, y, z: -(x - 0.2) ** 2 - (y - z) ** 2 + x * z,
+              [(0.0, 1.0), BoxDim(0.5, 8.0, "log"), (-1.0, 1.0)], 2)]
+    for f, box, grid in cases:
+        for budget in (0, 60, 1500, 6000):
+            kw = dict(grid_per_dim=grid, refine_budget=budget)
+            got = run_logged(grid_then_refine, f, box, **kw)
+            assert got == run_logged(grid_then_refine_reference, f, box, **kw), (box, budget)
+
+
+def test_grid_then_refine_refuses_a_grid_over_the_cell_cap():
+    # 100000**3 points once failed only inside numpy, after it tried to
+    # allocate 7.11 PiB; the cap is checked before any array or call of f.
+    calls = []
+    tracemalloc.start()
+    try:
+        for grid, ndim in ((100_000, 3), (216, 3), (3_163, 2)):
+            with pytest.raises(TensorCapError, match=rf"^a grid of {grid}\*\*{ndim} = "):
+                grid_then_refine(lambda *x: calls.append(x), [(0.0, 1.0)] * ndim,
+                                 grid_per_dim=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 100_000
+    with pytest.raises(TensorCapError) as info:
+        grid_then_refine(lambda x, y, z: x, [(0.0, 1.0)] * 3, grid_per_dim=216)
+    assert str(info.value) == ("a grid of 216**3 = 10077696 points is over the cap of "
+                               f"{CELL_CAP}; lower grid_per_dim")
 
 
 def test_grid_then_refine_validation():
