@@ -35,6 +35,11 @@ class DiamondConfig:
     def __post_init__(self):
         for name in ("s21", "s31", "s42", "s43"):
             object.__setattr__(self, name, as_nonnegative(getattr(self, name), name))
+        # Every bound is finite below these sums, and the cutset's is not above.
+        if not self.s21 + self.s31 < math.inf:
+            raise ValueError("s21, s31: the source's total SNR s21 + s31 overflows a float")
+        if not math.sqrt(self.s42) + math.sqrt(self.s43) < 2.0**512:
+            raise ValueError("s42, s43: the beamformed SNR (sqrt(s42) + sqrt(s43))**2 overflows")
 
     @classmethod
     def from_distance(cls, d: float, p: float) -> "DiamondConfig":
@@ -116,6 +121,12 @@ def _search(objective, box: Sequence[BoxDim], full: int, budget) -> tuple[RateBi
     return value, arg
 
 
+def _geomean(x: float, y: float) -> float:
+    """sqrt(x y), with its bits, or sqrt(x) sqrt(y) where x y overflows."""
+    root = math.sqrt(x * y)
+    return root if root < math.inf else math.sqrt(x) * math.sqrt(y)
+
+
 def _half_log2(x):
     """(1/2) log2(x) of an array, elementwise."""
     return 0.5 * np.log2(x)
@@ -126,17 +137,34 @@ def _half_log2_of_float(x: float) -> float:
     return 0.5 * float(np.log2(x))
 
 
-def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms):
+def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
     """``reduce`` of the four DDF cut terms of ``cfg``, as one function of
     (rho, s2, s3), elementwise on arrays or on floats: by default their
     minimum, the search's objective, and with ``tuple`` the terms.
 
     The derived constants are bound once per configuration and the half-log2
     is picked once per call; every C(x) goes through ``gauss_c``, which
-    refuses a negative or NaN SNR on both kinds of call."""
+    refuses a negative or NaN SNR on both kinds of call.  The products below
+    overflow once an SNR or a variance nears 1e154; with ``logs`` the relay
+    and joint costs are taken as sums of log2s, which do not."""
     s21, s31, s42, s43 = cfg.s21, cfg.s31, cfg.s42, cfg.s43
     a21, a31, mac = 1.0 + s21, 1.0 + s31, s42 + s43
-    root = math.sqrt(s42 * s43)
+    root = _geomean(s42, s43)
+    if logs:
+        with np.errstate(divide="ignore"):  # log2(0) = -inf is exact
+            l21, l31, la21, la31 = np.log2((s21, s31, a21, a31)).tolist()
+        lae = np.logaddexp2
+
+        def in_logs(rho, s2, s3):
+            shrink, l2, l3 = 1.0 - rho * rho, np.log2(s2), np.log2(s3)
+            l2b, l3b = lae(l2, l21), lae(l3, l31)  # log2(s2 + s21), log2(s3 + s31)
+            i2 = 0.5 * (la21 + l2b - lae(l2b, l2 + l21))
+            i3 = 0.5 * (la31 + l3b - lae(l3b, l3 + l31))
+            joint_cost = 0.5 * (l2b + l3b - lae(l2 + l3, lae(l2 + l31, l3 + l21)) - np.log2(shrink))
+            return reduce((gauss_c(mac + 2.0 * rho * root), gauss_c(shrink * s42) + i3,
+                           gauss_c(shrink * s43) + i2, i2 + i3 - joint_cost))
+
+        return in_logs
 
     def objective(rho, s2, s3):
         floats = isinstance(s2, float)
@@ -172,7 +200,11 @@ def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms):
 
 
 def ddf_diamond_terms(cfg: DiamondConfig, params: DdfParams) -> tuple[float, ...]:
-    terms = _ddf_objective(cfg, tuple)(params.rho, params.sigma2_sq, params.sigma3_sq)
+    point = (params.rho, params.sigma2_sq, params.sigma3_sq)
+    with np.errstate(all="ignore"):  # an overflowed term is taken again in logs
+        terms = _ddf_objective(cfg, tuple)(*point)
+    if not all(map(math.isfinite, terms)):
+        terms = _ddf_objective(cfg, tuple, logs=True)(*point)
     return tuple(float(t) for t in terms)
 
 
@@ -185,16 +217,36 @@ def ddf_diamond_opt(cfg: DiamondConfig, budget: int = 6000) -> tuple[RateBits, D
     """DDF rate maximized over DdfParams by a deterministic search of about
     ``budget`` probes; its rounded grid side can itself exceed the budget, e.g.
     budget 2,000 scans 13**3 = 2,197 grid points (see ``grid_then_refine``)."""
-    value, arg = _search(_ddf_objective(cfg), _DDF_BOX, 16, budget)
+    # Every product of the objective grows with the variances, and its ratios
+    # stay below them, so none overflows unless these do at the largest.
+    big = (_NOISE.hi + cfg.s21, _NOISE.hi + cfg.s31)
+    logs = not max((1.0 + cfg.s21) * big[0], (1.0 + cfg.s31) * big[1], big[0] * big[1]) < math.inf
+    value, arg = _search(_ddf_objective(cfg, logs=logs), _DDF_BOX, 16, budget)
     return value, DdfParams(*arg)
 
 
-def _nnc_objective(cfg: DiamondConfig, reduce=_min_terms):
+def _nnc_fits(cfg: DiamondConfig, s2: float, s3: float) -> bool:
+    """Whether nothing in ``_nnc_objective`` overflows at (s2, s3) or below."""
+    return max(cfg.s21 * (1.0 + s3) + cfg.s31 * (1.0 + s2), (1.0 + s2) * (1.0 + s3),
+               1.0 / s2, 1.0 / s3) < math.inf
+
+
+def _nnc_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
     """``reduce`` of the four NNC cut terms of ``cfg``, as one function of
     (s2, s3), elementwise on arrays or on floats, as ``_ddf_objective``;
-    C(s42), C(s43) and C(s42 + s43) are bound once per configuration."""
+    C(s42), C(s43) and C(s42 + s43) are bound once per configuration.  With
+    ``logs``, the first SNR is a sum of quotients and C(1 / s) a difference of
+    log2s, so neither overflows."""
     s21, s31 = cfg.s21, cfg.s31
     c42, c43, c_mac = gauss_c(cfg.s42), gauss_c(cfg.s43), gauss_c(cfg.s42 + cfg.s43)
+    if logs:
+        def in_logs(s2, s3):
+            c2, c3 = (0.5 * (np.log2(1.0 + s) - np.log2(s)) for s in (s2, s3))
+            q2, q3 = s21 / (1.0 + s2), s31 / (1.0 + s3)
+            return reduce((gauss_c(q2 + q3), c42 + gauss_c(q3) - c2, c43 + gauss_c(q2) - c3,
+                           c_mac - c2 - c3))
+
+        return in_logs
 
     def objective(s2, s3):
         c2, c3 = gauss_c(1.0 / s2), gauss_c(1.0 / s3)
@@ -212,7 +264,8 @@ def nnc_diamond_terms(
     cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float
 ) -> tuple[float, ...]:
     s2, s3 = as_positive(sigma2_sq, "sigma2_sq"), as_positive(sigma3_sq, "sigma3_sq")
-    return tuple(float(t) for t in _nnc_objective(cfg, tuple)(s2, s3))
+    terms = _nnc_objective(cfg, tuple, logs=not _nnc_fits(cfg, s2, s3))(s2, s3)
+    return tuple(float(t) for t in terms)
 
 
 def nnc_diamond(cfg: DiamondConfig, sigma2_sq: float, sigma3_sq: float) -> RateBits:
@@ -229,7 +282,8 @@ def nnc_diamond_opt(
     """NNC rate maximized over the quantizer variances by a deterministic search
     of about ``budget`` probes; its rounded grid side can itself exceed the
     budget, e.g. budget 43 scans 7**2 = 49 grid points."""
-    return _search(_nnc_objective(cfg), _NNC_BOX, 24, budget)
+    logs = not _nnc_fits(cfg, _NOISE.hi, _NOISE.hi)  # the products grow with s2 and s3
+    return _search(_nnc_objective(cfg, logs=logs), _NNC_BOX, 24, budget)
 
 
 def af_diamond(cfg: DiamondConfig) -> RateBits:
@@ -242,7 +296,15 @@ def af_diamond(cfg: DiamondConfig) -> RateBits:
         + cfg.s43 * (cfg.s21 + 1.0)
         + (cfg.s21 + 1.0) * (cfg.s31 + 1.0)
     )
-    return gauss_c((a + b) ** 2 / den)
+    if a + b < 2.0**512 and den < math.inf:  # (a + b)**2 and den fit a float
+        return gauss_c((a + b) ** 2 / den)
+    with np.errstate(divide="ignore"):  # else (a + b)^2 / den = 2^x from log2s
+        l21, l31, l42, l43, la21, la31 = np.log2(
+            (cfg.s21, cfg.s31, cfg.s42, cfg.s43, cfg.s21 + 1.0, cfg.s31 + 1.0)).tolist()
+    lae = np.logaddexp2
+    x = 2.0 * lae((l21 + l42 + la31) / 2, (l31 + l43 + la21) / 2) - lae(
+        lae(l42 + la31, l43 + la21), la21 + la31)
+    return 0.5 * float(lae(0.0, x))
 
 
 def df_diamond(cfg: DiamondConfig) -> RateBits:
@@ -250,7 +312,7 @@ def df_diamond(cfg: DiamondConfig) -> RateBits:
     return min(
         gauss_c(cfg.s21),
         gauss_c(cfg.s31),
-        gauss_c(cfg.s42 + cfg.s43 + 2.0 * math.sqrt(cfg.s42 * cfg.s43)),
+        gauss_c(cfg.s42 + cfg.s43 + 2.0 * _geomean(cfg.s42, cfg.s43)),
     )
 
 
@@ -260,7 +322,7 @@ def _cutset_terms(cfg: DiamondConfig, rho: float, shrink: float) -> tuple[float,
         gauss_c(cfg.s21 + cfg.s31),
         gauss_c(cfg.s31) + gauss_c(shrink * cfg.s42),
         gauss_c(cfg.s21) + gauss_c(shrink * cfg.s43),
-        gauss_c(cfg.s42 + cfg.s43 + 2.0 * rho * math.sqrt(cfg.s42 * cfg.s43)),
+        gauss_c(cfg.s42 + cfg.s43 + 2.0 * rho * _geomean(cfg.s42, cfg.s43)),
     )
 
 
@@ -291,7 +353,7 @@ def cutset_diamond_opt(cfg: DiamondConfig) -> tuple[RateBits, float]:
     relative when 1 - rho >= 1e-5.
     """
     s21, s31, s42, s43 = cfg.s21, cfg.s31, cfg.s42, cfg.s43
-    b = math.sqrt(s42 * s43)
+    b = _geomean(s42, s43)
     candidates = [(0.0, 1.0), (1.0, 0.0)]
     if b > 0:
         rho = (s21 + s31 - s42 - s43) / (2.0 * b)
@@ -299,8 +361,16 @@ def cutset_diamond_opt(cfg: DiamondConfig) -> tuple[RateBits, float]:
     for c, d in ((s31, s42), (s21, s43)):
         qa, qc = (1.0 + c) * d, (1.0 + s42 + s43) - (1.0 + c) * (1.0 + d)
         if qc < 0.0 < qa:
-            rho = -qc / (b + math.sqrt(b * b - qa * qc))
-            candidates.append((rho, max((s42 + s43 - c + 2.0 * b * rho) / qa, 0.0)))
+            disc = b * b - qa * qc
+            if disc < math.inf:
+                rho = -qc / (b + math.sqrt(disc))
+                shrink = (s42 + s43 - c + 2.0 * b * rho) / qa
+            else:  # the same root and shrink, with qa, b and qc over (1 + c)(1 + d)
+                qa, qc = d / (1.0 + d), (1.0 + s42 + s43) / (1.0 + c) / (1.0 + d) - 1.0
+                scaled = b / (1.0 + c) / (1.0 + d)
+                rho = -qc / (scaled + math.sqrt(scaled * scaled - qa * qc))
+                shrink = (s42 + s43 - c + 2.0 * b * rho) / (1.0 + c) / d
+            candidates.append((rho, max(shrink, 0.0)))
     value, neg_rho = max((min(_cutset_terms(cfg, rho, shrink)), -rho)
                          for rho, shrink in candidates if 0.0 <= rho <= 1.0)
     return value, -neg_rho

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (
     SchemaError, TensorCapError, as_int, as_node, as_node_count, as_nodes, as_number,
-    as_numbers, load_json_object)
+    as_numbers, as_symbols, load_json_object)
 from .info import (
     ZERO_EPS, JointPmf, RateBits, _axes_of, capped_cells, checked_tensor, mask_mutual_info)
 from .networks import Cut, DeterministicNetwork, GraphicalNetwork, as_mode, enumerate_cuts
@@ -379,8 +379,7 @@ def _det_scatter(
     outs = [(k, net.out_size(k)) for k in range(2, net.n + 1)]
     shape = tuple(net.alphabets) + tuple(s for _, s in outs)
     capped_cells(shape, "deterministic joint")
-    grids = tuple(np.indices(net.alphabets))
-    idx = grids + tuple(net.maps[k][grids] for k, _ in outs)
+    idx = tuple(np.indices(net.alphabets)) + tuple(net.maps[k] for k, _ in outs)
     tensors = []
     for v in values:
         t = np.zeros(shape)
@@ -606,28 +605,23 @@ def conferencing_dbc_region(
 
     For each input pmf the achievable triple is R2 <= H(Y2) + C32,
     R3 <= H(Y3) + C23, R2 + R3 <= H(Y2, Y3); the region is the union over
-    input pmfs, swept on a simplex grid.
+    input pmfs, swept on a simplex grid.  ``y2_map[x]`` and ``y3_map[x]`` are
+    the symbols input x gives each receiver, read and ranked by
+    ``errors.as_symbols`` as ``DeterministicNetwork`` reads its maps.
     """
     c23, c32 = as_number(c23, "c23"), as_number(c32, "c32")
     if not (c23 >= 0 and c32 >= 0):  # also rejects NaN
         raise ValueError("conferencing capacities must be nonnegative")
-    y2_map = [as_int(v, f"y2_map[{i}]") for i, v in enumerate(y2_map)]
-    y3_map = [as_int(v, f"y3_map[{i}]") for i, v in enumerate(y3_map)]
-    for what, table in (("y2_map", y2_map), ("y3_map", y3_map)):
-        if min(table, default=0) < 0:
-            raise SchemaError(f"{what}: output symbols must be nonnegative, got {table}")
+    # Each symbol is read as its rank in its map: at most m columns per receiver.
+    y2_map, y3_map = as_symbols(y2_map, "y2_map"), as_symbols(y3_map, "y3_map")
     grid_res = as_int(grid_res, "grid_res")
-    if len(y2_map) != len(y3_map) or not y2_map:
-        raise ValueError("output maps must be nonempty and equally long")
-    # Entropies depend only on which inputs share a symbol, so each symbol is
-    # replaced by its rank in its map: at most m columns per receiver.
-    ranks = [{v: i for i, v in enumerate(sorted(set(t)))} for t in (y2_map, y3_map)]
-    y2_map, y3_map = ([rank[v] for v in t] for rank, t in zip(ranks, (y2_map, y3_map)))
-    m = len(y2_map)
+    if y2_map.ndim != 1 or y2_map.shape != y3_map.shape or not y2_map.size:
+        raise ValueError("output maps must be flat, nonempty and equally long")
+    m = y2_map.size
     pmfs = simplex_grid(m, grid_res)
     rows = pmfs.shape[0]
-    a2 = max(y2_map) + 1
-    a3 = max(y3_map) + 1
+    a2 = int(y2_map.max()) + 1
+    a3 = int(y3_map.max()) + 1
     r2_caps, r3_caps, h23 = np.empty(rows), np.empty(rows), np.empty(rows)
     # Each polytope's two upper corners that are undominated within their
     # block; the frontier sorts them, so their order does not matter.

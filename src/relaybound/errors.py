@@ -5,7 +5,8 @@ rule: ``as_int`` (an integer), ``as_int_set`` (a sorted set of them),
 real number), ``as_nonnegative`` and ``as_positive`` (a finite real number
 that is >= 0 or > 0: an SNR, a capacity, a variance, a transmit power),
 ``as_numbers`` (an array of real numbers, each one finite: the owner of
-finiteness for array inputs) and ``load_json_object`` (a model file).  Each
+finiteness for array inputs), ``as_symbols`` (an array of output symbols,
+read exactly and ranked) and ``load_json_object`` (a model file).  Each
 raises SchemaError naming the argument or field path."""
 
 from __future__ import annotations
@@ -41,14 +42,14 @@ class InfeasibleError(RuntimeError):
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int.  An integer (numpy's too) or an integral float is
+    """``value`` as an int.  An integer or an integral float (numpy's too) is
     accepted; a bool, a non-number or a non-integral number raises
     SchemaError naming ``what``."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
-            if isinstance(value, float) and value.is_integer():
+            if isinstance(value, (float, np.floating)) and value.is_integer():
                 return int(value)
     raise SchemaError(f"{what}: expected an integer, got {value!r}")
 
@@ -123,6 +124,33 @@ def as_numbers(values, what: str) -> np.ndarray:
         k = int(np.argmin(np.isfinite(arr)))
         raise SchemaError(f"{what}{_index(k, arr.shape)}: must be finite, got {arr.flat[k]}")
     return arr
+
+
+def as_symbols(values, what: str) -> np.ndarray:
+    """Each output symbol of ``values`` as its rank among their distinct
+    symbols, in an int array of the same shape.  A symbol is read exactly: an
+    int of any size or an integral float (numpy's too); a bool, a non-number,
+    a non-integral or a negative entry raises SchemaError naming its index,
+    e.g. ``what[1][0]``."""
+    arr = values
+    if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf"
+            and ((arr >= 0) & (arr < math.inf) & (arr == np.round(arr))).all()):
+        obj = np.asarray(values, dtype=object)
+        flat = obj.ravel().tolist()
+        for k, v in enumerate(flat):
+            if type(v) is not int or v < 0:
+                try:
+                    flat[k] = as_int(v, what)
+                    if flat[k] < 0:
+                        raise SchemaError(f"{what}: an output symbol must be nonnegative, got {v}")
+                except SchemaError as exc:  # only a bad entry pays for its index
+                    raise SchemaError(what + _index(k, obj.shape) + str(exc)[len(what):]) from None
+        # Only symbols beyond int64 pay for numpy sorting Python ints.
+        kind = np.int64 if max(flat, default=0) < 2**63 else object
+        arr = np.array(flat, dtype=kind).reshape(obj.shape)
+    # A float array ranks as its exact ints would.  numpy 2.x releases differ
+    # on the inverse's shape, so it is set here.
+    return np.unique(arr, return_inverse=True)[1].reshape(arr.shape)
 
 
 def as_nonnegative(value, what: str) -> float:

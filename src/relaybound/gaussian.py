@@ -164,7 +164,8 @@ class _GaussianJoint:
     """x = K^{1/2} w (K^{1/2} from ``eigh``), u_k = G_k x + sigma_k zhat_k and y_k =
     G_k x + z_k as rows over unit sources: an entropy source over ``dm``'s canonical
     variables, q without a row, answering ``entropies`` only.  A subset's entropy,
-    less 2 pi e terms, is log2 |det R| of a QR of its rows (no Gram), memoized."""
+    less 2 pi e terms, is log2 |det R| of a QR of its rows (no Gram), once per
+    distinct subset of a call; no variable but q has entropy 0.0, with no QR."""
 
     def __init__(self, net: GaussianNetwork, k_cov: np.ndarray, sigma_sq: np.ndarray):
         n = net.n
@@ -175,18 +176,18 @@ class _GaussianJoint:
                               [signal[1:], np.zeros((n - 1, n)), np.diag(np.sqrt(sigma_sq[1:]))],
                               [signal, np.eye(n), np.zeros((n, n - 1))]])
         self.variables = tuple(_canonical_vars(n, {}))
-        self._h: dict[int, float] = {}
 
     def entropies(self, masks) -> list[float]:
         keys = [mask >> 1 for mask in masks]  # q is bit 0
+        h = {0: 0.0}
         for key in dict.fromkeys(keys):
-            if key not in self._h:
+            if key not in h:
                 rows = self.rows[[i for i in range(len(self.rows)) if key >> i & 1]]
                 diag = np.abs(np.linalg.qr(rows.T, mode="r").diagonal())
                 if not diag.all():
                     raise ValueError("degenerate covariance: a subset's covariance is singular")
-                self._h[key] = float(np.log2(diag).sum())
-        return [self._h[key] for key in keys]
+                h[key] = float(np.log2(diag).sum())
+        return [h[key] for key in keys]
 
 
 def ddf_rates_general(

@@ -27,8 +27,9 @@ answers entropies one way, ``JointPmf.entropies(masks)``, and
 mask, and reduces a miss, always through ``JointPmf.marginal``, from the
 smallest cached marginal that covers it (``JointPmf``).  ``entropy`` and
 ``mutual_info`` take names; ``mask_mutual_info`` is ``mutual_info`` on
-masks.  It reads only its source's ``entropies``, in one call, and floors
-no entropy, so it serves differential entropies too.
+masks, one four-entropy formula whether or not it conditions (H of no
+variable reads 0.0).  It reads only its source's ``entropies``, in one call,
+and floors no entropy, so it serves differential entropies too.
 
 Structure is planned once per shape, and values are computed on every call:
 a variables tuple's axes and kept mask, a lattice key's sub-variables, and
@@ -401,14 +402,12 @@ def mutual_info(
 
 
 def mask_mutual_info(source, a: int, b: int, given: int = 0) -> RateBits:
-    """``mutual_info`` over bitmasks of ``source``'s variables, from one call
-    of its ``entropies``; the value, not any entropy, is clamped at zero."""
-    if given:
-        hag, hg, habg, hbg = source.entropies((a | given, given, a | b | given, b | given))
-        value = (hag - hg) - (habg - hbg)
-    else:
-        ha, hab, hb = source.entropies((a, a | b, b))
-        value = ha - (hab - hb)
+    """``mutual_info`` over bitmasks of ``source``'s variables,
+    (H(A, G) - H(G)) - (H(A, B, G) - H(B, G)), from one call of its
+    ``entropies``; the value, not any entropy, is clamped at zero.  With no
+    ``given``, H(G) is H of no variable, exactly 0.0 with no reduction."""
+    hag, hg, habg, hbg = source.entropies((a | given, given, a | b | given, b | given))
+    value = (hag - hg) - (habg - hbg)
     return value if value > 0.0 else 0.0
 
 

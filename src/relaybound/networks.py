@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (
     SchemaError, as_int, as_int_set, as_node, as_node_count, as_nodes, as_nonnegative,
-    as_numbers, as_positive, load_json_object)
+    as_numbers, as_positive, as_symbols, load_json_object)
 
 #: Cut enumeration is exhaustive, and every cut-based evaluator enumerates, so
 #: networks with more nodes than this are refused.
@@ -101,8 +101,11 @@ class DeterministicNetwork:
     """A noiseless network: y_k = maps[k](x_1, ..., x_n) for k = 2..n.
 
     ``alphabets[j-1]`` is the input alphabet size of node j; each map is a
-    dense int tensor over the full input joint (row-major, axis j-1 for x_j).
-    Equality and hashing are by identity, as the maps are arrays.
+    dense tensor of output symbols over the full input joint (row-major, axis
+    j-1 for x_j).  Only which inputs share a symbol matters, so each map is
+    stored, and saved, as its symbols' ranks (``errors.as_symbols``), and
+    ``out_size(k)`` is the count of distinct symbols of y_k.  Equality and
+    hashing are by identity, as the maps are arrays.
     """
 
     n: int
@@ -124,16 +127,9 @@ class DeterministicNetwork:
         fixed: dict[int, np.ndarray] = {}
         for k, table in maps.items():
             k = as_node(k, n, f"maps[{k!r}] node", first=2)
-            vals = as_numbers(table, f"maps[{k}]").reshape(shape)
-            if np.any(vals != np.floor(vals)):
-                raise ValueError(f"map y{k} has non-integral symbols")
-            if np.any(vals < 0):
-                raise ValueError(f"map y{k} has negative symbols")
-            if np.any(vals >= 2.0**63):
-                raise ValueError(f"map y{k} has symbols of 2**63 or more, beyond int64")
-            arr = vals.astype(int)
-            arr.flags.writeable = False
-            fixed[k] = arr
+            ranks = as_symbols(table, f"maps[{k}]").reshape(shape)
+            ranks.flags.writeable = False
+            fixed[k] = ranks
         for k in range(2, n + 1):
             if k not in fixed:
                 raise ValueError(f"missing output map for node {k}")

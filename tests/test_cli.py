@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -825,15 +829,29 @@ def test_eval_dm_resource_cap(tmp_path):
         ]
     )
     assert code == 3
-    # an output symbol of 2**62 once exited 2 with numpy's "array is too big"
-    net = DeterministicNetwork([2, 2], {2: np.array([[0, 0], [1, 2**62]])}, [2])
-    save_network(net, tmp_path / "wide_net.json")
+    # An output symbol of 2**62 once exited 2 with numpy's "array is too big",
+    # and later 3 with the cap.  Maps are saved as ranks, so it now evaluates
+    # as its dense twin does; the cap counts distinct symbols.
     xs = write_json(tmp_path / "xs.json", {
         "vars": [{"name": "x1", "size": 2}, {"name": "x2", "size": 2}], "probs": [0.25] * 4})
+    outs = []
+    for top in (2**62, 2):
+        save_network(DeterministicNetwork([2, 2], {2: [[0, 0], [1, top]]}, [2]),
+                     tmp_path / "sparse_net.json")
+        assert json.loads((tmp_path / "sparse_net.json").read_text())["maps"] == {
+            "y2": [0, 0, 1, 2]}
+        outs.append(run_full(["eval-dm", "--pmf", xs, "--channel",
+                              str(tmp_path / "sparse_net.json"), "--mode", "deterministic"]))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    net = DeterministicNetwork([2, 2000], {2: np.arange(4000).reshape(2, 2000) * 10**12}, [2])
+    save_network(net, tmp_path / "wide_net.json")
+    xs = write_json(tmp_path / "xs.json", {
+        "vars": [{"name": "x1", "size": 2}, {"name": "x2", "size": 2000}],
+        "probs": [1 / 4000] * 4000})
     code, _, err = run_full(["eval-dm", "--pmf", xs, "--channel",
                              str(tmp_path / "wide_net.json"), "--mode", "deterministic"])
     assert code == 3
-    assert "deterministic joint would need" in err
+    assert "deterministic joint would need 16000000 cells" in err
     # the conferencing sweep's grid cap once exited 2 as a usage error
     assert run_full(["blackwell", "--grid-res", "3000"]) == (
         3, "", "error: 4504501 grid points is too many; lower the resolution\n")
@@ -882,3 +900,20 @@ def test_blackwell_csv(tmp_path):
     # at one grid step every pmf is a point mass, once printed as -0.000000
     code, out = run(["blackwell", "--grid-res", "1"])
     assert (code, out.splitlines()) == (0, ["r2,r3,sum", "0.000000,0.000000,0.000000"])
+
+
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m relaybound.cli`` in a fresh interpreter on this checkout's
+    package, so the module's ``__main__`` guard and ``entry`` run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "relaybound.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_exits_with_mains_code():
+    done = run_module("blackwell", "--grid-res", "3")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[0] == "r2,r3,sum"
+    done = run_module("blackwell", "--grid-res", "0")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: resolution must be positive\n")

@@ -6,6 +6,7 @@ Gaussian covariance via log-det mutual-information identities, so the module
 under test and the oracles share no code.
 """
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -312,11 +313,16 @@ def test_scalar_terms_equal_the_grid_elements(monkeypatch):
             assert list(terms) == [t[k] for t in nnc_terms], (cfg, point)
             assert nnc(*point) == nnc_grid[k] == min(terms), (cfg, point)
     # An SNR that gauss_c refuses raises one message on both kinds of call, so
-    # a NaN term never becomes a quiet -inf probe: at rho = 0, s42 s43
-    # overflows and C(s42 + s43 + 2 rho sqrt(s42 s43)) is C(nan).
-    ddf = _ddf_objective(DiamondConfig(1.0, 1.0, 1e200, 1e200))
-    for args in ((0.0, 1.0, 1.0), (np.array([0.5, 0.0]), np.ones(2), np.ones(2))):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as info:
+    # a NaN term never becomes a quiet -inf probe: with rho = NaN,
+    # C(s42 + s43 + 2 rho sqrt(s42 s43)) is C(nan).  (This once came from
+    # s42 s43 overflowing at rho = 0, which sqrt(s42) sqrt(s43) now avoids.)
+    cfg = DiamondConfig(1.0, 1.0, 1e200, 1e200)
+    ddf = _ddf_objective(cfg)
+    value = ddf(0.0, 1.0, 1.0)
+    assert value == ddf(np.zeros(1), np.ones(1), np.ones(1))[0] == ddf_diamond(
+        cfg, DdfParams(0.0, 1.0, 1.0)) and math.isfinite(value)
+    for args in ((math.nan, 1.0, 1.0), (np.array([0.5, math.nan]), np.ones(2), np.ones(2))):
+        with pytest.raises(ValueError) as info:
             ddf(*args)
         assert str(info.value) == "snr must be nonnegative, got nan"
 
@@ -550,3 +556,131 @@ def test_inner_bounds_finite_and_below_cutset_at_any_snr(d, log10_p):
     for name, v in inner.items():
         assert math.isfinite(v), name
         assert v <= cut_v + 1e-6, name
+
+
+# ---------------------------------------------------------------------------
+# SNRs up to 1e200 and noise variances from 1e-300 to 1e300, where the
+# products in the closed forms overflow a float.
+
+_DIGITS = decimal.Context(prec=50)
+
+
+def decimal_terms(cfg, rho, s2, s3):
+    """DF, AF, then the DDF, NNC and cutset terms at (rho, s2, s3), each
+    transcribed in 50-digit decimals, whose exponents do not overflow."""
+    with decimal.localcontext(_DIGITS):
+        s21, s31, s42, s43, rho, s2, s3 = (decimal.Decimal(x) for x in (
+            cfg.s21, cfg.s31, cfg.s42, cfg.s43, rho, s2, s3))
+        ln2 = decimal.Decimal(2).ln()
+
+        def half_log2(x):
+            return x.ln() / (2 * ln2)
+
+        def c(x):
+            return half_log2(1 + x)
+
+        shrink, root = 1 - rho * rho, (s42 * s43).sqrt()
+        mac = s42 + s43 + 2 * root
+        af = ((s21 * s42 * (1 + s31)).sqrt() + (s31 * s43 * (1 + s21)).sqrt()) ** 2 / (
+            s42 * (1 + s31) + s43 * (1 + s21) + (1 + s21) * (1 + s31))
+        i2 = half_log2((1 + s21) * (s2 + s21) / (s2 + (1 + s2) * s21))
+        i3 = half_log2((1 + s31) * (s3 + s31) / (s3 + (1 + s3) * s31))
+        joint = half_log2((s2 + s21) * (s3 + s31) / ((s2 * s3 + s2 * s31 + s3 * s21) * shrink))
+        c2, c3 = c(1 / s2), c(1 / s3)
+        return [min(c(s21), c(s31), c(mac)), c(af),
+                c(s42 + s43 + 2 * rho * root), c(shrink * s42) + i3, c(shrink * s43) + i2,
+                i2 + i3 - joint,
+                c((s21 * (1 + s3) + s31 * (1 + s2)) / ((1 + s2) * (1 + s3))),
+                c(s42) + c(s31 / (1 + s3)) - c2, c(s43) + c(s21 / (1 + s2)) - c3,
+                c(s42 + s43) - c2 - c3,
+                c(s21 + s31), c(s31) + c(shrink * s42), c(s21) + c(shrink * s43),
+                c(s42 + s43 + 2 * rho * root)]
+
+
+_WIDE_SNR = st.floats(0.0, 200.0).map(lambda e: 10.0**e)
+_WIDE_VARIANCE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_WIDE_SNR, _WIDE_SNR, _WIDE_SNR, _WIDE_SNR), st.floats(0.0, 0.999),
+       _WIDE_VARIANCE, _WIDE_VARIANCE)
+def test_closed_forms_are_finite_and_exact_at_wide_snrs(snrs, rho, s2, s3):
+    # Each product that overflowed once gave inf, NaN, a wrong finite value
+    # or "snr must be nonnegative, got nan"; a RuntimeWarning fails the test.
+    cfg = DiamondConfig(*snrs)
+    got = [df_diamond(cfg), af_diamond(cfg), *ddf_diamond_terms(cfg, DdfParams(rho, s2, s3)),
+           *nnc_diamond_terms(cfg, s2, s3), *cutset_diamond_terms(cfg, rho)]
+    for i, (g, w) in enumerate(zip(got, decimal_terms(cfg, rho, s2, s3), strict=True)):
+        assert math.isfinite(g), i
+        assert abs(decimal.Decimal(g) - w) <= decimal.Decimal(1e-12) * max(1, abs(w)), i
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_WIDE_SNR, _WIDE_SNR, _WIDE_SNR, _WIDE_SNR))
+def test_searches_are_finite_and_below_the_cutset_at_wide_snrs(snrs):
+    cfg = DiamondConfig(*snrs)
+    cut_v, cut_rho = cutset_diamond_opt(cfg)
+    slack = 1e-12 * max(1.0, cut_v)
+    assert math.isfinite(cut_v) and 0.0 <= cut_rho <= 1.0
+    for r in np.linspace(0.0, 1.0, 41):
+        assert cut_v >= cutset_diamond(cfg, float(r)) - slack
+    ddf_v, params = ddf_diamond_opt(cfg, 60)
+    nnc_v, (s2, s3) = nnc_diamond_opt(cfg, 30)
+    assert ddf_v == pytest.approx(ddf_diamond(cfg, params), rel=1e-12, abs=1e-12)
+    assert nnc_v == pytest.approx(nnc_diamond(cfg, s2, s3), rel=1e-12, abs=1e-12)
+    for v in (df_diamond(cfg), af_diamond(cfg), ddf_v, nnc_v):
+        assert math.isfinite(v) and v <= cut_v + slack
+
+
+def test_overflowing_diamonds_once_broke():
+    # AF once returned inf from 1e103, the DDF terms NaN, and the cutset
+    # optimum lost its crossing once (1 + c)(1 + d) s42 s43 overflowed.
+    assert af_diamond(DiamondConfig(1e103, 1e103, 1e103, 1e103)) == pytest.approx(
+        0.5 * math.log2(4e103 / 3), rel=1e-12)
+    terms = ddf_diamond_terms(DiamondConfig(1e20, 1e20, 1e20, 1e20), DdfParams(0.9, 1e-300, 1e300))
+    assert all(math.isfinite(t) for t in terms)
+    cfg = DiamondConfig(4.663186724754534e+66, 7.504670246336563e+136, 1.3897810349602676e+118,
+                        2.6639004526865278e+132)
+    value, _ = cutset_diamond_opt(cfg)  # once the value at rho = 0
+    assert value > cutset_diamond(cfg, 0.0) + 1e-8
+    assert value >= max(cutset_diamond(cfg, float(r)) for r in np.linspace(0.0, 1.0, 1001))
+    # The NNC's first term once read 0.0: (1 + s2)(1 + s3) overflowed.
+    cfg = DiamondConfig(2.46795629372621e+127, 9.064477030004617e+53, 1.5e8, 2e3)
+    first = nnc_diamond_terms(cfg, 4.501387147930518e+247, 9.582205054431667e+63)[0]
+    assert first == pytest.approx(oracle_c(cfg.s31 / 9.582205054431667e+63), rel=1e-9)
+    # a zero SNR is log2(0) = -inf where the terms are taken in log2s
+    cfg = DiamondConfig(0.0, 1e200, 0.0, 1e200)
+    for terms in (ddf_diamond_terms(cfg, DdfParams(0.5, 1e300, 1e-300)),
+                  nnc_diamond_terms(cfg, 1e300, 1e-300)):
+        assert all(math.isfinite(t) for t in terms)
+    for p in (1e110, 1e155):
+        row = diamond_sweep([0.05], p, budget=300).rows[0]
+        values = (row.cutset, row.df, row.af, row.nnc, row.ddf)
+        assert all(math.isfinite(v) for v in values) and max(values) == row.cutset
+
+
+def test_diamond_config_refuses_sums_past_the_floats():
+    with pytest.raises(ValueError, match=r"^s21, s31: the source's total SNR s21 \+ s31 overflows"):
+        DiamondConfig(1e308, 1e308, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^s42, s43: the beamformed SNR"):
+        DiamondConfig(1.0, 1.0, 5e307, 5e307)
+    cfg = DiamondConfig(1e308, 1.0, 4e307, 4e307)
+    assert all(math.isfinite(v) for v in (df_diamond(cfg), af_diamond(cfg),
+                                          cutset_diamond_opt(cfg)[0], ddf_diamond_opt(cfg, 60)[0],
+                                          nnc_diamond_opt(cfg, 30)[0]))
+
+
+def test_log2_objectives_agree_on_grids_and_floats():
+    # As test_scalar_terms_equal_the_grid_elements, where the searches take
+    # their terms in log2s.
+    rng = np.random.default_rng(40)
+    for _ in range(40):
+        cfg = DiamondConfig(*(10.0 ** rng.uniform(0.0, 200.0, 4)).tolist())
+        rho, s2, s3 = rng.uniform(0.0, 0.999, 8), *np.exp(rng.uniform(-6.0, 6.0, (2, 8)))
+        ddf, nnc = _ddf_objective(cfg, tuple, logs=True), _nnc_objective(cfg, tuple, logs=True)
+        ddf_grid = [np.broadcast_to(t, rho.shape).tolist() for t in ddf(rho, s2, s3)]
+        nnc_grid = [np.broadcast_to(t, rho.shape).tolist() for t in nnc(s2, s3)]
+        for k in range(len(rho)):
+            point = (float(rho[k]), float(s2[k]), float(s3[k]))
+            assert [float(t) for t in ddf(*point)] == [t[k] for t in ddf_grid], (cfg, point)
+            assert [float(t) for t in nnc(*point[1:])] == [t[k] for t in nnc_grid], (cfg, point)

@@ -866,12 +866,21 @@ def test_deterministic_inner_broadcast_matches_region():
         with pytest.raises(ValueError, match=msg):
             build()
     # An output symbol of 2**62 once reached np.zeros, which refused it as
-    # "array is too big"; a symbol of 10**12 tried to allocate 29.1 TiB.
+    # "array is too big"; a symbol of 10**12 tried to allocate 29.1 TiB, and
+    # later both raised TensorCapError.  Each y_k axis now has one entry per
+    # distinct symbol, so a sparse map gives its dense twin's values.
     net = DeterministicNetwork([2, 2], {2: np.array([[0, 0], [1, 2**62]])}, [2])
+    twin = DeterministicNetwork([2, 2], {2: np.array([[0, 0], [1, 2]])}, [2])
     pin = JointPmf([("x1", 2), ("x2", 2)], np.full((2, 2), 0.25))
-    for build in (lambda: deterministic_inner(net, pin, [2]),
-                  lambda: det_dm_instance(net, pin, [2])):
-        with pytest.raises(TensorCapError, match="deterministic joint would need"):
+    assert deterministic_inner(net, pin, [2]) == deterministic_inner(twin, pin, [2]) == 1.0
+    assert det_dm_instance(net, pin, [2]).joint.variables == (
+        det_dm_instance(twin, pin, [2]).joint.variables)
+    # The cap now counts distinct symbols: 4,000 inputs, each its own symbol.
+    wide = DeterministicNetwork([2, 2000], {2: np.arange(4000).reshape(2, 2000) * 10**12}, [2])
+    pin = JointPmf([("x1", 2), ("x2", 2000)], np.full((2, 2000), 1 / 4000))
+    for build in (lambda: deterministic_inner(wide, pin, [2]),
+                  lambda: det_dm_instance(wide, pin, [2])):
+        with pytest.raises(TensorCapError, match="deterministic joint would need 16000000 cells"):
             build()
 
 

@@ -104,6 +104,9 @@ PROBES = [
      "variable 'x1'", 2, [0]),
     # an unchecked seed drew OS entropy (None) or raised numpy's TypeError
     (lambda v: cutset_estimate(GNET, 3, budget=20, seed=v), "seed", 3, [1.5, None, True]),
+    # an output symbol is an integer of any size, as in y2_map above
+    (lambda v: DeterministicNetwork([2, 2], {2: [0, v, 1, 0]}), r"maps\[2\]\[1\]", 1,
+     [1.5, -1, True]),
 ]
 
 
@@ -159,6 +162,8 @@ NUMBER_PROBES = [
      ["2", True, np.bool_(True), None]),
     (lambda v: ddf_rates_general(GNET, np.diag(GNET.power), [1.0, v, 1.0]),
      r"sigma_sq\[1\]", 0.5, ["2", True, None]),
+    # output symbols are integers (see PROBES), and one of any numeric type builds
+    # the same network
     (lambda v: DeterministicNetwork([2, 2], {2: [0, v, 1, 0]}), r"maps\[2\]\[1\]", 1.0,
      ["1", True, np.bool_(True), None]),
     (lambda v: DeterministicNetwork([2, 2], {2: np.full((2, 2), v)}), r"maps\[2\]\[0\]\[0\]",
