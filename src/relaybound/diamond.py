@@ -85,17 +85,12 @@ class DdfParams:
 
 
 def _min_terms(terms):
-    """Elementwise minimum of bound terms (floats or broadcastable arrays); a
-    NaN term gives NaN, as np.minimum does.  Floats otherwise give what
-    ``min`` gives, the first of equal terms."""
+    """Elementwise minimum of bound terms: ``min`` of floats, the first of
+    equal terms, and ``np.minimum`` of broadcastable arrays.  Each form of an
+    objective is taken only where its terms are finite, and ``gauss_c``
+    refuses a NaN SNR, so no NaN reaches it."""
     if isinstance(terms[0], float):
-        low = terms[0]
-        for t in terms:
-            if t < low:
-                low = t
-            elif not t >= low:  # t or low is NaN
-                return math.nan
-        return low
+        return min(terms)
     return functools.reduce(np.minimum, terms)
 
 
@@ -145,8 +140,11 @@ def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
     The derived constants are bound once per configuration and the half-log2
     is picked once per call; every C(x) goes through ``gauss_c``, which
     refuses a negative or NaN SNR on both kinds of call.  The products below
-    overflow once an SNR or a variance nears 1e154; with ``logs`` the relay
-    and joint costs are taken as sums of log2s, which do not."""
+    overflow once an SNR or a variance nears 1e154, and the joint cost loses
+    digits once its divisor is subnormal; with ``logs`` the relay and joint
+    costs are taken as sums of log2s, which do neither.  ``_ddf_fits`` picks
+    the form once: at the point for ``ddf_diamond_terms``, at the box's
+    corners for ``ddf_diamond_opt``."""
     s21, s31, s42, s43 = cfg.s21, cfg.s31, cfg.s42, cfg.s43
     a21, a31, mac = 1.0 + s21, 1.0 + s31, s42 + s43
     root = _geomean(s42, s43)
@@ -167,28 +165,13 @@ def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
         return in_logs
 
     def objective(rho, s2, s3):
-        floats = isinstance(s2, float)
-        half_log2 = _half_log2_of_float if floats else _half_log2
+        half_log2 = _half_log2_of_float if isinstance(s2, float) else _half_log2
         # I between a relay's description and its observation, in bits.
         i2 = half_log2(a21 * (s2 + s21) / (s2 + (1.0 + s2) * s21))
         i3 = half_log2(a31 * (s3 + s31) / (s3 + (1.0 + s3) * s31))
         shrink = 1.0 - rho * rho
         den = s2 * s3 + s2 * s31 + s3 * s21
-        underflowed = den == 0.0 if floats else not den.all()
-        if underflowed:
-            # Where every product underflowed (s2 s3 < 1e-323) the ratio is
-            # 1 + 1/u, u = den / (s21 s31), from the quotients s2/s21, s3/s31.
-            joint_cost = -half_log2(shrink)
-            if s21 and s31:
-                a, b = s2 / s21, s3 / s31
-                u = a * b + a + b
-                joint_cost = joint_cost + (half_log2(1.0 + u) - half_log2(u))
-            if not floats:  # an array keeps its other entries' ratio
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    kept = half_log2((s2 + s21) * (s3 + s31) / (den * shrink))
-                joint_cost = np.where(den == 0.0, joint_cost, kept)
-        else:
-            joint_cost = half_log2((s2 + s21) * (s3 + s31) / (den * shrink))
+        joint_cost = half_log2((s2 + s21) * (s3 + s31) / (den * shrink))
         return reduce((
             gauss_c(mac + 2.0 * rho * root),
             gauss_c(shrink * s42) + i3,
@@ -199,12 +182,19 @@ def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
     return objective
 
 
+def _ddf_fits(cfg: DiamondConfig, rho: float, s2: float, s3: float) -> bool:
+    """Whether the plain ``_ddf_objective`` holds at (rho, s2, s3): its
+    products stay finite, and its joint cost's divisor den (1 - rho^2) stays
+    a normal float (2**-1022 or more), which keeps every digit of the ratio."""
+    b2, b3 = s2 + cfg.s21, s3 + cfg.s31
+    den = s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21
+    return (max((1.0 + cfg.s21) * b2, (1.0 + cfg.s31) * b3, b2 * b3) < math.inf
+            and 2.0**-1022 <= den * (1.0 - rho * rho) < math.inf)
+
+
 def ddf_diamond_terms(cfg: DiamondConfig, params: DdfParams) -> tuple[float, ...]:
     point = (params.rho, params.sigma2_sq, params.sigma3_sq)
-    with np.errstate(all="ignore"):  # an overflowed term is taken again in logs
-        terms = _ddf_objective(cfg, tuple)(*point)
-    if not all(map(math.isfinite, terms)):
-        terms = _ddf_objective(cfg, tuple, logs=True)(*point)
+    terms = _ddf_objective(cfg, tuple, logs=not _ddf_fits(cfg, *point))(*point)
     return tuple(float(t) for t in terms)
 
 
@@ -217,10 +207,11 @@ def ddf_diamond_opt(cfg: DiamondConfig, budget: int = 6000) -> tuple[RateBits, D
     """DDF rate maximized over DdfParams by a deterministic search of about
     ``budget`` probes; its rounded grid side can itself exceed the budget, e.g.
     budget 2,000 scans 13**3 = 2,197 grid points (see ``grid_then_refine``)."""
-    # Every product of the objective grows with the variances, and its ratios
-    # stay below them, so none overflows unless these do at the largest.
-    big = (_NOISE.hi + cfg.s21, _NOISE.hi + cfg.s31)
-    logs = not max((1.0 + cfg.s21) * big[0], (1.0 + cfg.s31) * big[1], big[0] * big[1]) < math.inf
+    # The products grow with the variances, and the divisor falls with them
+    # and as rho rises, so the plain form holds on the box if at two corners.
+    rho, noise, _ = _DDF_BOX
+    logs = not (_ddf_fits(cfg, rho.lo, noise.hi, noise.hi)
+                and _ddf_fits(cfg, rho.hi, noise.lo, noise.lo))
     value, arg = _search(_ddf_objective(cfg, logs=logs), _DDF_BOX, 16, budget)
     return value, DdfParams(*arg)
 

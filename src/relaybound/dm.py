@@ -23,11 +23,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    SchemaError, TensorCapError, as_int, as_node, as_node_count, as_nodes, as_number,
-    as_numbers, as_symbols, load_json_object)
+    SchemaError, TensorCapError, as_int, as_node, as_node_count, as_nodes, as_nonnegative,
+    as_number, as_numbers, as_symbols, load_json_object)
 from .info import (
     ZERO_EPS, JointPmf, RateBits, _axes_of, capped_cells, checked_tensor, mask_mutual_info)
-from .networks import Cut, DeterministicNetwork, GraphicalNetwork, as_mode, enumerate_cuts
+from .networks import (
+    Cut, DeterministicNetwork, GraphicalNetwork, _keep_plans, as_mode, enumerate_cuts)
 from .regions import MEMBERSHIP_SLACK, RateRegion, RegionConstraint, region_from_cuts
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,7 @@ def _cut_program(n: int, q: int, dests: int, mode: str, kind: int):
     miss's bits depend on which marginal it is reduced from.  A ``_DDF`` row is
     the rate term, then the far nodes' description and correlation prices, each
     group padded with empty terms to n - 1; ``_MARTON`` adds I(u_k; y_k) and
-    I(u_k; u(earlier)).
+    I(u_k; u(earlier)).  Kept as ``networks._keep_plans`` keeps plans.
     """
     _, x, u, y = _instance_plan(tuple(_canonical_vars(n, {})), n, ())
     slots: dict[int, int] = {}
@@ -284,7 +285,8 @@ def _cut_values(inst: DmInstance, dests: Iterable[int], mode: str, kind: int):
     or the rate term less both prices, each sum added left to right as Python's
     ``sum`` adds it."""
     mode = as_mode(mode)  # before it keys the cache
-    cuts, masks, idx = _cut_program(inst.n, inst._q, sum(1 << d for d in dests), mode, kind)
+    program = _keep_plans(_cut_program, inst.n)
+    cuts, masks, idx = program(inst.n, inst._q, sum(1 << d for d in dests), mode, kind)
     h = np.array([*inst.joint.entropies(masks), 0.0])[idx]
     v = (h[..., 0] - h[..., 1]) - (h[..., 2] - h[..., 3])
     v, w = np.where(v > 0.0, v, 0.0), inst.n - 1
@@ -528,7 +530,9 @@ class ConferencingRegion:
     """Union over input pmfs of the three-constraint conferencing polytopes.
 
     ``boundary`` samples the Pareto frontier of the union at the sweep's
-    resolution; membership is resolution-dependent in the same way.
+    resolution, by increasing r2, each point more than 1e-12 from the next in
+    both rates.  Membership is resolution-dependent in the same way;
+    ``contains`` reads its rates by ``errors.as_nonnegative``.
     """
 
     c23: float
@@ -545,8 +549,7 @@ class ConferencingRegion:
     _sum_caps: np.ndarray
 
     def contains(self, r2: float, r3: float) -> bool:
-        if r2 < 0 or r3 < 0:
-            raise ValueError("rates must be nonnegative")
+        r2, r3 = as_nonnegative(r2, "r2"), as_nonnegative(r3, "r3")
         ok = (
             (r2 <= self._r2_caps + MEMBERSHIP_SLACK)
             & (r3 <= self._r3_caps + MEMBERSHIP_SLACK)
@@ -555,39 +558,29 @@ class ConferencingRegion:
         return bool(np.any(ok))
 
 
-def _rising(r3s: np.ndarray) -> np.ndarray:
-    """Mask of the entries greater than every entry before them."""
-    return r3s > np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))
-
-
 def _undominated(corner_r2: np.ndarray, corner_r3: np.ndarray) -> np.ndarray:
-    """Indices of the corners that ``_pareto_frontier`` may keep.
-
-    A corner is left out when one before it in a stable decreasing-r2 order
-    has at least its r3; that corner also precedes it in the frontier scan,
-    which therefore never keeps it.
-    """
+    """Indices, by decreasing r2, of the corners that ``_pareto_frontier``
+    may keep: a corner is left out when one before it in a stable
+    decreasing-r2 order has at least its r3, as the scan would leave it."""
     order = np.argsort(-corner_r2, kind="stable")
-    return order[_rising(corner_r3[order])]
+    r3s = corner_r3[order]
+    return order[r3s > np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))]
 
 
 def _pareto_frontier(
     corner_r2: np.ndarray, corner_r3: np.ndarray
 ) -> tuple[tuple[float, float], ...]:
-    """The corners that are not dominated, by increasing r2.
-
-    Scanning by decreasing r2 (ties: decreasing r3), a corner is kept when
-    its r3 exceeds the last kept one by more than 1e-12.
-    """
-    order = np.lexsort((-corner_r3, -corner_r2))
-    r2s, r3s = corner_r2[order], corner_r3[order]
-    # A kept corner's r3 beats every r3 before it, so the loop below needs
-    # only the corners above the running maximum.
-    rising = _rising(r3s)
+    """The corners that are not dominated, by increasing r2.  Scanning by
+    decreasing r2 (ties: in the given order), a corner is kept when its r3
+    exceeds the last kept one by more than 1e-12, and replaces that one when
+    their r2 are within 1e-12: rounding alone separates no two points."""
     frontier: list[tuple[float, float]] = []
     best_r3 = -1.0
-    for r2v, r3v in zip(r2s[rising].tolist(), r3s[rising].tolist()):
+    kept = _undominated(corner_r2, corner_r3)
+    for r2v, r3v in zip(corner_r2[kept].tolist(), corner_r3[kept].tolist()):
         if r3v > best_r3 + 1e-12:
+            if frontier and frontier[-1][0] - r2v <= 1e-12:
+                frontier.pop()
             frontier.append((r2v, r3v))
             best_r3 = r3v
     frontier.reverse()

@@ -23,7 +23,7 @@ import numpy as np
 from .dm import _DDF, DmInstance, _canonical_vars, _cut_values
 from .errors import as_int, as_node, as_nonnegative, as_numbers
 from .info import RateBits, log_det_rate
-from .networks import _TABLE_NODES, Cut, GaussianNetwork, enumerate_cuts, received_snr
+from .networks import Cut, GaussianNetwork, _keep_plans, enumerate_cuts, received_snr
 from .networks import cut_submatrix  # noqa: F401 -- a module attribute the benchmark tracer wraps
 from .regions import RateRegion, region_from_cuts
 
@@ -55,8 +55,7 @@ def _cut_plan(
     row is appended once more (n + 1 rows): the unicast cut's doubled
     observation.  The 0/1 pattern comes from ``_cut_pattern``.
     """
-    build = _cut_pattern if net.n <= _TABLE_NODES else _cut_pattern.__wrapped__
-    pattern, rows = build(net.n, tuple([cut.s for cut in cuts]), dest)
+    pattern, rows = _keep_plans(_cut_pattern, net.n)(net.n, tuple([cut.s for cut in cuts]), dest)
     return np.where(pattern, net.gains[rows], 0.0)
 
 
@@ -65,8 +64,8 @@ def _cut_pattern(n: int, sides: tuple[tuple[int, ...], ...], dest: int | None):
     """(pattern, rows) of ``_cut_plan``: the read-only 0/1 far-row by
     near-column pattern of the cuts with source sides ``sides``, and the
     rows of G it selects, the destination's row once more at the end when
-    ``dest`` is given.  Kept per cut list, like ``enumerate_cuts``' tables,
-    for networks of at most ``_TABLE_NODES`` nodes."""
+    ``dest`` is given.  Kept per cut list as ``networks._keep_plans`` keeps
+    plans."""
     masks = np.array([sum(1 << (k - 1) for k in s) for s in sides], dtype=np.int64)
     near = (masks[:, None] >> np.arange(n)) & 1 == 1
     pattern = ~near[:, :, None] & near[:, None, :]

@@ -25,9 +25,17 @@ from .errors import (
 #: networks with more nodes than this are refused.
 MAX_ENUM_NODES = 24
 
-#: ``enumerate_cuts`` keeps its cut tables for networks of at most this many
-#: nodes (2,048 cuts each), and builds larger ones on every call.
+#: Per-cut-list plans (``enumerate_cuts``' tables, ``gaussian``'s cut
+#: patterns, ``dm``'s cut programs) are kept for networks of at most this many
+#: nodes (2,048 cuts each), and built on every call for larger ones.
 _TABLE_NODES = 12
+
+
+def _keep_plans(cached, n: int):
+    """``cached``, an ``lru_cache`` of per-cut-list plans, as an n-node
+    network calls it: itself up to ``_TABLE_NODES`` nodes, and its uncached
+    function above, so that no larger network's plan outlives its call."""
+    return cached if n <= _TABLE_NODES else cached.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -212,8 +220,7 @@ def enumerate_cuts(n: int, destinations: Iterable[int], mode: str) -> list[Cut]:
             raise ValueError(f"unicast mode needs exactly one destination, got {dests}")
     elif not dests:
         raise ValueError("broadcast mode needs at least one destination")
-    table = _cut_table if n <= _TABLE_NODES else _cut_table.__wrapped__
-    return list(table(n, dests, mode))
+    return list(_keep_plans(_cut_table, n)(n, dests, mode))
 
 
 @lru_cache(maxsize=64)

@@ -255,13 +255,6 @@ def test_minima_and_argmin_consistency():
     assert cutset_diamond(cfg, 0.4) == min(cutset_diamond_terms(cfg, 0.4))
 
 
-#: (SNRs, DDF parameters) at which every product of the joint cost's
-#: denominator underflows: s2 s3 < 1e-323.
-UNDERFLOWING = [((0.0, 0.0, 1.0, 1.0), (0.0, 1e-200, 1e-200)),
-                ((0.0, 0.0, 1.0, 1.0), (0.6, 1e-200, 1e-200)),
-                ((1e-200, 0.0, 1.0, 1.0), (0.3, 1e-200, 1e-200)),
-                ((1e-30, 1e-30, 1.0, 1.0), (0.6, 1e-300, 1e-300)),
-                ((1e-14, 3e-15, 1.0, 1.0), (0.0, 5e-324, 5e-324))]
 
 
 def search_objectives(monkeypatch):
@@ -282,15 +275,13 @@ def test_scalar_terms_equal_the_grid_elements(monkeypatch):
     # probes call it on floats; the two must agree bit for bit, so that a
     # point scores the same in both phases.  The objective is the minimum of
     # the terms that ddf_diamond_terms and nnc_diamond_terms report, from the
-    # same formula, at grid points and where the noise variances underflow.
+    # same formula, at points of the search box.
     searches = search_objectives(monkeypatch)
     rng = np.random.default_rng(38)
     cases = []
     for _ in range(300):
         cfg = DiamondConfig(*(float(x) for x in 10.0 ** rng.uniform(-3.0, 12.0, 4)))
         cases.append((cfg, rng.uniform(0.0, 0.999, 50), *np.exp(rng.uniform(-6.0, 6.0, (2, 50)))))
-    for snrs, point in UNDERFLOWING:
-        cases.append((DiamondConfig(*snrs), *(np.array([x, 0.5]) for x in point)))
     for cfg, rho, s2, s3 in cases:
         searches.clear()
         ddf_diamond_opt(cfg, 0)
@@ -303,8 +294,6 @@ def test_scalar_terms_equal_the_grid_elements(monkeypatch):
             terms = ddf_diamond_terms(cfg, DdfParams(*point))
             assert list(terms) == [t[k] for t in ddf_terms], (cfg, point)
             assert ddf(*point) == ddf_grid[k] == min(terms), (cfg, point)
-        if s2.min() < 1e-100:  # 1 / s2 overflows, and numpy warns
-            continue
         nnc_grid = nnc(s2, s3).tolist()
         nnc_terms = [t.tolist() for t in _nnc_objective(cfg, tuple)(s2, s3)]
         for k in range(len(rho)):
@@ -327,9 +316,21 @@ def test_scalar_terms_equal_the_grid_elements(monkeypatch):
         assert str(info.value) == "snr must be nonnegative, got nan"
 
 
+#: (SNRs, DDF parameters) off the search box at which the joint cost's
+#: divisor (s2 s3 + s2 s31 + s3 s21)(1 - rho^2) is subnormal or zero.  The
+#: last point's fourth term is exactly log2(3/4) / 2; its subnormal divisor
+#: once cost it 1.2e-12 bits.
+UNDERFLOWING = [((0.0, 0.0, 1.0, 1.0), (0.0, 1e-200, 1e-200)),
+                ((0.0, 0.0, 1.0, 1.0), (0.6, 1e-200, 1e-200)),
+                ((1e-200, 0.0, 1.0, 1.0), (0.3, 1e-200, 1e-200)),
+                ((1e-30, 1e-30, 1.0, 1.0), (0.6, 1e-300, 1e-300)),
+                ((1e-14, 3e-15, 1.0, 1.0), (0.0, 5e-324, 5e-324)),
+                ((0.0, 0.0, 1.0, 1.0), (0.5, 1e-12, 1e-300))]
+
+
 def test_ddf_joint_cost_survives_underflowing_noise_variances():
-    # With s2 s3 below 1e-323 every product in the joint cost's denominator
-    # underflows; the cost is still the finite value of its exact rationals.
+    # Where the plain divisor is not a normal float, ddf_diamond_terms takes
+    # the terms in logs; the cost is the value of its exact rationals.
     for snrs, point in UNDERFLOWING:
         cfg, params = DiamondConfig(*snrs), DdfParams(*point)
         terms = ddf_diamond_terms(cfg, params)
@@ -339,16 +340,17 @@ def test_ddf_joint_cost_survives_underflowing_noise_variances():
         ratio = (s2 + s21) * (s3 + s31) / ((s2 * s3 + s2 * s31 + s3 * s21) * (1 - rho * rho))
         want = 0.5 * (math.log2(ratio.numerator) - math.log2(ratio.denominator))
         i2, i3 = oracle_relay_info(cfg.s21, point[1]), oracle_relay_info(cfg.s31, point[2])
-        assert i2 + i3 - terms[3] == pytest.approx(want, rel=1e-12, abs=1e-12), (snrs, point)
+        assert i2 + i3 - terms[3] == pytest.approx(want, rel=1e-15, abs=2e-15), (snrs, point)
+    assert abs(terms[3] - 0.5 * math.log2(0.75)) <= 1e-15
 
 
-def test_min_terms_of_floats_propagates_nan():
+def test_min_terms_is_min_of_floats_and_np_minimum_of_arrays():
+    # Floats give the first of equal terms, as min does: here 0.0, not -0.0.
     assert _min_terms((1.0, 0.5, 2.0, 0.5)) == 0.5
-    for i in range(4):
-        terms = [1.0, 0.5, 2.0, -3.0]
-        terms[i] = math.nan
-        assert math.isnan(_min_terms(tuple(terms)))
-        assert math.isnan(_min_terms(tuple(np.array([t]) for t in terms))[0])
+    assert math.copysign(1.0, _min_terms((1.0, 0.0, -0.0))) == 1.0
+    arrays = (np.array([1.0, -2.0, 3.0]), np.array([0.5, 4.0, 3.0]), np.array([2.0, 5.0, -1.0]))
+    assert _min_terms(arrays).tolist() == [0.5, -2.0, -1.0]
+    assert _min_terms((np.array([1.0, 2.0]), 1.5)).tolist() == [1.0, 1.5]
 
 
 def test_diamond_searches_keep_their_probe_counts(monkeypatch):

@@ -330,6 +330,22 @@ def test_one_cut_program_serves_every_alphabet_shape_of_an_n():
     assert dm._cut_program.cache_info().misses == built.misses
 
 
+def test_cut_programs_are_kept_only_for_small_networks():
+    # One n = 16 unicast evaluation once left 28 MB in the program cache
+    # after its instance was gone; past networks._TABLE_NODES nodes nothing
+    # is kept, while a small network's program still is.
+    def parts(n):
+        pin = JointPmf([("x1", 2), ("x2", 2)], np.full((2, 2), 0.25))
+        xor = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        return pin, Channel([("x1", 2), ("x2", 2)], [(f"y{n}", 2)], xor)
+
+    _clear_plans()
+    assert cutset_dm(*parts(13), [13]) == 1.0
+    assert dm._cut_program.cache_info().currsize == 0
+    assert cutset_dm(*parts(5), [5]) == 1.0
+    assert dm._cut_program.cache_info().currsize == 1
+
+
 def test_cut_terms_match_naive_evaluator():
     rng = np.random.default_rng(40)
     for trial in range(8):
@@ -1079,6 +1095,15 @@ def test_blackwell_membership():
     assert reg.contains(0.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         reg.contains(-0.1, 0.5)
+    # the rates are read as every other rate input is read
+    for args, message in (((-0.1, 0.5), "r2: must be finite and nonnegative, got -0.1"),
+                          ((math.nan, 0.0), "r2: must be finite and nonnegative, got nan"),
+                          ((0.5, math.inf), "r3: must be finite and nonnegative, got inf"),
+                          ((True, 0.1), "r2: expected a number, got True"),
+                          ((0.1, "0.2"), "r3: expected a number, got '0.2'")):
+        with pytest.raises(SchemaError) as err:
+            reg.contains(*args)
+        assert str(err.value) == message
 
 
 def test_blackwell_boundary_is_a_frontier():
@@ -1093,14 +1118,26 @@ def test_blackwell_boundary_is_a_frontier():
         assert reg.contains(r2, r3)
 
 
+def test_no_two_boundary_points_are_separated_by_rounding_alone():
+    # The frontier once kept 8 of these 128 points an ulp or so to the right
+    # of the one before, each below it in r3.
+    b = blackwell_region(0.1, 0.3, 150).boundary
+    assert len(b) == 120
+    assert all(q2 - p2 > 1e-12 and p3 - q3 > 1e-12 for (p2, p3), (q2, q3) in zip(b, b[1:]))
+
+
 def loop_frontier(corner_r2, corner_r3):
-    """The frontier scan as a plain loop over every sorted corner."""
-    frontier, best_r3 = [], -1.0
-    for idx in np.lexsort((-corner_r3, -corner_r2)):
-        r3v = float(corner_r3[idx])
-        if r3v > best_r3 + 1e-12:
-            frontier.append((float(corner_r2[idx]), r3v))
-            best_r3 = r3v
+    """The frontier scan as a plain loop over every corner, by decreasing r2
+    (ties: in the given order): a corner whose r3 beats the last kept one's
+    by more than 1e-12 is kept, in that one's place when their r2 are within
+    1e-12."""
+    frontier = []
+    for idx in sorted(range(len(corner_r2)), key=lambda i: -corner_r2[i]):
+        r2v, r3v = float(corner_r2[idx]), float(corner_r3[idx])
+        if not frontier or r3v > frontier[-1][1] + 1e-12:
+            if frontier and frontier[-1][0] - r2v <= 1e-12:
+                frontier.pop()
+            frontier.append((r2v, r3v))
     return tuple(reversed(frontier))
 
 

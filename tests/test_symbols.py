@@ -70,16 +70,20 @@ def test_relabelling_symbols_injectively_moves_no_bound(n, seed, labels):
     reg_twin = conferencing_dbc_region(relabelled(y2, labels), relabelled(y3, labels[::-1]),
                                        0.1, 0.3, 12)
     assert reg_twin.max_sum == pytest.approx(reg.max_sum, abs=1e-12)
-    assert covers(reg.boundary, reg_twin.boundary) and covers(reg_twin.boundary, reg.boundary)
+    # Rounding separates no two boundary points, so the boundaries match
+    # point for point.
+    assert len(reg_twin.boundary) == len(reg.boundary)
+    for p, q in zip(reg.boundary, reg_twin.boundary):
+        assert q == pytest.approx(p, abs=1e-12), (p, q)
 
 
-def covers(frontier, other) -> bool:
-    """Whether each point of ``other`` is within 1e-12 of being dominated by a
-    point of ``frontier``.  Points are compared this way, not one by one: a
-    rate pair an ulp to the right of a better one can join a frontier, so
-    rounding can add or drop such a point."""
-    return all(any(r2 >= q2 - 1e-12 and r3 >= q3 - 1e-12 for r2, r3 in frontier)
-               for q2, q3 in other)
+def test_a_relabelled_receiver_keeps_its_boundary():
+    # Each boundary once ended at r2 = 0.30000000000000016, an ulp right of
+    # (0.3, 1.28496), with r3 1.25459 here and 1.18336 once y3 is relabelled.
+    reg = conferencing_dbc_region([2, 2, 2, 2], [3, 1, 3, 2], 0.1, 0.3, 12)
+    twin = conferencing_dbc_region([2, 2, 2, 2], [0, 2, 0, 1], 0.1, 0.3, 12)
+    assert reg.boundary == twin.boundary
+    assert reg.boundary[-1] == pytest.approx((0.3, 1.284962500721156), abs=1e-15)
 
 
 UNIFORM = JointPmf([("x1", 2), ("x2", 2)], np.full((2, 2), 0.25))
