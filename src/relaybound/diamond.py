@@ -184,12 +184,13 @@ def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
 
 def _ddf_fits(cfg: DiamondConfig, rho: float, s2: float, s3: float) -> bool:
     """Whether the plain ``_ddf_objective`` holds at (rho, s2, s3): its
-    products stay finite, and its joint cost's divisor den (1 - rho^2) stays
-    a normal float (2**-1022 or more), which keeps every digit of the ratio."""
+    products and its joint cost's ratio b2 b3 / (den (1 - rho^2)) stay
+    finite, and that divisor stays a normal float (2**-1022 or more), which
+    keeps every digit of the ratio."""
     b2, b3 = s2 + cfg.s21, s3 + cfg.s31
-    den = s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21
+    den = (s2 * s3 + s2 * cfg.s31 + s3 * cfg.s21) * (1.0 - rho * rho)
     return (max((1.0 + cfg.s21) * b2, (1.0 + cfg.s31) * b3, b2 * b3) < math.inf
-            and 2.0**-1022 <= den * (1.0 - rho * rho) < math.inf)
+            and 2.0**-1022 <= den < math.inf and b2 * b3 / den < math.inf)
 
 
 def ddf_diamond_terms(cfg: DiamondConfig, params: DdfParams) -> tuple[float, ...]:
@@ -207,8 +208,9 @@ def ddf_diamond_opt(cfg: DiamondConfig, budget: int = 6000) -> tuple[RateBits, D
     """DDF rate maximized over DdfParams by a deterministic search of about
     ``budget`` probes; its rounded grid side can itself exceed the budget, e.g.
     budget 2,000 scans 13**3 = 2,197 grid points (see ``grid_then_refine``)."""
-    # The products grow with the variances, and the divisor falls with them
-    # and as rho rises, so the plain form holds on the box if at two corners.
+    # The products grow with the variances; the divisor falls, and the ratio
+    # rises, as they fall and as rho rises: so the plain form holds on the
+    # box if it holds at two corners.
     rho, noise, _ = _DDF_BOX
     logs = not (_ddf_fits(cfg, rho.lo, noise.hi, noise.hi)
                 and _ddf_fits(cfg, rho.hi, noise.lo, noise.lo))

@@ -559,31 +559,34 @@ class ConferencingRegion:
 
 
 def _undominated(corner_r2: np.ndarray, corner_r3: np.ndarray) -> np.ndarray:
-    """Indices, by decreasing r2, of the corners that ``_pareto_frontier``
-    may keep: a corner is left out when one before it in a stable
-    decreasing-r2 order has at least its r3, as the scan would leave it."""
+    """Indices, by decreasing r2, of the corners that no other corner
+    dominates (both rates at least its own); of equal corners, the first."""
     order = np.argsort(-corner_r2, kind="stable")
     r3s = corner_r3[order]
-    return order[r3s > np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))]
+    kept = order[r3s > np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))]
+    r2s = corner_r2[kept]  # of equal r2 kept, the last has the largest r3
+    return kept[r2s != np.append(r2s[1:], np.nan)]
 
 
 def _pareto_frontier(
     corner_r2: np.ndarray, corner_r3: np.ndarray
 ) -> tuple[tuple[float, float], ...]:
     """The corners that are not dominated, by increasing r2.  Scanning by
-    decreasing r2 (ties: in the given order), a corner is kept when its r3
-    exceeds the last kept one by more than 1e-12, and replaces that one when
-    their r2 are within 1e-12: rounding alone separates no two points."""
-    frontier: list[tuple[float, float]] = []
+    decreasing r2, a corner is kept when its r3 exceeds the last kept one's
+    by more than 1e-12; then, by increasing r2, a kept corner within 1e-12 in
+    r2 of the last one left in, whose r3 is larger, is left out: rounding
+    alone separates no two points."""
+    rising: list[tuple[float, float]] = []
     best_r3 = -1.0
     kept = _undominated(corner_r2, corner_r3)
     for r2v, r3v in zip(corner_r2[kept].tolist(), corner_r3[kept].tolist()):
         if r3v > best_r3 + 1e-12:
-            if frontier and frontier[-1][0] - r2v <= 1e-12:
-                frontier.pop()
-            frontier.append((r2v, r3v))
+            rising.append((r2v, r3v))
             best_r3 = r3v
-    frontier.reverse()
+    frontier = rising[-1:]
+    for r2v, r3v in reversed(rising[:-1]):
+        if r2v - frontier[-1][0] > 1e-12:
+            frontier.append((r2v, r3v))
     return tuple(frontier)
 
 

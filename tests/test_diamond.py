@@ -641,6 +641,13 @@ def test_overflowing_diamonds_once_broke():
         0.5 * math.log2(4e103 / 3), rel=1e-12)
     terms = ddf_diamond_terms(DiamondConfig(1e20, 1e20, 1e20, 1e20), DdfParams(0.9, 1e-300, 1e300))
     assert all(math.isfinite(t) for t in terms)
+    # Products and divisor fit here, but the joint cost's ratio 1e20 / 2e-290
+    # does not: the plain form once gave a fourth term of -inf.
+    cfg, point = DiamondConfig(1e10, 1e10, 1.0, 1.0), (0.0, 1e-300, 1e-300)
+    terms = ddf_diamond_terms(cfg, DdfParams(*point))
+    assert all(math.isfinite(t) for t in terms)
+    for got, want in zip(terms, decimal_terms(cfg, *point)[2:6], strict=True):
+        assert abs(decimal.Decimal(got) - want) <= decimal.Decimal(1e-15) * max(1, abs(want))
     cfg = DiamondConfig(4.663186724754534e+66, 7.504670246336563e+136, 1.3897810349602676e+118,
                         2.6639004526865278e+132)
     value, _ = cutset_diamond_opt(cfg)  # once the value at rho = 0

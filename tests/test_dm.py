@@ -1128,17 +1128,33 @@ def test_no_two_boundary_points_are_separated_by_rounding_alone():
 
 def loop_frontier(corner_r2, corner_r3):
     """The frontier scan as a plain loop over every corner, by decreasing r2
-    (ties: in the given order): a corner whose r3 beats the last kept one's
-    by more than 1e-12 is kept, in that one's place when their r2 are within
-    1e-12."""
-    frontier = []
-    for idx in sorted(range(len(corner_r2)), key=lambda i: -corner_r2[i]):
+    (ties: decreasing r3): a corner whose r3 beats the last kept one's by
+    more than 1e-12 is kept.  Then, by increasing r2, a kept corner is left
+    out when its r2 is within 1e-12 of the last one left in."""
+    rising = []
+    for idx in sorted(range(len(corner_r2)), key=lambda i: (-corner_r2[i], -corner_r3[i])):
         r2v, r3v = float(corner_r2[idx]), float(corner_r3[idx])
-        if not frontier or r3v > frontier[-1][1] + 1e-12:
-            if frontier and frontier[-1][0] - r2v <= 1e-12:
-                frontier.pop()
+        if not rising or r3v > rising[-1][1] + 1e-12:
+            rising.append((r2v, r3v))
+    frontier = []
+    for r2v, r3v in reversed(rising):
+        if not frontier or r2v > frontier[-1][0] + 1e-12:
             frontier.append((r2v, r3v))
-    return tuple(reversed(frontier))
+    return tuple(frontier)
+
+
+def test_pareto_frontier_leaves_out_no_corner_far_from_a_kept_one():
+    # A chain of corners 0.6e-12 apart in r2, r3 rising as r2 falls: each
+    # one left out lies within 1e-12 in r2 of a kept corner with a larger
+    # r3, and kept neighbours are more than 1e-12 apart in both rates.
+    r2 = 1.0 - np.arange(5) * 0.6e-12
+    r3 = np.arange(5) * 0.25
+    got = _pareto_frontier(r2, r3)
+    assert got == ((r2[4], 1.0), (r2[2], 0.5), (1.0, 0.0))
+    for a, b in zip(got, got[1:]):
+        assert b[0] - a[0] > 1e-12 and a[1] - b[1] > 1e-12
+    for r2v, r3v in zip(r2.tolist(), r3.tolist()):
+        assert any(abs(r2v - k2) <= 1e-12 and k3 >= r3v for k2, k3 in got)
 
 
 def test_pareto_frontier_matches_loop_oracle():
