@@ -163,6 +163,8 @@ def cmd_gap_verify(args) -> int:
         raise ValueError(f"n must be in 2..10, got {args.n}")
     if args.trials < 0:
         raise ValueError("trials must be nonnegative")
+    if args.seed < 0:
+        raise ValueError("seed must be nonnegative")
     as_positive(args.power, "power")
     rng = np.random.default_rng(args.seed)
     expected = args.n / 2.0

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dm import _DDF, DmInstance, _canonical_vars, _cut_values
-from .errors import as_int, as_node, as_nonnegative, as_numbers
+from .errors import SchemaError, as_int, as_node, as_nonnegative, as_numbers
 from .info import RateBits, log_det_rate
 from .networks import Cut, GaussianNetwork, _keep_plans, enumerate_cuts, received_snr
 from .networks import cut_submatrix  # noqa: F401 -- a module attribute the benchmark tracer wraps
@@ -39,8 +39,9 @@ def node_penalty(net: GaussianNetwork, k: int) -> RateBits:
 
 
 #: Matrices per kernel call.  Full-power evaluators score at most this many
-#: cuts per call and the covariance search at most this many (candidate, cut)
-#: pairs, which bounds the memory of one stack.
+#: cuts per call and the covariance search completes at most this many
+#: (candidate, cut) pairs per call, which bounds the memory of one stack; its
+#: one-cut screen takes a hill-climb block, at most ``_BLOCK`` rounds.
 _STACK = 4096
 
 
@@ -260,24 +261,27 @@ _LEVELS, _POINTS = 6, 8
 _ROUND = 24
 #: Floor of a closed-form profile factor 1 + rho lam.
 _TINY = np.finfo(float).tiny
-#: 0, 1, ..., _POINTS - 1: a bracket level's grid before its scaling.
-_ARANGE = np.arange(float(_POINTS))
-#: Most normals ``_normals`` keeps in one block: 256 KiB, so its eight
-#: blocks hold at most 2 MiB.
+#: Most hill-climb rounds built and screened as one block.  A round that
+#: beats the incumbent discards the rest of its block, so past about this
+#: many rounds a block wastes more than the kernel calls it saves.
+_BLOCK = 8
+#: Most normals drawn at once, and kept by ``_normals`` in one block:
+#: 256 KiB, so its eight blocks hold at most 2 MiB.
 _NORMALS_CAP = 1 << 15
 
 
-def _rho_grid(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(``np.linspace(lo, hi, _POINTS, axis=1)``, its step), bit for bit:
-    linspace's own arithmetic without its per-call cost, including the other
-    order it takes for every profile when any step is zero."""
-    step = (hi - lo) / (_POINTS - 1)
-    if step.all():
-        rhos = _ARANGE * step[:, None] + lo[:, None]
+def _rho_grid(lo: list[float], hi: list[float]) -> tuple[list[list[float]], list[float]]:
+    """(``np.linspace(lo, hi, _POINTS, axis=1)``, its step) as Python floats,
+    bit for bit: linspace's own arithmetic without its per-call cost,
+    including the divide-first order it takes for every profile when any
+    step is zero."""
+    steps = [(h - l) / (_POINTS - 1) for l, h in zip(lo, hi)]
+    if all(steps):
+        rhos = [[i * s + l for i in range(_POINTS - 1)] for l, s in zip(lo, steps)]
     else:
-        rhos = _ARANGE / (_POINTS - 1) * (hi - lo)[:, None] + lo[:, None]
-    rhos[:, -1] = hi
-    return rhos, step
+        rhos = [[i / (_POINTS - 1) * (h - l) + l for i in range(_POINTS - 1)]
+                for l, h in zip(lo, hi)]
+    return [row + [h] for row, h in zip(rhos, hi)], steps
 
 
 @lru_cache(maxsize=8)
@@ -289,6 +293,19 @@ def _normals(seed: int, rounds: int, n: int) -> np.ndarray:
     block = np.random.default_rng(seed).standard_normal((rounds, _ROUND, n, n))
     block.flags.writeable = False
     return block
+
+
+def _candidates(best_k: np.ndarray, normals: np.ndarray, scales: list[float],
+                powers: np.ndarray) -> np.ndarray:
+    """The hill-climb candidates of consecutive rounds, shape
+    (rounds * _ROUND, n, n): congruences M K M^T of the incumbent K with
+    M = I + scale N, PSD for every M, shrunk to the power limits."""
+    mix = np.eye(len(powers)) + np.array(scales)[:, None, None, None] * normals
+    cand = mix @ best_k @ mix.swapaxes(-1, -2)
+    cand = 0.5 * (cand + cand.swapaxes(-1, -2))  # exactly symmetric, whatever the scale
+    diag = np.diagonal(cand, axis1=-2, axis2=-1)
+    shrink = np.sqrt(np.minimum(1.0, powers / np.maximum(diag, 1e-12)))
+    return (cand * (shrink[..., :, None] * shrink[..., None, :])).reshape(-1, *best_k.shape)
 
 
 def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
@@ -305,17 +322,23 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     beats the incumbent.  A phase's candidates are cut to the budget left;
     a candidate replaces the incumbent when it is strictly better.
 
-    The bracket's points are ``np.linspace``'s bits (``_rho_grid``).  The
-    hill-climb's normals are one ``default_rng(seed)`` stream, a round's
-    (_ROUND, n, n) at a time.  When every round's normals fit in
-    ``_NORMALS_CAP`` they come from one block draw that ``_normals`` keeps per
-    (seed, rounds, n); past the cap they are drawn round by round, so no
-    budget holds them all at once.
+    The bracket keeps its points (``np.linspace``'s bits, ``_rho_grid``) and
+    its picks in Python floats, with one numpy pass per level.  The
+    hill-climb builds up to ``_BLOCK`` rounds at once, each with the step it
+    has if the rounds before it fail, screens them in one kernel call and
+    walks them in order; the first round that moves the incumbent ends the
+    block.  A failed round changes only the step, so the blocks give the
+    round-by-round bits.  The normals are one ``default_rng(seed)`` stream,
+    (_ROUND, n, n) a round: one block that ``_normals`` keeps per (seed,
+    rounds, n) when they all fit in ``_NORMALS_CAP``, else drawn in blocks
+    of at most the cap (or one round), so no budget holds them all at once.
     """
     budget = as_int(budget, "budget")
     seed = as_int(seed, "seed")
     if budget < 1:
         raise ValueError("budget must be positive")
+    if seed < 0:
+        raise SchemaError(f"seed: must be nonnegative, got {seed}")
     n = net.n
     eye = np.eye(n)
     powers = net.power.copy()
@@ -335,67 +358,77 @@ def _search_cov(net, plan: np.ndarray, budget: int, seed: int):
     off[0, 0, :] = off[0, :, 0] = 0.0
     w, v = np.linalg.eigh(np.eye(plan.shape[1]) + (plan * powers) @ plan.swapaxes(-1, -2))
     root = (v / np.sqrt(np.maximum(w, 1.0))[..., None, :]).swapaxes(-1, -2) @ plan
-    lam = np.linalg.eigvalsh(root @ (off * scaled)[:, None] @ root.swapaxes(-1, -2))
+    lam = np.linalg.eigvalsh(root @ (off * scaled)[:, None] @ root.swapaxes(-1, -2))[:, None]
 
     # Each profile is the log-det of an affine map of rho, minimised over
     # cuts, so it is concave in rho and its maximum lies within one spacing
     # of the best point of a level: the bracket keeps it.
-    lo, hi = np.zeros(2), np.full(2, 0.999)
+    lo, hi = [0.0, 0.0], [0.999, 0.999]
     top, win = -math.inf, None
     for level in range(_LEVELS):
         if level and evals + 2 * _POINTS + 16 > budget:
             break
-        rhos, step = _rho_grid(lo, hi)
+        rhos, steps = _rho_grid(lo, hi)
         # 1 + rho lam > 0 in exact arithmetic; the floor keeps a point that
         # rounding pushed through zero finite, and last
-        factors = np.maximum(1.0 + rhos[:, :, None, None] * lam[:, None], _TINY)
+        factors = np.maximum(1.0 + np.array(rhos)[:, :, None, None] * lam, _TINY)
         values = (diag_terms + 0.5 * np.log2(factors).sum(axis=-1)).min(axis=-1)
-        values = values.ravel()[: budget - evals]
+        values = values.ravel()[: budget - evals].tolist()
         evals += len(values)
-        if len(values) and values.max() > top:
-            i = int(np.argmax(values))
-            top, win = values[i], (i // _POINTS, rhos.flat[i])
+        # the values are finite, so index(max) is np.argmax's first maximum
+        if values and max(values) > top:
+            top = max(values)
+            p, j = divmod(values.index(top), _POINTS)
+            win = (p, rhos[p][j])
         if len(values) < 2 * _POINTS:
             break
-        rho = rhos[[0, 1], np.argmax(values.reshape(2, -1), axis=1)]
-        lo, hi = np.maximum(rho - step, 0.0), np.minimum(rho + step, 0.999)
+        for p, row in enumerate(rhos):
+            level_values = values[p * _POINTS : (p + 1) * _POINTS]
+            rho = row[level_values.index(max(level_values))]
+            lo[p], hi[p] = max(rho - steps[p], 0.0), min(rho + steps[p], 0.999)
     if win is not None:
         k = (eye + off[win[0]] * win[1]) * scaled
         at = _plan_rates(plan, k[None])[0]
         if at.min() > best_v:
             best_v, best_k, terms = float(at.min()), k, at
 
-    # hill-climb: rounds of congruences M K M^T of the incumbent, PSD for
-    # every M, shrunk to the power limits; the step shrinks after a round
-    # that fails.  A min over one cut bounds the min over all cuts from
-    # above, so a candidate no better than the incumbent at its binding cut
-    # cannot beat it, and the pick (first among ties) is the full stack's.
+    # hill-climb: the step shrinks after a round that fails.  A min over one
+    # cut bounds the min over all cuts from above, so a candidate no better
+    # than the incumbent at its binding cut cannot beat it, and the pick
+    # (first among ties) is the full stack's.
     rounds = (budget - evals + _ROUND - 1) // _ROUND
     if rounds * _ROUND * n * n <= _NORMALS_CAP:
-        normals = _normals(seed, rounds, n)
+        draws = [_normals(seed, rounds, n)] if rounds else []
     else:
+        per = max(1, _NORMALS_CAP // (_ROUND * n * n))
         rng = np.random.default_rng(seed)
-        normals = (rng.standard_normal((_ROUND, n, n)) for _ in range(rounds))
+        draws = (rng.standard_normal((min(per, rounds - r), _ROUND, n, n))
+                 for r in range(0, rounds, per))
     scale = 0.3
-    for normal in normals:
-        mix = eye + scale * normal
-        cand = mix @ best_k @ mix.swapaxes(-1, -2)
-        cand = 0.5 * (cand + cand.swapaxes(-1, -2))  # exactly symmetric, whatever the scale
-        diag = np.diagonal(cand, axis1=-2, axis2=-1)
-        shrink = np.sqrt(np.minimum(1.0, powers / np.maximum(diag, 1e-12)))
-        cand = (cand * (shrink[:, :, None] * shrink[:, None, :]))[: budget - evals]
-        evals += len(cand)
-        bind = int(np.argmin(terms))
-        hope = cand[_plan_rates(plan[bind : bind + 1], cand)[:, 0] > best_v]
-        if len(hope):
-            rows = np.concatenate(
-                [_plan_rates(plan, hope[i : i + chunk]) for i in range(0, len(hope), chunk)]
-            )
-            i = int(np.argmax(rows.min(axis=-1)))
-            if rows[i].min() > best_v:
-                best_v, best_k, terms = float(rows[i].min()), hope[i], rows[i]
-                continue
-        scale = max(scale * 0.97**_ROUND, 0.01)
+    for normals in draws:
+        while len(normals):
+            # a block of rounds, each with the step it has if those before it fail
+            scales = [scale]
+            for _ in normals[1:_BLOCK]:
+                scales.append(max(scales[-1] * 0.97**_ROUND, 0.01))
+            cand = _candidates(best_k, normals[:_BLOCK], scales, powers)[: budget - evals]
+            bind = int(np.argmin(terms))
+            passed = _plan_rates(plan[bind : bind + 1], cand)[:, 0] > best_v
+            for r, scale in enumerate(scales):  # a move keeps its round's step
+                now = slice(r * _ROUND, (r + 1) * _ROUND)
+                hope = cand[now][passed[now]]
+                if len(hope):
+                    rows = np.concatenate(
+                        [_plan_rates(plan, hope[i : i + chunk]) for i in range(0, len(hope), chunk)]
+                    )
+                    i = int(np.argmax(rows.min(axis=-1)))
+                    if rows[i].min() > best_v:
+                        best_v, best_k, terms = float(rows[i].min()), hope[i], rows[i]
+                        break
+            else:
+                scale = max(scale * 0.97**_ROUND, 0.01)
+            evals += min((r + 1) * _ROUND, len(cand))
+            normals = normals[r + 1 :]
     return best_v, best_k, diag_terms, evals
 
 
@@ -412,10 +445,11 @@ def cutset_estimate(
     exceed the true cutset optimum.  ``budget`` caps the
     candidate covariances scored; the result reports their count as
     ``evaluations``.  The kernel calls are fewer: one for diag(P), one for
-    the bracket's winner (its points are scored in closed form), and per
-    hill-climb round one on the incumbent's binding cut plus one per
-    ``_STACK`` (candidate, cut) pairs for the candidates that beat the
-    incumbent there.  ``estimate`` is the kernel's minimum over cuts at
+    the bracket's winner (its points are scored in closed form), one per
+    hill-climb block (see ``_search_cov``) on the incumbent's binding cut,
+    and for each round with candidates that beat the incumbent there, one
+    per ``_STACK`` (candidate, cut) pairs of those candidates.  ``seed``
+    must be nonnegative.  ``estimate`` is the kernel's minimum over cuts at
     ``k_best``.
     """
     dest = as_node(dest, net.n, "dest", first=2)

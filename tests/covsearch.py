@@ -1,9 +1,9 @@
 """The cutset covariance search scored candidate by candidate:
 ``gaussian._search_cov`` is checked against it for equal estimates and
 evaluation counts.  It scores every bracket point and every hill-climb
-candidate against every cut through the log-det kernel, where the library
-scores the bracket in closed form and screens the hill-climb on the
-incumbent's binding cut."""
+candidate against every cut through the log-det kernel, round by round,
+where the library scores the bracket in closed form and screens the
+hill-climb's rounds a block at a time on the incumbent's binding cut."""
 
 import numpy as np
 
@@ -21,11 +21,15 @@ def rho_profiles(n: int, rhos: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return (corr * (d[:, None] * d[None, :])).reshape(-1, n, n)
 
 
-def search_cov_oracle(net, plan: np.ndarray, budget: int, seed: int):
+def search_cov_oracle(net, plan: np.ndarray, budget: int, seed: int, trace=None):
     """(best value, best K, per-cut rates at K = diag(P), evaluations used),
     each phase's candidates scored as one stack in one kernel call per
     ``_STACK`` (candidate, cut) pairs; the best candidate of a stack (first
-    among ties) replaces the incumbent when it is strictly better."""
+    among ties) replaces the incumbent when it is strictly better.  The
+    hill-climb runs round by round, each round's normals drawn from the
+    ``default_rng(seed)`` stream as it starts.  A list ``trace`` gets, per
+    hill-climb round, (candidates scored, whether its pick replaced the
+    incumbent)."""
     n = net.n
     powers = net.power.copy()
     chunk = max(1, _STACK // len(plan))
@@ -68,7 +72,9 @@ def search_cov_oracle(net, plan: np.ndarray, budget: int, seed: int):
         diag = np.diagonal(cand, axis1=-2, axis2=-1)
         shrink = np.sqrt(np.minimum(1.0, powers / np.maximum(diag, 1e-12)))
         incumbent = best_v
-        score(cand * (shrink[:, :, None] * shrink[:, None, :]))
+        scored = len(score(cand * (shrink[:, :, None] * shrink[:, None, :])))
         if best_v == incumbent:
             scale = max(scale * 0.97**_ROUND, 0.01)
+        if trace is not None:
+            trace.append((scored, best_v != incumbent))
     return best_v, best_k, diag_terms, evals

@@ -227,6 +227,9 @@ def test_gap_verify(tmp_path):
     assert code == 2
     assert run_full(["gap-verify", "--trials", "-1"]) == (
         2, "", "error: trials must be nonnegative\n")
+    # numpy's "expected non-negative integer" once named no flag
+    assert run_full(["gap-verify", "--n", "3", "--trials", "1", "--seed", "-1"]) == (
+        2, "", "error: seed must be nonnegative\n")
 
 
 def test_gap_verify_at_high_snr(tmp_path):

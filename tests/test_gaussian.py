@@ -562,7 +562,11 @@ def test_cutset_estimate_spends_its_budget_and_keeps_its_values():
     g = np.random.default_rng(4).lognormal(0.0, 1.0, (5, 5))
     np.fill_diagonal(g, 0.0)
     net = GaussianNetwork(5, g, 10.0, [5])
+    gaussian._normals.cache_clear()
     assert cutset_estimate(net, 5, budget=1, seed=0).estimate == 2.579214940660187
+    assert gaussian._normals.cache_info().misses == 0  # no round, no normals drawn
+    with pytest.raises(SchemaError, match="seed: must be nonnegative, got -1"):
+        cutset_estimate(net, 5, budget=1, seed=-1)
     floor = {
         1: 2.579214940660187,
         50: 3.4235674162304566,
@@ -602,24 +606,57 @@ def oracle_nets():
     return nets + [(GaussianNetwork(10, g, 3.0, [10]), 10)]
 
 
+def block_cases(trace, n):
+    """The hill-climb block edges that a search meets, from the oracle's
+    per-round ``trace``, with blocks as ``gaussian._search_cov`` forms them:
+    at most ``_BLOCK`` rounds, within draws of at most ``_NORMALS_CAP``
+    normals once all the rounds' normals pass it ("drawn").  A block of
+    several rounds ends at a move in its first, an inner or its last round
+    ("first", "inner", "last"), or at a draw's end ("draw edge"); the
+    budget cuts the last round short in a block of one round or several
+    ("mid-round", "mid-block")."""
+    rounds = len(trace)
+    per = max(1, gaussian._NORMALS_CAP // (gaussian._ROUND * n * n))
+    cases = {"drawn"} if rounds > per else set()
+    per = min(per, rounds)
+    start = 0
+    while start < rounds:
+        end = min(start + gaussian._BLOCK, (start // per + 1) * per, rounds)
+        moved = [r for r in range(start, end) if trace[r][1]]
+        if end - start > 1 and moved:
+            cases.add({start: "first", end - 1: "last"}.get(moved[0], "inner"))
+        if end - start < gaussian._BLOCK and end % per == 0 and end < rounds and not moved:
+            cases.add("draw edge")
+        if end == rounds and trace[-1][0] < gaussian._ROUND:
+            cases.add("mid-round" if end - start == 1 else "mid-block")
+        start = moved[0] + 1 if moved else end
+    return cases
+
+
 def test_covariance_search_matches_the_kernel_scored_oracle():
-    # The closed-form bracket and the binding-cut screening of the hill-climb
-    # give the estimate and evaluation count of scoring every candidate on
-    # every cut, bit for bit, on unicast and broadcast plans and at budgets
-    # that cut a bracket level short.  On n = 10 the 256 unicast cuts leave
-    # 16 candidates per kernel stack, and at budget 200 the first hill-climb
-    # round completes 17 of its 24 candidates, in two stacks.
+    # The closed-form bracket and the block-screened hill-climb give the
+    # estimate and evaluation count of scoring every candidate on every cut,
+    # round by round, bit for bit, on unicast and broadcast plans and at
+    # budgets that cut a bracket level short.  On n = 10 the 256 unicast
+    # cuts leave 16 candidates per kernel stack, and at budget 200 the first
+    # hill-climb round completes 17 of its 24 candidates, in two stacks; at
+    # budgets 1000 and 2000 its normals pass _NORMALS_CAP.  The inputs meet
+    # every block edge of ``block_cases``.
+    cases = set()
     for net, dest in oracle_nets():
         plans = [_cut_plan(net, enumerate_cuts(net.n, {dest}, "unicast"))]
         if net.n < 10:
             plans.append(_cut_plan(net, enumerate_cuts(net.n, net.destinations, "broadcast")))
         for plan in plans:
-            for budget in (1, 2, 17, 33, 60, 200, 1000):
+            for budget in (1, 2, 17, 33, 60, 200, 1000) + ((2000,) if net.n == 10 else ()):
                 best_v, best_k, terms, evals = gaussian._search_cov(net, plan, budget, 0)
-                want_v, _, want_terms, want_evals = search_cov_oracle(net, plan, budget, 0)
+                trace = []
+                want_v, _, want_terms, want_evals = search_cov_oracle(net, plan, budget, 0, trace)
                 assert (best_v, evals) == (want_v, want_evals), (net.n, dest, budget)
                 assert np.array_equal(terms, want_terms)
                 assert _plan_rates(plan, best_k).min() == best_v
+                cases |= block_cases(trace, net.n)
+    assert cases == {"first", "inner", "last", "draw edge", "mid-round", "mid-block", "drawn"}
 
 
 def test_covariance_search_matches_the_oracle_past_the_gram_gate():
@@ -658,10 +695,11 @@ def test_rho_grid_is_linspace_bit_for_bit():
                 hi = lo + span * rng.uniform(0.0, 1.0, 2)
             grids += [(lo, hi), (lo, np.where(np.arange(2) == rng.integers(2), lo, hi))]
     for lo, hi in grids:
-        rhos, step = gaussian._rho_grid(lo, hi)
+        rhos, steps = gaussian._rho_grid(lo.tolist(), hi.tolist())
+        assert {type(v) for v in steps + rhos[0] + rhos[1]} == {float}
         want = np.linspace(lo, hi, gaussian._POINTS, axis=1)
-        assert rhos.tobytes() == want.tobytes(), (lo, hi)
-        assert step.tobytes() == ((hi - lo) / (gaussian._POINTS - 1)).tobytes()
+        assert np.array(rhos).tobytes() == want.tobytes(), (lo, hi)
+        assert np.array(steps).tobytes() == ((hi - lo) / (gaussian._POINTS - 1)).tobytes()
 
 
 def test_hill_climb_normals_are_the_per_round_stream():
@@ -685,13 +723,19 @@ def test_hill_climb_normals_are_the_per_round_stream():
 
 #: log_det_rate calls of cutset_estimate per (n, budget) on the networks of
 #: ``test_covariance_search_keeps_its_kernel_calls``: one for diag(P), one for
-#: the bracket's winner, and per hill-climb round one on the binding cut plus
-#: the stacks of the candidates that pass it.  How the search draws its
-#: normals or builds its rho grid must not change them.
+#: the bracket's winner, and per hill-climb block one on the binding cut plus,
+#: for each round with candidates that pass it, the stacks of those
+#: candidates.  A block holds up to _BLOCK rounds of one draw of normals and
+#: ends at the first round whose pick beats the incumbent.  At budget 1000
+#: the 38 rounds take 5 blocks at n = 4, 6 at n = 6 (draws of 37 and 1
+#: rounds) and 7 at n = 10 (draws of 13, 13 and 12 rounds, and one move).
+#: Round by round, with one binding-cut call per round, the search made 7,
+#: 7 and 8 calls at budget 200 and 40, 40 and 41 at budget 1000.  How the
+#: search draws its normals or builds its rho grid must not change them.
 KERNEL_CALLS = {
-    (4, 1): 1, (4, 17): 2, (4, 200): 7, (4, 1000): 40,
-    (6, 1): 1, (6, 17): 2, (6, 200): 7, (6, 1000): 40,
-    (10, 1): 1, (10, 17): 2, (10, 200): 8, (10, 1000): 41,
+    (4, 1): 1, (4, 17): 2, (4, 200): 3, (4, 1000): 7,
+    (6, 1): 1, (6, 17): 2, (6, 200): 3, (6, 1000): 8,
+    (10, 1): 1, (10, 17): 2, (10, 200): 5, (10, 1000): 10,
 }
 
 

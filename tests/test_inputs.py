@@ -102,8 +102,9 @@ PROBES = [
     (lambda v: ddf_unicast_dm(INST, v), "dest", 2, [2.5]),
     (lambda v: Channel([("x1", v)], [("y1", 2)], np.full(4, 0.5) if v else []),
      "variable 'x1'", 2, [0]),
-    # an unchecked seed drew OS entropy (None) or raised numpy's TypeError
-    (lambda v: cutset_estimate(GNET, 3, budget=20, seed=v), "seed", 3, [1.5, None, True]),
+    # an unchecked seed drew OS entropy (None) or raised numpy's TypeError, and
+    # a negative one raised numpy's "expected non-negative integer"
+    (lambda v: cutset_estimate(GNET, 3, budget=20, seed=v), "seed", 3, [1.5, None, True, -1]),
     # an output symbol is an integer of any size, as in y2_map above
     (lambda v: DeterministicNetwork([2, 2], {2: [0, v, 1, 0]}), r"maps\[2\]\[1\]", 1,
      [1.5, -1, True]),
