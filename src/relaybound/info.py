@@ -6,7 +6,8 @@ treated as exact zeros (the 0 log 0 = 0 convention).
 Exactness contract:
 
 * ``JointPmf.marginal`` is bit-identical to the naive oracle that adds the
-  pmf's cells into each marginal cell in ascending flat-index order.
+  pmf's cells into each marginal cell, from +0.0, in ascending flat-index
+  order (one ``np.bincount`` over a bin map).
 * An entropy is an exact float where the identity is structural: a size-1
   variable adds nothing, so H(A + size-1 variables) is the same float as
   H(A), and a difference of two such entropies is exactly 0.0 (a repaired
@@ -33,14 +34,14 @@ and floors no entropy, so it serves differential entropies too.
 
 Structure is planned once per shape, and values are computed on every call:
 a variables tuple's axes and kept mask, a lattice key's sub-variables, and
-``marginal``'s axis order and kept shape come from bounded caches keyed on
-the variables' interned layout, which hashes by identity (and on the mask or
-the names asked for).  A miss scans the lattice from the first entry with
-the key's cell count, since a smaller entry cannot cover it, and ties keep
-their order.  ``JointPmf.entropies`` plans its misses once per lattice state,
-which recurs across fresh instances of one shape, and takes their p log2 p
-in chunks, each entropy summed alone, so a batch gives the bits and the
-lattice of the same misses asked one at a time.
+``marginal``'s bin map (up to 8 KiB, 8 MiB in all) and kept shape come from
+bounded caches keyed on the variables' interned layout, which hashes by
+identity (and on the mask or the names asked for).  A miss scans the lattice
+from the first entry with the key's cell count, since a smaller entry cannot
+cover it, and ties keep their order.  ``JointPmf.entropies`` plans its misses
+once per lattice state, which recurs across fresh instances of one shape, and
+takes their p log2 p in chunks, each entropy summed alone, so a batch gives
+the bits and the lattice of the same misses asked one at a time.
 """
 
 from __future__ import annotations
@@ -224,21 +225,19 @@ class JointPmf:
     def marginal(self, names: Iterable[str]) -> np.ndarray:
         """Marginal tensor over ``names``, axes in this pmf's variable order.
 
-        Each output cell is bit-identical to adding the dropped cells in
-        ascending flat-index order.  The joint is transposed into a
-        C-contiguous (dropped, kept) matrix so that one ``np.add.reduce`` over
-        axis 0 adds whole rows in that order; a strided view could be reduced
-        in another order.  A single kept cell is summed with ``np.cumsum``,
-        because numpy reduces a contiguous vector pairwise.
+        Each output cell adds its cells from +0.0 in ascending flat-index
+        order: ``np.bincount`` adds each flat cell into the kept cell that its
+        bin map (``_reduction``) names.  A map too large to keep is built per
+        call as intp; bincount copies a kept (compact, read-only) map, and a
+        read-only source such as a pmf's own tensor.
         """
         plan = _reduction(self._layout, tuple(names))
         if plan is None:
             return self.probs
-        order, cols, kept_shape = plan
-        q = np.ascontiguousarray(self.probs.transpose(order)).reshape(-1, cols)
-        if cols == 1:
-            return np.cumsum(q[:, 0])[-1:].reshape(kept_shape)
-        return np.add.reduce(q, axis=0).reshape(kept_shape)
+        bins, kept_shape, open_shape = plan
+        if bins is None:
+            bins = _bin_map(open_shape, self.probs.shape, np.intp)
+        return np.bincount(bins, self.probs.reshape(-1)).reshape(kept_shape)
 
     def joint_entropy(self, names: Iterable[str]) -> RateBits:
         """H(names) in bits: ``entropy_of(mask_of(names))``."""
@@ -307,17 +306,33 @@ def _sub_layout(layout: _Layout, mask: int) -> tuple[_Layout, tuple, tuple, int]
     return _layout(sub), tuple(name for name, _ in sub), shape, math.prod(shape)
 
 
-@lru_cache(maxsize=4096)
+_MAP_BYTES = 8192  # the bytes of a bin map that ``_reduction`` keeps, at most
+
+
+@lru_cache(maxsize=1024)
 def _reduction(layout: _Layout, names: tuple[str, ...]):
-    """``JointPmf.marginal``'s (axis order, kept cells, kept shape), dropped
-    axes first; None when no axis is dropped."""
-    variables = layout.variables
-    keep = _axes_of(variables, names)
-    drop = [i for i in range(len(variables)) if i not in keep]
-    if not drop:
+    """``JointPmf.marginal``'s (bin map or None, kept shape, open shape: the
+    source's with its dropped axes 1); None when none is dropped.  The map is
+    kept, read-only and in the smallest unsigned dtype, only up to
+    ``_MAP_BYTES``, so the maps take at most 1024 * 8 KiB = 8 MiB."""
+    shape = tuple(size for _, size in layout.variables)
+    keep = _axes_of(layout.variables, names)
+    if len(keep) == len(shape):
         return None
-    kept_shape = tuple([variables[i][1] for i in keep])
-    return tuple(drop + keep), math.prod(kept_shape), kept_shape
+    open_shape = tuple(size if i in keep else 1 for i, size in enumerate(shape))
+    dtype, bins = np.min_scalar_type(math.prod(open_shape) - 1), None
+    if math.prod(shape) * dtype.itemsize <= _MAP_BYTES:
+        bins = _bin_map(open_shape, shape, dtype)
+        bins.flags.writeable = False
+    return bins, tuple([shape[i] for i in keep]), open_shape
+
+
+def _bin_map(open_shape: tuple, shape: tuple, dtype) -> np.ndarray:
+    """Each flat cell's index among the cells of ``open_shape`` (``shape``
+    with its dropped axes 1), as a new flat array of ``dtype``."""
+    bins = np.empty(math.prod(shape), dtype)  # filled: twice as fast as a ravel
+    bins.reshape(shape)[...] = np.arange(math.prod(open_shape), dtype=dtype).reshape(open_shape)
+    return bins
 
 
 @lru_cache(maxsize=256)

@@ -66,7 +66,8 @@ def _enumerated_cut(s: tuple[int, ...], far: tuple[int, ...], n: int) -> Cut:
 @dataclass(frozen=True, eq=False)
 class GaussianNetwork:
     """An n-node Gaussian network with per-node transmit power limits.
-    Equality and hashing are by identity, as its gains and powers are arrays."""
+    Equality and hashing are by identity, as its gains and powers are arrays.
+    A received SNR past the source that overflows is refused as an SNR."""
 
     n: int
     gains: np.ndarray
@@ -102,6 +103,8 @@ class GaussianNetwork:
         object.__setattr__(self, "gains", g)
         object.__setattr__(self, "power", p)
         object.__setattr__(self, "destinations", dests)
+        with np.errstate(over="ignore"):  # an overflow reads inf
+            as_nonnegative(max(received_snr(self, k) for k in range(2, n + 1)), "snr")
 
 
 @dataclass(frozen=True, eq=False)

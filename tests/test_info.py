@@ -1,6 +1,9 @@
 """Exactness and closed-form checks for the dense pmf information measures."""
 
+import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -106,6 +109,115 @@ def test_marginal_and_entropy_match_row_loop_on_many_shapes():
             warmed += bool(extra)
         assert abs(pmf.joint_entropy(names) - naive_entropy(want)) <= 1e-12
     assert one_cell >= 50 and strided >= 50 and warmed >= 300
+
+
+def _edge_pmf(sizes, negative_zero=False):
+    """A pmf of ``sizes`` whose cells are 1, 2, 3, ... scaled to sum to 1;
+    with ``negative_zero`` the last index of axis 1 holds -0.0 throughout."""
+    p = np.arange(1.0, math.prod(sizes) + 1).reshape(sizes)
+    if negative_zero:
+        p[:, -1] = 0.0
+    p /= p.sum()
+    if negative_zero:
+        p[:, -1] = -0.0
+    return JointPmf([(f"v{i}", s) for i, s in enumerate(sizes)], p)
+
+
+#: (sizes, kept names, -0.0 column) at the edges of ``JointPmf.marginal``'s
+#: bin maps: each dtype's last kept cell count and the next, no kept variable
+#: (a 0-d result), one kept cell among size-1 axes, a -0.0 column (the oracle
+#: adds from +0.0), and sources whose map is too large to keep.
+BIN_MAP_EDGES = {
+    "uint8-last": ((256, 2), ["v0"], False),
+    "uint16-first": ((257, 2), ["v0"], False),
+    "uint16-last": ((65_536, 1), ["v0"], False),
+    "uint32-first": ((65_537, 1), ["v0"], False),
+    "no-kept-variable": ((3, 4), [], False),
+    "one-kept-cell": ((1, 3, 1, 2), ["v0", "v2"], False),
+    "size-1-axes-kept": ((1, 3, 1, 2), ["v0", "v1", "v2"], False),
+    "negative-zero": ((3, 4), ["v1"], True),
+    "negative-zero-one-cell": ((1, 2), ["v0"], True),
+    "above-the-cap": ((3, 4_000), ["v1"], False),
+    "above-the-cap-few-kept": ((3_000, 3), ["v1"], True),
+}
+
+
+@pytest.mark.parametrize("sizes, names, negative_zero", BIN_MAP_EDGES.values(),
+                         ids=BIN_MAP_EDGES.keys())
+def test_marginal_matches_both_oracles_at_the_bin_map_edges(sizes, names, negative_zero):
+    pmf = _edge_pmf(sizes, negative_zero)
+    bins, kept_shape, _ = info._reduction(pmf._layout, tuple(names))
+    dtype = np.min_scalar_type(math.prod(kept_shape) - 1)
+    kept_map = pmf.probs.size * dtype.itemsize <= info._MAP_BYTES
+    assert (bins is not None) == kept_map
+    if kept_map:
+        assert bins.dtype == dtype and not bins.flags.writeable
+    got = pmf.marginal(names)
+    assert got.shape == kept_shape
+    assert got.tobytes() == rowloop_marginal(pmf, names).tobytes()
+    if pmf.probs.size <= 20_000:
+        assert got.tobytes() == naive_marginal(pmf, names).tobytes()
+    if negative_zero and names:
+        assert np.signbit(got).sum() == 0
+
+
+def test_bin_maps_agree_across_the_dtype_edges():
+    # the map of a kept cell count is the same in the smallest dtype that
+    # holds it as in intp, at both edges of uint8 and uint16
+    for cells, dtype in ((256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+                         (65_537, np.uint32)):
+        assert np.min_scalar_type(cells - 1) == dtype
+        compact = info._bin_map((cells, 1), (cells, 2), dtype)
+        wide = info._bin_map((cells, 1), (cells, 2), np.intp)
+        assert compact.dtype == dtype and np.array_equal(compact, wide)
+        assert wide.tolist() == [i // 2 for i in range(2 * cells)]
+
+
+def test_bin_maps_stay_within_their_bound_and_a_large_source_allocates_one_map():
+    # Every key's map at the largest size kept: the maps kept after more
+    # keys than the cache holds take at most maxsize * _MAP_BYTES = 8 MiB.
+    maxsize = info._reduction.cache_info().maxsize
+    assert maxsize * info._MAP_BYTES <= 8 << 20
+    keys = [(pmf, names) for pmf, kept in ((_edge_pmf([2] * 13), 8), (_edge_pmf([2] * 12), 9))
+            for names in itertools.combinations(pmf.names, kept)]
+    assert len(keys) > maxsize
+    _clear_plans()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for pmf, names in keys:
+            pmf.marginal(names)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the maps, and under 1.5 KiB a key of the cache's tuples and array headers
+    assert grown <= (8 << 20) + 1536 * maxsize
+    _clear_plans()
+    refs = []
+    for pmf, names in keys:
+        pmf.marginal(names)
+        refs.append(weakref.ref(info._reduction(pmf._layout, names)[0]))
+    alive = [ref() for ref in refs if ref() is not None]
+    assert len(alive) == maxsize
+    assert all(bins.nbytes == info._MAP_BYTES for bins in alive)
+    # A source whose map is not kept allocates one cells-long intp map and
+    # the output, as a lattice entry does: its kept-cell range is freed before
+    # the output is made.  numpy's bincount copies read-only weights, so a
+    # pmf's own (read-only) tensor adds one float copy of itself.
+    for sizes, names in (((40, 2_000), ["v1"]), ((2_000, 40), ["v1"])):
+        pmf = _edge_pmf(sizes)
+        assert info._reduction(pmf._layout, tuple(names))[0] is None
+        want = pmf.marginal(names)
+        for source, copied in ((info._lean(pmf._layout, pmf.probs.copy()), 0), (pmf, 1)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                got = source.marginal(names)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want.tobytes()
+            assert peak <= (1 + copied) * 8 * pmf.probs.size + got.nbytes + 4096
 
 
 def test_entropy_matches_naive_oracle():

@@ -273,6 +273,18 @@ SCALAR_RULES = [
 ]
 
 
+# The cutset search once raised numpy's LinAlgError on an n = 3 network with
+# every off-diagonal gain ``gain``, whose received SNRs overflow, where the
+# DDF evaluators refused it by the SNR's name; the network now refuses them.
+SCALAR_RULES += [
+    (lambda gain=gain, power=power: cutset_estimate(
+        GaussianNetwork(3, np.full((3, 3), gain) - np.diag([gain] * 3), power, [3]), 3),
+     "snr: must be finite and nonnegative, got inf")
+    for gain, powers in ((1e154, (1.0,)), (1e160, (1e-3, 1.0, 1e6, 1e12)))
+    for power in powers
+]
+
+
 @pytest.mark.parametrize("call, message", SCALAR_RULES,
                          ids=[f"{i}-{m.split(':')[0]}" for i, (_, m) in enumerate(SCALAR_RULES)])
 def test_real_number_rules_have_one_owner_and_one_message(call, message):

@@ -14,9 +14,10 @@ and its description unless ``--description`` is given.
 pairs that printed a result line, and per end-to-end metric
 of ``BENCHMARK.json``, each side's median and quartiles (inclusive method)
 and the pairs in which the change read better (``change_better_pairs``; a tie
-counts for neither side), each side's failed jobs over attempted, and for
-``cli_session`` each side's median of the per-slot medians.  The output is
-rewritten after every run, so an interrupted session keeps its runs.
+counts for neither side), each side's failed jobs over attempted, and each
+side's median over the pairs of every slot's per-run median job time
+(``slot_ms_median``).  The output is rewritten after every run, so an
+interrupted session keeps its runs.
 """
 
 from __future__ import annotations
@@ -92,11 +93,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             side: f"{sum(p[side]['result']['failed'] for p in pairs.values())}/"
                   f"{sum(p[side]['result']['attempted'] for p in pairs.values())}"
             for side in SIDES}
-        if workload == "cli_session":
-            out["slot_ms_median"] = {
-                side: [statistics.median(slot) for slot in
-                       zip(*(p[side]["slot_ms_median"] for p in pairs.values()))]
-                for side in SIDES}
+        out["slot_ms_median"] = {
+            side: [statistics.median(slot) for slot in
+                   zip(*(p[side]["slot_ms_median"] for p in pairs.values()))]
+            for side in SIDES}
         summary[workload] = out
     return summary
 
