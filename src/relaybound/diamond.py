@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import as_int, as_nonnegative, as_number, as_positive
-from .info import RateBits, gauss_c
+from .info import RateBits, _gauss_c_of_float, gauss_c
 from .networks import GaussianNetwork
 from .optimize import BoxDim, grid_then_refine
 from .optimize import golden_max  # noqa: F401 -- a module attribute the benchmark tracer wraps
@@ -132,14 +132,24 @@ def _half_log2_of_float(x: float) -> float:
     return 0.5 * float(np.log2(x))
 
 
+def _kernels(reduce):
+    """The (half-log2, C, reduce) of a plain diamond objective on floats and
+    on arrays, which it picks once per call by its arguments' type.  The
+    float ones skip ``gauss_c``'s type check and ``_min_terms``'s, and give
+    the same bits."""
+    return ((_half_log2_of_float, _gauss_c_of_float, min if reduce is _min_terms else reduce),
+            (_half_log2, gauss_c, reduce))
+
+
 def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
     """``reduce`` of the four DDF cut terms of ``cfg``, as one function of
     (rho, s2, s3), elementwise on arrays or on floats: by default their
     minimum, the search's objective, and with ``tuple`` the terms.
 
-    The derived constants are bound once per configuration and the half-log2
-    is picked once per call; every C(x) goes through ``gauss_c``, which
-    refuses a negative or NaN SNR on both kinds of call.  The products below
+    The derived constants are bound once per configuration and the plain
+    form picks its half-log2, C(x) and reduce once per call (``_kernels``);
+    every C(x) is ``gauss_c``'s, which refuses a negative or NaN SNR on both
+    kinds of call.  The products below
     overflow once an SNR or a variance nears 1e154, and the joint cost loses
     digits once its divisor is subnormal; with ``logs`` the relay and joint
     costs are taken as sums of log2s, which do neither.  ``_ddf_fits`` picks
@@ -164,18 +174,20 @@ def _ddf_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
 
         return in_logs
 
+    on_floats, on_arrays = _kernels(reduce)
+
     def objective(rho, s2, s3):
-        half_log2 = _half_log2_of_float if isinstance(s2, float) else _half_log2
+        half_log2, c, reduce_ = on_floats if isinstance(s2, float) else on_arrays
         # I between a relay's description and its observation, in bits.
         i2 = half_log2(a21 * (s2 + s21) / (s2 + (1.0 + s2) * s21))
         i3 = half_log2(a31 * (s3 + s31) / (s3 + (1.0 + s3) * s31))
         shrink = 1.0 - rho * rho
         den = s2 * s3 + s2 * s31 + s3 * s21
         joint_cost = half_log2((s2 + s21) * (s3 + s31) / (den * shrink))
-        return reduce((
-            gauss_c(mac + 2.0 * rho * root),
-            gauss_c(shrink * s42) + i3,
-            gauss_c(shrink * s43) + i2,
+        return reduce_((
+            c(mac + 2.0 * rho * root),
+            c(shrink * s42) + i3,
+            c(shrink * s43) + i2,
             i2 + i3 - joint_cost,
         ))
 
@@ -241,12 +253,15 @@ def _nnc_objective(cfg: DiamondConfig, reduce=_min_terms, logs: bool = False):
 
         return in_logs
 
+    on_floats, on_arrays = _kernels(reduce)
+
     def objective(s2, s3):
-        c2, c3 = gauss_c(1.0 / s2), gauss_c(1.0 / s3)
-        return reduce((
-            gauss_c((s21 * (1.0 + s3) + s31 * (1.0 + s2)) / ((1.0 + s2) * (1.0 + s3))),
-            c42 + gauss_c(s31 / (1.0 + s3)) - c2,
-            c43 + gauss_c(s21 / (1.0 + s2)) - c3,
+        _, c, reduce_ = on_floats if isinstance(s2, float) else on_arrays
+        c2, c3 = c(1.0 / s2), c(1.0 / s3)
+        return reduce_((
+            c((s21 * (1.0 + s3) + s31 * (1.0 + s2)) / ((1.0 + s2) * (1.0 + s3))),
+            c42 + c(s31 / (1.0 + s3)) - c2,
+            c43 + c(s21 / (1.0 + s2)) - c3,
             c_mac - c2 - c3,
         ))
 

@@ -94,12 +94,17 @@ def _plan_rates(plan: np.ndarray, k_cov: np.ndarray) -> np.ndarray:
     past ``_GRAM_GATE`` sum (1/2) log2(1 + s^2) over the singular values s of
     A K^{1/2} instead, with K^{1/2} from ``eigh``."""
     gram = plan @ k_cov[..., None, :, :] @ plan.swapaxes(-1, -2)
-    # equal to its transpose, so ``log_det_rate`` skips its scale and
-    # asymmetry passes; these are the bits it would symmetrize to itself
-    gram = 0.5 * (gram + gram.swapaxes(-1, -2))
-    # a PSD matrix's largest entry lies on its diagonal
+    # The kernel gets the Gram symmetrized, equal to its transpose, so
+    # ``log_det_rate`` skips its scale and asymmetry passes; these are the
+    # bits it would symmetrize to itself.  The mean of an entry and its
+    # transpose's is at most their max, so the gate reads the Gram before
+    # that; a PSD matrix's largest entry lies on its diagonal.
     if gram.max() <= _GRAM_GATE:
-        return log_det_rate(gram)
+        return log_det_rate(0.5 * (gram + gram.swapaxes(-1, -2)))
+    # Past half the float range the sum overflows, but only on a slice whose
+    # diagonal passes the gate, and the SVD below never reads that slice.
+    with np.errstate(over="ignore"):
+        gram = 0.5 * (gram + gram.swapaxes(-1, -2))
     big = gram.diagonal(axis1=-2, axis2=-1).max(axis=-1) > _GRAM_GATE
     rates = np.empty(big.shape)
     rates[~big] = log_det_rate(gram[~big])

@@ -79,20 +79,26 @@ def gauss_c(snr):
     The exactness contract above covers marginals and entropies only.
     """
     # A float skips np.asarray, whose per-call cost is several times that of
-    # the log: optimizers probe one point at a time.  np.log2, not math.log2,
-    # keeps the scalar bits equal to the array's.
+    # the log: optimizers probe one point at a time.
     if isinstance(snr, float):
-        x = snr
-    else:
-        x = np.asarray(snr, dtype=float)
-        if x.ndim:
-            if not (x >= 0).all():  # also refuses NaN
-                raise ValueError(f"snr must be nonnegative, got {float(x[~(x >= 0)][0])}")
-            return 0.5 * np.log2(1.0 + x)
-        x = float(x)
-    if not x >= 0:
+        return _gauss_c_of_float(snr)
+    x = np.asarray(snr, dtype=float)
+    if x.ndim:
+        if not (x >= 0).all():  # also refuses NaN
+            raise ValueError(f"snr must be nonnegative, got {float(x[~(x >= 0)][0])}")
+        return 0.5 * np.log2(1.0 + x)
+    if not float(x) >= 0:
         raise ValueError(f"snr must be nonnegative, got {snr}")
-    return 0.5 * float(np.log2(1.0 + x))
+    return _gauss_c_of_float(float(x))
+
+
+def _gauss_c_of_float(snr: float) -> float:
+    """``gauss_c`` of a float, with the array's bits, for a caller that knows
+    its type.  np.log2, not math.log2, keeps the scalar bits equal to the
+    array's."""
+    if not snr >= 0:
+        raise ValueError(f"snr must be nonnegative, got {snr}")
+    return 0.5 * float(np.log2(1.0 + snr))
 
 
 def ternary_entropy(alpha: float, beta: float) -> RateBits:

@@ -5,6 +5,12 @@ maximizer for box-constrained objectives, golden-section line search, a
 feasibility bisection, and a dense-tableau simplex for rate-region LPs.
 ``golden_max`` and ``bisect_feasible`` have no library caller; they stay
 because the benchmark's tracer wraps them by name.
+
+The maximizer is called many times on a few boxes (a diamond sweep over
+three relay positions runs six searches on two boxes), so its scan is
+planned once per (box, grid side): the grid axes as Python floats and the
+read-only meshes, kept in a cache of 32 plans of at most 128 KiB each.  Each
+call then pays only for its objective's grid call and its Nelder-Mead probes.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +32,8 @@ log = logging.getLogger(__name__)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: The value and the vertex of a Nelder-Mead (value, vertex) pair.
-_VALUE, _VERTEX = itemgetter(0), itemgetter(1)
+#: The value of a Nelder-Mead (value, vertex) pair.
+_VALUE = itemgetter(0)
 
 #: Internal convergence tolerance on rates (user-facing guarantees are 1e-6).
 SPREAD_TOL = 1e-8
@@ -59,6 +66,57 @@ class BoxDim:
         return math.exp(t) if self.transform == "log" else t
 
 
+#: The bytes of the meshes and axes of a scan plan that ``_kept_plan`` keeps,
+#: at most, counting each Python float of the axes at 32 bytes: the 16**3
+#: grid of ``ddf_diamond_opt``'s default budget takes 97.5 KiB.  The 32 plans
+#: kept take at most 4 MiB, and under 2 KiB each of headers and keys.
+_PLAN_BYTES = 128 << 10
+
+
+class _ScanPlan(NamedTuple):
+    """The box-and-grid half of a ``grid_then_refine`` call: per dimension,
+    (to_external, internal lo, internal hi), the internal grid axis as
+    Python floats and half a grid step; and the external mesh."""
+
+    ranges: tuple
+    axes: tuple
+    steps: tuple
+    mesh: tuple
+
+
+def _scan_plan(dims: tuple[BoxDim, ...], grid: int) -> _ScanPlan:
+    """The scan plan of ``grid`` points per dimension of ``dims``: each axis
+    is ``np.linspace`` in internal coordinates (the lower end alone when
+    ``grid`` is 1), mapped to external ones through the scalar map, so grid
+    probes see exactly the arguments the scalar probe would pass."""
+    los = [d.to_internal(d.lo) for d in dims]
+    his = [d.to_internal(d.hi) for d in dims]
+    # BoxDim.to_external, chosen once per dimension rather than per probe.
+    exts = [math.exp if d.transform == "log" else float for d in dims]
+    axes = tuple(tuple(np.linspace(lo, hi, grid).tolist()) if grid > 1 else (lo,)
+                 for lo, hi in zip(los, his))
+    mesh = np.meshgrid(*(np.array([ext(t) for t in ax]) for ext, ax in zip(exts, axes)),
+                       indexing="ij")
+    return _ScanPlan(tuple(zip(exts, los, his)), axes,
+                     tuple((hi - lo) / max(grid - 1, 1) / 2 for lo, hi in zip(los, his)),
+                     tuple(mesh))
+
+
+@lru_cache(maxsize=32)
+def _kept_plan(dims: tuple[BoxDim, ...], grid: int, zeros: tuple) -> _ScanPlan | None:
+    """``_scan_plan(dims, grid)`` with read-only meshes, kept when its meshes
+    and axes take at most ``_PLAN_BYTES``; None for a larger plan, which each
+    call builds for itself.  ``zeros``, the signs of the bounds that are
+    zero, only keys the cache: -0.0 == 0.0, but a grid scans its bounds with
+    their signs."""
+    if 8 * len(dims) * (grid ** len(dims) + 4 * grid) > _PLAN_BYTES:
+        return None
+    plan = _scan_plan(dims, grid)
+    for m in plan.mesh:
+        m.flags.writeable = False
+    return plan
+
+
 def grid_then_refine(
     f: Callable[..., float],
     box: Sequence[BoxDim | tuple],
@@ -77,7 +135,11 @@ def grid_then_refine(
     bit at a point, as the diamond objectives do.  The grid
     is uniform in internal (possibly log) coordinates and includes the
     endpoints; one of more than ``info.CELL_CAP`` points raises TensorCapError
-    before any array is built or ``f`` is called.  Ties prefer the
+    before any array is built or ``f`` is called.  The scan's axes and
+    meshes are planned once per (box, grid side) and kept, read-only, in a
+    bounded cache while they take at most ``_PLAN_BYTES`` (128 KiB; 4 MiB in
+    all), so ``f`` must not write into its arguments; a larger grid is built
+    for its call alone.  Ties prefer the
     lexicographically smallest probe, so a constant
     objective returns the box's lower corner.  Non-finite probes are discarded;
     if every grid probe is non-finite the search starts at the lower corner.
@@ -93,16 +155,15 @@ def grid_then_refine(
     refine_budget = as_int(refine_budget, "refine_budget")
     if grid_per_dim < 1:
         raise ValueError("grid_per_dim must be >= 1")
-    dims = [d if isinstance(d, BoxDim) else BoxDim(*d) for d in box]
-    cells = grid_per_dim ** len(dims)
+    dims = tuple(d if isinstance(d, BoxDim) else BoxDim(*d) for d in box)
+    ndim = len(dims)
+    cells = grid_per_dim ** ndim
     if cells > CELL_CAP:
-        raise TensorCapError(f"a grid of {grid_per_dim}**{len(dims)} = {cells} points "
+        raise TensorCapError(f"a grid of {grid_per_dim}**{ndim} = {cells} points "
                              f"is over the cap of {CELL_CAP}; lower grid_per_dim")
-    los = [d.to_internal(d.lo) for d in dims]
-    his = [d.to_internal(d.hi) for d in dims]
-    # BoxDim.to_external, chosen once per dimension rather than per probe.
-    exts = [math.exp if d.transform == "log" else float for d in dims]
-    ranges = list(zip(exts, los, his))
+    zeros = tuple(math.copysign(1.0, b) for d in dims for b in (d.lo, d.hi) if not b)
+    ranges, axes, steps, mesh = (_kept_plan(dims, grid_per_dim, zeros)
+                                 or _scan_plan(dims, grid_per_dim))
 
     evals = 0
 
@@ -122,42 +183,39 @@ def grid_then_refine(
             overall_t, overall_v = t, v
         return v
 
-    axes = [
-        np.linspace(lo, hi, grid_per_dim) if grid_per_dim > 1 else np.array([lo])
-        for lo, hi in zip(los, his)
-    ]
-    # External coordinates per axis through the scalar map, so grid probes see
-    # exactly the arguments the scalar probe would pass.
-    ext_axes = [np.array([ext(float(t)) for t in ax]) for ext, ax in zip(exts, axes)]
-    mesh = np.meshgrid(*ext_axes, indexing="ij")
-    vals = np.broadcast_to(np.asarray(f(*mesh), dtype=float), mesh[0].shape)
-    finite = np.isfinite(vals)
-    if not finite.all():
+    vals = np.asarray(f(*mesh), dtype=float)
+    if vals.shape != mesh[0].shape:
+        vals = np.broadcast_to(vals, mesh[0].shape)
+    # C order is itertools.product order, and argmax takes the first maximum.
+    # A NaN or +inf would be that maximum, so a finite one leaves -inf as the
+    # only non-finite value, which the search reads as it stands.
+    k = int(vals.argmax())
+    if not math.isfinite(vals.flat[k]):
+        finite = np.isfinite(vals)
         log.debug("discarding %d non-finite grid probes", int(vals.size - finite.sum()))
         vals = np.where(finite, vals, -math.inf)
-    # C order is itertools.product order, and argmax takes the first maximum.
-    cell = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    overall_t = [float(ax[i]) for ax, i in zip(axes, cell)]
-    overall_v = float(vals[cell])
+        k = int(vals.argmax())
+    overall_t = [ax[i] for ax, i in zip(axes, np.unravel_index(k, vals.shape))]
+    overall_v = float(vals.flat[k])
 
     # Nelder-Mead (reflect 1, expand 2, contract 0.5, shrink 0.5) in internal
     # coordinates, clipped to the box, on (value, vertex) pairs.
-    steps = [(hi - lo) / max(grid_per_dim - 1, 1) / 2 for lo, hi in zip(los, his)]
-    simplex = [list(overall_t)]
-    for i, s in enumerate(steps):
+    simplex = [overall_t]
+    for i, (s, (_, _, hi)) in enumerate(zip(steps, ranges)):
         vert = list(overall_t)
-        vert[i] = vert[i] + s if vert[i] + s <= his[i] else vert[i] - s
+        vert[i] = vert[i] + s if vert[i] + s <= hi else vert[i] - s
         simplex.append(vert)
     pairs = [(probe(v), v) for v in simplex]
 
-    ndim = len(dims)
     while evals < refine_budget:
         # Best first; a reverse sort is stable, so ties keep their order.
         pairs.sort(key=_VALUE, reverse=True)
         (best_v, best), (worst_v, worst) = pairs[0], pairs[-1]
         if best_v - worst_v < SPREAD_TOL:
             break
-        centroid = [sum(col) / ndim for col in zip(*map(_VERTEX, pairs[:-1]))]
+        # sum adds each column left to right from the int 0, so a column of
+        # -0.0 sums to +0.0
+        centroid = [sum(col) / ndim for col in zip(*[v for _, v in pairs[:-1]])]
         refl = [c + (c - w) for c, w in zip(centroid, worst)]
         fr = probe(refl)
         if fr > best_v:

@@ -1,5 +1,6 @@
 """``tools/bench_pairs.py``'s ``summarize`` on synthetic runs: medians,
-quartiles, pairs won, failed jobs and per-slot medians, per workload."""
+quartiles, pairs won, failed jobs, per-slot medians, raw job times and
+kernel quartiles, per workload; and ``run_once`` on a stand-in benchmark."""
 
 import importlib.util
 import json
@@ -53,3 +54,49 @@ def test_summarize_reports_every_workload_and_ignores_a_run_without_a_result():
     assert dm["slot_ms_median"]["change"] == pytest.approx([0.85, 1.9, 2.6], abs=1e-12)
     assert summary["cli_session"]["slot_ms_median"] == {"parent": [2.0, 6.5],
                                                         "change": [1.5, 5.0]}
+
+
+def test_summarize_reports_raw_times_and_kernel_quartiles_beside_the_metrics():
+    # The kernel slows by a third on the change's side: the rescaled p50
+    # falls while the raw one stays put, which the summary shows side by side.
+    runs = []
+    for seed, raw, kernel in ((1, [2.0, 5.0], [0.9, 1.0, 1.1]), (2, [2.2, 5.4], [1.0, 1.1, 1.2]),
+                              (3, [2.4, 5.2], [1.1, 1.2, 1.3])):
+        for side, scale in (("parent", 1.0), ("change", 4 / 3)):
+            r = run("cli_session", seed, side, 300.0, raw[0] / scale, [raw[0] / scale])
+            r["raw_job_ms_p50_p90"] = raw
+            r["kernel_ms_quartiles"] = [k * scale for k in kernel]
+            runs.append(r)
+    out = bench_pairs.summarize(runs, METRICS)["cli_session"]
+    assert out["raw_job_ms_p50_p90"] == {"parent": [2.2, 5.2], "change": [2.2, 5.2]}
+    assert out["kernel_ms_quartiles"]["parent"] == [1.0, 1.1, 1.2]
+    assert out["kernel_ms_quartiles"]["change"] == pytest.approx([4 / 3, 1.1 * 4 / 3, 1.6])
+    assert out["job_p50_ms"]["parent"]["median"] == 2.2
+    assert out["job_p50_ms"]["change"]["median"] == pytest.approx(2.2 * 3 / 4)
+    assert out["job_p50_ms"]["change_better_pairs"] == "3/3"
+    # a run kept before the fields existed reads None for them, not a median
+    del runs[0]["raw_job_ms_p50_p90"]
+    runs[1]["kernel_ms_quartiles"] = None
+    out = bench_pairs.summarize(runs, METRICS)["cli_session"]
+    assert out["raw_job_ms_p50_p90"] == {"parent": None, "change": [2.2, 5.2]}
+    assert out["kernel_ms_quartiles"]["change"] is None
+    assert out["slot_ms_median"]["parent"] == [2.2]
+
+
+def test_run_once_keeps_the_info_lists(tmp_path):
+    # A stand-in perfbench/run.py that prints an info line and a result line.
+    info = {"slot_ms_median": [1.5, 2.5], "raw_job_ms_p50_p90": [1.2, 3.4],
+            "kernel_ms_quartiles": [0.5, 0.6, 0.7], "rounds": 4}
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        f"print(json.dumps({{'info': {info!r}}}))\n"
+        "print(json.dumps({'correct': True}))\n")
+    got = bench_pairs.run_once(tmp_path, "cli_session", 1, 0.1)
+    assert got == {"returncode": 0, "last_stdout_line": '{"correct": true}',
+                   "slot_ms_median": [1.5, 2.5], "raw_job_ms_p50_p90": [1.2, 3.4],
+                   "kernel_ms_quartiles": [0.5, 0.6, 0.7]}
+    (tmp_path / "perfbench" / "run.py").write_text("import sys\nsys.exit(2)\n")
+    got = bench_pairs.run_once(tmp_path, "cli_session", 1, 0.1)
+    assert got == {"returncode": 2, "last_stdout_line": "", "slot_ms_median": None,
+                   "raw_job_ms_p50_p90": None, "kernel_ms_quartiles": None}

@@ -854,6 +854,26 @@ def test_high_snr_network_that_once_raised(power):
     check_any_snr_invariants(GaussianNetwork(4, g, power, [2, 3, 4]), 4)
 
 
+def test_a_gram_past_half_the_float_range_keeps_its_bits():
+    # n = 2, gains 1e151, P = 1e6: a received SNR of 1e308, which the network
+    # accepts.  The Gram's sum with its transpose once overflowed there, a
+    # RuntimeWarning that this suite's filter raises.  Only a slice past the
+    # gate can overflow, and the SVD route never reads its Gram, so the
+    # estimate keeps the bits it had with the warning ignored:
+    # (1/2) log2(1 + 1e308), and half a bit more for the relaxed bound.
+    net = GaussianNetwork(2, np.array([[0.0, 1e151], [1e151, 0.0]]), 1e6, [2])
+    est = cutset_estimate(net, 2, budget=10, seed=0)
+    assert (est.estimate, est.relaxed_upper, est.evaluations) == (
+        511.57692661265384, 512.0769266126538, 10)
+    assert est.estimate == pytest.approx(0.5 * math.log2(1e308), rel=1e-15)
+    # in a stack, the ordinary slice keeps the bits of its own call
+    plan = np.array([[[0.0, 0.0], [1e151, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])
+    k = np.diag([1e6, 1e6])
+    rates = _plan_rates(plan, k)
+    assert rates[0] == est.estimate
+    assert rates[1] == _plan_rates(plan[1:], k)[0] == 0.5 * math.log2(4e6 + 1)
+
+
 def test_search_estimate_reaches_ddf_rate_at_high_snr():
     # A kernel regression test.  The last of 290 draws of a sweep: n = 6,
     # gains spread over six decades, P = 4.05e11, destination 2.  In exact

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from relaybound import (
     simplex_lp_max,
 )
 from relaybound.info import CELL_CAP
+from relaybound import optimize
+from relaybound.diamond import _DDF_BOX
 from relaybound.optimize import bisect_feasible, golden_max
 from tests.neldermead import grid_then_refine_reference, run_logged
 
@@ -249,6 +252,107 @@ def test_nelder_mead_matches_the_reference_loop():
             kw = dict(grid_per_dim=grid, refine_budget=budget)
             got = run_logged(grid_then_refine, f, box, **kw)
             assert got == run_logged(grid_then_refine_reference, f, box, **kw), (box, budget)
+
+
+def test_the_centroid_sums_a_column_of_negative_zeros_to_positive_zero():
+    # The centroid adds each column left to right from the int 0, as the
+    # reference loop's sum does, so a column of -0.0 reads +0.0; a float-only
+    # sum reads -0.0.  That shows only when the worst vertex holds +0.0 in
+    # the column: then the reflection c + (c - w) is +0.0, not -0.0.  Here
+    # the box's lower end -0.0 scores 1 and every other point -1, so the
+    # shrinks halve the other vertex down to 2**-1074 and then to +0.0.
+    def sign(x):
+        return -np.copysign(1.0, x)
+
+    kw = dict(grid_per_dim=1, refine_budget=4000)
+    got = run_logged(grid_then_refine, sign, [(-0.0, 1.0)], **kw)
+    assert got == run_logged(grid_then_refine_reference, sign, [(-0.0, 1.0)], **kw)
+    assert got[0] == repr(((-0.0,), 1.0))
+    # the shrink to +0.0 (call 3,224 after the grid's), then the reflection
+    assert got[1][3224:3226] == [repr(((0.0,), np.float64(-1.0)))] * 2
+    # -0.0 bounds elsewhere in the box, on other objectives
+    def peak(x, y):
+        return x + 2.0 * y
+
+    def plus_inf_below(x, y):  # +inf is discarded, as NaN is
+        return np.where(x < -0.6, math.inf, -(x + 0.1) ** 2 - (y + 0.3) ** 2)
+
+    for f, box, grid in ((peak, [(-1.0, -0.0), (-2.0, -0.0)], 3),
+                         (plus_inf_below, [(-1.0, -0.0), BoxDim(-0.0, 1.0)], 4)):
+        for budget in (0, 60, 400):
+            kw = dict(grid_per_dim=grid, refine_budget=budget)
+            got = run_logged(grid_then_refine, f, box, **kw)
+            assert got == run_logged(grid_then_refine_reference, f, box, **kw), (box, budget)
+
+
+def test_scan_plans_are_read_only_and_an_objective_cannot_write_into_them():
+    box = [(0, 1), BoxDim(0.5, 8.0, "log")]
+
+    def f(x, y):
+        return -(x - 0.3) ** 2 - (np.log(y) - 1.0) ** 2
+
+    def vandal(x, y):
+        if isinstance(x, np.ndarray):
+            x[...] = 0.3
+        return f(x, y)
+
+    kw = dict(grid_per_dim=5, refine_budget=60)
+    want = run_logged(grid_then_refine_reference, f, box, **kw)
+    assert run_logged(grid_then_refine, f, box, **kw) == want
+    with pytest.raises(ValueError, match="read-only"):
+        grid_then_refine(vandal, box, **kw)
+    assert run_logged(grid_then_refine, f, box, **kw) == want
+    plan = optimize._kept_plan((BoxDim(0.0, 1.0), BoxDim(0.5, 8.0, "log")), 5, (1.0,))
+    assert all(isinstance(a, np.ndarray) and not a.flags.writeable for a in plan.mesh)
+    assert all(type(ax) is tuple and type(ax[0]) is float for ax in plan.axes)
+    # the default DDF search's 16**3 grid is kept; 215**3 would take 238 MB
+    assert optimize._kept_plan(tuple(_DDF_BOX), 16, (1.0,)) is not None
+
+
+def test_equal_boxes_share_one_scan_plan():
+    optimize._kept_plan.cache_clear()
+    for box in ([(0, 1)], [BoxDim(0.0, 1.0)], [(0.0, 1)], ((0, 1.0, "linear"),)):
+        grid_then_refine(lambda x: -x * x, box, grid_per_dim=4, refine_budget=10)
+    info = optimize._kept_plan.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+    # -0.0 == 0.0, but the grids differ in their last point's sign
+    grid_then_refine(lambda x: x, [(-1.0, -0.0)], grid_per_dim=3, refine_budget=0)
+    grid_then_refine(lambda x: x, [(-1.0, 0.0)], grid_per_dim=3, refine_budget=0)
+    assert optimize._kept_plan.cache_info().currsize == 3
+
+
+def test_scan_plans_past_the_byte_bound_are_not_kept_and_kept_ones_stay_within_it():
+    # 88**2 is the largest two-dimensional grid kept; each box is its own key.
+    maxsize = optimize._kept_plan.cache_info().maxsize
+    bound = maxsize * optimize._PLAN_BYTES
+    assert bound <= 4 << 20
+    assert 8 * 2 * (88 * 88 + 4 * 88) <= optimize._PLAN_BYTES < 8 * 2 * (89 * 89 + 4 * 89)
+    boxes = [[(0.0, 1.0 + i), (0.0, 1.0)] for i in range(maxsize + 8)]
+    optimize._kept_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for box in boxes:
+            grid_then_refine(lambda x, y: 0.0, box, grid_per_dim=88, refine_budget=0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the meshes and axes, and under 2 KiB a plan of headers, tuples and keys
+    assert grown <= bound + 2048 * maxsize
+    refs = [weakref.ref(optimize._kept_plan(
+        tuple(BoxDim(*d) for d in box), 88, (1.0, 1.0)).mesh[0]) for box in boxes[-maxsize:]]
+    assert all(ref() is not None for ref in refs)
+    # one more grid point per side is over the bound: built per call, not kept
+    seen = []
+
+    def f(x, y):
+        if isinstance(x, np.ndarray):
+            seen.append(x.flags.writeable)
+        return -(x - 0.5) ** 2
+
+    arg, _ = grid_then_refine(f, [(0.0, 1.0)] * 2, grid_per_dim=89, refine_budget=0)
+    assert seen == [True] and arg[0] == 0.5
+    assert optimize._kept_plan((BoxDim(0.0, 1.0),) * 2, 89, (1.0, 1.0)) is None
 
 
 def test_grid_then_refine_refuses_a_grid_over_the_cell_cap():

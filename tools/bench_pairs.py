@@ -6,9 +6,10 @@ For each workload and seed, ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` runs once in checkout A (the parent) and once in
 checkout B (the change), one run at a time; the parent runs first in odd
 seeds.  Each run is kept in the output's ``runs``, labelled by ``--set``,
-with its exit code, the last line of its standard output and, from the line
-before it, its per-slot median job times.  An existing output keeps its runs
-and its description unless ``--description`` is given.
+with its exit code, the last line of its standard output and, from the info
+line before it, its per-slot median job times, its raw (not rescaled) job
+time percentiles and its reference kernel's quartiles.  An existing output
+keeps its runs and its description unless ``--description`` is given.
 
 ``summary`` is of the runs of ``--set``: per workload with two or more
 pairs that printed a result line, and per end-to-end metric
@@ -16,8 +17,14 @@ of ``BENCHMARK.json``, each side's median and quartiles (inclusive method)
 and the pairs in which the change read better (``change_better_pairs``; a tie
 counts for neither side), each side's failed jobs over attempted, and each
 side's median over the pairs of every slot's per-run median job time
-(``slot_ms_median``).  The output is rewritten after every run, so an
-interrupted session keeps its runs.
+(``slot_ms_median``), of the raw job time's 50th and 90th percentiles
+(``raw_job_ms_p50_p90``, beside the rescaled ``job_p50_ms`` and
+``job_p90_ms``) and of the reference kernel's quartiles
+(``kernel_ms_quartiles``), or None for a field that some run lacks.  The
+metrics are rescaled by that kernel's time, so a shift in the kernel moves
+them while the raw times stay put, and a change in the code moves both.
+The output is rewritten after every run, so an interrupted session keeps its
+runs.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: The lists each run keeps from its info line, and the summary reduces.
+INFO_LISTS = ("slot_ms_median", "raw_job_ms_p50_p90", "kernel_ms_quartiles")
 
 
 def seed_range(text: str) -> range:
@@ -41,18 +50,19 @@ def seed_range(text: str) -> range:
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``checkout``: its exit code, last stdout line and
-    per-slot medians (None when the run printed no info line)."""
+    the ``INFO_LISTS`` of its info line (each None when the run printed no
+    info line or the line lacks it)."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     try:
-        slots = json.loads(lines[-2])["info"]["slot_ms_median"]
-    except (IndexError, ValueError, KeyError):
-        slots = None
+        info = json.loads(lines[-2])["info"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        info = {}
     return {"returncode": done.returncode, "last_stdout_line": lines[-1] if lines else "",
-            "slot_ms_median": slots}
+            **{key: info.get(key) for key in INFO_LISTS}}
 
 
 def result(run: dict) -> dict | None:
@@ -93,10 +103,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             side: f"{sum(p[side]['result']['failed'] for p in pairs.values())}/"
                   f"{sum(p[side]['result']['attempted'] for p in pairs.values())}"
             for side in SIDES}
-        out["slot_ms_median"] = {
-            side: [statistics.median(slot) for slot in
-                   zip(*(p[side]["slot_ms_median"] for p in pairs.values()))]
-            for side in SIDES}
+        for key in INFO_LISTS:
+            out[key] = {side: None if any(p[side].get(key) is None for p in pairs.values())
+                        else [statistics.median(column) for column in
+                              zip(*(p[side][key] for p in pairs.values()))]
+                        for side in SIDES}
         summary[workload] = out
     return summary
 
