@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -130,12 +130,27 @@ def _instance_plan(variables: tuple, n: int, q_vars: tuple[str, ...]):
     which must be the canonical list for ``n``."""
     if [name for name, _ in variables] != [name for name, _ in _canonical_vars(n, {})]:
         raise ValueError(f"joint must use the canonical variable list for n = {n}")
-    q = sum(1 << i for i in _axes_of(variables, q_vars))
+    try:
+        q = sum(1 << i for i in _axes_of(variables, q_vars))
+    except ValueError as err:
+        raise ValueError(f"q_vars: {err}") from None
     for name in q_vars:
         if name.startswith("y"):
             raise ValueError(f"q_vars: {name!r} is a channel output, not time sharing")
     return (q, _node_masks(variables, "x", n), _node_masks(variables, "u", n, first=2),
             _node_masks(variables, "y", n))
+
+
+def _q_names(q_vars) -> tuple[str, ...]:
+    """The one reading of a ``q_vars`` argument: None is ("q",), a string is
+    one name, and any other iterable is read as its names, each a string."""
+    if q_vars is None:
+        return ("q",)
+    names = (q_vars,) if isinstance(q_vars, str) else tuple(q_vars)
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise SchemaError(f"q_vars[{i}]: expected a variable name, got {name!r}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -147,9 +162,11 @@ class DmInstance:
     ``from_parts``, ``constraint_repair`` and ``marton_identity_check`` need a pmf.
 
     ``q_vars`` lists the variables treated as time sharing; every information
-    term is conditioned on them.  Constraint repair appends input variables
-    here rather than fusing them into one product-alphabet symbol, which
-    preserves the distribution while keeping the tensor small.
+    term is conditioned on them.  It is read one way here, in ``from_parts``
+    and in ``cutset_dm`` (``_q_names``): None is ("q",) and a string is one
+    name.  Constraint repair appends input variables here rather than fusing
+    them into one product-alphabet symbol, which preserves the distribution
+    while keeping the tensor small.
 
     ``x``, ``u`` and ``y`` hold the bitmask (``JointPmf.mask_of``) of x_k,
     u_k and y_k at index k, and 0 where there is no such variable.
@@ -162,7 +179,7 @@ class DmInstance:
 
     def __init__(self, joint: JointPmf, n: int, destinations, q_vars=("q",)):
         n = as_node_count(n)
-        q_vars = tuple(q_vars)
+        q_vars = _q_names(q_vars)
         q, x, u, y = _instance_plan(joint.variables, n, q_vars)
         dests = as_nodes(destinations, n, "destinations", first=2)
         self.__dict__.update(_q=q, x=x, u=u, y=y, joint=joint, n=n, destinations=dests,
@@ -182,21 +199,30 @@ class DmInstance:
         joint is handed the product's marginals over (q, x, u) and over
         (q, x, u, y_k) for each y_k with more than one symbol, made from the
         factors: p(q, x, u) times the channel's own marginal.  The DDF, J,
-        broadcast-region and Marton entropies are reduced from those, never
-        from the full joint, which is still built as ``joint.probs``.  Only
-        an entropy over two or more outputs reduces the full joint.
+        broadcast-region and Marton entropies are reduced from those, and the
+        normalizing total is the factors' sum of p(q, x, u) times
+        sum_y p(y | x), so those evaluators never build the full joint.  It is
+        built once, when first read: by an entropy over two or more outputs
+        (the cutset term), by ``constraint_repair``, by a read of
+        ``joint.probs`` or of a marginal over every variable, or by pickling.
         """
         n, canonical, (a_order, a_shape), (b_order, b_shape), factors = _parts_plan(
             input_pmf.variables, channel.given, channel.out)
         a = input_pmf.probs.transpose(a_order).reshape(a_shape)
         b = channel.probs.transpose(b_order).reshape(b_shape)
-        probs = a * b
-        total = float(probs.sum())
-        probs /= total
-        marginals = [(mask, a * (b.sum(axis=summed, keepdims=True) / total))
-                     for mask, summed in factors]
-        joint = JointPmf._trusted(canonical, probs, marginals)
-        return cls(joint, n, destinations, ("q",) if q_vars is None else q_vars)
+        sums = [b.sum(axis=summed, keepdims=True) for _, summed in factors]
+        total = float((a * sums[0]).sum())  # sums[0] is sum_y p(y | x)
+
+        @cache  # made once, for the pmf and its full lattice entry
+        def build() -> np.ndarray:
+            probs = a * b
+            probs /= total
+            probs.flags.writeable = False
+            return probs
+
+        marginals = [(mask, a * (b_sum / total)) for (mask, _), b_sum in zip(factors, sums)]
+        joint = JointPmf._trusted(canonical, build, marginals)
+        return cls(joint, n, destinations, q_vars)
 
     def mi(self, a: int, b: int, given: int = 0) -> RateBits:
         """I(a ; b | given, Q) for disjoint bitmasks a and b, with variables
@@ -350,8 +376,8 @@ def cutset_dm(
     |Q| prod|X| prod|Y| cells, not that times prod|U|.  Its axis stays, of
     size 1, so ``DmInstance.from_parts`` still checks its name.
     """
-    q = ("q",) if q_vars is None else tuple(q_vars)
-    drop = {name for name in input_pmf.names if name.startswith("u") and name not in q}
+    q_vars = _q_names(q_vars)
+    drop = {name for name in input_pmf.names if name.startswith("u") and name not in q_vars}
     inst = DmInstance.from_parts(_summed_out(input_pmf, drop), channel, dests, q_vars)
     cuts, _, values = _cut_values(inst, inst.destinations, mode, _CUTSET)
     return _bound(inst.destinations, mode, cuts, values.tolist())

@@ -19,8 +19,10 @@ Exactness contract:
 * A pmf built from a product of factors (``dm.DmInstance.from_parts``) may
   be handed marginals of that product, computed from the factors rather
   than from the full tensor, and its entropies may then be reduced from
-  them.  Those marginals are exact up to rounding, so the entropies keep the
-  1e-12 bound above; ``JointPmf.marginal`` itself stays bit-identical.
+  them.  Its tensor is then made on first read, so an entropy the factor
+  marginals cover never builds it.  Those marginals are exact up to
+  rounding, so the entropies keep the 1e-12 bound above;
+  ``JointPmf.marginal`` itself stays bit-identical.
 
 A variable subset is an integer bitmask, bit i for variable i.  A pmf
 answers entropies one way, ``JointPmf.entropies(masks)``, and
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -151,6 +153,21 @@ def checked_tensor(variables: Sequence[tuple[str, int]], probs) -> tuple[tuple, 
     return variables, arr
 
 
+class _Tensor:
+    """``JointPmf.probs`` of a pmf whose tensor is not set: one built from
+    factors holds a call, ``_build``, that makes it on first read, here.  A
+    set tensor lives in the pmf's ``__dict__``, which Python reads before
+    this non-data descriptor; a ``__getattr__`` hook would instead slow every
+    attribute read of every pmf."""
+
+    def __get__(self, pmf, owner=None):
+        if pmf is None:
+            return self
+        pmf.__dict__["probs"] = probs = pmf._build().reshape([s for _, s in pmf.variables])
+        del pmf.__dict__["_build"]
+        return probs
+
+
 @dataclass(frozen=True, eq=False)
 class JointPmf:
     """A joint pmf over named finite variables, stored as a dense tensor.
@@ -159,18 +176,22 @@ class JointPmf:
     ``probs`` has one axis per variable, in that order (row-major layout).
     The pmf is immutable (``probs`` is a read-only copy), so it memoizes the
     entropy of each variable subset it is asked for; the memo lives and dies
-    with the pmf.  Equality and hashing are by identity, like the memo.
+    with the pmf.  Equality and hashing are by identity, like the memo.  A
+    pmf built from factors (``_trusted`` with a build call) makes ``probs``
+    on its first read, or when it is pickled, and not before.
 
     The memo is a dict keyed by bitmask (``mask_of``) less the size-1
     variables, and holds no key 0.  Behind it, the lattice is a list of
     (cells, mask, lean sub-pmf) sorted by cells, ties in insertion order, so
     its first entry that covers a missing subset is the smallest cached
     marginal that does.
-    It starts with the pmf itself and any marginals its builder supplied.
+    It starts with the pmf itself and any marginals its builder supplied; the
+    entry of the pmf itself shares the pmf's build call, so it is made only
+    when a miss that no smaller entry covers is reduced from it.
     """
 
     variables: tuple[tuple[str, int], ...]
-    probs: np.ndarray = field(repr=False)
+    probs = _Tensor()  # an np.ndarray, one axis per variable
 
     def __init__(self, variables: Sequence[tuple[str, int]], probs: np.ndarray):
         variables, arr = checked_tensor(variables, probs)
@@ -179,40 +200,50 @@ class JointPmf:
             raise ValueError(f"probabilities sum to {total}, expected 1 +/- {SUM_TOL}")
         self._set(variables, arr)
 
-    def _set(self, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
+    def _set(self, variables: tuple[tuple[str, int], ...], probs,
              marginals: Iterable[tuple[int, np.ndarray]] = ()) -> None:
         layout = _layout(variables)
-        self.__dict__.update(variables=layout.variables, probs=probs, _layout=layout,
-                             _kept=layout.kept, _entropies={})
+        self.__dict__.update(variables=layout.variables, _layout=layout, _kept=layout.kept,
+                             _entropies={})
+        self.__dict__["_build" if callable(probs) else "probs"] = probs
         # A supplied marginal precedes the pmf itself among equal sizes.
         lattice = [self._entry(mask & layout.kept, p) for mask, p in marginals]
         lattice.append(self._entry(layout.kept, probs))
         lattice.sort(key=itemgetter(0))
         self.__dict__["_lattice"] = lattice
 
-    def _entry(self, mask: int, probs: np.ndarray) -> tuple[int, int, JointPmf]:
+    def _entry(self, mask: int, probs) -> tuple[int, int, JointPmf]:
         """A lattice entry over the variables in ``mask``, which holds no
-        size-1 variable; ``probs`` has their cells and any size-1 axes."""
+        size-1 variable; ``probs`` has their cells and any size-1 axes, or is
+        the pmf's own build call."""
         sub, _, shape, cells = _sub_layout(self._layout, mask)
-        return cells, mask, _lean(sub, probs.reshape(shape))
+        return cells, mask, _lean(sub, probs if callable(probs) else probs.reshape(shape))
 
     @classmethod
-    def _trusted(cls, variables: tuple[tuple[str, int], ...], probs: np.ndarray,
+    def _trusted(cls, variables: tuple[tuple[str, int], ...], probs,
                  marginals: Iterable[tuple[int, np.ndarray]] = ()) -> JointPmf:
         """A pmf over parts that are valid already, built without
         re-validation: ``probs`` is made from checked pmfs (a marginal, or a
         product whose sum the caller checked) and is set read-only here.
 
-        ``marginals`` holds (mask, tensor) pairs, each the marginal of
-        ``probs`` over ``mask``'s variables, on this pmf's axes with size 1
-        where summed out.  They seed the entropy lattice: a builder holding
-        ``probs`` as a product gets them from its factors far more cheaply
-        than from a reduction of ``probs``.
+        ``probs`` may instead be a call that returns it, read-only, and returns
+        the same array on every call; the pmf and its full lattice entry then
+        make their tensor on first read (``_Tensor``).  ``marginals`` holds
+        (mask, tensor) pairs, each the marginal of ``probs`` over ``mask``'s
+        variables, on this pmf's axes with size 1 where summed out.  They seed
+        the entropy lattice: a builder holding ``probs`` as a product gets them
+        from its factors far more cheaply than from a reduction of ``probs``,
+        and an entropy they cover never builds ``probs``.
         """
-        probs.flags.writeable = False
+        if not callable(probs):
+            probs.flags.writeable = False
         pmf = object.__new__(cls)
         pmf._set(variables, probs, marginals)
         return pmf
+
+    def __getstate__(self):
+        self.probs  # a tensor made on first read is made before it is pickled
+        return self.__dict__
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -273,10 +304,13 @@ class JointPmf:
         return [memo[key] if key else 0.0 for key in keys]
 
 
-def _lean(layout: _Layout, probs: np.ndarray) -> JointPmf:
-    """A lattice entry's pmf: only what ``JointPmf.marginal`` reads is set."""
+def _lean(layout: _Layout, probs) -> JointPmf:
+    """A lattice entry's pmf: only what ``JointPmf.marginal`` reads is set.
+    ``probs`` may be the build call of a pmf built from factors, which the
+    full entry shares and which holds no reference to the pmf."""
     sub = object.__new__(JointPmf)
-    sub.__dict__.update(variables=layout.variables, _layout=layout, probs=probs)
+    sub.__dict__.update(variables=layout.variables, _layout=layout)
+    sub.__dict__["_build" if callable(probs) else "probs"] = probs
     return sub
 
 

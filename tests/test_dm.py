@@ -1,9 +1,12 @@
 """Discrete-memoryless bounds: independent re-evaluation and exactness checks."""
 
+import gc
 import itertools
 import json
 import math
 import pickle
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -490,6 +493,125 @@ def test_factor_route_never_reduces_the_full_joint(monkeypatch):
     assert all(s == 1 for name, s in joint.variables if name.startswith("u"))
     assert joint.probs.size == inst.joint.probs.size // math.prod(
         s for name, s in pin.variables if name.startswith("u"))
+
+
+def _built(joint) -> tuple[bool, bool]:
+    """Whether the pmf, and its full lattice entry, have made their tensor."""
+    return "probs" in vars(joint), "probs" in vars(joint._lattice[-1][2])
+
+
+def test_the_factor_route_leaves_the_joint_unbuilt_until_it_is_read(monkeypatch):
+    # The DDF, J, broadcast-region and Marton programs read only entropies
+    # that the factor marginals cover, so neither the joint nor its full
+    # lattice entry makes its tensor.  The first read of probs makes the
+    # normalized product once, read-only, on the canonical axes.
+    rng = np.random.default_rng(47)
+    n = 4
+    pin, chan = random_parts(rng, n, with_q=True)
+    inst = DmInstance.from_parts(pin, chan, [2, 3, 4])
+    ddf_unicast_dm(inst, n)
+    constraint_values_j(inst)
+    ddf_broadcast_region_dm(inst)
+    assert inst.joint._entropies and _built(inst.joint) == (False, False)
+    single_hop = DmInstance.from_parts(*single_hop_parts(rng, 3), [2, 3])
+    marton_identity_check(single_hop)
+    assert single_hop.joint._entropies and _built(single_hop.joint) == (False, False)
+
+    probs = inst.joint.probs
+    assert _built(inst.joint) == (True, False)
+    assert inst.joint.probs is probs and not probs.flags.writeable
+    assert probs.shape == tuple(s for _, s in inst.joint.variables)
+    assert abs(math.fsum(probs.reshape(-1)) - 1.0) <= 1e-15
+    want = np.einsum("qabcdefg,abcdwxyz->qabcdefgwxyz", pin.probs, chan.probs)
+    assert np.abs(probs - want.reshape(probs.shape)).max() <= 1e-15
+    assert inst.joint.marginal(inst.joint.names) is probs
+
+    # Repair reads the joint: the same bits from a joint made by the repair
+    # as from one read before it.
+    fresh = DmInstance.from_parts(pin, chan, [2, 3, 4])
+    repaired = constraint_repair(fresh, (1, 3))
+    assert _built(fresh.joint)[0]
+    assert repaired.joint.probs.tobytes() == constraint_repair(inst, (1, 3)).joint.probs.tobytes()
+
+    # The cutset term spans two outputs: it reduces the full lattice entry,
+    # which makes the shared tensor, while the pmf itself is not read.
+    built = []
+    from_parts = DmInstance.from_parts
+    monkeypatch.setattr(DmInstance, "from_parts",
+                        lambda *args: built.append(from_parts(*args)) or built[-1])
+    cutset_dm(pin, chan, [2, 3, 4], "broadcast")
+    assert _built(built[0].joint) == (False, True)
+    assert built[0].joint.probs.base is built[0].joint._lattice[-1][2].probs.base
+
+
+def test_an_unbuilt_instance_pickles_as_a_built_one():
+    rng = np.random.default_rng(48)
+    pin, chan = random_parts(rng, 3, with_q=True)
+    inst = DmInstance.from_parts(pin, chan, [2, 3])
+    value = ddf_unicast_dm(inst, 3)[0]
+    copy = pickle.loads(pickle.dumps(inst))
+    assert _built(inst.joint) == (True, True) and _built(copy.joint) == (True, True)
+    assert "_build" not in vars(copy.joint)
+    assert copy.joint.probs.tobytes() == inst.joint.probs.tobytes()
+    assert ddf_unicast_dm(copy, 3)[0] == value
+    assert constraint_values_j(copy) == constraint_values_j(inst)
+
+
+def test_a_dropped_instance_frees_its_joint_without_the_collector():
+    # The pmf and its full lattice entry share a build call that refers to
+    # neither, so no reference cycle keeps a dropped joint alive, before
+    # its tensor is made or after either of them made it.
+    rng = np.random.default_rng(49)
+    pin, chan = random_parts(rng, 3, with_q=True)
+    uses = (lambda inst: None, lambda inst: ddf_unicast_dm(inst, 3),
+            lambda inst: inst.joint.probs,
+            lambda inst: inst.joint.entropies([inst.y[2] | inst.y[3]]),
+            lambda inst: constraint_repair(inst, (1, 2)), pickle.dumps)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for use in uses:
+            inst = DmInstance.from_parts(pin, chan, [2, 3])
+            use(inst)
+            refs = [weakref.ref(inst.joint), weakref.ref(inst.joint._lattice[-1][2])]
+            del inst
+            assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_large_joint_stays_unbuilt_within_a_small_peak():
+    # n = 5, |Q| = 2, |U_k| = 3, |Y| = (1, 5, 5, 6, 6), Dirichlet(1) draws:
+    # a joint of 4,665,600 cells, 35.6 MiB of float64.  Building it set a
+    # peak of 38 MiB; the factor marginals and the programs' work take
+    # under 8 MiB.
+    rng = np.random.default_rng(50)
+    in_vars = [("q", 2)] + [(f"x{k}", 2) for k in range(1, 6)]
+    in_vars += [(f"u{k}", 3) for k in range(2, 6)]
+    in_shape = tuple(s for _, s in in_vars)
+    pin = JointPmf(in_vars, rng.dirichlet(np.ones(math.prod(in_shape))).reshape(in_shape))
+    y_sizes = (1, 5, 5, 6, 6)
+    rows = rng.dirichlet(np.ones(math.prod(y_sizes)), size=32)
+    chan = Channel(in_vars[1:6], [(f"y{k}", s) for k, s in enumerate(y_sizes, 1)],
+                   rows.reshape((2,) * 5 + y_sizes))
+
+    def run():
+        inst = DmInstance.from_parts(pin, chan, [5])
+        ddf_unicast_dm(inst, 5)
+        constraint_values_j(inst)
+        return inst
+
+    run()  # the shape's plans are kept; the traced run builds none
+    tracemalloc.start()
+    try:
+        inst = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert math.prod(s for _, s in inst.joint.variables) == 4_665_600
+    assert _built(inst.joint) == (False, False)
 
 
 def test_cascade_of_perfect_bit_pipes():

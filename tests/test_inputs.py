@@ -361,6 +361,30 @@ def test_diamond_budgets_must_be_nonnegative():
     assert diamond_sweep([0.5], 10.0, budget=2).rows[0].nnc == nnc_diamond_opt(cfg, budget=0)[0]
 
 
+#: (call of one q_vars argument, a name).  A string q_vars was once read one
+#: character at a time: "x1" raised "unknown variable 'x'", and "q" passed
+#: only because that name has one letter.  A string is now one name, and the
+#: error of an unknown name or of an entry that is not a string names q_vars.
+Q_VARS_ROWS = [
+    (lambda q: DmInstance.from_parts(PMF, CHANNEL, [2], q_vars=q), "x1"),
+    (lambda q: DmInstance.from_parts(PMF, CHANNEL, [2], q_vars=q), "q"),
+    (lambda q: DmInstance(INST.joint, 3, [2, 3], q), "u2"),
+    (lambda q: cutset_dm(PMF, CHANNEL, [2], q_vars=q), "u2"),
+    (lambda q: cutset_dm(PMF, CHANNEL, [2, 3], "broadcast", q), "x1"),
+]
+
+
+@pytest.mark.parametrize("call, name", Q_VARS_ROWS,
+                         ids=[f"{i}-{name}" for i, (_, name) in enumerate(Q_VARS_ROWS)])
+def test_a_string_q_vars_is_one_name(call, name):
+    assert pickle.dumps(call(name)) == pickle.dumps(call((name,)))
+    with pytest.raises(ValueError, match=r"^q_vars: unknown variable 'z'; have \['q', 'x1'"):
+        call("z")
+    # a list entry once raised TypeError from a plan cache's key
+    with pytest.raises(SchemaError, match=r"^q_vars\[1\]: expected a variable name, got \['q'\]$"):
+        call([name, ["q"]])
+
+
 def test_entropies_refuse_nan():
     # NaN once passed the simplex test: 0.4644 bits and 0.0 bits
     for call in (lambda: ternary_entropy(math.nan, 0.2), lambda: ternary_entropy(0.2, math.nan),
