@@ -532,9 +532,13 @@ def simplex_grid(cells: int, resolution: int) -> np.ndarray:
     return grid
 
 
-#: Simplex-grid rows ``conferencing_dbc_region`` reduces at a time, which
-#: bounds its working memory.
-_BLOCK_ROWS = 1 << 14
+#: Simplex-grid rows ``conferencing_dbc_region`` reduces at a time.  A
+#: block's largest temporaries are its (columns, rows) float arrays of at most
+#: 8 columns (``_entropy_columns``), 112 KiB at 1,792 rows, and its two rows
+#: of two corners a row, 56 KiB.  So none reaches the 128 KiB at which glibc
+#: maps fresh pages for an allocation, and a call's few blocks reuse the
+#: heap's pages instead of faulting in new ones.
+_BLOCK_ROWS = 7 << 8
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -544,11 +548,6 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     for j in range(1, a.shape[-1]):
         total += a[..., j]
     return total
-
-
-def _h_rows(p: np.ndarray) -> np.ndarray:
-    """Row entropies in bits, never -0.0; cells below ZERO_EPS add nothing."""
-    return 0.0 - _row_sums(p * np.log2(np.where(p >= ZERO_EPS, p, 1.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,14 +583,38 @@ class ConferencingRegion:
         return bool(np.any(ok))
 
 
+#: Bins of ``_undominated``'s pre-pass, which runs on more than
+#: ``4 * _BINS`` corners.
+_BINS = 256
+
+
 def _undominated(corner_r2: np.ndarray, corner_r3: np.ndarray) -> np.ndarray:
     """Indices, by decreasing r2, of the corners that no other corner
-    dominates (both rates at least its own); of equal corners, the first."""
+    dominates (both rates at least its own); of equal corners, the first.
+
+    On many corners a bin pass first drops every corner it proves strictly
+    dominated: the bin floor((r2 - lo) / (hi - lo) * _BINS) never falls as r2
+    rises, so a corner in a higher bin has a strictly larger r2, and a corner
+    whose r3 is at most a higher bin's largest r3 would lose the scan below
+    to it.  Dropping such a corner leaves every running maximum of that scan
+    as it was, so only the sort gets shorter."""
+    picked = None
+    if corner_r2.size > 4 * _BINS:
+        lo, hi = corner_r2.min(), corner_r2.max()
+        # A NaN r3 stops the scan below, which no bin would show.
+        if 0.0 < hi - lo < np.inf and not np.isnan(corner_r3.max()):
+            bins = ((corner_r2 - lo) / (hi - lo) * _BINS).astype(np.intp)  # 0 .. _BINS
+            above = np.full(_BINS + 2, -np.inf)
+            np.maximum.at(above, bins, corner_r3)
+            above = np.maximum.accumulate(above[::-1])[::-1]  # over bins >= b
+            picked = np.flatnonzero(corner_r3 > above[1:][bins])
+            corner_r2, corner_r3 = corner_r2[picked], corner_r3[picked]
     order = np.argsort(-corner_r2, kind="stable")
     r3s = corner_r3[order]
     kept = order[r3s > np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))]
     r2s = corner_r2[kept]  # of equal r2 kept, the last has the largest r3
-    return kept[r2s != np.append(r2s[1:], np.nan)]
+    kept = kept[r2s != np.append(r2s[1:], np.nan)]
+    return kept if picked is None else picked[kept]
 
 
 def _pareto_frontier(
@@ -616,6 +639,43 @@ def _pareto_frontier(
     return tuple(frontier)
 
 
+def _add_rows(t: np.ndarray, rows: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """``out`` = t[rows[0]] + t[rows[1]] + ..., added left to right."""
+    np.copyto(out, t[rows[0]])
+    for j in rows[1:]:
+        out += t[j]
+    return out
+
+
+def _entropy_columns(
+    y2_map: np.ndarray, y3_map: np.ndarray
+) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
+    """The columns of a ``conferencing_dbc_region`` block.  First come the
+    (y2, y3) cells some input reaches, in the dense joint's flat order, each
+    with the inputs that reach it; then each marginal that spans two or more
+    of them, with its cells; last, the columns whose p log2 p sum, left to
+    right, to H(Y2) and to H(Y3) (the cells alone sum to H(Y2, Y3)).
+
+    A cell no input reaches is 0.0 in the dense joint and its p log2 p is
+    0.0, which adds nothing to a row sum; a one-cell marginal is that cell.
+    So every sum has the dense joint's bits.  With m <= 4 inputs there are at
+    most 4 cells and 4 spanning marginals, and 8 columns only when the cells
+    form a 2 x 2 square."""
+    pairs = list(zip(y2_map.tolist(), y3_map.tolist()))
+    cells = sorted(set(pairs))
+    inputs = [[x for x, pair in enumerate(pairs) if pair == cell] for cell in cells]
+    spans: list[list[int]] = []
+    cols: tuple[list[int], list[int]] = ([], [])
+    for axis, out in enumerate(cols):
+        for v in sorted({cell[axis] for cell in cells}):
+            members = [k for k, cell in enumerate(cells) if cell[axis] == v]
+            if len(members) > 1:
+                spans.append(members)
+                members = [len(cells) + len(spans) - 1]
+            out.append(members[0])
+    return inputs, spans, cols[0], cols[1]
+
+
 def conferencing_dbc_region(
     y2_map: Sequence[int],
     y3_map: Sequence[int],
@@ -630,6 +690,11 @@ def conferencing_dbc_region(
     input pmfs, swept on a simplex grid.  ``y2_map[x]`` and ``y3_map[x]`` are
     the symbols input x gives each receiver, read and ranked by
     ``errors.as_symbols`` as ``DeterministicNetwork`` reads its maps.
+
+    The grid is reduced in blocks of ``_BLOCK_ROWS`` rows, over the joint
+    cells some input reaches (``_entropy_columns``), so that no temporary
+    reaches 128 KiB; each block keeps only its undominated corners.  Neither
+    the block size nor the left-out cells show in the bits.
     """
     c23, c32 = as_number(c23, "c23"), as_number(c32, "c32")
     if not (c23 >= 0 and c32 >= 0):  # also rejects NaN
@@ -639,32 +704,46 @@ def conferencing_dbc_region(
     grid_res = as_int(grid_res, "grid_res")
     if y2_map.ndim != 1 or y2_map.shape != y3_map.shape or not y2_map.size:
         raise ValueError("output maps must be flat, nonempty and equally long")
-    m = y2_map.size
-    pmfs = simplex_grid(m, grid_res)
+    pmfs = simplex_grid(y2_map.size, grid_res)
     rows = pmfs.shape[0]
-    a2 = int(y2_map.max()) + 1
-    a3 = int(y3_map.max()) + 1
+    inputs, spans, h2_cols, h3_cols = _entropy_columns(y2_map, y3_map)
+    h_cols = range(len(inputs))
+    block = min(_BLOCK_ROWS, rows)
     r2_caps, r3_caps, h23 = np.empty(rows), np.empty(rows), np.empty(rows)
+    buf, corners = np.empty((len(inputs) + len(spans), block)), np.empty((2, 2 * block))
     # Each polytope's two upper corners that are undominated within their
     # block; the frontier sorts them, so their order does not matter.
-    kept_corners: list[np.ndarray] = []
-    for lo in range(0, rows, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, rows)
-        joint = np.zeros((hi - lo, a2, a3))
-        for x in range(m):
-            joint[:, y2_map[x], y3_map[x]] += pmfs[lo:hi, x]
+    kept_r2: list[np.ndarray] = []
+    kept_r3: list[np.ndarray] = []
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        b = hi - lo
+        p, grid = buf[:, :b], pmfs[lo:hi].T
+        for k, xs in enumerate(inputs):
+            _add_rows(grid, xs, p[k])
+        for k, cells in enumerate(spans, len(inputs)):
+            _add_rows(p, cells, p[k])
+        t = np.where(p >= ZERO_EPS, p, 1.0)
+        np.log2(t, out=t)
+        t *= p
         r2, r3, h = r2_caps[lo:hi], r3_caps[lo:hi], h23[lo:hi]
-        np.add(_h_rows(_row_sums(joint)), c32, out=r2)
-        np.add(_h_rows(_row_sums(joint.transpose(0, 2, 1))), c23, out=r3)
-        h[:] = _h_rows(joint.reshape(hi - lo, -1))
-        top_r2, top_r3 = np.minimum(r2, h), np.minimum(r3, h)
-        corner_r2 = np.concatenate([top_r2, np.minimum(r2, h - top_r3)])
-        corner_r3 = np.concatenate([np.minimum(r3, h - top_r2), top_r3])
-        kept = _undominated(corner_r2, corner_r3)
-        kept_corners.append(np.stack([corner_r2[kept], corner_r3[kept]]))
-    corners = np.concatenate(kept_corners, axis=1)
-    best_sum = np.minimum(h23, r2_caps + r3_caps)
+        for cols, out in ((h2_cols, r2), (h3_cols, r3), (h_cols, h)):
+            np.subtract(0.0, _add_rows(t, cols, out), out=out)  # never -0.0
+        r2 += c32
+        r3 += c23
+        c2, c3 = corners[0, :2 * b], corners[1, :2 * b]
+        top_r2, top_r3 = np.minimum(r2, h, out=c2[:b]), np.minimum(r3, h, out=c3[b:])
+        np.minimum(r3, np.subtract(h, top_r2, out=c3[:b]), out=c3[:b])
+        np.minimum(r2, np.subtract(h, top_r3, out=c2[b:]), out=c2[b:])
+        kept = _undominated(c2, c3)
+        kept_r2.append(c2[kept])
+        kept_r3.append(c3[kept])
+    best_sum = r2_caps + r3_caps  # one grid-sized scratch for the three maxima
+    np.minimum(h23, best_sum, out=best_sum)
     i_sum = int(np.argmax(best_sum))  # the first maximum
+    max_sum = float(best_sum[i_sum])
+    max_r2 = float(np.max(np.minimum(r2_caps, h23, out=best_sum)))
+    max_r3 = float(np.max(np.minimum(r3_caps, h23, out=best_sum)))
     region = RateRegion(
         (2, 3),
         [
@@ -677,12 +756,12 @@ def conferencing_dbc_region(
         c23=c23,
         c32=c32,
         resolution=grid_res,
-        max_sum=float(best_sum[i_sum]),
-        max_r2=float(np.max(np.minimum(r2_caps, h23))),
-        max_r3=float(np.max(np.minimum(r3_caps, h23))),
+        max_sum=max_sum,
+        max_r2=max_r2,
+        max_r3=max_r3,
         sum_argmax=tuple(float(v) for v in pmfs[i_sum]),
         region_at_sum_opt=region,
-        boundary=_pareto_frontier(corners[0], corners[1]),
+        boundary=_pareto_frontier(np.concatenate(kept_r2), np.concatenate(kept_r3)),
         _r2_caps=r2_caps,
         _r3_caps=r3_caps,
         _sum_caps=h23,

@@ -404,13 +404,19 @@ def _axes_of(variables: tuple[tuple[str, int], ...], names: Iterable[str]) -> li
         raise ValueError(f"unknown variable {err.args[0]!r}; have {have}") from None
 
 
-_CHUNK_CELLS = 1 << 14  # the cells of a ``_plain_entropies`` chunk, at most
+#: The cells of a ``_plain_entropies`` chunk, at most.  Its float
+#: temporaries then take 64 KiB each, under the 128 KiB at which glibc maps
+#: fresh pages for an allocation; the chunking never shows in the bits, as
+#: each marginal is summed over its own slice.
+_CHUNK_CELLS = 1 << 13
 
 
 def _plain_entropies(margs: Sequence[np.ndarray]) -> list[float]:
     """The entropy in bits of each marginal, cells below ``ZERO_EPS`` left out,
     from one p log2 p per chunk of at most ``_CHUNK_CELLS`` cells (a larger
-    marginal alone), each summed over its own slice; a point mass gives +0.0."""
+    marginal alone), each summed over its own slice; a point mass gives +0.0.
+    A chunk holds at most two float arrays at a time: its cells (joined or
+    masked) and their p log2 p."""
     out, stop = [], 0
     while stop < len(margs):
         start, ends, stop = stop, [margs[stop].size], stop + 1
@@ -420,9 +426,12 @@ def _plain_entropies(margs: Sequence[np.ndarray]) -> list[float]:
         flat = (margs[start].reshape(-1) if stop - start == 1
                 else np.concatenate([m.reshape(-1) for m in margs[start:stop]]))
         if not (keep := flat >= ZERO_EPS).all():  # a slice ends at its count of kept cells
-            flat, ends = flat[keep], np.searchsorted(np.flatnonzero(keep), ends).tolist()
-        t = flat * np.log2(flat)
+            ends = np.searchsorted(np.flatnonzero(keep), ends).tolist()
+            flat = flat[keep]
+        t = np.log2(flat)
+        t *= flat
         out += [0.0 - float(np.add.reduce(t[a:b])) for a, b in zip([0, *ends], ends)]
+        del flat, keep, t  # before the next chunk's arrays are made
     return out
 
 

@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py``'s ``summarize`` on synthetic runs: medians,
 quartiles, pairs won, failed jobs, per-slot medians, raw job times and
-kernel quartiles, per workload; and ``run_once`` on a stand-in benchmark."""
+kernel quartiles, per workload; and ``run_once`` and ``main`` (with each
+run's minor page faults) on stand-in benchmarks."""
 
 import importlib.util
 import json
@@ -100,3 +101,44 @@ def test_run_once_keeps_the_info_lists(tmp_path):
     got = bench_pairs.run_once(tmp_path, "cli_session", 1, 0.1)
     assert got == {"returncode": 2, "last_stdout_line": "", "slot_ms_median": None,
                    "raw_job_ms_p50_p90": None, "kernel_ms_quartiles": None}
+
+
+def stand_in(checkout, pages):
+    """A ``perfbench/run.py`` that writes to ``pages`` fresh pages (no huge
+    pages), then prints an info line and a result line of every metric."""
+    (checkout / "perfbench").mkdir(parents=True)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    result = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {name: {"value": 1.0} for name in names}}
+    (checkout / "perfbench" / "run.py").write_text(
+        "import json, mmap\n"
+        f"pages = {pages}\n"
+        "if pages:\n"
+        "    m = mmap.mmap(-1, pages * mmap.PAGESIZE)\n"
+        "    if hasattr(mmap, 'MADV_NOHUGEPAGE'):\n"
+        "        m.madvise(mmap.MADV_NOHUGEPAGE)\n"
+        "    for i in range(0, len(m), mmap.PAGESIZE):\n"
+        "        m[i] = 1\n"
+        "print(json.dumps({'info': {'slot_ms_median': [1.0]}}))\n"
+        f"print(json.dumps({result!r}))\n")
+
+
+def test_each_run_records_its_minor_page_faults(tmp_path):
+    # The change's stand-in writes to 3,000 more pages than the parent's, and
+    # each side's median minor faults a run shows them.
+    stand_in(tmp_path / "parent", 0)
+    stand_in(tmp_path / "change", 3000)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--seeds", "1-2", "--workloads",
+                             "cli_session", "--seconds", "0.1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["runs"]) == 4
+    assert all(isinstance(run["minor_faults"], int) and run["minor_faults"] > 0
+               for run in doc["runs"])
+    faults = doc["summary"]["cli_session"]["minor_faults"]
+    assert 2700 < faults["change"] - faults["parent"] < 6000
+    # a run kept before the field existed reads None for its side
+    del doc["runs"][0]["minor_faults"]
+    faults = bench_pairs.summarize(doc["runs"], METRICS)["cli_session"]["minor_faults"]
+    assert faults[doc["runs"][0]["side"]] is None

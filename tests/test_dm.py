@@ -1303,6 +1303,123 @@ def test_pareto_frontier_matches_loop_oracle():
         assert reg.boundary == loop_frontier(corner_r2, corner_r3)
 
 
+def plain_undominated(corner_r2, corner_r3):
+    """The stable-sort scan alone, over every corner: by decreasing r2 (ties
+    by index), a corner is kept when its r3 beats every r3 before it; of the
+    kept corners with equal r2, the last."""
+    order = np.argsort(-corner_r2, kind="stable")
+    r3s = corner_r3[order]
+    kept = order[r3s > np.maximum.accumulate(np.concatenate([[-np.inf], r3s[:-1]]))]
+    r2s = corner_r2[kept]
+    return kept[r2s != np.append(r2s[1:], np.nan)]
+
+
+def test_undominated_pre_pass_keeps_the_plain_scans_indices(monkeypatch):
+    # The bin pre-pass runs above 4 * _BINS corners; on both sides of that
+    # gate the indices are the plain scan's, and above it the sort sees fewer
+    # corners.
+    gate = 4 * dm._BINS
+    sorted_sizes, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, kind: sorted_sizes.append(a.size)
+                        or argsort(a, kind=kind))
+    rng = np.random.default_rng(63)
+    cases = []
+    for size in (1, 2, 3, 60, gate, gate + 1, 3000):
+        for _ in range(4):
+            # few levels nudged by multiples of 3e-13: exact ties and near-ties
+            levels = rng.integers(0, 9, (2, size)) * 0.125
+            cases.append(levels + rng.integers(-4, 5, (2, size)) * 3e-13)
+            # a frontier with corners under it, r2 on bin edges lo + k (hi - lo) / _BINS
+            r2 = rng.integers(0, dm._BINS + 1, size) / dm._BINS
+            cases.append(np.stack([r2, (1.0 - r2) * rng.choice([1.0, 0.5, 0.99], size)]))
+        # every corner twice: of equal corners the first is kept
+        r2 = rng.random(size // 2 + 1)
+        cases.append(np.stack([np.repeat(r2, 2), np.repeat(1.0 - r2 ** 2, 2)]))
+        cases.append(np.stack([np.full(size, 0.5), rng.random(size)]))  # hi == lo
+    big = gate + 40
+    spans = np.stack([rng.random(big), rng.random(big)])
+    spans[0, :2] = 0.0, 5e-324  # a range whose bin scale overflows
+    cases.append(spans[:, :2].copy())
+    cases.append(np.concatenate([spans[:, :2], np.zeros((2, big))], axis=1))
+    spans[0, 0] = np.inf  # an infinite range
+    cases.append(spans.copy())
+    spans[0, 0], spans[1, 7] = 0.25, np.nan  # a NaN r3 stops the scan
+    cases.append(spans)
+    for corners in cases:
+        r2, r3 = corners
+        sorted_sizes.clear()
+        got = dm._undominated(r2, r3)
+        want = plain_undominated(r2, r3)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (r2.size, r2[:4])
+        if r2.size <= gate:
+            assert sorted_sizes == [r2.size, r2.size]  # got's and want's sorts
+    # the pre-pass leaves fewer corners to sort on a realistic block
+    reg = blackwell_region(0.1, 0.2, 60)
+    r2c, r3c, h = reg._r2_caps, reg._r3_caps, reg._sum_caps
+    r2 = np.concatenate([np.minimum(r2c, h), np.minimum(r2c, h - np.minimum(r3c, h))])
+    r3 = np.concatenate([np.minimum(r3c, h - np.minimum(r2c, h)), np.minimum(r3c, h)])
+    sorted_sizes.clear()
+    assert np.array_equal(dm._undominated(r2, r3), plain_undominated(r2, r3))
+    assert r2.size > gate and sorted_sizes[0] < r2.size // 4
+
+
+def test_blackwell_region_stays_small_in_memory():
+    # A block's temporaries stay under 128 KiB, where glibc would map fresh
+    # pages, and the whole call's transient peak stays small.
+    for (c23, c32), res in (((0.1, 0.2), 150), ((0.0, 0.5), 150), ((0.3, 0.0), 97)):
+        blackwell_region(c23, c32, res)
+        tracemalloc.start()
+        try:
+            reg = blackwell_region(c23, c32, res)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reg.resolution == res
+        assert peak - kept < 768 << 10  # 1.8 MiB with the whole grid in one block
+    # at most 8 columns a block (a 2 x 2 square of cells) by _BLOCK_ROWS rows
+    assert 8 * dm._BLOCK_ROWS * 8 < 128 << 10
+    assert 2 * (2 * dm._BLOCK_ROWS) * 8 < 128 << 10  # the corner buffer
+
+
+def test_conferencing_caps_have_the_dense_joints_bits():
+    # The caps are the row entropies of a dense (y2, y3) joint, its columns
+    # added left to right, bit for bit: unreached cells, one-cell marginals
+    # and a capacity of -0.0 or inf included.
+    def h_rows(p):
+        return 0.0 - dm._row_sums(p * np.log2(np.where(p >= info.ZERO_EPS, p, 1.0)))
+
+    rng = np.random.default_rng(64)
+    maps = [([0, 1, 0], [0, 1, 1]), ([1, 1, 0, 0], [1, 0, 1, 0]), ([0, 1, 2, 3], [3, 2, 1, 0]),
+            ([0, 0, 0], [0, 0, 0]), ([0], [0]), ([5, 9], [9, 5])]
+    maps += [(rng.integers(0, 4, m).tolist(), rng.integers(0, 4, m).tolist())
+             for m in rng.integers(1, 5, 12)]
+    for i, (y2, y3) in enumerate(maps):
+        c23, c32 = [(0.0, -0.0), (0.1, np.inf), (0.5, 0.25)][i % 3]
+        reg = conferencing_dbc_region(y2, y3, c23, c32, 37)
+        r2, r3 = (np.unique(y, return_inverse=True)[1] for y in (y2, y3))
+        grid = simplex_grid(len(y2), 37)
+        joint = np.zeros((grid.shape[0], r2.max() + 1, r3.max() + 1))
+        for x in range(len(y2)):
+            joint[:, r2[x], r3[x]] += grid[:, x]
+        assert reg._r2_caps.tobytes() == np.add(h_rows(dm._row_sums(joint)), c32).tobytes()
+        assert reg._r3_caps.tobytes() == np.add(
+            h_rows(dm._row_sums(joint.transpose(0, 2, 1))), c23).tobytes()
+        assert reg._sum_caps.tobytes() == h_rows(joint.reshape(grid.shape[0], -1)).tobytes()
+
+
+def test_entropy_columns_leave_out_unreached_cells():
+    # The blackwell maps reach 3 of the 4 cells; one marginal of each
+    # receiver spans two of them, and the other is one cell.
+    y2, y3 = np.array([0, 1, 0]), np.array([0, 1, 1])
+    assert dm._entropy_columns(y2, y3) == ([[0], [2], [1]], [[0, 1], [1, 2]], [3, 2], [0, 4])
+    # the widest case: 4 inputs on a 2 x 2 square
+    inputs, spans, h2, h3 = dm._entropy_columns(np.array([1, 1, 0, 0]), np.array([1, 0, 1, 0]))
+    assert inputs == [[3], [2], [1], [0]] and spans == [[0, 1], [2, 3], [0, 2], [1, 3]]
+    assert (h2, h3) == ([4, 5], [6, 7])
+    # two inputs on one cell are summed in input order
+    assert dm._entropy_columns(np.array([0, 0, 1]), np.array([0, 0, 0]))[0] == [[0, 1], [2]]
+
+
 def region_snapshot(reg):
     """Every field and cap array of a conferencing region, as bytes where exact."""
     return (reg.max_sum, reg.max_r2, reg.max_r3, reg.sum_argmax,

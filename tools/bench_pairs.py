@@ -6,10 +6,12 @@ For each workload and seed, ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` runs once in checkout A (the parent) and once in
 checkout B (the change), one run at a time; the parent runs first in odd
 seeds.  Each run is kept in the output's ``runs``, labelled by ``--set``,
-with its exit code, the last line of its standard output and, from the info
-line before it, its per-slot median job times, its raw (not rescaled) job
-time percentiles and its reference kernel's quartiles.  An existing output
-keeps its runs and its description unless ``--description`` is given.
+with its exit code, the last line of its standard output, its minor page
+faults (the ``RUSAGE_CHILDREN`` ``ru_minflt`` delta around its subprocess) and,
+from the info line before it, its per-slot median job times, its raw (not
+rescaled) job time percentiles and its reference kernel's quartiles.  An
+existing output keeps its runs and its description unless ``--description``
+is given.
 
 ``summary`` is of the runs of ``--set``: per workload with two or more
 pairs that printed a result line, and per end-to-end metric
@@ -20,7 +22,8 @@ side's median over the pairs of every slot's per-run median job time
 (``slot_ms_median``), of the raw job time's 50th and 90th percentiles
 (``raw_job_ms_p50_p90``, beside the rescaled ``job_p50_ms`` and
 ``job_p90_ms``) and of the reference kernel's quartiles
-(``kernel_ms_quartiles``), or None for a field that some run lacks.  The
+(``kernel_ms_quartiles``), and each side's median minor page faults a run
+(``minor_faults``), or None for a field that some run lacks.  The
 metrics are rescaled by that kernel's time, so a shift in the kernel moves
 them while the raw times stay put, and a change in the code moves both.
 The output is rewritten after every run, so an interrupted session keeps its
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -108,6 +112,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                         else [statistics.median(column) for column in
                               zip(*(p[side][key] for p in pairs.values()))]
                         for side in SIDES}
+        out["minor_faults"] = {
+            side: None if any(p[side].get("minor_faults") is None for p in pairs.values())
+            else statistics.median(p[side]["minor_faults"] for p in pairs.values())
+            for side in SIDES}
         summary[workload] = out
     return summary
 
@@ -135,7 +143,10 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             for place, side in enumerate(order, 1):
+                faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
                 run = run_once(checkouts[side], workload, seed, args.seconds)
+                run["minor_faults"] = (resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+                                       - faults)
                 doc["runs"].append({
                     "set": args.set, "workload": workload, "seed": seed, "side": side,
                     "order_in_pair": place, "seconds": args.seconds, "trace": 0,
